@@ -19,7 +19,6 @@ import numpy as np
 
 from .expr import ParseError, format_poly, parse_expression
 from .models import (
-    EPSILON,
     OMEGA,
     builtin_model,
     char_poly,
@@ -142,16 +141,6 @@ def _svg_path(args, default: str) -> str:
     return default
 
 
-def _gr_str(v: GaussRational) -> str:
-    if v.im == 0:
-        return str(v.re)
-    im = f"{abs(v.im)}*i" if abs(v.im) != 1 else "i"
-    if v.re == 0:
-        return im if v.im > 0 else f"-{im}"
-    sign = "+" if v.im > 0 else "-"
-    return f"{v.re}{sign}{im}"
-
-
 def _dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
@@ -206,7 +195,7 @@ def cmd_polygon(args) -> int:
     payload = {
         "schema": 1,
         "model": bundle.name,
-        "omega0": _gr_str(w0),
+        "omega0": str(w0),
         "perturbation": pname,
         "seed": args.seed,
         "polygon": polygon_to_dict(polygon),
@@ -239,12 +228,12 @@ def cmd_scan(args) -> int:
     candidates = []
     for cand in result.candidates:
         entry = {
-            "value": _gr_str(cand.value),
+            "value": str(cand.value),
             "exact": cand.exact,
-            "omega0": [_gr_str(w) for w in cand.omega0_values],
+            "omega0": [str(w) for w in cand.omega0_values],
             "flags": list(cand.flags),
             "classifications": [
-                {"omega0": _gr_str(w), **_classification_dict(c)}
+                {"omega0": str(w), **_classification_dict(c)}
                 for w, c in cand.classifications
             ],
         }
@@ -270,7 +259,7 @@ def _bound_charpoly(args):
     l1, pname = _perturbation(bundle, bindings, args)
     base = char_poly(bound, None, shift=w0)
     if not base.coefficient_list(OMEGA)[0].is_zero():
-        raise ValueError(f"omega0 = {_gr_str(w0)} is not an exact eigenvalue")
+        raise ValueError(f"omega0 = {w0} is not an exact eigenvalue")
     return bundle, bound, l1, pname, w0
 
 
@@ -284,7 +273,7 @@ def cmd_amoeba(args) -> int:
         phases=args.phases,
     )
     lines = [
-        f"# amoeba model={bundle.name} perturbation={pname} omega0={_gr_str(w0)} "
+        f"# amoeba model={bundle.name} perturbation={pname} omega0={w0} "
         f"grid={cloud.moduli}x{cloud.phases} skips={cloud.skips}",
         "logeps,logmag",
     ]
@@ -310,7 +299,7 @@ def cmd_scale(args) -> int:
         as_complex_matrix(bound), as_complex_matrix(l1), complex(w0), eps_values
     )
     lines = [
-        f"# scale model={bundle.name} perturbation={pname} omega0={_gr_str(w0)} "
+        f"# scale model={bundle.name} perturbation={pname} omega0={w0} "
         f"slope={fit.slope!r} intercept={fit.intercept!r} r_squared={fit.r_squared!r} "
         f"npoints={fit.npoints}",
         "epsilon,re,im,logeps,logmag",

@@ -215,24 +215,11 @@ def parse_expression(source: str, variables: Sequence[str]) -> MultiPoly:
 # -- printer -----------------------------------------------------------------
 
 
-def _format_rational(q: Fraction) -> str:
-    return str(q)  # Fraction prints as 'p/q' or 'p'
-
-
 def _coeff_prefix(c: GaussRational) -> str:
     """Render a coefficient as a standalone grammar factor (or factor chain)."""
-    if c.im == 0:
-        return _format_rational(c.re)
-    if c.re == 0:
-        if c.im == 1:
-            return "i"
-        if c.im == -1:
-            return "-i"
-        return f"{_format_rational(c.im)}*i"
-    im = c.im
-    sign = "+" if im > 0 else "-"
-    im_part = "i" if abs(im) == 1 else f"{_format_rational(abs(im))}*i"
-    return f"({_format_rational(c.re)}{sign}{im_part})"
+    if c.re != 0 and c.im != 0:
+        return f"({c})"
+    return str(c)
 
 
 def _monomial_factors(expo: tuple[int, ...], variables: tuple[str, ...]) -> list[str]:

@@ -2,7 +2,7 @@
 
 Everything exact lives in poly/newton; this module turns exact predictions
 into numerical experiments: polynomial roots (simultaneous Aberth iteration),
-eigenvalues via the Faddeev-LeVerrier characteristic polynomial, epsilon
+eigenvalues of constant matrices (LAPACK via numpy.linalg.eigvals), epsilon
 scaling sweeps, adiabatic encircling of a degeneracy, amoeba point clouds, and
 tentacle slope fits.
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -28,8 +28,6 @@ from scipy.optimize import linear_sum_assignment
 
 from .newton import TentacleDirection
 from .poly import MultiPoly, PolyMatrix
-
-MAX_DIM = 32
 
 
 class NumericalError(RuntimeError):
@@ -162,25 +160,6 @@ def roots_aberth(
 # -- eigenvalues ---------------------------------------------------------------
 
 
-def char_poly_coeffs(matrix) -> np.ndarray:
-    """Ascending coefficients of det(x I - A) via the Faddeev-LeVerrier recursion."""
-    a = as_complex_matrix(matrix)
-    n, m = a.shape
-    if n != m:
-        raise ValueError("square matrix required")
-    if n > MAX_DIM:
-        raise ValueError(f"dimension {n} exceeds supported maximum {MAX_DIM}")
-    ident = np.eye(n, dtype=complex)
-    work = np.zeros_like(a)
-    coeff = 1.0 + 0.0j
-    descending = [coeff]
-    for k in range(1, n + 1):
-        work = a @ work + coeff * ident
-        coeff = -np.trace(a @ work) / k
-        descending.append(coeff)
-    return np.array(descending[::-1], dtype=complex)
-
-
 def collapse_clusters(values: np.ndarray, tol: float) -> np.ndarray:
     """Single-linkage clustering; members of each cluster replaced by the mean.
 
@@ -220,13 +199,12 @@ def _sorted_complex(values: np.ndarray) -> np.ndarray:
 
 
 def eigenvalues(matrix, collapse_tol: float | None = None) -> np.ndarray:
-    """Eigenvalues as the roots of the Faddeev-LeVerrier characteristic
-    polynomial, refined by the Aberth iteration; sorted by (re, im)."""
-    coeffs = char_poly_coeffs(matrix)
-    roots = roots_aberth(coeffs)
+    """Eigenvalues of a constant square matrix by LAPACK (backward stable);
+    sorted by (re, im)."""
+    values = np.linalg.eigvals(as_complex_matrix(matrix))
     if collapse_tol is not None:
-        roots = collapse_clusters(roots, collapse_tol)
-    return _sorted_complex(roots)
+        values = collapse_clusters(values, collapse_tol)
+    return _sorted_complex(values)
 
 
 # -- scaling sweep ---------------------------------------------------------------
@@ -333,9 +311,6 @@ class PermutationReport:
     start_eigenvalues: tuple[complex, ...]
     ts: tuple[float, ...] = ()
     trace: tuple[tuple[complex, ...], ...] = ()  # trace[step][slot]
-
-    def cycle_lengths(self) -> tuple[int, ...]:
-        return self.cycles
 
 
 def _cluster_reps(values: np.ndarray) -> tuple[np.ndarray, list[int]]:

@@ -9,8 +9,8 @@ front and stick with it.
 
 The matrix layer (`PolyMatrix`) provides the handful of exact linear-algebra
 routines the rest of the package needs: Kronecker products, the fraction-free
-Bareiss determinant (with cofactor expansion as fallback), the Sylvester
-resultant, and reduced row echelon rank over the constant field.
+Bareiss determinant (the one runtime determinant route; cofactor expansion is
+kept only as an independent oracle for tests), and the Sylvester resultant.
 """
 
 from __future__ import annotations
@@ -82,12 +82,14 @@ class GaussRational:
         return complex(float(self.re), float(self.im))
 
     def __str__(self) -> str:
+        """'3/2', 'i', '-i', '3/2*i', '1/2-i': a unit imaginary part prints bare."""
         if self.im == 0:
             return str(self.re)
+        im = "i" if abs(self.im) == 1 else f"{abs(self.im)}*i"
         if self.re == 0:
-            return f"{self.im}*i"
+            return im if self.im > 0 else f"-{im}"
         sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}*i"
+        return f"{self.re}{sign}{im}"
 
 
 GR_ZERO = GaussRational.of(0)
@@ -500,7 +502,8 @@ class PolyMatrix:
 
 def det_cofactor(matrix: PolyMatrix) -> MultiPoly:
     """Determinant by Laplace expansion along the first row.  Exponential;
-    kept as the fallback and as the independent cross-check for Bareiss."""
+    no runtime path calls it: it is kept as the independent test oracle for
+    `det_bareiss`."""
     n, m = matrix.shape
     if n != m:
         raise ValueError("determinant of non-square matrix")
@@ -525,9 +528,11 @@ def det_cofactor(matrix: PolyMatrix) -> MultiPoly:
 def det_bareiss(matrix: PolyMatrix) -> MultiPoly:
     """Fraction-free Bareiss determinant.
 
-    All intermediate divisions are exact.  Row pivoting handles zero pivots;
-    if a pivot column is zero everywhere below the current row the routine
-    falls back to cofactor expansion of the original matrix.
+    All intermediate divisions are exact.  Row pivoting handles zero pivots.
+    A pivot column that is zero from the current row down means the
+    determinant is 0: by Sylvester's identity det(M) times a nonzero power of
+    the previous pivot equals the determinant of the trailing block, and that
+    block has a zero column.
     """
     n, m = matrix.shape
     if n != m:
@@ -541,9 +546,7 @@ def det_bareiss(matrix: PolyMatrix) -> MultiPoly:
         if work[k][k].is_zero():
             pivot_row = next((r for r in range(k + 1, n) if not work[r][k].is_zero()), None)
             if pivot_row is None:
-                # singular leading column; the determinant is 0, but defer to
-                # the cofactor route rather than encode that inference here
-                return det_cofactor(matrix)
+                return MultiPoly.zero(matrix.vars)
             work[k], work[pivot_row] = work[pivot_row], work[k]
             sign = -sign
         pivot = work[k][k]

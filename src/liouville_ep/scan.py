@@ -25,7 +25,6 @@ from .newton import (
     EPReport,
     NewtonPolygon,
     assert_routes_agree,
-    ep_orders,
     lower_hull,
     newton_points,
 )

@@ -60,6 +60,14 @@ class TestGaussRational:
         prod = a * a.conjugate()
         assert prod == gr(25)
 
+    def test_str(self):
+        assert str(gr(0, 1)) == "i"
+        assert str(gr(0, -1)) == "-i"
+        assert str(gr(1, 1)) == "1+i"
+        assert str(gr(Fraction(1, 2), Fraction(-3, 2))) == "1/2-3/2*i"
+        assert str(gr(0, Fraction(3, 2))) == "3/2*i"
+        assert str(gr(Fraction(-1, 2))) == "-1/2"
+
 
 class TestMultiPolyRing:
     def test_ring_axioms_random(self):
@@ -171,10 +179,22 @@ class TestDeterminants:
             m = PolyMatrix(rows)
             assert det_bareiss(m) == det_cofactor(m)
 
-    def test_zero_pivot_column(self):
+    def test_zero_pivot_column(self, monkeypatch):
         c = lambda v: MultiPoly.constant(V, v)
         m = PolyMatrix([[c(0), c(1)], [c(0), c(2)]])
         assert det_bareiss(m).is_zero()
+        # the second pivot column vanishes only after one elimination step
+        v3 = ("x", "y", "z")
+        k = lambda v: MultiPoly.constant(v3, v)
+        x, y, z = (MultiPoly.variable(v3, n) for n in v3)
+        mid = PolyMatrix([[k(1), k(2), x], [k(2), k(4), y], [k(3), k(6), z]])
+        assert det_cofactor(mid).is_zero()
+
+        def no_fallback(matrix):
+            raise AssertionError("det_bareiss fell back to cofactor expansion")
+
+        monkeypatch.setattr("liouville_ep.poly.det_cofactor", no_fallback)
+        assert det_bareiss(mid) == MultiPoly.zero(v3)
 
     def test_row_swap_sign(self):
         c = lambda v: MultiPoly.constant(V, v)
