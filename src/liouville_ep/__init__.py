@@ -44,7 +44,6 @@ from .newton import (
     NewtonPoint,
     NewtonPolygon,
     Segment,
-    TentacleDirection,
     TropicalFunction,
     assert_routes_agree,
     ep_orders,
@@ -72,7 +71,6 @@ from .numerics import (
 from .scan import (
     Candidate,
     Classification,
-    DegeneracyConditions,
     ScanResult,
     classify,
     degeneracy_conditions,
@@ -90,7 +88,6 @@ __all__ = [
     "BuiltinModel",
     "Candidate",
     "Classification",
-    "DegeneracyConditions",
     "EPReport",
     "EPSILON",
     "ExactDivisionError",
@@ -110,7 +107,6 @@ __all__ = [
     "ScanResult",
     "Segment",
     "Superoperator",
-    "TentacleDirection",
     "TentacleFit",
     "TropicalFunction",
     "amoeba_sample",

@@ -27,8 +27,8 @@ from .models import (
     perturbation_matrix,
 )
 from .newton import (
+    assert_routes_agree,
     directions_to_list,
-    ep_orders,
     lower_hull,
     newton_points,
     polygon_to_dict,
@@ -189,9 +189,13 @@ def cmd_polygon(args) -> int:
     bound = bundle.l_eff.matrix.substitute(bindings)
     l1, pname = _perturbation(bundle, bindings, args)
     classification = classify(bound, w0, seed=args.seed)  # also checks w0 exactly
-    f = char_poly(bound, l1, shift=w0)
-    polygon = lower_hull(newton_points(f))
-    report = ep_orders(polygon)
+    if pname == "generic":
+        # classify's first seed is --seed: its polygon is this perturbation's
+        polygon, report = classification.polygon, classification.report
+    else:
+        f = char_poly(bound, l1, shift=w0)
+        report = assert_routes_agree(f)
+        polygon = lower_hull(newton_points(f))
     payload = {
         "schema": 1,
         "model": bundle.name,

@@ -298,15 +298,15 @@ def model_from_dict(data: Mapping) -> BuiltinModel:
         dim = int(data["dim"])
         params = tuple(str(p) for p in data["params"])
         ham_rows = data["hamiltonian"]
-        jumps = data.get("jumps", [])
+        jumps = [(j["rate"], j["operator"]) for j in data.get("jumps", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model description: {exc}") from exc
     variables = ambient_variables(params)
     h = _matrix_from_strings(ham_rows, variables)
     channels = []
-    for j in jumps:
-        rate = parse_expression(str(j["rate"]), variables)
-        op = _matrix_from_strings(j["operator"], variables)
+    for rate_text, op_rows in jumps:
+        rate = parse_expression(str(rate_text), variables)
+        op = _matrix_from_strings(op_rows, variables)
         channels.append(JumpChannel(rate, op))
     spec = ModelSpec(name, dim, params, h, tuple(channels))
     l_full = build_liouvillian(spec)

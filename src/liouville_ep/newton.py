@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .models import EPSILON, OMEGA
 from .poly import MultiPoly
 
 INF = math.inf
@@ -83,23 +84,14 @@ class EPReport:
         return best
 
 
-@dataclass(frozen=True)
-class TentacleDirection:
-    """Asymptotic amoeba direction in the frame (x = log|omega - omega0|,
-    y = log|epsilon|).  slope None means vertical (valuation-0 roots that stay
-    at finite distance); slope 0 means horizontal (identically zero roots)."""
-
-    slope: Fraction | None
-
-
-def newton_points(f: MultiPoly, omega: str = "omega", epsilon: str = "epsilon") -> list[NewtonPoint]:
+def newton_points(f: MultiPoly) -> list[NewtonPoint]:
     """Support points (omega-degree, epsilon-valuation of coefficient)."""
     if f.is_zero():
         raise ValueError("Newton points of the zero polynomial")
-    if not f.uses_only([omega, epsilon]):
+    if not f.uses_only([OMEGA, EPSILON]):
         raise ValueError("polynomial has unsubstituted variables besides omega/epsilon")
-    oi = f.vars.index(omega)
-    ei = f.vars.index(epsilon)
+    oi = f.vars.index(OMEGA)
+    ei = f.vars.index(EPSILON)
     vals: dict[int, int] = {}
     for e in f.terms:
         i, j = e[oi], e[ei]
@@ -153,21 +145,22 @@ def ep_orders(polygon: NewtonPolygon) -> EPReport:
     return EPReport(tuple(finite + infinite))
 
 
-def tentacle_directions(polygon: NewtonPolygon) -> list[TentacleDirection]:
+def tentacle_directions(polygon: NewtonPolygon) -> list[Fraction | None]:
     """Amoeba tentacle slopes in the (log|omega - omega0|, log|epsilon|) frame.
 
     A hull segment of slope -p/q (roots ~ epsilon^(p/q)) gives tentacle slope
-    q/p; the vertical marker gives a horizontal tentacle (slope 0); a slope-0
-    hull segment (valuation-0 roots) gives a vertical tentacle (slope None).
+    q/p; the vertical marker gives a horizontal tentacle (slope 0, identically
+    zero roots); a slope-0 hull segment (valuation-0 roots that stay at finite
+    distance) gives a vertical tentacle (None).
     """
     out = []
     for seg in polygon.segments:
         if seg.slope is None:
-            out.append(TentacleDirection(Fraction(0)))
+            out.append(Fraction(0))
         elif seg.slope == 0:
-            out.append(TentacleDirection(None))
+            out.append(None)
         else:
-            out.append(TentacleDirection(Fraction(-1, 1) / seg.slope))
+            out.append(Fraction(-1, 1) / seg.slope)
     return out
 
 
@@ -188,8 +181,8 @@ class TropicalFunction:
         return [i for i, off in self.pieces if off + Fraction(i) * w == value]
 
 
-def tropicalize(f: MultiPoly, omega: str = "omega", epsilon: str = "epsilon") -> TropicalFunction:
-    pts = newton_points(f, omega, epsilon)
+def tropicalize(f: MultiPoly) -> TropicalFunction:
+    pts = newton_points(f)
     return TropicalFunction(tuple((p.i, Fraction(p.j)) for p in pts))
 
 
@@ -232,10 +225,10 @@ def tropical_roots(tf: TropicalFunction) -> list[tuple[Fraction, int]]:
     return roots
 
 
-def assert_routes_agree(f: MultiPoly, omega: str = "omega", epsilon: str = "epsilon") -> EPReport:
+def assert_routes_agree(f: MultiPoly) -> EPReport:
     """Compute the polygon report and assert the tropical route matches it."""
-    report = ep_orders(lower_hull(newton_points(f, omega, epsilon)))
-    trop = tropical_roots(tropicalize(f, omega, epsilon))
+    report = ep_orders(lower_hull(newton_points(f)))
+    trop = tropical_roots(tropicalize(f))
     finite = [(v, m) for v, m in report.finite()]
     if trop != finite:
         raise AssertionError(f"tropical roots {trop} disagree with polygon report {finite}")
@@ -274,5 +267,5 @@ def report_to_dict(report: EPReport) -> dict:
     }
 
 
-def directions_to_list(directions: Sequence[TentacleDirection]) -> list[str]:
-    return ["vertical" if d.slope is None else str(d.slope) for d in directions]
+def directions_to_list(directions: Sequence[Fraction | None]) -> list[str]:
+    return [_slope_str(d) for d in directions]

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .newton import TentacleDirection
+from .models import EPSILON, OMEGA
 from .poly import MultiPoly, PolyMatrix
 
 
@@ -166,30 +166,20 @@ def collapse_clusters(values: np.ndarray, tol: float) -> np.ndarray:
     The mean of m computed copies of an m-fold root is far more accurate than
     any individual copy, which scatter at radius ~ noise^(1/m).
     """
+    # imported here: scipy.cluster takes tens of ms to import, and only
+    # `eigenvalues` with a collapse tolerance (encircle) calls this
+    from scipy.cluster.hierarchy import DisjointSet
+
     vals = np.asarray(values, dtype=complex)
-    n = vals.size
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(vals[i] - vals[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    clusters = DisjointSet(range(vals.size))
+    close = np.abs(vals[:, None] - vals[None, :]) <= tol
+    for i, j in zip(*np.nonzero(close)):
+        clusters.merge(i, j)
     out = vals.copy()
-    for members in groups.values():
+    for members in clusters.subsets():
         if len(members) > 1:
-            mean = vals[members].mean()
-            out[members] = mean
+            idx = sorted(members)
+            out[idx] = vals[idx].mean()
     return out
 
 
@@ -326,17 +316,14 @@ def _cluster_reps(values: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return np.array(reps, dtype=complex), mults
 
 
-def encircle(
-    l0,
-    l1,
-    radius: float = 0.01,
-    steps: int = 400,
-    collapse_tol: float = 1e-4,
-) -> PermutationReport:
+ENCIRCLE_COLLAPSE_TOL = 1e-4
+
+
+def encircle(l0, l1, radius: float = 0.01, steps: int = 400) -> PermutationReport:
     """Track all eigenvalues of L0 + radius*e^(it)*L1 around one full loop.
 
-    Exactly coincident eigenvalues (collapsed within collapse_tol at every
-    step) are tracked as one representative with multiplicity, so persistent
+    Exactly coincident eigenvalues (collapsed within ENCIRCLE_COLLAPSE_TOL at
+    every step) are tracked as one representative with multiplicity, so persistent
     degeneracies come out as fixed slots rather than arbitrary 2-cycles.
     Raises NumericalError when the matching is ambiguous (residual not below
     half the minimal gap along the path) or the cluster structure changes;
@@ -347,7 +334,7 @@ def encircle(
     if steps < 8:
         raise ValueError("need at least 8 steps")
     ts = np.linspace(0.0, 2.0 * np.pi, steps + 1)
-    init_vals = eigenvalues(a0 + radius * a1, collapse_tol)  # t = 0
+    init_vals = eigenvalues(a0 + radius * a1, ENCIRCLE_COLLAPSE_TOL)  # t = 0
     reps, mults = _cluster_reps(init_vals)
     start_reps = reps.copy()
     start_mults = list(mults)
@@ -362,7 +349,7 @@ def encircle(
 
     trace = [expand(reps)]
     for t in ts[1:]:
-        vals = eigenvalues(a0 + radius * cmath.exp(1j * t) * a1, collapse_tol)
+        vals = eigenvalues(a0 + radius * cmath.exp(1j * t) * a1, ENCIRCLE_COLLAPSE_TOL)
         new_reps, new_mults = _cluster_reps(vals)
         if sorted(new_mults) != sorted(start_mults):
             raise NumericalError(
@@ -456,22 +443,23 @@ class AmoebaCloud:
     phases: int
 
 
+# Roots at or below this modulus count as identically zero and leave the cloud.
+AMOEBA_ZERO_CUTOFF = 1e-14
+
+
 def amoeba_sample(
     f: MultiPoly,
     modulus_range: tuple[float, float] = (1e-6, 1e-2),
     moduli: int = 40,
     phases: int = 64,
-    zero_cutoff: float = 1e-14,
-    omega: str = "omega",
-    epsilon: str = "epsilon",
 ) -> AmoebaCloud:
     """Sample the amoeba of a bivariate polynomial over a log-spaced eps grid."""
-    if not f.uses_only([omega, epsilon]):
+    if not f.uses_only([OMEGA, EPSILON]):
         raise ValueError("polynomial has unsubstituted variables besides omega/epsilon")
     lo, hi = modulus_range
     if not (0 < lo < hi):
         raise ValueError("modulus range must satisfy 0 < lo < hi")
-    coeff_polys = f.coefficient_list(omega)
+    coeff_polys = f.coefficient_list(OMEGA)
     base_assignment = {v: 0.0 + 0.0j for v in f.vars}
     radii = np.geomspace(lo, hi, moduli)
     angles = 2.0 * np.pi * np.arange(phases) / phases
@@ -482,7 +470,7 @@ def amoeba_sample(
         for th in angles:
             eps_val = r * cmath.exp(1j * th)
             assignment = dict(base_assignment)
-            assignment[epsilon] = eps_val
+            assignment[EPSILON] = eps_val
             coeffs = [cp.evaluate(assignment) for cp in coeff_polys]
             while len(coeffs) > 1 and coeffs[-1] == 0:
                 coeffs.pop()
@@ -496,7 +484,7 @@ def amoeba_sample(
                 continue
             for root in roots:
                 mag = abs(root)
-                if mag > zero_cutoff:
+                if mag > AMOEBA_ZERO_CUTOFF:
                     rows.append((logeps, math.log10(mag)))
     pts = np.array(rows, dtype=float) if rows else np.empty((0, 2))
     return AmoebaCloud(pts, skips, (float(lo), float(hi)), moduli, phases)
@@ -521,27 +509,20 @@ class TentacleFit:
     support: int
 
 
-def _direction_slope(d) -> Fraction | None:
-    if isinstance(d, TentacleDirection):
-        return d.slope
-    if d is None:
-        return None
-    return Fraction(d)
+TAIL_DECADES = 1.0
+MIN_TAIL_SUPPORT = 3  # tail points needed for a fitted slope
 
 
-def fit_tentacles(
-    cloud: AmoebaCloud,
-    directions: Sequence,
-    decade: float = 1.0,
-    min_support: int = 3,
-) -> list[TentacleFit]:
+def fit_tentacles(cloud: AmoebaCloud, directions: Sequence) -> list[TentacleFit]:
     """Assign cloud points to expected tentacle directions and fit slopes.
 
-    Works in the frame x = log10|omega|, y = log10|eps|.  Each direction's
-    intercept is seeded from the densest band of the point cloud, refined by a
-    few reassignment rounds, and the fit is restricted to the asymptotic tail:
-    the lowest `decade` of y for sloped/vertical tentacles and of x for
-    horizontal ones (that is where each tentacle runs off to -infinity).
+    Works in the frame x = log10|omega|, y = log10|eps|.  `directions` holds
+    tentacle slopes as `tentacle_directions` returns them (a Fraction, or an
+    int) or None for vertical.  Each direction's intercept is seeded from the
+    densest band of the point cloud, refined by a few reassignment rounds, and
+    the fit is restricted to the asymptotic tail: the lowest TAIL_DECADES of y
+    for sloped/vertical tentacles and of x for horizontal ones (that is where
+    each tentacle runs off to -infinity).
     """
     pts = cloud.points
     if pts.shape[0] == 0:
@@ -550,7 +531,7 @@ def fit_tentacles(
     x = pts[:, 1]  # log10|omega|
     if y.max() - y.min() < 2.0 - 1e-9:
         raise ValueError("amoeba cloud must span at least two decades in |eps|")
-    slopes = [_direction_slope(d) for d in directions]
+    slopes = [None if d is None else Fraction(d) for d in directions]
 
     def band_values(s: Fraction | None) -> np.ndarray:
         if s is None:
@@ -587,12 +568,12 @@ def fit_tentacles(
         members = assign == k
         xk, yk = x[members], y[members]
         if s is not None and s == 0:
-            tail = xk <= (xk.min() + decade) if xk.size else np.zeros(0, bool)
+            tail = xk <= (xk.min() + TAIL_DECADES) if xk.size else np.zeros(0, bool)
         else:
-            tail = yk <= (yk.min() + decade) if yk.size else np.zeros(0, bool)
+            tail = yk <= (yk.min() + TAIL_DECADES) if yk.size else np.zeros(0, bool)
         xt, yt = xk[tail], yk[tail]
         support = int(xt.size)
-        if support < min_support:
+        if support < MIN_TAIL_SUPPORT:
             fits.append(TentacleFit(s, None, None, support))
             continue
         if s is None:

@@ -398,10 +398,6 @@ class PolyMatrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), len(self.rows[0]))
 
-    def __getitem__(self, rc: tuple[int, int]) -> MultiPoly:
-        r, c = rc
-        return self.rows[r][c]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyMatrix):
             return NotImplemented
@@ -412,12 +408,6 @@ class PolyMatrix:
         one = MultiPoly.constant(variables, 1)
         zero = MultiPoly.zero(variables)
         return PolyMatrix([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zeros(variables: Sequence[str], n: int, m: int | None = None) -> "PolyMatrix":
-        zero = MultiPoly.zero(variables)
-        m = n if m is None else m
-        return PolyMatrix([[zero for _ in range(m)] for _ in range(n)])
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.shape != other.shape:
@@ -483,21 +473,8 @@ class PolyMatrix:
                         out[i * p + k][j * q + l] = a * other.rows[k][l]
         return PolyMatrix(out)
 
-    def trace(self) -> MultiPoly:
-        n, m = self.shape
-        if n != m:
-            raise ValueError("trace of non-square matrix")
-        acc = MultiPoly.zero(self.vars)
-        for i in range(n):
-            acc = acc + self.rows[i][i]
-        return acc
-
     def substitute(self, bindings: Mapping[str, Union[MultiPoly, ScalarLike]]) -> "PolyMatrix":
         return PolyMatrix([[e.substitute(bindings) for e in row] for row in self.rows])
-
-    def evaluate(self, assignment: Mapping[str, complex]):
-        """Numeric matrix as a nested list of complex numbers."""
-        return [[e.evaluate(assignment) for e in row] for row in self.rows]
 
 
 def det_cofactor(matrix: PolyMatrix) -> MultiPoly:

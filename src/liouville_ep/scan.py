@@ -39,41 +39,28 @@ from .poly import (
 )
 
 
-@dataclass(frozen=True)
-class DegeneracyConditions:
-    """The k lowest omega-coefficients of an epsilon-free shifted char poly."""
-
-    conditions: tuple[MultiPoly, ...]  # ascending: c_0, c_1, ...
-
-    @property
-    def count(self) -> int:
-        return len(self.conditions)
-
-
-def degeneracy_conditions(charpoly: MultiPoly, k: int = 2, omega: str = OMEGA) -> DegeneracyConditions:
-    """Extract c_0 .. c_{k-1}; requires an epsilon-free polynomial."""
+def degeneracy_conditions(charpoly: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    """The two lowest omega-coefficients (c0, c1) of an epsilon-free shifted
+    char poly: its value and first derivative at omega = 0."""
     if charpoly.is_zero():
         raise ValueError("zero characteristic polynomial")
     if charpoly.degree(EPSILON) > 0:
         raise ValueError("characteristic polynomial must be epsilon-free here")
-    deg = charpoly.degree(omega)
-    if not 1 <= k <= deg:
-        raise ValueError(f"k must be between 1 and deg_omega = {deg}")
-    coeffs = charpoly.coefficient_list(omega)
-    return DegeneracyConditions(tuple(coeffs[:k]))
+    deg = charpoly.degree(OMEGA)
+    if deg < 2:
+        raise ValueError(f"need deg_omega >= 2 for two conditions, got {deg}")
+    return tuple(charpoly.coefficient_list(OMEGA)[:2])
 
 
-def eliminate_shift(conds: DegeneracyConditions, shift_var: str = OMEGA0) -> MultiPoly:
-    """Resultant of the two lowest conditions with respect to the shift."""
-    if conds.count < 2:
-        raise ValueError("need at least two degeneracy conditions")
-    c0, c1 = conds.conditions[0], conds.conditions[1]
-    if c0.degree(shift_var) < 1 or c1.degree(shift_var) < 1:
+def eliminate_shift(conds: tuple[MultiPoly, MultiPoly]) -> MultiPoly:
+    """Resultant of the conditions (c0, c1) with respect to the shift omega0."""
+    c0, c1 = conds
+    if c0.degree(OMEGA0) < 1 or c1.degree(OMEGA0) < 1:
         raise ValueError(
-            f"a degeneracy condition is free of {shift_var!r}; "
+            f"a degeneracy condition is free of {OMEGA0!r}; "
             "solve it directly instead of eliminating"
         )
-    return sylvester_resultant(c1, c0, shift_var)
+    return sylvester_resultant(c1, c0, OMEGA0)
 
 
 # -- exact rank / geometric multiplicity ---------------------------------------
@@ -161,10 +148,14 @@ class ScanResult:
     candidates: tuple[Candidate, ...]
 
 
-def _rationalize(z: complex, max_denominator: int = 10**6) -> GaussRational:
+# Numeric roots snap to the nearest rational with at most this denominator.
+MAX_DENOMINATOR = 10**6
+
+
+def _rationalize(z: complex) -> GaussRational:
     return GaussRational(
-        Fraction(z.real).limit_denominator(max_denominator),
-        Fraction(z.imag).limit_denominator(max_denominator),
+        Fraction(z.real).limit_denominator(MAX_DENOMINATOR),
+        Fraction(z.imag).limit_denominator(MAX_DENOMINATOR),
     )
 
 
@@ -217,14 +208,18 @@ def _exact_roots_univariate(g: MultiPoly, var: str) -> tuple[list[GaussRational]
     return out, all_exact
 
 
+# Numeric resultant roots closer than DEDUPE_TOL are one root; a snapped value
+# with no exact common shift root is 'approximate' when the two conditions have
+# roots within VERIFY_TOL of each other, else 'unverified'.
+DEDUPE_TOL = 1e-9
+VERIFY_TOL = 1e-8
+
+
 def solve_candidates(
     resultant: MultiPoly,
     target: str,
     bindings: Mapping[str, Fraction],
-    conds: DegeneracyConditions,
-    shift_var: str = OMEGA0,
-    dedupe_tol: float = 1e-9,
-    verify_tol: float = 1e-8,
+    conds: tuple[MultiPoly, MultiPoly],
 ) -> ScanResult:
     """Solve the specialized resultant for one parameter and verify the roots.
 
@@ -234,7 +229,7 @@ def solve_candidates(
     nearby rational; a candidate counts as exact when the two degeneracy
     conditions acquire a common root symbolically (nonzero gcd in the shift),
     otherwise it is kept with an 'approximate' flag when the conditions are
-    satisfied to `verify_tol`, or 'unverified' when they are not.
+    satisfied to VERIFY_TOL, or 'unverified' when they are not.
     """
     specialized = resultant.substitute(dict(bindings))
     if specialized.is_zero():
@@ -248,9 +243,9 @@ def solve_candidates(
     # dedupe numerically before snapping
     unique: list[complex] = []
     for r in sorted(roots, key=lambda z: (z.real, z.imag)):
-        if not any(abs(r - u) <= dedupe_tol for u in unique):
+        if not any(abs(r - u) <= DEDUPE_TOL for u in unique):
             unique.append(complex(r))
-    bound_conds = [c.substitute(dict(bindings)) for c in conds.conditions]
+    bound_conds = [c.substitute(dict(bindings)) for c in conds]
     candidates: list[Candidate] = []
     seen_exact: set[GaussRational] = set()
     for z in unique:
@@ -263,9 +258,9 @@ def solve_candidates(
             exact = True
             flags.append("omega0-continuum")
         else:
-            g = gcd_univariate(c_at[0], c_at[1], shift_var)
-            if g.degree(shift_var) >= 1:
-                roots_w, roots_exact = _exact_roots_univariate(g, shift_var)
+            g = gcd_univariate(c_at[0], c_at[1], OMEGA0)
+            if g.degree(OMEGA0) >= 1:
+                roots_w, roots_exact = _exact_roots_univariate(g, OMEGA0)
                 omega0_values = tuple(roots_w)
                 exact = roots_exact
                 if not roots_exact:
@@ -273,7 +268,7 @@ def solve_candidates(
             else:
                 # rational snap failed symbolically; fall back to the numeric
                 # tolerance check at near-common roots of the two conditions
-                near = _near_common_roots(c_at, shift_var, verify_tol)
+                near = _near_common_roots(c_at)
                 if near:
                     omega0_values = tuple(_rationalize(w) for w in near)
                     flags.append("approximate")
@@ -287,22 +282,22 @@ def solve_candidates(
     return ScanResult(target, dict(bindings), False, tuple(candidates))
 
 
-def _near_common_roots(c_at: Sequence[MultiPoly], shift_var: str, tol: float) -> list[complex]:
+def _near_common_roots(c_at: Sequence[MultiPoly]) -> list[complex]:
     lists = []
     for c in c_at:
         if c.is_zero():
             continue
-        if c.degree(shift_var) < 1:
+        if c.degree(OMEGA0) < 1:
             return []
         try:
-            lists.append(list(roots_aberth(_to_univariate_complex(c, shift_var))))
+            lists.append(list(roots_aberth(_to_univariate_complex(c, OMEGA0))))
         except NumericalError:
             return []
     if len(lists) < 2:
         return lists[0] if lists else []
     out = []
     for r in lists[0]:
-        if any(abs(r - s) <= tol for s in lists[1]):
+        if any(abs(r - s) <= VERIFY_TOL for s in lists[1]):
             out.append(complex(r))
     return out
 
@@ -310,18 +305,17 @@ def _near_common_roots(c_at: Sequence[MultiPoly], shift_var: str, tol: float) ->
 # -- classification -----------------------------------------------------------------
 
 
-def classify(
-    bound_matrix: PolyMatrix,
-    omega0: GaussRational,
-    seed: int = 42,
-    seeds: int = 3,
-) -> Classification:
+CLASSIFY_SEEDS = 3
+
+
+def classify(bound_matrix: PolyMatrix, omega0: GaussRational, seed: int = 42) -> Classification:
     """Classify an exact degeneracy of a fully bound generator.
 
     Requires omega0 to be an exact eigenvalue (the constant term of the
     shifted characteristic polynomial must vanish identically).  The Newton
-    polygon of a seeded generic perturbation is recomputed for `seeds`
-    consecutive seeds; disagreement marks the point inconclusive.  Rules:
+    polygon of a seeded generic perturbation is recomputed for CLASSIFY_SEEDS
+    consecutive seeds from `seed`; disagreement marks the point inconclusive.
+    Rules:
 
       * EP(n): some root valuation equals 1/n with n >= 2 and the geometric
         multiplicity is below the algebraic one (defective);
@@ -341,7 +335,7 @@ def classify(
     notes: list[str] = []
     polygons = []
     reports = []
-    seed_list = tuple(range(seed, seed + seeds))
+    seed_list = tuple(range(seed, seed + CLASSIFY_SEEDS))
     for s in seed_list:
         l1 = generic_perturbation(bound_matrix.vars, n, s)
         f = char_poly(bound_matrix, l1, shift=omega0)
@@ -394,7 +388,7 @@ def scan_parameter(
     variables = generator.vars
     shift = MultiPoly.variable(variables, OMEGA0)
     p = char_poly(generator, None, shift=shift)
-    conds = degeneracy_conditions(p, 2)
+    conds = degeneracy_conditions(p)
     resultant = eliminate_shift(conds)
     result = solve_candidates(resultant, target, bindings, conds)
     if result.continuum:

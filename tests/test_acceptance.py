@@ -226,7 +226,7 @@ def test_criterion_7_scan_completeness():
         # the closed-form degeneracy curves annihilate the eliminated resultant
         v = m.variables
         shift = MultiPoly.variable(v, "omega0")
-        conds = degeneracy_conditions(char_poly(m.l0.matrix, None, shift=shift), 2)
+        conds = degeneracy_conditions(char_poly(m.l0.matrix, None, shift=shift))
         res = eliminate_shift(conds)
         for curve in ("gamma_y - Omega", "gamma_y + Omega", "-gamma_minus/2 - gamma_y"):
             assert res.substitute({"gamma_x": parse_expression(curve, v)}).is_zero()

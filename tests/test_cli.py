@@ -1,10 +1,12 @@
 """Command-line interface: payload shapes, determinism, exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from liouville_ep import cli
+from liouville_ep import cli, newton
+from liouville_ep.models import builtin_model, char_poly, perturbation_matrix
 
 QUBIT_EP = [
     "--model",
@@ -26,6 +28,15 @@ SPIN_SLICE = [
     "--bind",
     "gamma_y=2",
 ]
+
+# a plain decay channel: L has eigenvalues {0, -g/2, -g/2, -g}
+DECAY = {
+    "name": "decay",
+    "dim": 2,
+    "params": ["g"],
+    "hamiltonian": [["0", "0"], ["0", "0"]],
+    "jumps": [{"rate": "g", "operator": [["0", "1"], ["0", "0"]]}],
+}
 
 
 def run_json(capsys, argv):
@@ -80,6 +91,19 @@ class TestPolygon:
         assert payload["classification"]["label"] == "EP(3)"
         assert payload["classification"]["alg_mult"] == 4
         assert payload["classification"]["geom_mult"] == 2
+
+    def test_rate_perturbation_is_cross_checked(self, capsys, monkeypatch):
+        # the printed polygon goes through the tropical route, not only
+        # classify's generic seeds
+        seen = []
+        tropicalize = newton.tropicalize
+        monkeypatch.setattr(newton, "tropicalize", lambda f: seen.append(f) or tropicalize(f))
+        run_json(capsys, ["polygon"] + QUBIT_EP + ["--omega0", "-1/2", "--perturb", "gamma_f"])
+        m = builtin_model("qubit")
+        point = {"gamma_e": Fraction(1), "gamma_f": Fraction(0), "J": Fraction(1, 4)}
+        bound = m.l_eff.matrix.substitute(point)
+        pert = perturbation_matrix(m.l_eff, "gamma_f").substitute(point)
+        assert char_poly(bound, pert, shift=Fraction(-1, 2)) in seen
 
     def test_shift_sign_minus_is_equivalent(self, capsys):
         base = run_json(
@@ -278,10 +302,20 @@ class TestExitCodes:
         bad.write_text("not json at all")
         assert cli.main(["build", "--model", str(bad)]) == 2
 
-    def test_malformed_model_dict(self, tmp_path):
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"name": "x"},
+            {**DECAY, "jumps": [{"operator": [["0", "1"], ["0", "0"]]}]},
+            {**DECAY, "jumps": [{"rate": "g"}]},
+        ],
+        ids=["no-dim", "jump-without-rate", "jump-without-operator"],
+    )
+    def test_malformed_model_dict(self, tmp_path, capsys, data):
         bad = tmp_path / "incomplete.json"
-        bad.write_text(json.dumps({"name": "x"}))
+        bad.write_text(json.dumps(data))
         assert cli.main(["build", "--model", str(bad)]) == 2
+        assert "malformed model description" in capsys.readouterr().err
 
     def test_numerical_failure(self, tmp_path):
         # a parameter that never enters the generator gives a zero
@@ -316,19 +350,8 @@ class TestExitCodes:
 
 class TestCustomModelFlow:
     def test_json_model_end_to_end(self, tmp_path, capsys):
-        # a plain decay channel: L has eigenvalues {0, -g/2, -g/2, -g}
         model = tmp_path / "decay.json"
-        model.write_text(
-            json.dumps(
-                {
-                    "name": "decay",
-                    "dim": 2,
-                    "params": ["g"],
-                    "hamiltonian": [["0", "0"], ["0", "0"]],
-                    "jumps": [{"rate": "g", "operator": [["0", "1"], ["0", "0"]]}],
-                }
-            )
-        )
+        model.write_text(json.dumps(DECAY))
         payload = run_json(
             capsys, ["build", "--model", str(model), "--bind", "g=2"]
         )

@@ -1,7 +1,8 @@
-"""Static hygiene: every name a package module imports is used in it.
+"""Static hygiene: every name a package module imports, and every private
+module-level name it defines, is used in it.
 
 No linter is a dependency, so this walks each module's AST.  `__init__.py`
-is exempt: it imports names only to re-export them.
+is exempt from the import check: it imports names only to re-export them.
 """
 
 import ast
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "liouville_ep"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -36,3 +38,34 @@ def test_no_unused_imports(path):
         if name not in used
     )
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """`_name` -> line of every private function, class or assignment at
+    module level (dunder names such as `__all__` are not private)."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = node.lineno
+    return out
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_private_names(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    unused = sorted(
+        f"{name} (line {line})"
+        for name, line in _private_definitions(tree).items()
+        if name not in loaded
+    )
+    assert not unused, f"{path.name} defines private names it never uses: {unused}"

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from liouville_ep import cli, newton
 from liouville_ep.expr import parse_expression
 from liouville_ep.models import builtin_model, char_poly, generic_perturbation, perturbation_matrix
 from liouville_ep.newton import (
@@ -144,14 +145,14 @@ class TestTropicalRoute:
             assert sum(m for _, m in report.entries) == f.degree("omega")
             checked += 1
 
-    def test_disagreement_raises(self):
-        f = biv("omega^2 - epsilon")
-        good = tropical_roots(tropicalize(f))
-        assert good == [(Fraction(1, 2), 2)]
-        # sanity only; the two routes cannot be made to disagree through the
-        # public API, so just confirm the checker returns the shared answer
-        report = assert_routes_agree(f)
-        assert report.finite() == ((Fraction(1, 2), 2),)
+    def test_disagreement_raises(self, monkeypatch):
+        # a tropical route that misplaces every breakpoint
+        monkeypatch.setattr(newton, "tropical_roots", lambda tf: [(Fraction(7), 1)])
+        with pytest.raises(AssertionError):
+            assert_routes_agree(biv("omega^2 - epsilon"))
+        argv = ["polygon", "--model", "qubit", "--bind", "gamma_e=1", "--bind", "gamma_f=0",
+                "--bind", "J=1/4", "--omega0", "-1/2"]
+        assert cli.main(argv) == 4
 
 
 class TestFrozenModelPolygons:

@@ -8,7 +8,6 @@ from liouville_ep.expr import parse_expression
 from liouville_ep.models import builtin_model, char_poly
 from liouville_ep.poly import GaussRational, MultiPoly, PolyMatrix
 from liouville_ep.scan import (
-    DegeneracyConditions,
     classify,
     degeneracy_conditions,
     eliminate_shift,
@@ -42,40 +41,30 @@ def spin_half_slice():
 class TestDegeneracyConditions:
     def test_vieta(self):
         p = toy("omega^2 - (x + omega0)*omega + x*omega0")
-        conds = degeneracy_conditions(p, 2)
-        assert conds.count == 2
-        assert conds.conditions[0] == toy("x*omega0")
-        assert conds.conditions[1] == toy("-x - omega0")
+        assert degeneracy_conditions(p) == (toy("x*omega0"), toy("-x - omega0"))
 
-    def test_k_bounds(self):
-        p = toy("omega^2 + 1")
+    def test_degree_below_two_rejected(self):
         with pytest.raises(ValueError):
-            degeneracy_conditions(p, 0)
-        with pytest.raises(ValueError):
-            degeneracy_conditions(p, 3)
+            degeneracy_conditions(toy("omega + x"))
 
     def test_epsilon_dependence_rejected(self):
         with pytest.raises(ValueError):
-            degeneracy_conditions(toy("omega^2 + epsilon"), 2)
+            degeneracy_conditions(toy("omega^2 + epsilon"))
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            degeneracy_conditions(MultiPoly.zero(TOY), 2)
+            degeneracy_conditions(MultiPoly.zero(TOY))
 
 
 class TestEliminateShift:
     def test_linear_pair(self):
-        conds = DegeneracyConditions((toy("omega0 - x"), toy("omega0 - x^2")))
+        conds = (toy("omega0 - x"), toy("omega0 - x^2"))
         res = eliminate_shift(conds)
         # common shift root exactly at x = x^2
         assert res in (toy("x - x^2"), toy("x^2 - x"))
 
-    def test_needs_two_conditions(self):
-        with pytest.raises(ValueError):
-            eliminate_shift(DegeneracyConditions((toy("omega0 - x"),)))
-
     def test_shift_free_condition_rejected(self):
-        conds = DegeneracyConditions((toy("x - 1"), toy("omega0 - x")))
+        conds = (toy("x - 1"), toy("omega0 - x"))
         with pytest.raises(ValueError):
             eliminate_shift(conds)
 
@@ -121,7 +110,7 @@ class TestExactRank:
 
 class TestSolveCandidates:
     def test_exact_roots_with_shift_backsolve(self):
-        conds = DegeneracyConditions((toy("omega0 - x"), toy("omega0 - x^2")))
+        conds = (toy("omega0 - x"), toy("omega0 - x^2"))
         res = eliminate_shift(conds)
         out = solve_candidates(res, "x", {}, conds)
         assert not out.continuum
@@ -132,7 +121,7 @@ class TestSolveCandidates:
             assert c.omega0_values == (c.value,)
 
     def test_square_free_reduction_snaps_double_root(self):
-        conds = DegeneracyConditions((toy("omega0 - x + 5"), toy("omega0 + x - 5")))
+        conds = (toy("omega0 - x + 5"), toy("omega0 + x - 5"))
         out = solve_candidates(toy("(x - 5)^2"), "x", {}, conds)
         assert [c.value for c in out.candidates] == [gr(5)]
         cand = out.candidates[0]
@@ -140,7 +129,7 @@ class TestSolveCandidates:
         assert cand.omega0_values == (gr(0),)
 
     def test_identically_zero_resultant_is_continuum(self):
-        conds = DegeneracyConditions((toy("omega0"), toy("omega0")))
+        conds = (toy("omega0"), toy("omega0"))
         vars4 = ("x", "y", "omega0", "omega")
         res = parse_expression("x*y", vars4)
         out = solve_candidates(res, "x", {"y": Fraction(0)}, conds)
@@ -148,14 +137,14 @@ class TestSolveCandidates:
         assert out.candidates == ()
 
     def test_leftover_binding_rejected(self):
-        conds = DegeneracyConditions((toy("omega0"), toy("omega0")))
+        conds = (toy("omega0"), toy("omega0"))
         vars4 = ("x", "y", "omega0", "omega")
         res = parse_expression("x*y", vars4)
         with pytest.raises(ValueError):
             solve_candidates(res, "x", {}, conds)
 
     def test_constant_specialization_yields_nothing(self):
-        conds = DegeneracyConditions((toy("omega0"), toy("omega0")))
+        conds = (toy("omega0"), toy("omega0"))
         vars4 = ("x", "y", "omega0", "omega")
         out = solve_candidates(
             parse_expression("y", vars4), "x", {"y": Fraction(3)}, conds
@@ -164,7 +153,7 @@ class TestSolveCandidates:
         assert out.candidates == ()
 
     def test_spurious_root_flagged_unverified(self):
-        conds = DegeneracyConditions((toy("omega0 - 1"), toy("omega0 + 1")))
+        conds = (toy("omega0 - 1"), toy("omega0 + 1"))
         out = solve_candidates(toy("x - 2"), "x", {}, conds)
         (cand,) = out.candidates
         assert not cand.exact
@@ -173,7 +162,7 @@ class TestSolveCandidates:
     def test_irrational_shift_root_flagged_approximate(self):
         c0 = toy("omega0^2 - 2*x")
         c1 = toy("3*omega0^2 - 6*x + x - 1")
-        conds = DegeneracyConditions((c0, c1))
+        conds = (c0, c1)
         out = solve_candidates(toy("x - 1"), "x", {}, conds)
         (cand,) = out.candidates
         assert cand.value == gr(1)
@@ -294,7 +283,7 @@ class TestClosedFormRegimes:
         v = m.variables
         shift = MultiPoly.variable(v, "omega0")
         p = char_poly(m.l0.matrix, None, shift=shift)
-        conds = degeneracy_conditions(p, 2)
+        conds = degeneracy_conditions(p)
         res = eliminate_shift(conds)
         assert not res.is_zero()
         gx = parse_expression
