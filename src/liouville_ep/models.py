@@ -222,7 +222,17 @@ class BuiltinModel:
         return self.spec.variables
 
 
-def _matrix_from_strings(rows: Sequence[Sequence[str]], variables: Sequence[str]) -> PolyMatrix:
+def _matrix_from_strings(
+    rows: Sequence[Sequence[str]], variables: Sequence[str], field: str = "matrix"
+) -> PolyMatrix:
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise ValueError(f"{field}[{i}]: expected a list of expression strings")
+        for j, s in enumerate(row):
+            if not isinstance(s, str):
+                raise ValueError(
+                    f"{field}[{i}][{j}]: expected an expression string, got {type(s).__name__}"
+                )
     return PolyMatrix([[parse_expression(s, variables) for s in row] for row in rows])
 
 
@@ -296,17 +306,20 @@ def model_from_dict(data: Mapping) -> BuiltinModel:
     try:
         name = str(data["name"])
         dim = int(data["dim"])
-        params = tuple(str(p) for p in data["params"])
+        params = data["params"]
+        if not isinstance(params, list) or not all(isinstance(p, str) for p in params):
+            raise TypeError(f"params must be a list of strings, got {params!r}")
+        params = tuple(params)
         ham_rows = data["hamiltonian"]
         jumps = [(j["rate"], j["operator"]) for j in data.get("jumps", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model description: {exc}") from exc
     variables = ambient_variables(params)
-    h = _matrix_from_strings(ham_rows, variables)
+    h = _matrix_from_strings(ham_rows, variables, "hamiltonian")
     channels = []
-    for rate_text, op_rows in jumps:
+    for k, (rate_text, op_rows) in enumerate(jumps):
         rate = parse_expression(str(rate_text), variables)
-        op = _matrix_from_strings(op_rows, variables)
+        op = _matrix_from_strings(op_rows, variables, f"jumps[{k}].operator")
         channels.append(JumpChannel(rate, op))
     spec = ModelSpec(name, dim, params, h, tuple(channels))
     l_full = build_liouvillian(spec)

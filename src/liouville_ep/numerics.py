@@ -1,10 +1,14 @@
 """Floating-point validation layer.
 
 Everything exact lives in poly/newton; this module turns exact predictions
-into numerical experiments: polynomial roots (simultaneous Aberth iteration),
-eigenvalues of constant matrices (LAPACK via numpy.linalg.eigvals), epsilon
-scaling sweeps, adiabatic encircling of a degeneracy, amoeba point clouds, and
-tentacle slope fits.
+into numerical experiments: polynomial roots (simultaneous Aberth iteration,
+one batched kernel over a (batch, n) coefficient array with a per-row
+convergence mask; `roots_aberth` is its single-row wrapper), eigenvalues of
+constant matrices or stacks of them (LAPACK via numpy.linalg.eigvals, one call
+per stack), epsilon scaling sweeps and adiabatic encircling of a degeneracy
+(each one stacked eigenvalue call, then sequential matching), amoeba point
+clouds (the whole epsilon grid through the batched kernel), and tentacle
+slope fits.
 
 Accuracy note on degenerate spectra: a defective eigenvalue of multiplicity m
 is only computable to about eps_machine^(1/m) per root by any backward-stable
@@ -59,29 +63,109 @@ def as_complex_matrix(matrix) -> np.ndarray:
 # -- polynomial roots ----------------------------------------------------------
 
 
-def _horner_pair(coeffs: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate p and p' at the points x; coeffs ascending."""
-    p = np.full_like(x, coeffs[-1])
+def _horner_pair(c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate p and p' row by row: c is (batch, n+1) ascending, x is (batch, m)."""
+    p = np.repeat(c[:, -1:], x.shape[1], axis=1)
     dp = np.zeros_like(x)
-    for c in coeffs[-2::-1]:
+    for k in range(c.shape[1] - 2, -1, -1):
         dp = dp * x + p
-        p = p * x + c
+        p = p * x + c[:, k : k + 1]
     return p, dp
 
 
-def _eval_scale(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_k |c_k| |x|^k, the natural backward-error scale of p at x."""
+def _eval_scale(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k |c_k| |x|^k row by row, the natural backward-error scale of p at x."""
     ax = np.abs(x)
-    s = np.full_like(ax, abs(coeffs[-1]))
-    for c in coeffs[-2::-1]:
-        s = s * ax + abs(c)
+    ac = np.hypot(c.real, c.imag)  # libm rounding, as abs() of one complex
+    s = np.repeat(ac[:, -1:], x.shape[1], axis=1)
+    for k in range(c.shape[1] - 2, -1, -1):
+        s = s * ax + ac[:, k : k + 1]
     return s
+
+
+# Convergence contract of the root finder (see `roots_aberth`).
+ROOT_RESIDUAL_TOL = 1e-10
+
+# Rows per kernel block times n^2: bounds the (rows, n, n) temporaries of one
+# sweep to about 1 MiB whatever the grid size.
+_ABERTH_BLOCK = 1 << 16
+
+
+def _aberth(
+    c: np.ndarray, max_sweeps: int = 200, residual_tol: float = ROOT_RESIDUAL_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ehrlich-Aberth iteration on a batch of polynomials of one degree n >= 1.
+
+    `c` has shape (batch, n+1), ascending, with nonzero leading coefficients.
+    Returns the (batch, n) roots and each row's worst residual
+    max |p(r)| / sum_k |c_k||r|^k; a row meets the convergence contract when
+    that residual is at most residual_tol.  Each row stops on its own (active-
+    row mask), so a row's roots do not depend on the other rows of the batch.
+    """
+    c = np.asarray(c, dtype=complex)
+    batch, n = c.shape[0], c.shape[1] - 1
+    rows = max(1, _ABERTH_BLOCK // (n * n))
+    if batch > rows:
+        parts = [
+            _aberth(c[i : i + rows], max_sweeps, residual_tol)
+            for i in range(0, batch, rows)
+        ]
+        return np.concatenate([r for r, _ in parts]), np.concatenate([w for _, w in parts])
+    if n == 1:
+        x = -c[:, :1] / c[:, 1:]
+    else:
+        cauchy = 1.0 + np.max(np.abs(c[:, :-1] / c[:, -1:]), axis=1)
+        k = np.arange(n)
+        x = cauchy[:, None] * np.exp(1j * (2.0 * np.pi * k / n + 0.7))
+
+        # Iterate to the rounding floor rather than stopping at the first pass
+        # of the residual bar: a root of multiplicity m converges only
+        # linearly and its location error scales like the m-th root of the
+        # residual, so early stopping at 1e-10 would leave a quadruple root
+        # smeared over ~2e-3.
+        floor = 8.0 * np.finfo(float).eps
+        prev_worst = np.full(batch, np.inf)
+        stall = np.zeros(batch, dtype=int)
+        active = np.arange(batch)
+        diag = np.arange(n)
+        for _ in range(max_sweeps):
+            if active.size == 0:
+                break
+            ca, xa = c[active], x[active]
+            p, dp = _horner_pair(ca, xa)
+            resid = np.abs(p) / _eval_scale(ca, xa)
+            worst = resid.max(axis=1)
+            # contract met: polish until gains stop against rounding noise
+            polishing = worst <= residual_tol
+            gained = worst < 0.5 * prev_worst[active]
+            stall[active[polishing & gained]] = 0
+            stall[active[polishing & ~gained]] += 1
+            prev_worst[active] = np.fmin(prev_worst[active], worst)
+            going = ~(worst <= floor) & (stall[active] < 4)
+            active = active[going]
+            xa, p, dp, resid = xa[going], p[going], dp[going], resid[going]
+            at_floor = resid <= floor
+            dp = np.where(dp == 0, 1e-300, dp)
+            w = p / dp
+            diff = xa[:, :, None] - xa[:, None, :]
+            diff[:, diag, diag] = np.inf
+            # nudge colliding iterates apart rather than dividing by zero
+            diff = np.where(diff == 0, 1e-12 * (1 + 1j), diff)
+            s = np.sum(1.0 / diff, axis=2)
+            denom = 1.0 - w * s
+            denom = np.where(denom == 0, 1e-300, denom)
+            delta = np.where(at_floor, 0.0, w / denom)
+            x[active] = xa - delta
+
+    p, _ = _horner_pair(c, x)
+    resid = np.abs(p) / _eval_scale(c, x)
+    return x, resid.max(axis=1)
 
 
 def roots_aberth(
     coeffs: Sequence[complex],
     max_sweeps: int = 200,
-    residual_tol: float = 1e-10,
+    residual_tol: float = ROOT_RESIDUAL_TOL,
 ) -> np.ndarray:
     """All complex roots by simultaneous (Ehrlich-Aberth) iteration.
 
@@ -99,62 +183,17 @@ def roots_aberth(
     while nz < c.size - 1 and c[nz] == 0:
         nz += 1
     zero_roots = np.zeros(nz, dtype=complex)
-    c = c[nz:]
-    n = c.size - 1
-    if n == 0:
+    if nz == c.size - 1:
         return zero_roots
-    if n == 1:
-        return np.concatenate([zero_roots, [-c[0] / c[1]]])
-
-    cauchy = 1.0 + np.max(np.abs(c[:-1] / c[-1]))
-    k = np.arange(n)
-    x = cauchy * np.exp(1j * (2.0 * np.pi * k / n + 0.7))
-
-    # Iterate to the rounding floor rather than stopping at the first pass of
-    # the residual bar: a root of multiplicity m converges only linearly and
-    # its location error scales like the m-th root of the residual, so early
-    # stopping at 1e-10 would leave a quadruple root smeared over ~2e-3.
-    floor = 8.0 * np.finfo(float).eps
-    prev_worst = np.inf
-    stall = 0
-    for _ in range(max_sweeps):
-        p, dp = _horner_pair(c, x)
-        scale = _eval_scale(c, x)
-        resid = np.abs(p) / scale
-        worst = float(resid.max())
-        if worst <= floor:
-            break
-        if worst <= residual_tol:  # contract met; polish until gains stop
-            if worst >= 0.5 * prev_worst:
-                stall += 1
-                if stall >= 4:
-                    break  # no further progress against rounding noise
-            else:
-                stall = 0
-        prev_worst = min(prev_worst, worst)
-        at_floor = resid <= floor
-        dp = np.where(dp == 0, 1e-300, dp)
-        w = p / dp
-        diff = x[:, None] - x[None, :]
-        np.fill_diagonal(diff, np.inf)
-        # nudge colliding iterates apart rather than dividing by zero
-        diff = np.where(diff == 0, 1e-12 * (1 + 1j), diff)
-        s = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - w * s
-        denom = np.where(denom == 0, 1e-300, denom)
-        delta = np.where(at_floor, 0.0, w / denom)
-        x = x - delta
-
-    p, _ = _horner_pair(c, x)
-    scale = _eval_scale(c, x)
-    resid = np.abs(p) / scale
-    if not np.all(resid <= residual_tol):
+    roots, worst = _aberth(c[None, nz:], max_sweeps, residual_tol)
+    roots = np.concatenate([zero_roots, roots[0]])
+    if not worst[0] <= residual_tol:
         raise NumericalError(
-            f"root iteration failed to converge (worst residual {resid.max():.3e})",
-            best=np.concatenate([zero_roots, x]),
-            residual=float(resid.max()),
+            f"root iteration failed to converge (worst residual {worst[0]:.3e})",
+            best=roots,
+            residual=float(worst[0]),
         )
-    return np.concatenate([zero_roots, x])
+    return roots
 
 
 # -- eigenvalues ---------------------------------------------------------------
@@ -183,18 +222,21 @@ def collapse_clusters(values: np.ndarray, tol: float) -> np.ndarray:
     return out
 
 
-def _sorted_complex(values: np.ndarray) -> np.ndarray:
-    order = np.lexsort((values.imag, values.real))
-    return values[order]
-
-
 def eigenvalues(matrix, collapse_tol: float | None = None) -> np.ndarray:
-    """Eigenvalues of a constant square matrix by LAPACK (backward stable);
-    sorted by (re, im)."""
+    """Eigenvalues of a constant square matrix, or of each matrix of a stack
+    (..., n, n), by LAPACK (backward stable); each spectrum sorted by (re, im).
+
+    A stack costs one call: LAPACK still factors each matrix on its own, so
+    every spectrum is the one a call on that matrix alone returns.
+    """
     values = np.linalg.eigvals(as_complex_matrix(matrix))
     if collapse_tol is not None:
-        values = collapse_clusters(values, collapse_tol)
-    return _sorted_complex(values)
+        flat = values.reshape(-1, values.shape[-1])
+        values = np.array([collapse_clusters(v, collapse_tol) for v in flat]).reshape(
+            values.shape
+        )
+    order = np.lexsort((values.imag, values.real))
+    return np.take_along_axis(values, order, axis=-1)
 
 
 # -- scaling sweep ---------------------------------------------------------------
@@ -239,7 +281,9 @@ def scaling_sweep(
         raise ValueError("need at least 3 epsilon values")
     if eps_values[0] <= 0:
         raise ValueError("epsilon values must be positive")
-    base = eigenvalues(a0)
+    eps_column = np.array(eps_values)[:, None, None]
+    spectra = eigenvalues(np.concatenate([a0[None], a0 + eps_column * a1]))
+    base = spectra[0]
     cluster_size = int(np.sum(np.abs(base - omega0) <= cluster_tol))
     if cluster_size < 2:
         raise ValueError(
@@ -247,8 +291,7 @@ def scaling_sweep(
         )
     samples: list[tuple[float, complex]] = []
     tracked = None
-    for eps in eps_values:
-        eig = eigenvalues(a0 + eps * a1)
+    for eps, eig in zip(eps_values, spectra[1:]):
         if tracked is None:
             children = eig[np.argsort(np.abs(eig - omega0))][:cluster_size]
             by_dist = children[np.argsort(-np.abs(children - omega0))]
@@ -334,7 +377,9 @@ def encircle(l0, l1, radius: float = 0.01, steps: int = 400) -> PermutationRepor
     if steps < 8:
         raise ValueError("need at least 8 steps")
     ts = np.linspace(0.0, 2.0 * np.pi, steps + 1)
-    init_vals = eigenvalues(a0 + radius * a1, ENCIRCLE_COLLAPSE_TOL)  # t = 0
+    loop = np.array([radius * cmath.exp(1j * t) for t in ts])[:, None, None]
+    spectra = eigenvalues(a0 + loop * a1, ENCIRCLE_COLLAPSE_TOL)
+    init_vals = spectra[0]  # t = 0
     reps, mults = _cluster_reps(init_vals)
     start_reps = reps.copy()
     start_mults = list(mults)
@@ -348,8 +393,7 @@ def encircle(l0, l1, radius: float = 0.01, steps: int = 400) -> PermutationRepor
         return tuple(row)
 
     trace = [expand(reps)]
-    for t in ts[1:]:
-        vals = eigenvalues(a0 + radius * cmath.exp(1j * t) * a1, ENCIRCLE_COLLAPSE_TOL)
+    for vals in spectra[1:]:
         new_reps, new_mults = _cluster_reps(vals)
         if sorted(new_mults) != sorted(start_mults):
             raise NumericalError(
@@ -453,40 +497,54 @@ def amoeba_sample(
     moduli: int = 40,
     phases: int = 64,
 ) -> AmoebaCloud:
-    """Sample the amoeba of a bivariate polynomial over a log-spaced eps grid."""
+    """Sample the amoeba of a bivariate polynomial over a log-spaced eps grid.
+
+    The omega-coefficients are evaluated over the whole grid at once, grid
+    points are grouped by their lowest and highest nonzero coefficient (exact
+    zero roots and degree drops are decided on the evaluated coefficients,
+    before any root finding), and each group goes through one batched Aberth
+    run.  A grid point whose coefficients are all zero, whose polynomial is
+    constant, or whose roots miss the convergence contract counts as a skip.
+    Points come out grid point by grid point in (modulus, phase) order.
+    """
     if not f.uses_only([OMEGA, EPSILON]):
         raise ValueError("polynomial has unsubstituted variables besides omega/epsilon")
     lo, hi = modulus_range
     if not (0 < lo < hi):
         raise ValueError("modulus range must satisfy 0 < lo < hi")
-    coeff_polys = f.coefficient_list(OMEGA)
-    base_assignment = {v: 0.0 + 0.0j for v in f.vars}
     radii = np.geomspace(lo, hi, moduli)
     angles = 2.0 * np.pi * np.arange(phases) / phases
-    rows = []
-    skips = 0
-    for r in radii:
-        logeps = math.log10(r)
-        for th in angles:
-            eps_val = r * cmath.exp(1j * th)
-            assignment = dict(base_assignment)
-            assignment[EPSILON] = eps_val
-            coeffs = [cp.evaluate(assignment) for cp in coeff_polys]
-            while len(coeffs) > 1 and coeffs[-1] == 0:
-                coeffs.pop()
-            if len(coeffs) <= 1:
-                skips += 1
-                continue
-            try:
-                roots = roots_aberth(coeffs)
-            except NumericalError:
-                skips += 1
-                continue
-            for root in roots:
-                mag = abs(root)
-                if mag > AMOEBA_ZERO_CUTOFF:
-                    rows.append((logeps, math.log10(mag)))
-    pts = np.array(rows, dtype=float) if rows else np.empty((0, 2))
+    eps = np.array([r * cmath.exp(1j * th) for r in radii for th in angles], dtype=complex)
+    iw, ie = f.vars.index(OMEGA), f.vars.index(EPSILON)
+    degree = max((e[iw] for e in f.terms), default=0)
+    eps_powers = [np.ones_like(eps)]
+    for _ in range(max((e[ie] for e in f.terms), default=0)):
+        eps_powers.append(eps_powers[-1] * eps)
+    coeffs = np.zeros((eps.size, degree + 1), dtype=complex)
+    for e, c in f.terms.items():
+        coeffs[:, e[iw]] += complex(c) * eps_powers[e[ie]]
+
+    nonzero = coeffs != 0
+    low = np.argmax(nonzero, axis=1)
+    top = degree - np.argmax(nonzero[:, ::-1], axis=1)
+    solvable = nonzero.any(axis=1) & (top > 0)
+    # moduli of the nonzero roots; exact zero roots and skipped points stay 0
+    mags = np.zeros((eps.size, degree))
+    failed = 0
+    groups = np.unique(np.stack([low, top], axis=1)[solvable & (low < top)], axis=0)
+    for a, b in groups:
+        rows = np.flatnonzero(solvable & (low == a) & (top == b))
+        roots, worst = _aberth(coeffs[rows, a : b + 1])
+        ok = worst <= ROOT_RESIDUAL_TOL
+        failed += int(rows.size - ok.sum())
+        mags[rows[ok], a:b] = np.hypot(roots[ok].real, roots[ok].imag)
+    skips = int(eps.size - solvable.sum()) + failed
+
+    keep = mags > AMOEBA_ZERO_CUTOFF
+    logeps = np.repeat([math.log10(r) for r in radii], phases)
+    pts = np.column_stack(
+        [np.broadcast_to(logeps[:, None], mags.shape)[keep], np.log10(mags[keep])]
+    )
     return AmoebaCloud(pts, skips, (float(lo), float(hi)), moduli, phases)
 
 

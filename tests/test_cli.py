@@ -308,14 +308,46 @@ class TestExitCodes:
             {"name": "x"},
             {**DECAY, "jumps": [{"operator": [["0", "1"], ["0", "0"]]}]},
             {**DECAY, "jumps": [{"rate": "g"}]},
+            {**DECAY, "params": "g"},
+            {**DECAY, "params": "gamma"},
         ],
-        ids=["no-dim", "jump-without-rate", "jump-without-operator"],
+        ids=[
+            "no-dim",
+            "jump-without-rate",
+            "jump-without-operator",
+            "params-one-letter-string",
+            "params-string",
+        ],
     )
     def test_malformed_model_dict(self, tmp_path, capsys, data):
         bad = tmp_path / "incomplete.json"
         bad.write_text(json.dumps(data))
         assert cli.main(["build", "--model", str(bad)]) == 2
         assert "malformed model description" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (
+                {**DECAY, "hamiltonian": [["0", 1], ["0", "0"]]},
+                "hamiltonian[0][1]: expected an expression string, got int",
+            ),
+            (
+                {**DECAY, "jumps": [{"rate": "g", "operator": [["0", "1"], [0.5, "0"]]}]},
+                "jumps[0].operator[1][0]: expected an expression string, got float",
+            ),
+            (
+                {**DECAY, "hamiltonian": ["0g", "g0"]},
+                "hamiltonian[0]: expected a list of expression strings",
+            ),
+        ],
+        ids=["hamiltonian", "jump-operator", "string-row"],
+    )
+    def test_malformed_matrix_named(self, tmp_path, capsys, data, message):
+        bad = tmp_path / "numbers.json"
+        bad.write_text(json.dumps(data))
+        assert cli.main(["build", "--model", str(bad)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_numerical_failure(self, tmp_path):
         # a parameter that never enters the generator gives a zero

@@ -1,13 +1,17 @@
 """Floating-point layer: root finding, eigenvalues, sweeps, amoebas, fits."""
 
+import cmath
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from liouville_ep import numerics
 from liouville_ep.expr import parse_expression
+from liouville_ep.models import builtin_model, char_poly, perturbation_matrix
 from liouville_ep.numerics import (
+    AMOEBA_ZERO_CUTOFF,
     AmoebaCloud,
     NumericalError,
     amoeba_sample,
@@ -16,6 +20,7 @@ from liouville_ep.numerics import (
     eigenvalues,
     encircle,
     fit_tentacles,
+    _aberth,
     roots_aberth,
     scaling_sweep,
 )
@@ -84,6 +89,31 @@ class TestRootsAberth:
         assert exc.value.residual > 1e-10
 
 
+class TestAberthKernel:
+    @pytest.mark.parametrize("block", [numerics._ABERTH_BLOCK, 32], ids=["one-block", "blocks"])
+    def test_mask_freezes_each_row(self, monkeypatch, block):
+        # the rows meet the contract after different sweep counts; the third
+        # (roots of modulus 1e-4 and 1e4) cannot within 20 sweeps.  A block
+        # of 32 entries splits the five quartics into blocks of two rows.
+        monkeypatch.setattr(numerics, "_ABERTH_BLOCK", block)
+        batch = np.array(
+            [
+                [1 / 16, 1 / 2, 3 / 2, 2, 1],  # (x + 1/2)^4: linear convergence
+                [24, -50, 35, -10, 1],  # (x - 1)(x - 2)(x - 3)(x - 4)
+                [1e-8, 0, 0, 1e4, 1],
+                [3 - 1j, 0, 2.5, -1, 1j],
+                [-1, 0, 0, 0, 1],
+            ],
+            dtype=complex,
+        )
+        roots, worst = _aberth(batch, max_sweeps=20)
+        assert worst[2] > 1e-10
+        for i in (0, 1, 3, 4):
+            alone, alone_worst = _aberth(batch[i : i + 1], max_sweeps=20)
+            assert worst[i] <= 1e-10 and alone_worst[0] <= 1e-10
+            assert np.allclose(roots[i], alone[0], rtol=1e-14, atol=0)
+
+
 class TestEigenvalues:
     def test_triangular_known_spectrum(self):
         # a triangular matrix's spectrum is its diagonal; 40x40 is larger
@@ -105,6 +135,16 @@ class TestEigenvalues:
         vals = eigenvalues(a, collapse_tol=1e-6)
         assert vals[0] == vals[1]
         assert abs(vals[0] - 1.0) < 1e-6
+
+    def test_stack_matches_one_call_per_matrix(self):
+        rng = np.random.default_rng(3)
+        stack = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
+        stack[2] = np.diag([1.0, 1.0 + 1e-9, 2.0, 3.0, 4.0, 5.0])
+        for tol in (None, 1e-6):
+            spectra = eigenvalues(stack, collapse_tol=tol)
+            assert spectra.shape == (5, 6)
+            for matrix, spectrum in zip(stack, spectra):
+                assert np.array_equal(spectrum, eigenvalues(matrix, collapse_tol=tol))
 
     def test_polymatrix_input(self):
         v = ("x",)
@@ -234,6 +274,42 @@ class TestAmoebaSample:
         assert cloud.points.shape[0] == 0
         assert cloud.skips == 12
 
+    def test_batched_matches_per_point_oracle(self):
+        # the leading omega-coefficient epsilon - 1/100 is exactly zero at
+        # the top modulus for phase 0 (geomspace endpoints are exact), so that
+        # grid point drops a degree; the omega factor gives every grid point
+        # an exact zero root to strip
+        f = biv("omega * ((epsilon - 1/100) * omega^3 + omega^2 - epsilon)")
+        window, moduli, phases = (1e-4, 1e-2), 12, 16
+        coeff_polys = f.coefficient_list("omega")
+        assert coeff_polys[-1].evaluate({"omega": 0, "epsilon": 1e-2}) == 0
+        rows, skips = [], 0
+        for r in np.geomspace(*window, moduli):
+            for th in 2.0 * np.pi * np.arange(phases) / phases:
+                eps = r * cmath.exp(1j * th)
+                coeffs = [cp.evaluate({"omega": 0, "epsilon": eps}) for cp in coeff_polys]
+                while len(coeffs) > 1 and coeffs[-1] == 0:
+                    coeffs.pop()
+                if len(coeffs) <= 1:
+                    skips += 1
+                    continue
+                try:
+                    roots = roots_aberth(coeffs)
+                except NumericalError:
+                    skips += 1
+                    continue
+                rows.extend(
+                    (math.log10(r), math.log10(abs(z)))
+                    for z in roots
+                    if abs(z) > AMOEBA_ZERO_CUTOFF
+                )
+        expected = np.array(rows)
+        cloud = amoeba_sample(f, window, moduli, phases)
+        assert cloud.skips == skips
+        assert cloud.points.shape == expected.shape
+        assert np.array_equal(cloud.points[:, 0], expected[:, 0])
+        assert np.allclose(cloud.points, expected, rtol=0, atol=1e-12)
+
     def test_modulus_range_validation(self):
         with pytest.raises(ValueError):
             amoeba_sample(biv("omega - epsilon"), (1e-2, 1e-6))
@@ -244,6 +320,47 @@ class TestAmoebaSample:
         f = parse_expression("omega - x", ("omega", "epsilon", "x"))
         with pytest.raises(ValueError):
             amoeba_sample(f)
+
+
+class TestNoPerPointLoops:
+    """The batched routes make a bounded number of kernel calls, not one per
+    grid point or loop step."""
+
+    def test_amoeba_does_not_call_roots_aberth(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("amoeba_sample called roots_aberth")
+
+        monkeypatch.setattr(numerics, "roots_aberth", refuse)
+        point = {"gamma_e": Fraction(1), "gamma_f": Fraction(0), "J": Fraction(1, 4)}
+        model = builtin_model("qubit")
+        bound = model.l_eff.matrix.substitute(point)
+        pert = perturbation_matrix(model.l_eff, "gamma_f").substitute(point)
+        f = char_poly(bound, pert, shift=Fraction(-1, 2))
+        cloud = amoeba_sample(f, (1e-6, 1e-2), moduli=40, phases=64)  # acceptance 4 grid
+        assert cloud.skips == 0
+        assert cloud.points.shape[0] > 0
+
+    @pytest.fixture
+    def eigvals_calls(self, monkeypatch):
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def spy(a):
+            calls.append(np.shape(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", spy)
+        return calls
+
+    def test_encircle_stacks_its_spectra(self, eigvals_calls):
+        l0, l1 = jordan_pair(3)
+        encircle(l0, l1, radius=0.001, steps=96)
+        assert len(eigvals_calls) <= 2
+
+    def test_scaling_sweep_stacks_its_spectra(self, eigvals_calls):
+        l0, l1 = jordan_pair(3)
+        scaling_sweep(l0, l1, 0.0, np.geomspace(1e-6, 1e-2, 25), cluster_tol=1e-2)
+        assert len(eigvals_calls) <= 2
 
 
 def synthetic_cloud(rows):
