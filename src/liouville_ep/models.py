@@ -305,7 +305,9 @@ def model_from_dict(data: Mapping) -> BuiltinModel:
     """
     try:
         name = str(data["name"])
-        dim = int(data["dim"])
+        dim = data["dim"]
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise TypeError(f"dim must be an integer, got {dim!r}")
         params = data["params"]
         if not isinstance(params, list) or not all(isinstance(p, str) for p in params):
             raise TypeError(f"params must be a list of strings, got {params!r}")

@@ -1,14 +1,13 @@
 """Floating-point validation layer.
 
 Everything exact lives in poly/newton; this module turns exact predictions
-into numerical experiments: polynomial roots (simultaneous Aberth iteration,
-one batched kernel over a (batch, n) coefficient array with a per-row
-convergence mask; `roots_aberth` is its single-row wrapper), eigenvalues of
-constant matrices or stacks of them (LAPACK via numpy.linalg.eigvals, one call
-per stack), epsilon scaling sweeps and adiabatic encircling of a degeneracy
-(each one stacked eigenvalue call, then sequential matching), amoeba point
-clouds (the whole epsilon grid through the batched kernel), and tentacle
-slope fits.
+into numerical experiments: eigenvalues of constant matrices or stacks of them
+(LAPACK via numpy.linalg.eigvals, one call per stack), which also gives
+polynomial roots as companion-matrix eigenvalues (`roots_aberth`, and the
+batched `_companion_roots` inside), epsilon scaling sweeps and adiabatic
+encircling of a degeneracy (each one stacked eigenvalue call, then sequential
+matching), amoeba point clouds (the whole epsilon grid through the batched
+root kernel), and tentacle slope fits.
 
 Accuracy note on degenerate spectra: a defective eigenvalue of multiplicity m
 is only computable to about eps_machine^(1/m) per root by any backward-stable
@@ -63,14 +62,12 @@ def as_complex_matrix(matrix) -> np.ndarray:
 # -- polynomial roots ----------------------------------------------------------
 
 
-def _horner_pair(c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate p and p' row by row: c is (batch, n+1) ascending, x is (batch, m)."""
+def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Evaluate p row by row: c is (batch, n+1) ascending, x is (batch, m)."""
     p = np.repeat(c[:, -1:], x.shape[1], axis=1)
-    dp = np.zeros_like(x)
     for k in range(c.shape[1] - 2, -1, -1):
-        dp = dp * x + p
         p = p * x + c[:, k : k + 1]
-    return p, dp
+    return p
 
 
 def _eval_scale(c: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -86,95 +83,49 @@ def _eval_scale(c: np.ndarray, x: np.ndarray) -> np.ndarray:
 # Convergence contract of the root finder (see `roots_aberth`).
 ROOT_RESIDUAL_TOL = 1e-10
 
-# Rows per kernel block times n^2: bounds the (rows, n, n) temporaries of one
-# sweep to about 1 MiB whatever the grid size.
-_ABERTH_BLOCK = 1 << 16
+# Rows per block times n^2: bounds each block's (rows, n, n) companion stack to
+# about 1 MiB whatever the grid size.
+_ROOT_BLOCK = 1 << 16
 
 
-def _aberth(
-    c: np.ndarray, max_sweeps: int = 200, residual_tol: float = ROOT_RESIDUAL_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ehrlich-Aberth iteration on a batch of polynomials of one degree n >= 1.
+def _companion_roots(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of a batch of polynomials of one degree n >= 1.
 
     `c` has shape (batch, n+1), ascending, with nonzero leading coefficients.
-    Returns the (batch, n) roots and each row's worst residual
-    max |p(r)| / sum_k |c_k||r|^k; a row meets the convergence contract when
-    that residual is at most residual_tol.  Each row stops on its own (active-
-    row mask), so a row's roots do not depend on the other rows of the batch.
+    The roots are the eigenvalues of each row's companion matrix, one LAPACK
+    call per block of rows; each matrix is factored on its own, so a row's
+    roots do not depend on the other rows of the batch.  Returns the (batch, n)
+    roots and each row's worst residual max |p(r)| / sum_k |c_k||r|^k (NaN
+    where the companion matrix overflows).
     """
     c = np.asarray(c, dtype=complex)
     batch, n = c.shape[0], c.shape[1] - 1
-    rows = max(1, _ABERTH_BLOCK // (n * n))
-    if batch > rows:
-        parts = [
-            _aberth(c[i : i + rows], max_sweeps, residual_tol)
-            for i in range(0, batch, rows)
-        ]
-        return np.concatenate([r for r, _ in parts]), np.concatenate([w for _, w in parts])
-    if n == 1:
-        x = -c[:, :1] / c[:, 1:]
-    else:
-        cauchy = 1.0 + np.max(np.abs(c[:, :-1] / c[:, -1:]), axis=1)
-        k = np.arange(n)
-        x = cauchy[:, None] * np.exp(1j * (2.0 * np.pi * k / n + 0.7))
-
-        # Iterate to the rounding floor rather than stopping at the first pass
-        # of the residual bar: a root of multiplicity m converges only
-        # linearly and its location error scales like the m-th root of the
-        # residual, so early stopping at 1e-10 would leave a quadruple root
-        # smeared over ~2e-3.
-        floor = 8.0 * np.finfo(float).eps
-        prev_worst = np.full(batch, np.inf)
-        stall = np.zeros(batch, dtype=int)
-        active = np.arange(batch)
-        diag = np.arange(n)
-        for _ in range(max_sweeps):
-            if active.size == 0:
-                break
-            ca, xa = c[active], x[active]
-            p, dp = _horner_pair(ca, xa)
-            resid = np.abs(p) / _eval_scale(ca, xa)
-            worst = resid.max(axis=1)
-            # contract met: polish until gains stop against rounding noise
-            polishing = worst <= residual_tol
-            gained = worst < 0.5 * prev_worst[active]
-            stall[active[polishing & gained]] = 0
-            stall[active[polishing & ~gained]] += 1
-            prev_worst[active] = np.fmin(prev_worst[active], worst)
-            going = ~(worst <= floor) & (stall[active] < 4)
-            active = active[going]
-            xa, p, dp, resid = xa[going], p[going], dp[going], resid[going]
-            at_floor = resid <= floor
-            dp = np.where(dp == 0, 1e-300, dp)
-            w = p / dp
-            diff = xa[:, :, None] - xa[:, None, :]
-            diff[:, diag, diag] = np.inf
-            # nudge colliding iterates apart rather than dividing by zero
-            diff = np.where(diff == 0, 1e-12 * (1 + 1j), diff)
-            s = np.sum(1.0 / diff, axis=2)
-            denom = 1.0 - w * s
-            denom = np.where(denom == 0, 1e-300, denom)
-            delta = np.where(at_floor, 0.0, w / denom)
-            x[active] = xa - delta
-
-    p, _ = _horner_pair(c, x)
-    resid = np.abs(p) / _eval_scale(c, x)
-    return x, resid.max(axis=1)
+    rows = max(1, _ROOT_BLOCK // (n * n))
+    roots = np.empty((batch, n), dtype=complex)
+    for i in range(0, batch, rows):
+        # first row -c_{n-1}/c_n, ..., -c_0/c_n (the numpy.roots form): with
+        # the coefficients in the last column instead, roots spread over many
+        # decades miss the residual contract
+        top = -c[i : i + rows, -2::-1] / c[i : i + rows, -1:]
+        finite = np.isfinite(top).all(axis=1)
+        comp = np.zeros((top.shape[0], n, n), dtype=complex)
+        comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        comp[:, 0, :] = np.where(finite[:, None], top, 0.0)
+        roots[i : i + rows] = np.where(finite[:, None], np.linalg.eigvals(comp), np.nan)
+    resid = np.abs(_horner(c, roots)) / _eval_scale(c, roots)
+    return roots, resid.max(axis=1)
 
 
-def roots_aberth(
-    coeffs: Sequence[complex],
-    max_sweeps: int = 200,
-    residual_tol: float = ROOT_RESIDUAL_TOL,
-) -> np.ndarray:
-    """All complex roots by simultaneous (Ehrlich-Aberth) iteration.
+def roots_aberth(coeffs: Sequence[complex]) -> np.ndarray:
+    """All complex roots, as the eigenvalues of the companion matrix (LAPACK,
+    backward stable; Edelman & Murakami 1995).
 
     `coeffs` is ascending: coeffs[k] multiplies x^k; the leading coefficient
     must be nonzero.  Exact zero low-order coefficients are stripped first and
     contribute exact zero roots (they arise from polynomials with a monomial
     factor and must stay exactly zero).  Convergence contract: every returned
-    root r satisfies |p(r)| <= residual_tol * sum_k |c_k||r|^k; otherwise a
-    NumericalError carrying the best iterate is raised.
+    root r satisfies |p(r)| <= ROOT_RESIDUAL_TOL * sum_k |c_k||r|^k; otherwise
+    a NumericalError carrying the computed roots is raised.
     """
     c = np.asarray(list(coeffs), dtype=complex)
     if c.size == 0 or c[-1] == 0:
@@ -185,11 +136,11 @@ def roots_aberth(
     zero_roots = np.zeros(nz, dtype=complex)
     if nz == c.size - 1:
         return zero_roots
-    roots, worst = _aberth(c[None, nz:], max_sweeps, residual_tol)
+    roots, worst = _companion_roots(c[None, nz:])
     roots = np.concatenate([zero_roots, roots[0]])
-    if not worst[0] <= residual_tol:
+    if not worst[0] <= ROOT_RESIDUAL_TOL:
         raise NumericalError(
-            f"root iteration failed to converge (worst residual {worst[0]:.3e})",
+            f"root computation missed the residual contract (worst residual {worst[0]:.3e})",
             best=roots,
             residual=float(worst[0]),
         )
@@ -502,8 +453,8 @@ def amoeba_sample(
     The omega-coefficients are evaluated over the whole grid at once, grid
     points are grouped by their lowest and highest nonzero coefficient (exact
     zero roots and degree drops are decided on the evaluated coefficients,
-    before any root finding), and each group goes through one batched Aberth
-    run.  A grid point whose coefficients are all zero, whose polynomial is
+    before any root finding), and each group goes through one batched
+    companion-matrix eigenvalue computation.  A grid point whose coefficients are all zero, whose polynomial is
     constant, or whose roots miss the convergence contract counts as a skip.
     Points come out grid point by grid point in (modulus, phase) order.
     """
@@ -512,6 +463,8 @@ def amoeba_sample(
     lo, hi = modulus_range
     if not (0 < lo < hi):
         raise ValueError("modulus range must satisfy 0 < lo < hi")
+    if moduli < 1 or phases < 1:
+        raise ValueError("the epsilon grid needs at least one modulus and one phase")
     radii = np.geomspace(lo, hi, moduli)
     angles = 2.0 * np.pi * np.arange(phases) / phases
     eps = np.array([r * cmath.exp(1j * th) for r in radii for th in angles], dtype=complex)
@@ -534,7 +487,7 @@ def amoeba_sample(
     groups = np.unique(np.stack([low, top], axis=1)[solvable & (low < top)], axis=0)
     for a, b in groups:
         rows = np.flatnonzero(solvable & (low == a) & (top == b))
-        roots, worst = _aberth(coeffs[rows, a : b + 1])
+        roots, worst = _companion_roots(coeffs[rows, a : b + 1])
         ok = worst <= ROOT_RESIDUAL_TOL
         failed += int(rows.size - ok.sum())
         mags[rows[ok], a:b] = np.hypot(roots[ok].real, roots[ok].imag)

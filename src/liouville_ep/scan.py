@@ -279,6 +279,9 @@ def solve_candidates(
         if exact:
             seen_exact.add(value)
         candidates.append(Candidate(target, value, exact, omega0_values, tuple(flags)))
+    # conjugate roots share a real part up to rounding, so the float order of
+    # the roots is not an order of the candidates
+    candidates.sort(key=lambda c: (c.value.re, c.value.im))
     return ScanResult(target, dict(bindings), False, tuple(candidates))
 
 

@@ -310,6 +310,9 @@ class TestExitCodes:
             {**DECAY, "jumps": [{"rate": "g"}]},
             {**DECAY, "params": "g"},
             {**DECAY, "params": "gamma"},
+            {**DECAY, "dim": 2.9},
+            {**DECAY, "dim": "2"},
+            {**DECAY, "dim": True},
         ],
         ids=[
             "no-dim",
@@ -317,6 +320,9 @@ class TestExitCodes:
             "jump-without-operator",
             "params-one-letter-string",
             "params-string",
+            "dim-float",
+            "dim-string",
+            "dim-bool",
         ],
     )
     def test_malformed_model_dict(self, tmp_path, capsys, data):

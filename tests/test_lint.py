@@ -1,16 +1,20 @@
 """Static hygiene: every name a package module imports, and every private
-module-level name it defines, is used in it.
+module-level name it defines, is used in it; every function the benchmark's
+tracer wraps exists in the package.
 
 No linter is a dependency, so this walks each module's AST.  `__init__.py`
 is exempt from the import check: it imports names only to re-export them.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "liouville_ep"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "liouville_ep"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
@@ -69,3 +73,19 @@ def test_no_unused_private_names(path):
         if name not in loaded
     )
     assert not unused, f"{path.name} defines private names it never uses: {unused}"
+
+
+def test_traced_names_resolve():
+    # perfbench/tracer.py wraps functions by name; a rename in the package
+    # would otherwise surface only as a failed traced benchmark run
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module, path, _sizes in tracer.TARGETS:
+        owner = importlib.import_module(f"{tracer.PACKAGE}.{module}")
+        for attr in path.split("."):
+            owner = getattr(owner, attr, None)
+        if not callable(owner):
+            missing.append(f"{module}.{path}")
+    assert not missing, f"perfbench/tracer.py traces names the package lacks: {missing}"

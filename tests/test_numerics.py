@@ -20,7 +20,7 @@ from liouville_ep.numerics import (
     eigenvalues,
     encircle,
     fit_tentacles,
-    _aberth,
+    _companion_roots,
     roots_aberth,
     scaling_sweep,
 )
@@ -81,37 +81,51 @@ class TestRootsAberth:
         with pytest.raises(ValueError):
             roots_aberth([])
 
-    def test_nonconvergence_carries_best_iterate(self):
+    def test_nonconvergence_carries_best_iterate(self, monkeypatch):
+        # (x + 1/2)^4 meets the contract; a tolerance of zero it cannot
+        monkeypatch.setattr(numerics, "ROOT_RESIDUAL_TOL", 0.0)
         with pytest.raises(NumericalError) as exc:
-            roots_aberth([1 / 16, 1 / 2, 3 / 2, 2, 1], max_sweeps=1)
+            roots_aberth([1 / 16, 1 / 2, 3 / 2, 2, 1])
         assert exc.value.best is not None
         assert len(exc.value.best) == 4
-        assert exc.value.residual > 1e-10
+        assert np.all(np.abs(exc.value.best + 0.5) < 1e-3)
+        assert exc.value.residual > 0.0
+
+    def test_overflowing_coefficients_fail_the_contract(self):
+        with pytest.raises(NumericalError) as exc:
+            roots_aberth([1.0, 0.0, 1e-320])
+        assert len(exc.value.best) == 2
+
+    def test_wide_range_roots(self):
+        # roots over five decades of modulus, on both axes and of both signs
+        expected = np.array([10, 100j, -1000, 1e5, 1e6, -1e6, 1e6j])
+        coeffs = np.polynomial.polynomial.polyfromroots(expected)
+        roots = roots_aberth(coeffs)
+        for r in expected:
+            assert np.min(np.abs(roots - r)) <= 1e-12 * abs(r)
 
 
-class TestAberthKernel:
-    @pytest.mark.parametrize("block", [numerics._ABERTH_BLOCK, 32], ids=["one-block", "blocks"])
-    def test_mask_freezes_each_row(self, monkeypatch, block):
-        # the rows meet the contract after different sweep counts; the third
-        # (roots of modulus 1e-4 and 1e4) cannot within 20 sweeps.  A block
-        # of 32 entries splits the five quartics into blocks of two rows.
-        monkeypatch.setattr(numerics, "_ABERTH_BLOCK", block)
+class TestCompanionKernel:
+    @pytest.mark.parametrize("block", [numerics._ROOT_BLOCK, 32], ids=["one-block", "blocks"])
+    def test_rows_are_independent(self, monkeypatch, block):
+        # a block of 32 entries splits the five quartics into blocks of two rows
+        monkeypatch.setattr(numerics, "_ROOT_BLOCK", block)
         batch = np.array(
             [
-                [1 / 16, 1 / 2, 3 / 2, 2, 1],  # (x + 1/2)^4: linear convergence
+                [1 / 16, 1 / 2, 3 / 2, 2, 1],  # (x + 1/2)^4
                 [24, -50, 35, -10, 1],  # (x - 1)(x - 2)(x - 3)(x - 4)
-                [1e-8, 0, 0, 1e4, 1],
+                [1e-8, 0, 0, 1e4, 1],  # roots of modulus 1e-4 and 1e4
                 [3 - 1j, 0, 2.5, -1, 1j],
                 [-1, 0, 0, 0, 1],
             ],
             dtype=complex,
         )
-        roots, worst = _aberth(batch, max_sweeps=20)
-        assert worst[2] > 1e-10
-        for i in (0, 1, 3, 4):
-            alone, alone_worst = _aberth(batch[i : i + 1], max_sweeps=20)
-            assert worst[i] <= 1e-10 and alone_worst[0] <= 1e-10
-            assert np.allclose(roots[i], alone[0], rtol=1e-14, atol=0)
+        roots, worst = _companion_roots(batch)
+        for i in range(batch.shape[0]):
+            alone, alone_worst = _companion_roots(batch[i : i + 1])
+            assert worst[i] <= 1e-10
+            assert np.array_equal(roots[i], alone[0])
+            assert worst[i] == alone_worst[0]
 
 
 class TestEigenvalues:
@@ -315,6 +329,10 @@ class TestAmoebaSample:
             amoeba_sample(biv("omega - epsilon"), (1e-2, 1e-6))
         with pytest.raises(ValueError):
             amoeba_sample(biv("omega - epsilon"), (0.0, 1e-2))
+        with pytest.raises(ValueError):
+            amoeba_sample(biv("omega - epsilon"), moduli=0)
+        with pytest.raises(ValueError):
+            amoeba_sample(biv("omega - epsilon"), phases=0)
 
     def test_leftover_variables_rejected(self):
         f = parse_expression("omega - x", ("omega", "epsilon", "x"))

@@ -2,10 +2,13 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from liouville_ep import scan
 from liouville_ep.expr import parse_expression
 from liouville_ep.models import builtin_model, char_poly
+from liouville_ep.numerics import roots_aberth
 from liouville_ep.poly import GaussRational, MultiPoly, PolyMatrix
 from liouville_ep.scan import (
     classify,
@@ -264,6 +267,27 @@ class TestScanParameter:
         assert cand.omega0_values == (gr(-3),)
         ((w0, cls),) = cand.classifications
         assert (w0, cls.kind, cls.order) == (gr(-3), "ep", 2)
+
+    @pytest.mark.parametrize("nudge", [1, -1], ids=["plus-first", "minus-first"])
+    def test_candidate_order_ignores_root_rounding(self, monkeypatch, nudge):
+        # the qubit gamma_f scan has a conjugate pair of candidates whose
+        # float real parts agree up to rounding; shifting each root's real
+        # part by two ulps towards either order must not reorder the output
+        m = builtin_model("qubit")
+        bindings = {"gamma_e": Fraction(1), "J": Fraction(1, 4)}
+        reference = scan_parameter(m.l_eff.matrix, "gamma_f", bindings, m.rate_params)
+
+        def nudged(coeffs):
+            roots = roots_aberth(coeffs)
+            shift = nudge * np.sign(roots.imag) * 2 * np.spacing(roots.real)
+            return roots.real + shift + 1j * roots.imag
+
+        monkeypatch.setattr(scan, "roots_aberth", nudged)
+        out = scan_parameter(m.l_eff.matrix, "gamma_f", bindings, m.rate_params)
+        values = [c.value for c in out.candidates]
+        assert gr(Fraction(1406787, 883972), Fraction(-411153, 291280)) in values
+        assert values == sorted(values, key=lambda v: (v.re, v.im))
+        assert out == reference
 
     def test_continuum_detection(self):
         m = builtin_model("qubit")
