@@ -7,7 +7,7 @@ Layers, bottom up:
   models    Lindblad superoperator construction and built-in models
   newton    Newton polygons, root valuations, tropical cross-check
   numerics  root finding, eigenvalue tracking, amoebas, scaling fits
-  scan      resultant-based degeneracy scans and EP classification
+  scan      discriminant-based degeneracy scans and EP classification
   cli       command-line front end (liouville-ep)
 """
 
@@ -25,7 +25,6 @@ from .expr import ParseError, format_poly, parse_expression
 from .models import (
     EPSILON,
     OMEGA,
-    OMEGA0,
     BuiltinModel,
     JumpChannel,
     ModelSpec,
@@ -73,8 +72,6 @@ from .scan import (
     Classification,
     ScanResult,
     classify,
-    degeneracy_conditions,
-    eliminate_shift,
     geometric_multiplicity,
     rank_exact,
     scan_parameter,
@@ -99,7 +96,6 @@ __all__ = [
     "NewtonPolygon",
     "NumericalError",
     "OMEGA",
-    "OMEGA0",
     "ParseError",
     "PermutationReport",
     "PolyMatrix",
@@ -118,11 +114,9 @@ __all__ = [
     "char_poly",
     "classify",
     "collapse_clusters",
-    "degeneracy_conditions",
     "det_bareiss",
     "det_cofactor",
     "eigenvalues",
-    "eliminate_shift",
     "encircle",
     "ep_orders",
     "fit_tentacles",

@@ -94,6 +94,8 @@ def _bindings_map(bundle, pairs) -> dict[str, Fraction]:
             raise InputError(
                 f"unknown parameter {name!r}; model has {list(bundle.spec.params)}"
             )
+        if name in out:
+            raise InputError(f"parameter {name!r} bound twice")
         out[name] = value
     return out
 

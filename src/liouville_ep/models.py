@@ -12,8 +12,7 @@ modeled subspace) contribute only the anticommutator part; for those the
 stored operator stands in for the leaving operator and only G^H G enters.
 
 Reserved variable names: 'omega' (the eigenvalue variable), 'epsilon' (the
-perturbation strength), 'omega0' (the spectral shift), and 'i'.  Model
-parameters may not collide with them.
+perturbation strength), and 'i'.  Model parameters may not collide with them.
 """
 
 from __future__ import annotations
@@ -28,8 +27,7 @@ from .poly import GaussRational, MultiPoly, PolyMatrix, ScalarLike, det_bareiss
 
 OMEGA = "omega"
 EPSILON = "epsilon"
-OMEGA0 = "omega0"
-RESERVED_NAMES = ("i", OMEGA, EPSILON, OMEGA0)
+RESERVED_NAMES = ("i", OMEGA, EPSILON)
 
 
 def flatten_index(row: int, col: int, dim: int) -> int:
@@ -40,8 +38,8 @@ def flatten_index(row: int, col: int, dim: int) -> int:
 
 
 def ambient_variables(params: Sequence[str]) -> tuple[str, ...]:
-    """Canonical variable list for a model: parameters, then omega0, omega, epsilon."""
-    return tuple(params) + (OMEGA0, OMEGA, EPSILON)
+    """Canonical variable list for a model: parameters, then omega, epsilon."""
+    return tuple(params) + (OMEGA, EPSILON)
 
 
 @dataclass(frozen=True)
@@ -137,13 +135,13 @@ def build_liouvillian(spec: ModelSpec) -> Superoperator:
 def char_poly(
     l0: Union[Superoperator, PolyMatrix],
     perturbation: PolyMatrix | None = None,
-    shift: Union[MultiPoly, ScalarLike] = 0,
+    shift: ScalarLike = 0,
 ) -> MultiPoly:
     """Shifted characteristic polynomial det(L0 + eps*L1 - (omega + shift) I).
 
-    The convention puts the eigenvalue at omega = 0: with shift = s, omega = 0
-    is a root exactly when s is an eigenvalue of L0 + eps*L1.  `shift` may be
-    a constant or a polynomial (typically the bare variable omega0).
+    The convention puts the eigenvalue at omega = 0: with the constant
+    shift = s, omega = 0 is a root exactly when s is an eigenvalue of
+    L0 + eps*L1.
     """
     matrix = l0.matrix if isinstance(l0, Superoperator) else l0
     variables = matrix.vars
@@ -152,18 +150,14 @@ def char_poly(
     n, m = matrix.shape
     if n != m:
         raise ValueError("square matrix required")
-    if not isinstance(shift, MultiPoly):
-        shift = MultiPoly.constant(variables, shift)
-    elif shift.vars != variables:
-        raise ValueError("shift polynomial lives in a different variable list")
     work = matrix
     if perturbation is not None:
         if perturbation.shape != matrix.shape:
             raise ValueError("perturbation shape mismatch")
         eps = MultiPoly.variable(variables, EPSILON)
         work = work + perturbation.scale(eps)
-    omega = MultiPoly.variable(variables, OMEGA)
-    work = work - PolyMatrix.identity(variables, n).scale(omega + shift)
+    shifted = MultiPoly.variable(variables, OMEGA) + MultiPoly.constant(variables, shift)
+    work = work - PolyMatrix.identity(variables, n).scale(shifted)
     return det_bareiss(work)
 
 

@@ -321,12 +321,15 @@ def encircle(l0, l1, radius: float = 0.01, steps: int = 400) -> PermutationRepor
     degeneracies come out as fixed slots rather than arbitrary 2-cycles.
     Raises NumericalError when the matching is ambiguous (residual not below
     half the minimal gap along the path) or the cluster structure changes;
-    both are cured by more steps or a smaller radius.
+    both are cured by more steps or a smaller radius.  A radius that is not
+    finite and positive encircles nothing and raises ValueError.
     """
     a0 = as_complex_matrix(l0)
     a1 = as_complex_matrix(l1)
     if steps < 8:
         raise ValueError("need at least 8 steps")
+    if not (0 < radius < math.inf):
+        raise ValueError("loop radius must be finite and > 0")
     ts = np.linspace(0.0, 2.0 * np.pi, steps + 1)
     loop = np.array([radius * cmath.exp(1j * t) for t in ts])[:, None, None]
     spectra = eigenvalues(a0 + loop * a1, ENCIRCLE_COLLAPSE_TOL)

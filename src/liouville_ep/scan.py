@@ -1,16 +1,14 @@
 """Exact location and classification of spectral degeneracies.
 
-Pipeline: the shifted characteristic polynomial det(L - (omega + omega0) I),
-kept fully symbolic in the model parameters and omega0, has a degenerate
-eigenvalue at omega0 exactly when its lowest omega-coefficients vanish.  The
-two lowest (value and first derivative at omega = 0) are the degeneracy
-conditions; eliminating omega0 between them by a resultant yields one
-polynomial in the parameters whose zero set carries every double point.  A
-one-parameter scan specializes the remaining parameters to exact rationals,
-solves the resultant numerically, snaps roots back to exact rationals, and
-verifies them symbolically before classifying each degeneracy through the
-Newton polygon of a seeded generic perturbation plus an exact geometric
-multiplicity computation.
+Pipeline: a one-parameter scan binds every model parameter but the target to
+an exact rational and takes the characteristic polynomial q(omega) =
+det(L - omega I), a polynomial in omega and the target only.  An eigenvalue is
+degenerate exactly where q and q' share a root, so the discriminant
+Res_omega(q', q) is one polynomial in the target whose zeros carry every
+double point.  The scan solves it numerically, snaps the roots back to exact
+rationals, verifies each one symbolically by a common root of q and q', and
+classifies every degeneracy through the Newton polygon of a seeded generic
+perturbation plus an exact geometric multiplicity computation.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .models import EPSILON, OMEGA, OMEGA0, generic_perturbation, char_poly
+from .models import OMEGA, generic_perturbation, char_poly
 from .newton import (
     EPReport,
     NewtonPolygon,
@@ -37,30 +35,6 @@ from .poly import (
     gcd_univariate,
     sylvester_resultant,
 )
-
-
-def degeneracy_conditions(charpoly: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    """The two lowest omega-coefficients (c0, c1) of an epsilon-free shifted
-    char poly: its value and first derivative at omega = 0."""
-    if charpoly.is_zero():
-        raise ValueError("zero characteristic polynomial")
-    if charpoly.degree(EPSILON) > 0:
-        raise ValueError("characteristic polynomial must be epsilon-free here")
-    deg = charpoly.degree(OMEGA)
-    if deg < 2:
-        raise ValueError(f"need deg_omega >= 2 for two conditions, got {deg}")
-    return tuple(charpoly.coefficient_list(OMEGA)[:2])
-
-
-def eliminate_shift(conds: tuple[MultiPoly, MultiPoly]) -> MultiPoly:
-    """Resultant of the conditions (c0, c1) with respect to the shift omega0."""
-    c0, c1 = conds
-    if c0.degree(OMEGA0) < 1 or c1.degree(OMEGA0) < 1:
-        raise ValueError(
-            f"a degeneracy condition is free of {OMEGA0!r}; "
-            "solve it directly instead of eliminating"
-        )
-    return sylvester_resultant(c1, c0, OMEGA0)
 
 
 # -- exact rank / geometric multiplicity ---------------------------------------
@@ -130,7 +104,7 @@ class Classification:
 
 @dataclass(frozen=True)
 class Candidate:
-    """One root of the eliminated resultant, snapped to an exact value."""
+    """One root of the discriminant, snapped to an exact value."""
 
     param: str
     value: GaussRational
@@ -208,72 +182,68 @@ def _exact_roots_univariate(g: MultiPoly, var: str) -> tuple[list[GaussRational]
     return out, all_exact
 
 
-# Numeric resultant roots closer than DEDUPE_TOL are one root; a snapped value
-# with no exact common shift root is 'approximate' when the two conditions have
-# roots within VERIFY_TOL of each other, else 'unverified'.
+# Numeric discriminant roots closer than DEDUPE_TOL are one root; a snapped
+# value where q and q' have no exact common root is 'approximate' when they
+# have roots within VERIFY_TOL of each other, else 'unverified'.
 DEDUPE_TOL = 1e-9
 VERIFY_TOL = 1e-8
 
 
-def solve_candidates(
-    resultant: MultiPoly,
-    target: str,
-    bindings: Mapping[str, Fraction],
-    conds: tuple[MultiPoly, MultiPoly],
-) -> ScanResult:
-    """Solve the specialized resultant for one parameter and verify the roots.
+def solve_candidates(q: MultiPoly, target: str, bindings: Mapping[str, Fraction]) -> ScanResult:
+    """Solve the discriminant of a bound char poly for one parameter and verify the roots.
 
-    All parameters except `target` must be bound to exact rationals.  An
-    identically vanishing specialized resultant means a continuum of
-    degeneracies (flagged, not an error).  Each numeric root is snapped to a
-    nearby rational; a candidate counts as exact when the two degeneracy
-    conditions acquire a common root symbolically (nonzero gcd in the shift),
-    otherwise it is kept with an 'approximate' flag when the conditions are
-    satisfied to VERIFY_TOL, or 'unverified' when they are not.
+    `q` is det(L - omega I) with every parameter but `target` bound (to
+    `bindings`, which the result records).  Its discriminant Res_omega(q', q)
+    vanishing identically means a continuum of degeneracies (flagged, not an
+    error).  Each numeric root is snapped to a nearby rational; a candidate
+    counts as exact when q and q' acquire a common root symbolically (nonzero
+    gcd in omega), otherwise it is kept with an 'approximate' flag when they
+    have roots within VERIFY_TOL of each other, or 'unverified' when they do
+    not.
     """
-    specialized = resultant.substitute(dict(bindings))
-    if specialized.is_zero():
-        return ScanResult(target, dict(bindings), True, ())
-    if not specialized.uses_only([target]):
+    if not q.uses_only([target, OMEGA]):
         raise ValueError("bindings must fix every parameter except the target")
-    if specialized.is_constant():
+    deg = q.degree(OMEGA)
+    if deg < 2:
+        raise ValueError(f"need deg_omega >= 2 for a double eigenvalue, got {deg}")
+    dq = q.derivative(OMEGA)
+    disc = sylvester_resultant(dq, q, OMEGA)
+    if disc.is_zero():
+        return ScanResult(target, dict(bindings), True, ())
+    if disc.is_constant():
         return ScanResult(target, dict(bindings), False, ())
-    specialized = _square_free(specialized, target)
-    roots = roots_aberth(_to_univariate_complex(specialized, target))
+    disc = _square_free(disc, target)
+    roots = roots_aberth(_to_univariate_complex(disc, target))
     # dedupe numerically before snapping
     unique: list[complex] = []
     for r in sorted(roots, key=lambda z: (z.real, z.imag)):
         if not any(abs(r - u) <= DEDUPE_TOL for u in unique):
             unique.append(complex(r))
-    bound_conds = [c.substitute(dict(bindings)) for c in conds]
     candidates: list[Candidate] = []
     seen_exact: set[GaussRational] = set()
     for z in unique:
         value = _rationalize(z)
-        c_at = [c.substitute({target: value}) for c in bound_conds]
+        # q leads with (-1)^n in omega, so q_at is never zero
+        q_at = q.substitute({target: value})
+        dq_at = dq.substitute({target: value})
         flags: list[str] = []
         omega0_values: tuple[GaussRational, ...] = ()
         exact = False
-        if all(c.is_zero() for c in c_at):
-            exact = True
-            flags.append("omega0-continuum")
+        g = gcd_univariate(q_at, dq_at, OMEGA)
+        if g.degree(OMEGA) >= 1:
+            roots_w, exact = _exact_roots_univariate(g, OMEGA)
+            omega0_values = tuple(roots_w)
+            if not exact:
+                flags.append("approximate")
         else:
-            g = gcd_univariate(c_at[0], c_at[1], OMEGA0)
-            if g.degree(OMEGA0) >= 1:
-                roots_w, roots_exact = _exact_roots_univariate(g, OMEGA0)
-                omega0_values = tuple(roots_w)
-                exact = roots_exact
-                if not roots_exact:
-                    flags.append("approximate")
+            # rational snap failed symbolically; fall back to the numeric
+            # tolerance check at near-common roots of q and q'
+            near = _near_common_roots(q_at, dq_at)
+            if near:
+                omega0_values = tuple(_rationalize(w) for w in near)
+                flags.append("approximate")
             else:
-                # rational snap failed symbolically; fall back to the numeric
-                # tolerance check at near-common roots of the two conditions
-                near = _near_common_roots(c_at)
-                if near:
-                    omega0_values = tuple(_rationalize(w) for w in near)
-                    flags.append("approximate")
-                else:
-                    flags.append("unverified")
+                flags.append("unverified")
         if exact and value in seen_exact:
             continue
         if exact:
@@ -285,24 +255,14 @@ def solve_candidates(
     return ScanResult(target, dict(bindings), False, tuple(candidates))
 
 
-def _near_common_roots(c_at: Sequence[MultiPoly]) -> list[complex]:
-    lists = []
-    for c in c_at:
-        if c.is_zero():
-            continue
-        if c.degree(OMEGA0) < 1:
-            return []
-        try:
-            lists.append(list(roots_aberth(_to_univariate_complex(c, OMEGA0))))
-        except NumericalError:
-            return []
-    if len(lists) < 2:
-        return lists[0] if lists else []
-    out = []
-    for r in lists[0]:
-        if any(abs(r - s) <= VERIFY_TOL for s in lists[1]):
-            out.append(complex(r))
-    return out
+def _near_common_roots(q_at: MultiPoly, dq_at: MultiPoly) -> list[complex]:
+    """Roots of q_at within VERIFY_TOL of a root of its derivative dq_at."""
+    try:
+        roots_q = roots_aberth(_to_univariate_complex(q_at, OMEGA))
+        roots_dq = roots_aberth(_to_univariate_complex(dq_at, OMEGA))
+    except NumericalError:
+        return []
+    return [complex(r) for r in roots_q if any(abs(r - s) <= VERIFY_TOL for s in roots_dq)]
 
 
 # -- classification -----------------------------------------------------------------
@@ -380,20 +340,17 @@ def scan_parameter(
     rate_params: Sequence[str] = (),
     seed: int = 42,
 ) -> ScanResult:
-    """Full scan: conditions -> resultant -> candidates -> classification.
+    """Full scan: bind -> char poly -> discriminant -> candidates -> classification.
 
     `generator` is the symbolic superoperator matrix; `bindings` fixes every
-    model parameter except `target`.  Candidates with exact verification are
-    classified at each back-solved omega0; candidates binding a dissipation
-    rate (listed in rate_params) to a negative or non-real value are flagged
-    nonphysical but never dropped.
+    model parameter except `target` before the char poly det(L - omega I) is
+    taken, so it is a polynomial in omega and the target only.  Candidates
+    with exact verification are classified at each back-solved eigenvalue
+    omega0; candidates binding a dissipation rate (listed in rate_params) to a
+    negative or non-real value are flagged nonphysical but never dropped.
     """
-    variables = generator.vars
-    shift = MultiPoly.variable(variables, OMEGA0)
-    p = char_poly(generator, None, shift=shift)
-    conds = degeneracy_conditions(p)
-    resultant = eliminate_shift(conds)
-    result = solve_candidates(resultant, target, bindings, conds)
+    bound_generator = generator.substitute(dict(bindings))
+    result = solve_candidates(char_poly(bound_generator), target, bindings)
     if result.continuum:
         return result
     enriched: list[Candidate] = []
@@ -406,7 +363,7 @@ def scan_parameter(
                 flags.append("nonphysical")
         classifications = []
         if cand.exact:
-            bound = generator.substitute({**dict(bindings), target: cand.value})
+            bound = bound_generator.substitute({target: cand.value})
             for w0 in cand.omega0_values:
                 classifications.append((w0, classify(bound, w0, seed=seed)))
         enriched.append(

@@ -39,12 +39,7 @@ from liouville_ep.poly import (
     det_cofactor,
     sylvester_resultant,
 )
-from liouville_ep.scan import (
-    degeneracy_conditions,
-    eliminate_shift,
-    geometric_multiplicity,
-    scan_parameter,
-)
+from liouville_ep.scan import geometric_multiplicity, scan_parameter
 
 RESULTS = []
 
@@ -223,13 +218,13 @@ def test_criterion_7_scan_completeness():
             assert {cls.kind for _, cls in cand.classifications} == {"diabolic"}
         assert set(by_value) == {gr(1), gr(3), gr(-2), gr(Fraction(-1, 8))}
 
-        # the closed-form degeneracy curves annihilate the eliminated resultant
+        # the closed-form degeneracy curves annihilate the discriminant of
+        # the unbound char poly
         v = m.variables
-        shift = MultiPoly.variable(v, "omega0")
-        conds = degeneracy_conditions(char_poly(m.l0.matrix, None, shift=shift))
-        res = eliminate_shift(conds)
+        q = char_poly(m.l0.matrix)
+        disc = sylvester_resultant(q.derivative("omega"), q, "omega")
         for curve in ("gamma_y - Omega", "gamma_y + Omega", "-gamma_minus/2 - gamma_y"):
-            assert res.substitute({"gamma_x": parse_expression(curve, v)}).is_zero()
+            assert disc.substitute({"gamma_x": parse_expression(curve, v)}).is_zero()
 
 
 def _random_poly(rng, variables, max_terms=6, max_exp=3):
@@ -301,7 +296,7 @@ def test_criterion_8_property_suites():
         assert all(c == zero for c in trace_cols(spin.l0))
         for k in range(5):
             params = ("r0", "r1")
-            variables = params + ("omega0", "omega", "epsilon")
+            variables = params + ("omega", "epsilon")
 
             def cmat(size):
                 return PolyMatrix(

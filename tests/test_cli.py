@@ -282,6 +282,23 @@ class TestExitCodes:
     def test_unknown_parameter(self):
         assert cli.main(["build", "--model", "qubit", "--bind", "zeta=1"]) == 2
 
+    def test_repeated_binding(self, capsys):
+        code = cli.main(["build", "--model", "qubit", "--bind", "J=1/4", "--bind", "J=1/3"])
+        assert code == 2
+        out = capsys.readouterr()
+        assert "bound twice" in out.err
+        assert out.out == ""
+
+    @pytest.mark.parametrize("radius", ["0", "-0.01", "nan", "inf"])
+    def test_encircle_radius_must_be_positive_and_finite(self, capsys, radius):
+        # a zero radius encircles nothing: every eigenvalue would come back
+        # as a fixed point and the monodromy would read as trivial
+        code = cli.main(["encircle"] + QUBIT_EP + ["--perturb", "gamma_f", f"--radius={radius}"])
+        assert code == 3
+        out = capsys.readouterr()
+        assert "radius" in out.err
+        assert out.out == ""
+
     def test_bad_omega0_expression(self):
         assert cli.main(["polygon"] + QUBIT_EP + ["--omega0", "1/"]) == 2
 

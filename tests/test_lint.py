@@ -1,6 +1,7 @@
 """Static hygiene: every name a package module imports, and every private
-module-level name it defines, is used in it; every function the benchmark's
-tracer wraps exists in the package.
+module-level name it defines, is used in it; `__init__.py` exports exactly
+what it imports; every function the benchmark's tracer wraps exists in the
+package.
 
 No linter is a dependency, so this walks each module's AST.  `__init__.py`
 is exempt from the import check: it imports names only to re-export them.
@@ -89,3 +90,27 @@ def test_traced_names_resolve():
         if not callable(owner):
             missing.append(f"{module}.{path}")
     assert not missing, f"perfbench/tracer.py traces names the package lacks: {missing}"
+
+
+def test_all_matches_reexports():
+    # the public surface is `__all__`: a name dropped from a module must leave
+    # both the re-export and `__all__`, and neither may list a name twice
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    ]
+    (exported,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    ]
+    assert len(imported) == len(set(imported)), "a name is imported twice"
+    assert len(exported) == len(set(exported)), "a name is listed twice in __all__"
+    assert sorted(imported) == sorted(exported)
+    package = importlib.import_module("liouville_ep")
+    unresolved = [name for name in exported if not hasattr(package, name)]
+    assert not unresolved, f"__all__ names the package lacks: {unresolved}"

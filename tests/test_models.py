@@ -8,7 +8,6 @@ from liouville_ep.expr import format_poly, parse_expression
 from liouville_ep.models import (
     EPSILON,
     OMEGA,
-    OMEGA0,
     JumpChannel,
     ModelSpec,
     build_liouvillian,
@@ -89,7 +88,7 @@ class TestSpinHalf:
         m = builtin_model("spin_half")
         assert m.spec.dim == 2
         assert m.spec.params == ("Omega", "gamma_minus", "gamma_x", "gamma_y")
-        assert m.variables == m.spec.params + (OMEGA0, OMEGA, EPSILON)
+        assert m.variables == m.spec.params + (OMEGA, EPSILON)
         assert m.rate_params == ("gamma_minus", "gamma_x", "gamma_y")
 
     def test_trace_preserved(self):
@@ -230,17 +229,6 @@ class TestPerturbations:
 
 
 class TestCharPolyContract:
-    def test_shift_variable(self):
-        m = builtin_model("qubit")
-        shift = MultiPoly.variable(m.variables, OMEGA0)
-        p = char_poly(m.l_eff, shift=shift)
-        assert p.degree(OMEGA0) == 4
-
-    def test_shift_foreign_variables_rejected(self):
-        m = builtin_model("qubit")
-        with pytest.raises(ValueError):
-            char_poly(m.l_eff, shift=MultiPoly.variable(("omega", "epsilon", "z"), "z"))
-
     def test_perturbation_shape_mismatch(self):
         m = builtin_model("qubit")
         with pytest.raises(ValueError):

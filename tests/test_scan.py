@@ -1,4 +1,4 @@
-"""Degeneracy location: conditions, elimination, snap-back, classification."""
+"""Degeneracy location: discriminant, snap-back, classification."""
 
 from fractions import Fraction
 
@@ -7,20 +7,18 @@ import pytest
 
 from liouville_ep import scan
 from liouville_ep.expr import parse_expression
-from liouville_ep.models import builtin_model, char_poly
+from liouville_ep.models import OMEGA, builtin_model, char_poly
 from liouville_ep.numerics import roots_aberth
-from liouville_ep.poly import GaussRational, MultiPoly, PolyMatrix
+from liouville_ep.poly import GaussRational, MultiPoly, PolyMatrix, sylvester_resultant
 from liouville_ep.scan import (
     classify,
-    degeneracy_conditions,
-    eliminate_shift,
     geometric_multiplicity,
     rank_exact,
     scan_parameter,
     solve_candidates,
 )
 
-TOY = ("x", "omega0", "omega", "epsilon")
+TOY = ("x", "omega", "epsilon")
 
 
 def toy(text):
@@ -39,37 +37,6 @@ def spin_half_slice():
         "gamma_y": Fraction(2),
     }
     return m, bindings
-
-
-class TestDegeneracyConditions:
-    def test_vieta(self):
-        p = toy("omega^2 - (x + omega0)*omega + x*omega0")
-        assert degeneracy_conditions(p) == (toy("x*omega0"), toy("-x - omega0"))
-
-    def test_degree_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            degeneracy_conditions(toy("omega + x"))
-
-    def test_epsilon_dependence_rejected(self):
-        with pytest.raises(ValueError):
-            degeneracy_conditions(toy("omega^2 + epsilon"))
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            degeneracy_conditions(MultiPoly.zero(TOY))
-
-
-class TestEliminateShift:
-    def test_linear_pair(self):
-        conds = (toy("omega0 - x"), toy("omega0 - x^2"))
-        res = eliminate_shift(conds)
-        # common shift root exactly at x = x^2
-        assert res in (toy("x - x^2"), toy("x^2 - x"))
-
-    def test_shift_free_condition_rejected(self):
-        conds = (toy("x - 1"), toy("omega0 - x"))
-        with pytest.raises(ValueError):
-            eliminate_shift(conds)
 
 
 class TestExactRank:
@@ -112,10 +79,11 @@ class TestExactRank:
 
 
 class TestSolveCandidates:
+    # each toy is a bound char poly q(omega, x); its discriminant is
+    # Res_omega(q', q)
+
     def test_exact_roots_with_shift_backsolve(self):
-        conds = (toy("omega0 - x"), toy("omega0 - x^2"))
-        res = eliminate_shift(conds)
-        out = solve_candidates(res, "x", {}, conds)
+        out = solve_candidates(toy("(omega - x)*(omega - x^2)"), "x", {})
         assert not out.continuum
         values = sorted((c.value for c in out.candidates), key=lambda v: v.re)
         assert values == [gr(0), gr(1)]
@@ -124,56 +92,60 @@ class TestSolveCandidates:
             assert c.omega0_values == (c.value,)
 
     def test_square_free_reduction_snaps_double_root(self):
-        conds = (toy("omega0 - x + 5"), toy("omega0 + x - 5"))
-        out = solve_candidates(toy("(x - 5)^2"), "x", {}, conds)
+        # the discriminant is a multiple of (x - 5)^2
+        out = solve_candidates(toy("omega^2 - (x - 5)^2"), "x", {})
         assert [c.value for c in out.candidates] == [gr(5)]
         cand = out.candidates[0]
         assert cand.exact
         assert cand.omega0_values == (gr(0),)
 
     def test_identically_zero_resultant_is_continuum(self):
-        conds = (toy("omega0"), toy("omega0"))
-        vars4 = ("x", "y", "omega0", "omega")
-        res = parse_expression("x*y", vars4)
-        out = solve_candidates(res, "x", {"y": Fraction(0)}, conds)
+        out = solve_candidates(toy("(omega - x)^2"), "x", {"y": Fraction(0)})
         assert out.continuum
         assert out.candidates == ()
+        assert out.bindings == {"y": Fraction(0)}
 
     def test_leftover_binding_rejected(self):
-        conds = (toy("omega0"), toy("omega0"))
-        vars4 = ("x", "y", "omega0", "omega")
-        res = parse_expression("x*y", vars4)
+        q = parse_expression("omega^2 - x*y", ("x", "y", "omega", "epsilon"))
         with pytest.raises(ValueError):
-            solve_candidates(res, "x", {}, conds)
+            solve_candidates(q, "x", {})
+
+    def test_epsilon_dependence_rejected(self):
+        with pytest.raises(ValueError):
+            solve_candidates(toy("omega^2 + epsilon - x"), "x", {})
+
+    def test_degree_below_two_rejected(self):
+        with pytest.raises(ValueError):
+            solve_candidates(toy("omega + x"), "x", {})
 
     def test_constant_specialization_yields_nothing(self):
-        conds = (toy("omega0"), toy("omega0"))
-        vars4 = ("x", "y", "omega0", "omega")
-        out = solve_candidates(
-            parse_expression("y", vars4), "x", {"y": Fraction(3)}, conds
-        )
+        out = solve_candidates(toy("omega^2 - 1"), "x", {})
         assert not out.continuum
         assert out.candidates == ()
 
     def test_spurious_root_flagged_unverified(self):
-        conds = (toy("omega0 - 1"), toy("omega0 + 1"))
-        out = solve_candidates(toy("x - 2"), "x", {}, conds)
-        (cand,) = out.candidates
-        assert not cand.exact
-        assert "unverified" in cand.flags
+        # the discriminant's roots are +-sqrt(2); the snapped rationals leave
+        # q with two simple roots about 1e-6 apart
+        out = solve_candidates(toy("omega^2 - x^2 + 2"), "x", {})
+        assert len(out.candidates) == 2
+        for cand in out.candidates:
+            assert abs(abs(complex(cand.value)) - 2**0.5) < 1e-9
+            assert not cand.exact
+            assert cand.flags == ("unverified",)
+            assert cand.omega0_values == ()
 
     def test_irrational_shift_root_flagged_approximate(self):
-        c0 = toy("omega0^2 - 2*x")
-        c1 = toy("3*omega0^2 - 6*x + x - 1")
-        conds = (c0, c1)
-        out = solve_candidates(toy("x - 1"), "x", {}, conds)
-        (cand,) = out.candidates
-        assert cand.value == gr(1)
+        # at x = 1 the double eigenvalues are +-sqrt(2); at x = 5 it is 0
+        out = solve_candidates(toy("(omega^2 - 2)^2 - (x - 1)"), "x", {})
+        assert [c.value for c in out.candidates] == [gr(1), gr(5)]
+        cand, other = out.candidates
         assert not cand.exact
         assert "approximate" in cand.flags
         mods = sorted(abs(complex(w.re) + 1j * complex(w.im)) for w in cand.omega0_values)
         assert len(mods) == 2
         assert abs(mods[0] - 2**0.5) < 1e-5
+        assert other.exact
+        assert other.omega0_values == (gr(0),)
 
 
 class TestClassify:
@@ -289,6 +261,59 @@ class TestScanParameter:
         assert values == sorted(values, key=lambda v: (v.re, v.im))
         assert out == reference
 
+    def test_binds_before_the_char_poly(self, monkeypatch):
+        # the scan's char poly must carry only the target and omega: no other
+        # parameter and no shift variable
+        m, bindings = spin_half_slice()
+        returned = []
+
+        def spy(*args, **kwargs):
+            p = char_poly(*args, **kwargs)
+            returned.append(p)
+            return p
+
+        monkeypatch.setattr(scan, "char_poly", spy)
+        monkeypatch.setattr(scan, "classify", lambda *args, **kwargs: None)
+        scan_parameter(m.l0.matrix, "gamma_x", bindings, m.rate_params)
+        assert returned
+        for p in returned:
+            assert p.uses_only(["gamma_x", OMEGA]), p.vars
+
+    def test_discriminant_matches_sympy(self, monkeypatch):
+        sympy = pytest.importorskip("sympy")
+        m = builtin_model("qubit")
+        bindings = {"gamma_e": Fraction(1), "J": Fraction(1, 4)}
+        seen = []
+
+        def spy(f, g, var):
+            res = sylvester_resultant(f, g, var)
+            seen.append(res)
+            return res
+
+        monkeypatch.setattr(scan, "sylvester_resultant", spy)
+        solve_candidates(char_poly(m.l_eff.matrix.substitute(bindings)), "gamma_f", bindings)
+        (disc,) = seen
+
+        symbols = sympy.symbols(m.variables)
+
+        def to_sympy(p):
+            return sympy.Add(
+                *(
+                    (sympy.Rational(c.re.numerator, c.re.denominator)
+                     + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+                    * sympy.Mul(*(x**k for x, k in zip(symbols, e)))
+                    for e, c in p.terms.items()
+                )
+            )
+
+        bound = m.l_eff.matrix.substitute(bindings)
+        omega = symbols[m.variables.index(OMEGA)]
+        q = (sympy.Matrix([[to_sympy(e) for e in row] for row in bound.rows])
+             - omega * sympy.eye(bound.shape[0])).det(method="berkowitz")
+        expected = sympy.resultant(sympy.diff(q, omega), q, omega)
+        assert sympy.expand(to_sympy(disc) - expected) == 0
+        assert sympy.degree(expected, symbols[m.variables.index("gamma_f")]) > 0
+
     def test_continuum_detection(self):
         m = builtin_model("qubit")
         out = scan_parameter(
@@ -305,11 +330,9 @@ class TestClosedFormRegimes:
     def test_known_degeneracy_curves_annihilate_resultant(self):
         m = builtin_model("spin_half")
         v = m.variables
-        shift = MultiPoly.variable(v, "omega0")
-        p = char_poly(m.l0.matrix, None, shift=shift)
-        conds = degeneracy_conditions(p)
-        res = eliminate_shift(conds)
-        assert not res.is_zero()
+        q = char_poly(m.l0.matrix)
+        disc = sylvester_resultant(q.derivative(OMEGA), q, OMEGA)
+        assert not disc.is_zero()
         gx = parse_expression
         curves = [
             gx("gamma_y - Omega", v),
@@ -317,4 +340,4 @@ class TestClosedFormRegimes:
             gx("-gamma_minus/2 - gamma_y", v),
         ]
         for curve in curves:
-            assert res.substitute({"gamma_x": curve}).is_zero()
+            assert disc.substitute({"gamma_x": curve}).is_zero()
