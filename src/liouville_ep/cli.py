@@ -19,7 +19,6 @@ import numpy as np
 
 from .expr import ParseError, format_poly, parse_expression
 from .models import (
-    OMEGA,
     builtin_model,
     char_poly,
     generic_perturbation,
@@ -37,7 +36,7 @@ from .newton import (
 )
 from .numerics import NumericalError, amoeba_sample, as_complex_matrix, encircle, scaling_sweep
 from .poly import GaussRational
-from .scan import Classification, classify, scan_parameter
+from .scan import Classification, classify, geometric_multiplicity, scan_parameter
 from . import svgplot
 
 EXIT_OK = 0
@@ -183,13 +182,26 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def cmd_polygon(args) -> int:
+def _bound_point(args):
+    """The preamble of polygon, amoeba, scale and encircle: the model, the
+    fully bound generator, the perturbation and omega0 (None for a subcommand
+    without --omega0), with input errors raised in that order."""
     bundle = _load_model(args.model)
     bindings = _bindings_map(bundle, args.bind)
     _require_all_bound(bundle, bindings)
-    w0 = _omega0(args)
+    w0 = _omega0(args) if hasattr(args, "omega0") else None
     bound = bundle.l_eff.matrix.substitute(bindings)
     l1, pname = _perturbation(bundle, bindings, args)
+    return bundle, bound, l1, pname, w0
+
+
+def _require_eigenvalue(bound, w0) -> None:
+    if geometric_multiplicity(bound, w0) == 0:
+        raise ValueError(f"omega0 = {w0} is not an exact eigenvalue")
+
+
+def cmd_polygon(args) -> int:
+    bundle, bound, l1, pname, w0 = _bound_point(args)
     classification = classify(bound, w0, seed=args.seed)  # also checks w0 exactly
     if pname == "generic":
         # classify's first seed is --seed: its polygon is this perturbation's
@@ -256,21 +268,9 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _bound_charpoly(args):
-    bundle = _load_model(args.model)
-    bindings = _bindings_map(bundle, args.bind)
-    _require_all_bound(bundle, bindings)
-    w0 = _omega0(args)
-    bound = bundle.l_eff.matrix.substitute(bindings)
-    l1, pname = _perturbation(bundle, bindings, args)
-    base = char_poly(bound, None, shift=w0)
-    if not base.coefficient_list(OMEGA)[0].is_zero():
-        raise ValueError(f"omega0 = {w0} is not an exact eigenvalue")
-    return bundle, bound, l1, pname, w0
-
-
 def cmd_amoeba(args) -> int:
-    bundle, bound, l1, pname, w0 = _bound_charpoly(args)
+    bundle, bound, l1, pname, w0 = _bound_point(args)
+    _require_eigenvalue(bound, w0)
     f = char_poly(bound, l1, shift=w0)
     cloud = amoeba_sample(
         f,
@@ -299,7 +299,8 @@ def cmd_amoeba(args) -> int:
 
 
 def cmd_scale(args) -> int:
-    bundle, bound, l1, pname, w0 = _bound_charpoly(args)
+    bundle, bound, l1, pname, w0 = _bound_point(args)
+    _require_eigenvalue(bound, w0)
     eps_values = np.geomspace(args.eps_min, args.eps_max, args.eps_points)
     fit = scaling_sweep(
         as_complex_matrix(bound), as_complex_matrix(l1), complex(w0), eps_values
@@ -342,11 +343,7 @@ def cmd_scale(args) -> int:
 
 
 def cmd_encircle(args) -> int:
-    bundle = _load_model(args.model)
-    bindings = _bindings_map(bundle, args.bind)
-    _require_all_bound(bundle, bindings)
-    bound = bundle.l_eff.matrix.substitute(bindings)
-    l1, pname = _perturbation(bundle, bindings, args)
+    bundle, bound, l1, pname, _ = _bound_point(args)
     report = encircle(
         as_complex_matrix(bound),
         as_complex_matrix(l1),

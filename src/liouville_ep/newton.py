@@ -57,9 +57,6 @@ class NewtonPolygon:
     vertices: tuple[NewtonPoint, ...]
     segments: tuple[Segment, ...]
 
-    def finite_segments(self) -> tuple[Segment, ...]:
-        return tuple(s for s in self.segments if s.slope is not None)
-
 
 @dataclass(frozen=True)
 class EPReport:
@@ -175,10 +172,6 @@ class TropicalFunction:
 
     def __call__(self, w: Fraction) -> Fraction:
         return min(off + Fraction(i) * w for i, off in self.pieces)
-
-    def argmin(self, w: Fraction) -> list[int]:
-        value = self(w)
-        return [i for i, off in self.pieces if off + Fraction(i) * w == value]
 
 
 def tropicalize(f: MultiPoly) -> TropicalFunction:

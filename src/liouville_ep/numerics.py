@@ -230,8 +230,8 @@ def scaling_sweep(
     eps_values = sorted(float(e) for e in eps_values)
     if len(eps_values) < 3:
         raise ValueError("need at least 3 epsilon values")
-    if eps_values[0] <= 0:
-        raise ValueError("epsilon values must be positive")
+    if not all(0 < e < math.inf for e in eps_values):
+        raise ValueError("epsilon values must be finite and positive")
     eps_column = np.array(eps_values)[:, None, None]
     spectra = eigenvalues(np.concatenate([a0[None], a0 + eps_column * a1]))
     base = spectra[0]
@@ -464,8 +464,8 @@ def amoeba_sample(
     if not f.uses_only([OMEGA, EPSILON]):
         raise ValueError("polynomial has unsubstituted variables besides omega/epsilon")
     lo, hi = modulus_range
-    if not (0 < lo < hi):
-        raise ValueError("modulus range must satisfy 0 < lo < hi")
+    if not (0 < lo < hi < math.inf):
+        raise ValueError("modulus range must satisfy 0 < lo < hi < inf")
     if moduli < 1 or phases < 1:
         raise ValueError("the epsilon grid needs at least one modulus and one phase")
     radii = np.geomspace(lo, hi, moduli)

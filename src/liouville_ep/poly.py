@@ -94,7 +94,6 @@ class GaussRational:
 
 GR_ZERO = GaussRational.of(0)
 GR_ONE = GaussRational.of(1)
-GR_I = GaussRational.of(0, 1)
 
 
 def _grlex_key(expo: tuple[int, ...]) -> tuple:

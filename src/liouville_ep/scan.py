@@ -5,16 +5,19 @@ an exact rational and takes the characteristic polynomial q(omega) =
 det(L - omega I), a polynomial in omega and the target only.  An eigenvalue is
 degenerate exactly where q and q' share a root, so the discriminant
 Res_omega(q', q) is one polynomial in the target whose zeros carry every
-double point.  The scan solves it numerically, snaps the roots back to exact
-rationals, verifies each one symbolically by a common root of q and q', and
-classifies every degeneracy through the Newton polygon of a seeded generic
-perturbation plus an exact geometric multiplicity computation.
+double point.  One helper serves every root: it solves the square-free part
+numerically (a linear factor exactly), snaps the roots back to rationals and
+certifies each by exact evaluation.  The scan applies it to the discriminant
+(a value is exact where the discriminant vanishes exactly) and then to
+gcd(q, q') at each exact value for the double eigenvalues, and classifies
+every degeneracy through the Newton polygon of a seeded generic perturbation
+plus an exact geometric multiplicity computation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -154,38 +157,27 @@ def _square_free(p: MultiPoly, var: str) -> MultiPoly:
     return p.exact_div(g)
 
 
-def _exact_roots_univariate(g: MultiPoly, var: str) -> tuple[list[GaussRational], bool]:
-    """Roots of a univariate polynomial; exact when they snap to rationals.
+def _exact_roots_univariate(g: MultiPoly, var: str) -> list[tuple[GaussRational, bool]]:
+    """Roots of a non-constant univariate polynomial, each with its exactness.
 
-    Returns (roots, all_exact).  Non-rational roots are returned rationalized
-    but flagged by all_exact = False.
+    The roots of the square-free part are snapped to nearby rationals (a
+    linear factor is solved exactly); a snapped value is exact when the
+    polynomial vanishes there exactly.  Each snapped value is reported once.
     """
     g = _square_free(g, var)
     coeffs = g.coefficient_list(var)
-    deg = len(coeffs) - 1
-    if deg == 1:
-        c0 = coeffs[0].constant_value()
-        c1 = coeffs[1].constant_value()
-        return [GR_ZERO - c0 / c1], True
-    roots = roots_aberth(_to_univariate_complex(g, var))
-    out: list[GaussRational] = []
-    all_exact = True
-    for r in roots:
-        cand = _rationalize(complex(r))
-        val = g.substitute({var: cand})
-        if val.is_zero():
-            if cand not in out:
-                out.append(cand)
-        else:
-            all_exact = False
-            out.append(cand)
-    return out, all_exact
+    if len(coeffs) == 2:
+        return [(GR_ZERO - coeffs[0].constant_value() / coeffs[1].constant_value(), True)]
+    out: dict[GaussRational, bool] = {}
+    for r in roots_aberth(_to_univariate_complex(g, var)):
+        value = _rationalize(complex(r))
+        if value not in out:
+            out[value] = g.substitute({var: value}).is_zero()
+    return list(out.items())
 
 
-# Numeric discriminant roots closer than DEDUPE_TOL are one root; a snapped
-# value where q and q' have no exact common root is 'approximate' when they
-# have roots within VERIFY_TOL of each other, else 'unverified'.
-DEDUPE_TOL = 1e-9
+# A snapped value where q and q' have no exact common root is 'approximate'
+# when they have roots within VERIFY_TOL of each other, else 'unverified'.
 VERIFY_TOL = 1e-8
 
 
@@ -195,11 +187,14 @@ def solve_candidates(q: MultiPoly, target: str, bindings: Mapping[str, Fraction]
     `q` is det(L - omega I) with every parameter but `target` bound (to
     `bindings`, which the result records).  Its discriminant Res_omega(q', q)
     vanishing identically means a continuum of degeneracies (flagged, not an
-    error).  Each numeric root is snapped to a nearby rational; a candidate
-    counts as exact when q and q' acquire a common root symbolically (nonzero
-    gcd in omega), otherwise it is kept with an 'approximate' flag when they
-    have roots within VERIFY_TOL of each other, or 'unverified' when they do
-    not.
+    error).  Each root is snapped to a nearby rational; since q leads with
+    (-1)^n in omega, the discriminant at a value v is Res(q'(., v), q(., v)),
+    so the value is exact when the discriminant vanishes there exactly.  The
+    double eigenvalues of an exact value are back-solved from gcd(q, q') by
+    the same snap; one that is not rational flags the candidate
+    'approximate'.  A value that is not exact is kept with an 'approximate'
+    flag when q and q' have roots within VERIFY_TOL of each other, or
+    'unverified' when they do not.
     """
     if not q.uses_only([target, OMEGA]):
         raise ValueError("bindings must fix every parameter except the target")
@@ -212,43 +207,21 @@ def solve_candidates(q: MultiPoly, target: str, bindings: Mapping[str, Fraction]
         return ScanResult(target, dict(bindings), True, ())
     if disc.is_constant():
         return ScanResult(target, dict(bindings), False, ())
-    disc = _square_free(disc, target)
-    roots = roots_aberth(_to_univariate_complex(disc, target))
-    # dedupe numerically before snapping
-    unique: list[complex] = []
-    for r in sorted(roots, key=lambda z: (z.real, z.imag)):
-        if not any(abs(r - u) <= DEDUPE_TOL for u in unique):
-            unique.append(complex(r))
     candidates: list[Candidate] = []
-    seen_exact: set[GaussRational] = set()
-    for z in unique:
-        value = _rationalize(z)
-        # q leads with (-1)^n in omega, so q_at is never zero
+    for value, on_disc in _exact_roots_univariate(disc, target):
         q_at = q.substitute({target: value})
         dq_at = dq.substitute({target: value})
-        flags: list[str] = []
-        omega0_values: tuple[GaussRational, ...] = ()
-        exact = False
-        g = gcd_univariate(q_at, dq_at, OMEGA)
-        if g.degree(OMEGA) >= 1:
-            roots_w, exact = _exact_roots_univariate(g, OMEGA)
-            omega0_values = tuple(roots_w)
-            if not exact:
-                flags.append("approximate")
+        if on_disc:
+            shifts = _exact_roots_univariate(gcd_univariate(q_at, dq_at, OMEGA), OMEGA)
+            exact = all(ok for _, ok in shifts)
+            omega0_values = tuple(w for w, _ in shifts)
+            flags = () if exact else ("approximate",)
         else:
-            # rational snap failed symbolically; fall back to the numeric
-            # tolerance check at near-common roots of q and q'
+            exact = False
             near = _near_common_roots(q_at, dq_at)
-            if near:
-                omega0_values = tuple(_rationalize(w) for w in near)
-                flags.append("approximate")
-            else:
-                flags.append("unverified")
-        if exact and value in seen_exact:
-            continue
-        if exact:
-            seen_exact.add(value)
-        candidates.append(Candidate(target, value, exact, omega0_values, tuple(flags)))
+            omega0_values = tuple(_rationalize(w) for w in near)
+            flags = ("approximate",) if near else ("unverified",)
+        candidates.append(Candidate(target, value, exact, omega0_values, flags))
     # conjugate roots share a real part up to rounding, so the float order of
     # the roots is not an order of the candidates
     candidates.sort(key=lambda c: (c.value.re, c.value.im))
@@ -274,10 +247,12 @@ CLASSIFY_SEEDS = 3
 def classify(bound_matrix: PolyMatrix, omega0: GaussRational, seed: int = 42) -> Classification:
     """Classify an exact degeneracy of a fully bound generator.
 
-    Requires omega0 to be an exact eigenvalue (the constant term of the
-    shifted characteristic polynomial must vanish identically).  The Newton
+    Requires omega0 to be an exact eigenvalue, that is M - omega0 I singular
+    (a geometric multiplicity of at least one by exact rank).  The Newton
     polygon of a seeded generic perturbation is recomputed for CLASSIFY_SEEDS
     consecutive seeds from `seed`; disagreement marks the point inconclusive.
+    The algebraic multiplicity is the lowest omega-degree of the polygon's
+    points on epsilon = 0, the order of omega = 0 as a root of f(omega, 0).
     Rules:
 
       * EP(n): some root valuation equals 1/n with n >= 2 and the geometric
@@ -289,12 +264,9 @@ def classify(bound_matrix: PolyMatrix, omega0: GaussRational, seed: int = 42) ->
     n, m = bound_matrix.shape
     if n != m:
         raise ValueError("square matrix required")
-    base = char_poly(bound_matrix, None, shift=omega0)
-    coeffs = base.coefficient_list(OMEGA)
-    if not coeffs[0].is_zero():
-        raise ValueError("omega0 is not an exact eigenvalue of the bound generator")
-    alg_mult = next(k for k, c in enumerate(coeffs) if not c.is_zero())
     geom_mult = geometric_multiplicity(bound_matrix, omega0)
+    if geom_mult == 0:
+        raise ValueError("omega0 is not an exact eigenvalue of the bound generator")
     notes: list[str] = []
     polygons = []
     reports = []
@@ -311,6 +283,7 @@ def classify(bound_matrix: PolyMatrix, omega0: GaussRational, seed: int = 42) ->
         notes.append("seed-disagreement")
     report = reports[0]
     polygon = polygons[0]
+    alg_mult = min(p.i for p in polygon.points if p.j == 0)
     positive = [(v, mult) for v, mult in report.finite() if v > 0]
     vanishing = sum(mult for _, mult in positive)
     inf_mult = sum(mult for v, mult in report.entries if math.isinf(v))
@@ -351,29 +324,21 @@ def scan_parameter(
     """
     bound_generator = generator.substitute(dict(bindings))
     result = solve_candidates(char_poly(bound_generator), target, bindings)
-    if result.continuum:
-        return result
+    negative_binding = any(
+        Fraction(bindings[name]) < 0 for name in rate_params if name in bindings
+    )
     enriched: list[Candidate] = []
     for cand in result.candidates:
-        flags = list(cand.flags)
-        if target in rate_params and (cand.value.im != 0 or cand.value.re < 0):
-            flags.append("nonphysical")
-        for name in rate_params:
-            if name in bindings and Fraction(bindings[name]) < 0 and "nonphysical" not in flags:
-                flags.append("nonphysical")
-        classifications = []
+        flags = cand.flags
+        if negative_binding or (
+            target in rate_params and (cand.value.im != 0 or cand.value.re < 0)
+        ):
+            flags += ("nonphysical",)
+        classifications = ()
         if cand.exact:
             bound = bound_generator.substitute({target: cand.value})
-            for w0 in cand.omega0_values:
-                classifications.append((w0, classify(bound, w0, seed=seed)))
-        enriched.append(
-            Candidate(
-                cand.param,
-                cand.value,
-                cand.exact,
-                cand.omega0_values,
-                tuple(flags),
-                tuple(classifications),
+            classifications = tuple(
+                (w0, classify(bound, w0, seed=seed)) for w0 in cand.omega0_values
             )
-        )
-    return ScanResult(result.param, result.bindings, False, tuple(enriched))
+        enriched.append(replace(cand, flags=flags, classifications=classifications))
+    return replace(result, candidates=tuple(enriched))

@@ -251,6 +251,14 @@ class TestScale:
         assert (tmp_path / "fit.svg").read_text().startswith("<svg")
         assert out.read_text().startswith("# scale")
 
+    def test_builds_no_exact_polynomial(self, capsys, monkeypatch):
+        # omega0 is checked by exact rank; the sweep itself is numeric
+        calls = []
+        monkeypatch.setattr(cli, "char_poly", lambda *a, **k: calls.append(a) or char_poly(*a, **k))
+        code = cli.main(["scale"] + QUBIT_EP + ["--omega0", "-1/2", "--perturb", "gamma_f"])
+        assert code == 0
+        assert calls == []
+
 
 class TestEncircle:
     def test_cycles_header_and_rows(self, capsys):
@@ -313,6 +321,30 @@ class TestExitCodes:
 
     def test_omega0_not_an_eigenvalue(self):
         assert cli.main(["polygon"] + QUBIT_EP + ["--omega0", "17"]) == 3
+
+    @pytest.mark.parametrize("command", ["amoeba", "scale"])
+    def test_omega0_not_an_eigenvalue_numeric(self, capsys, command):
+        code = cli.main([command] + QUBIT_EP + ["--omega0", "7"])
+        assert code == 3
+        out = capsys.readouterr()
+        assert out.err == "precondition violated: omega0 = 7 is not an exact eigenvalue\n"
+        assert out.out == ""
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            pytest.param("amoeba", "0 < lo < hi < inf", id="amoeba"),
+            pytest.param("scale", "epsilon values must be finite", id="scale"),
+        ],
+    )
+    def test_infinite_epsilon_window(self, capsys, command, message):
+        code = cli.main(
+            [command] + QUBIT_EP + ["--omega0", "-1/2", "--perturb", "gamma_f", "--eps-max", "inf"]
+        )
+        assert code == 3
+        out = capsys.readouterr()
+        assert message in out.err
+        assert out.out == ""
 
     def test_invalid_model_json(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 """Static hygiene: every name a package module imports, and every private
-module-level name it defines, is used in it; `__init__.py` exports exactly
+module-level name it defines, is used in it; every public module-level name
+is used somewhere in the package or exported; `__init__.py` exports exactly
 what it imports; every function the benchmark's tracer wraps exists in the
 package.
 
@@ -45,9 +46,13 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
-def _private_definitions(tree: ast.Module) -> dict[str, int]:
-    """`_name` -> line of every private function, class or assignment at
-    module level (dunder names such as `__all__` are not private)."""
+def _is_private(name: str) -> bool:
+    # dunder names such as `__all__` are not private
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _definitions(tree: ast.Module) -> dict[str, int]:
+    """Name -> line of every function, class or assignment at module level."""
     out = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -59,9 +64,30 @@ def _private_definitions(tree: ast.Module) -> dict[str, int]:
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                out[name] = node.lineno
+            out[name] = node.lineno
     return out
+
+
+def _loaded_names(tree: ast.AST) -> set[str]:
+    """Every name read in the tree, bare (`name`) or as an attribute (`x.name`)."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            out.add(n.attr)
+    return out
+
+
+def _exported_names() -> list[str]:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    (exported,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    ]
+    return exported
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -70,10 +96,24 @@ def test_no_unused_private_names(path):
     loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     unused = sorted(
         f"{name} (line {line})"
-        for name, line in _private_definitions(tree).items()
-        if name not in loaded
+        for name, line in _definitions(tree).items()
+        if _is_private(name) and name not in loaded
     )
     assert not unused, f"{path.name} defines private names it never uses: {unused}"
+
+
+def test_no_unreferenced_public_names():
+    # a public name that no package module reads and `__all__` does not export
+    # is dead code, whatever the tests still call on it
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    used = set(_exported_names()).union(*(_loaded_names(t) for t in trees.values()))
+    unreferenced = sorted(
+        f"{path.name}: {name} (line {line})"
+        for path in MODULES
+        for name, line in _definitions(trees[path]).items()
+        if not name.startswith("_") and name not in used
+    )
+    assert not unreferenced, f"public names nothing in the package uses: {unreferenced}"
 
 
 def test_traced_names_resolve():
@@ -102,12 +142,7 @@ def test_all_matches_reexports():
         if isinstance(node, ast.ImportFrom) and node.module != "__future__"
         for alias in node.names
     ]
-    (exported,) = [
-        ast.literal_eval(node.value)
-        for node in tree.body
-        if isinstance(node, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-    ]
+    exported = _exported_names()
     assert len(imported) == len(set(imported)), "a name is imported twice"
     assert len(exported) == len(set(exported)), "a name is listed twice in __all__"
     assert sorted(imported) == sorted(exported)

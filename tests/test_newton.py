@@ -78,7 +78,6 @@ class TestLowerHull:
         poly = lower_hull(pts((2, 1), (4, 0)))
         assert seg_table(poly) == [("vertical", 0), ("-1/2", 2)]
         assert poly.segments[0].start == NewtonPoint(2, 1)
-        assert poly.finite_segments() == poly.segments[1:]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -114,7 +113,6 @@ class TestTropicalRoute:
         assert tropical_roots(tf) == [(Fraction(1, 2), 2)]
         assert tf(Fraction(0)) == 0
         assert tf(Fraction(1)) == 1
-        assert sorted(tf.argmin(Fraction(1, 2))) == [0, 2]
 
     def test_triple_crossing_single_breakpoint(self):
         # offsets 3 - i for i = 0..3: all four forms meet at w = 1

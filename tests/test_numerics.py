@@ -227,6 +227,9 @@ class TestScalingSweep:
         l0, l1 = jordan_pair(2)
         with pytest.raises(ValueError):
             scaling_sweep(l0, l1, 0.0, [0.0, 1e-3, 1e-2])
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="epsilon"):
+                scaling_sweep(l0, l1, 0.0, [1e-3, 1e-2, bad])
 
     def test_no_cluster_at_shift(self):
         l0 = np.diag([0.0, 5.0])
@@ -329,6 +332,8 @@ class TestAmoebaSample:
             amoeba_sample(biv("omega - epsilon"), (1e-2, 1e-6))
         with pytest.raises(ValueError):
             amoeba_sample(biv("omega - epsilon"), (0.0, 1e-2))
+        with pytest.raises(ValueError):
+            amoeba_sample(biv("omega - epsilon"), (1e-6, math.inf))
         with pytest.raises(ValueError):
             amoeba_sample(biv("omega - epsilon"), moduli=0)
         with pytest.raises(ValueError):

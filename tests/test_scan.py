@@ -9,7 +9,13 @@ from liouville_ep import scan
 from liouville_ep.expr import parse_expression
 from liouville_ep.models import OMEGA, builtin_model, char_poly
 from liouville_ep.numerics import roots_aberth
-from liouville_ep.poly import GaussRational, MultiPoly, PolyMatrix, sylvester_resultant
+from liouville_ep.poly import (
+    GaussRational,
+    MultiPoly,
+    PolyMatrix,
+    gcd_univariate,
+    sylvester_resultant,
+)
 from liouville_ep.scan import (
     classify,
     geometric_multiplicity,
@@ -39,6 +45,19 @@ def spin_half_slice():
     return m, bindings
 
 
+QUBIT_SLICE = {"gamma_e": Fraction(1), "J": Fraction(1, 4)}
+
+
+def qubit_ep3_bound():
+    # the qubit's EP3 point: omega0 = -1/2 at gamma_f = 0 on the slice
+    m = builtin_model("qubit")
+    return m.l_eff.matrix.substitute({**QUBIT_SLICE, "gamma_f": Fraction(0)})
+
+
+def slice_char_poly(name, bindings):
+    return char_poly(builtin_model(name).l_eff.matrix.substitute(bindings))
+
+
 class TestExactRank:
     def mat(self, rows):
         return PolyMatrix([[MultiPoly.constant(("t",), gr(*e)) for e in row] for row in rows])
@@ -66,11 +85,7 @@ class TestExactRank:
         assert geometric_multiplicity(diag, gr(1)) == 1
 
     def test_qubit_special_point_is_derogatory(self):
-        m = builtin_model("qubit")
-        bound = m.l_eff.matrix.substitute(
-            {"gamma_e": Fraction(1), "gamma_f": Fraction(0), "J": Fraction(1, 4)}
-        )
-        assert geometric_multiplicity(bound, gr(Fraction(-1, 2))) == 2
+        assert geometric_multiplicity(qubit_ep3_bound(), gr(Fraction(-1, 2))) == 2
 
     def test_non_square_rejected(self):
         m = PolyMatrix([[MultiPoly.zero(("t",)), MultiPoly.zero(("t",))]])
@@ -147,6 +162,81 @@ class TestSolveCandidates:
         assert other.exact
         assert other.omega0_values == (gr(0),)
 
+    def test_linear_discriminant_beyond_max_denominator_is_exact(self):
+        # the square-free discriminant is linear, and its root's denominator
+        # exceeds MAX_DENOMINATOR: it is solved exactly, not snapped
+        value = gr(Fraction(1234567, 1000003))
+        out = solve_candidates(toy("(omega - x)*(omega - 1234567/1000003)"), "x", {})
+        (cand,) = out.candidates
+        assert cand.value == value
+        assert cand.exact
+        assert cand.omega0_values == (value,)
+        assert cand.flags == ()
+
+    def test_roots_snapping_to_one_value_reported_once(self):
+        # the discriminant's roots 1e-8 and 3e-8 both snap to 0, where q has
+        # two simple roots about 3.5e-8 apart
+        out = solve_candidates(toy("omega^2 - (x - 1/10^8)*(x - 3/10^8)"), "x", {})
+        (cand,) = out.candidates
+        assert cand.value == gr(0)
+        assert not cand.exact
+        assert cand.flags == ("unverified",)
+
+    def test_gcd_only_at_exact_values(self, monkeypatch):
+        # the discriminant decides exactness; gcd(q_at, q_at') back-solves
+        # the double eigenvalue of an exact value and is taken for no other
+        q = slice_char_poly("qubit", QUBIT_SLICE)
+        firsts = []
+
+        def spy(f, g, var):
+            firsts.append(f)
+            return gcd_univariate(f, g, var)
+
+        monkeypatch.setattr(scan, "gcd_univariate", spy)
+        out = solve_candidates(q, "gamma_f", QUBIT_SLICE)
+        assert len(out.candidates) == 5
+        (exact,) = [c for c in out.candidates if c.exact]
+        q_ats = [f for f in firsts if f.degree(OMEGA) == q.degree(OMEGA)]
+        assert q_ats == [q.substitute({"gamma_f": exact.value})]
+
+
+CROSS_CHECK_TOYS = {
+    "exact-pair": "(omega - x)*(omega - x^2)",
+    "double-root": "omega^2 - (x - 5)^2",
+    "unverified": "omega^2 - x^2 + 2",
+    "approximate": "(omega^2 - 2)^2 - (x - 1)",
+    "large-denominator": "(omega - x)*(omega - 1234567/1000003)",
+    "snap-once": "omega^2 - (x - 1/10^8)*(x - 3/10^8)",
+}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(
+            lambda: (slice_char_poly("spin_half", spin_half_slice()[1]), "gamma_x"),
+            id="spin_half-gamma_x",
+        ),
+        pytest.param(lambda: (slice_char_poly("qubit", QUBIT_SLICE), "gamma_f"), id="qubit-gamma_f"),
+    ]
+    + [pytest.param(lambda t=t: (toy(t), "x"), id=k) for k, t in CROSS_CHECK_TOYS.items()],
+)
+def test_discriminant_zero_iff_common_root(make):
+    # q leads with a constant in omega, so the discriminant vanishes at a
+    # value exactly where q and q' share a root there: the scan's exactness
+    # test and the gcd it no longer takes for every candidate agree
+    q, target = make()
+    dq = q.derivative(OMEGA)
+    disc = sylvester_resultant(dq, q, OMEGA)
+    out = solve_candidates(q, target, {})
+    assert out.candidates
+    for cand in out.candidates:
+        at = {target: cand.value}
+        on_disc = disc.substitute(at).is_zero()
+        common = gcd_univariate(q.substitute(at), dq.substitute(at), OMEGA)
+        assert on_disc == (common.degree(OMEGA) >= 1), cand
+        assert on_disc or not cand.exact
+
 
 class TestClassify:
     def spin_half_bound(self, gamma_x):
@@ -174,11 +264,7 @@ class TestClassify:
         assert c.geom_mult == 2
 
     def test_third_order_ep(self):
-        m = builtin_model("qubit")
-        bound = m.l_eff.matrix.substitute(
-            {"gamma_e": Fraction(1), "gamma_f": Fraction(0), "J": Fraction(1, 4)}
-        )
-        c = classify(bound, gr(Fraction(-1, 2)))
+        c = classify(qubit_ep3_bound(), gr(Fraction(-1, 2)))
         assert c.kind == "ep"
         assert c.order == 3
         assert c.alg_mult == 4
@@ -187,6 +273,20 @@ class TestClassify:
     def test_non_eigenvalue_rejected(self):
         with pytest.raises(ValueError):
             classify(self.spin_half_bound(1), gr(17))
+
+    def test_one_char_poly_per_seed(self, monkeypatch):
+        # omega0 is checked by exact rank and the algebraic multiplicity is
+        # read off the polygon, so no unperturbed determinant is taken
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return char_poly(*args, **kwargs)
+
+        monkeypatch.setattr(scan, "char_poly", spy)
+        c = classify(qubit_ep3_bound(), gr(Fraction(-1, 2)))
+        assert c.alg_mult == 4
+        assert len(calls) == scan.CLASSIFY_SEEDS
 
 
 class TestScanParameter:
