@@ -301,6 +301,9 @@ def cmd_amoeba(args) -> int:
 def cmd_scale(args) -> int:
     bundle, bound, l1, pname, w0 = _bound_point(args)
     _require_eigenvalue(bound, w0)
+    if not all(0 < e < math.inf for e in (args.eps_min, args.eps_max)):
+        # checked before np.geomspace, which warns on inf/nan and rejects 0
+        raise ValueError("epsilon values must be finite and positive")
     eps_values = np.geomspace(args.eps_min, args.eps_max, args.eps_points)
     fit = scaling_sweep(
         as_complex_matrix(bound), as_complex_matrix(l1), complex(w0), eps_values

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .expr import parse_expression
-from .poly import GaussRational, MultiPoly, PolyMatrix, ScalarLike, det_bareiss
+from .poly import GaussRational, MultiPoly, PolyMatrix, ScalarLike, char_poly_berkowitz
 
 OMEGA = "omega"
 EPSILON = "epsilon"
@@ -141,7 +141,10 @@ def char_poly(
 
     The convention puts the eigenvalue at omega = 0: with the constant
     shift = s, omega = 0 is a root exactly when s is an eigenvalue of
-    L0 + eps*L1.
+    L0 + eps*L1.  The determinant comes from the dense kernel
+    `char_poly_berkowitz`: division-free Berkowitz over Gaussian integers at
+    integer points of the free variables, then exact interpolation.  An
+    entry of L0 or L1 that involves omega is a ValueError.
     """
     matrix = l0.matrix if isinstance(l0, Superoperator) else l0
     variables = matrix.vars
@@ -150,15 +153,12 @@ def char_poly(
     n, m = matrix.shape
     if n != m:
         raise ValueError("square matrix required")
-    work = matrix
+    work = matrix - PolyMatrix.identity(variables, n).scale(shift)
     if perturbation is not None:
         if perturbation.shape != matrix.shape:
             raise ValueError("perturbation shape mismatch")
-        eps = MultiPoly.variable(variables, EPSILON)
-        work = work + perturbation.scale(eps)
-    shifted = MultiPoly.variable(variables, OMEGA) + MultiPoly.constant(variables, shift)
-    work = work - PolyMatrix.identity(variables, n).scale(shifted)
-    return det_bareiss(work)
+        work = work + perturbation.scale(MultiPoly.variable(variables, EPSILON))
+    return char_poly_berkowitz(work, OMEGA)
 
 
 def perturbation_matrix(superop: Union[Superoperator, PolyMatrix], param: str) -> PolyMatrix:

@@ -477,7 +477,7 @@ def amoeba_sample(
     for _ in range(max((e[ie] for e in f.terms), default=0)):
         eps_powers.append(eps_powers[-1] * eps)
     coeffs = np.zeros((eps.size, degree + 1), dtype=complex)
-    for e, c in f.terms.items():
+    for e, c in sorted(f.terms.items()):  # a fixed summation order: equal f, equal cloud
         coeffs[:, e[iw]] += complex(c) * eps_powers[e[ie]]
 
     nonzero = coeffs != 0

@@ -8,15 +8,23 @@ lists are never extended silently: pick the ambient list for a computation up
 front and stick with it.
 
 The matrix layer (`PolyMatrix`) provides the handful of exact linear-algebra
-routines the rest of the package needs: Kronecker products, the fraction-free
-Bareiss determinant (the one runtime determinant route; cofactor expansion is
-kept only as an independent oracle for tests), and the Sylvester resultant.
+routines the rest of the package needs: Kronecker products, the dense
+characteristic-polynomial kernel `char_poly_berkowitz` (denominators cleared
+once, division-free Berkowitz over Gaussian-integer pairs at integer points of
+the free variables, exact interpolation), the fraction-free Bareiss
+determinant (at run time only the Sylvester resultant uses it; cofactor
+expansion is kept only as an independent oracle for tests), and the Sylvester
+resultant.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
+from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
 RationalLike = Union[int, Fraction]
@@ -534,6 +542,148 @@ def det_bareiss(matrix: PolyMatrix) -> MultiPoly:
         prev = pivot
     result = work[n - 1][n - 1]
     return result if sign == 1 else -result
+
+
+def _berkowitz(re: list[list[int]], im: list[list[int]]) -> tuple[list[int], list[int]]:
+    """det(x I - A) of the Gaussian-integer matrix A = re + i*im, as (real,
+    imaginary) coefficient lists with the highest power first, computed
+    without division (Berkowitz 1984).
+
+    Step r borders the leading r x r block S with the column C, the row R and
+    the corner a; the bordered char poly is the lower-triangular Toeplitz
+    product of [1, -a, -R C, -R S C, ..., -R S^(r-1) C] with the block's.
+    """
+    p_re, p_im = [1], [0]
+    for r in range(len(re)):
+        s_re = [row[:r] for row in re[:r]]
+        s_im = [row[:r] for row in im[:r]]
+        row_re, row_im = re[r][:r], im[r][:r]
+        v_re = [row[r] for row in re[:r]]
+        v_im = [row[r] for row in im[:r]]
+        q_re, q_im = [1, -re[r][r]], [0, -im[r][r]]
+        for k in range(r):
+            if k:
+                v_re, v_im = (
+                    [sum(map(mul, a, v_re)) - sum(map(mul, b, v_im)) for a, b in zip(s_re, s_im)],
+                    [sum(map(mul, a, v_im)) + sum(map(mul, b, v_re)) for a, b in zip(s_re, s_im)],
+                )
+            q_re.append(sum(map(mul, row_im, v_im)) - sum(map(mul, row_re, v_re)))
+            q_im.append(-sum(map(mul, row_re, v_im)) - sum(map(mul, row_im, v_re)))
+        p_re, p_im = (
+            [
+                sum(q_re[i - j] * p_re[j] - q_im[i - j] * p_im[j] for j in range(min(i, r) + 1))
+                for i in range(r + 2)
+            ],
+            [
+                sum(q_re[i - j] * p_im[j] + q_im[i - j] * p_re[j] for j in range(min(i, r) + 1))
+                for i in range(r + 2)
+            ],
+        )
+    return p_re, p_im
+
+
+@lru_cache(maxsize=64)
+def _inverse_vandermonde(d: int) -> tuple[tuple[int, ...], ...]:
+    """W with W / d! the inverse Vandermonde matrix of the points 0, ..., d.
+
+    Row k holds d! times the x^k coefficient of each Lagrange basis
+    polynomial L_j = N_j / prod_{i != j} (j - i), where N_j = prod_{i != j}
+    (x - i) and d! / prod_{i != j} (j - i) = (-1)^(d-j) binomial(d, j).
+    """
+    full = [1]  # prod_{i=0..d} (x - i), ascending
+    for i in range(d + 1):
+        full = [a - i * b for a, b in zip([0] + full, full + [0])]
+    cols = []
+    for j in range(d + 1):
+        quotient = [0] * (d + 1)  # N_j = full / (x - j), synthetic division
+        carry = 0
+        for t in range(d + 1, 0, -1):
+            carry = full[t] + j * carry
+            quotient[t - 1] = carry
+        weight = (-1) ** (d - j) * math.comb(d, j)
+        cols.append([weight * c for c in quotient])
+    return tuple(zip(*cols))
+
+
+def char_poly_berkowitz(matrix: PolyMatrix, var: str) -> MultiPoly:
+    """det(matrix - var*I) for a square matrix whose entries do not involve var.
+
+    The dense exact kernel behind `models.char_poly`.  Every denominator is
+    cleared once: with D the lcm of all coefficient denominators, D*matrix
+    takes Gaussian-integer values at integer points.  For each other variable
+    x that occurs, the determinant's x-degree is at most min(sum of row-max,
+    sum of column-max) of the entries' x-degrees; the char poly of D*matrix is
+    taken by `_berkowitz` at every point of the tensor grid 0..bound_x, and
+    each var-coefficient is interpolated in integers axis by axis with one
+    division at the end (the var^k coefficient carries D^(n-k)).  A constant
+    matrix is one Berkowitz call and no interpolation.
+    """
+    n, m = matrix.shape
+    if n != m:
+        raise ValueError("square matrix required")
+    vs = matrix.vars
+    iv = vs.index(var)
+    entries = [e for row in matrix.rows for e in row]
+    if any(expo[iv] for e in entries for expo in e.terms):
+        raise ValueError(f"matrix entries must not involve {var!r}")
+    free = [k for k in range(len(vs)) if any(expo[k] for e in entries for expo in e.terms)]
+    bounds = []
+    for k in free:
+        deg = [[max((expo[k] for expo in e.terms), default=0) for e in row] for row in matrix.rows]
+        bounds.append(min(sum(map(max, deg)), sum(map(max, zip(*deg)))))
+    denom = math.lcm(
+        *(d for e in entries for c in e.terms.values() for d in (c.re.denominator, c.im.denominator))
+    )
+    # every entry of D*matrix as [(exponents of the free variables, re, im)]
+    scaled = [
+        [
+            (
+                tuple(expo[k] for k in free),
+                c.re.numerator * (denom // c.re.denominator),
+                c.im.numerator * (denom // c.im.denominator),
+            )
+            for expo, c in e.terms.items()
+        ]
+        for e in entries
+    ]
+    monomials = {expo for terms in scaled for expo, _, _ in terms}
+    values = {}
+    for point in product(*(range(b + 1) for b in bounds)):
+        at = {expo: math.prod(map(pow, point, expo)) for expo in monomials}
+        flat_re = [sum(r * at[expo] for expo, r, _ in terms) for terms in scaled]
+        flat_im = [sum(i * at[expo] for expo, _, i in terms) for terms in scaled]
+        values[point] = _berkowitz(
+            [flat_re[r * n:(r + 1) * n] for r in range(n)],
+            [flat_im[r * n:(r + 1) * n] for r in range(n)],
+        )
+    for axis, b in enumerate(bounds):
+        w = _inverse_vandermonde(b)
+        grid = [range(c + 1) for c in bounds]
+        grid[axis] = range(1)
+        interpolated = {}
+        for key in product(*grid):
+            fiber = [values[key[:axis] + (j,) + key[axis + 1:]] for j in range(b + 1)]
+            # along[part][t]: the real (part 0) or imaginary (part 1) part of
+            # coefficient t at each point of the fiber
+            along = [list(zip(*(y[part] for y in fiber))) for part in (0, 1)]
+            for power, row in enumerate(w):
+                interpolated[key[:axis] + (power,) + key[axis + 1:]] = tuple(
+                    [sum(map(mul, row, ys)) for ys in part] for part in along
+                )
+        values = interpolated
+    # det(matrix - var I) = (-1)^n det(var I - matrix); interpolation scaled by prod b!
+    scale = (-1) ** n * math.prod(math.factorial(b) for b in bounds)
+    terms = {}
+    for free_expo, (p_re, p_im) in values.items():
+        for t in range(n + 1):
+            if p_re[t] or p_im[t]:
+                expo = [0] * len(vs)
+                expo[iv] = n - t
+                for k, x in zip(free, free_expo):
+                    expo[k] = x
+                d = scale * denom ** t
+                terms[tuple(expo)] = GaussRational(Fraction(p_re[t], d), Fraction(p_im[t], d))
+    return MultiPoly(vs, terms)
 
 
 def sylvester_resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:

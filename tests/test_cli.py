@@ -1,11 +1,14 @@
 """Command-line interface: payload shapes, determinism, exit codes."""
 
 import json
+import time
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from liouville_ep import cli, newton
+from liouville_ep import cli, newton, poly
 from liouville_ep.models import builtin_model, char_poly, perturbation_matrix
 
 QUBIT_EP = [
@@ -37,6 +40,21 @@ DECAY = {
     "hamiltonian": [["0", "0"], ["0", "0"]],
     "jumps": [{"rate": "g", "operator": [["0", "1"], ["0", "0"]]}],
 }
+
+
+# the 3-level ladder of the classify benchmark: a 9x9 generator
+LAMBDA3 = {
+    "name": "lambda3",
+    "dim": 3,
+    "params": ["g1", "g2", "O"],
+    "hamiltonian": [["0", "O", "0"], ["O", "0", "O"], ["0", "O", "0"]],
+    "jumps": [
+        {"rate": "g1", "operator": [["0", "1", "0"], ["0", "0", "0"], ["0", "0", "0"]]},
+        {"rate": "g2", "operator": [["0", "0", "0"], ["0", "0", "1"], ["0", "0", "0"]]},
+    ],
+}
+# the 4-level ladder: a 16x16 generator
+LADDER4 = Path(__file__).resolve().parent / "models" / "ladder4.json"
 
 
 def run_json(capsys, argv):
@@ -127,6 +145,57 @@ class TestPolygon:
         assert payload["classification"]["label"] == "EP(2)"
         slopes = [s["slope"] for s in payload["polygon"]["segments"]]
         assert slopes == ["-1/2", "0"]
+
+    def test_exact_layer_needs_no_bareiss(self, capsys, monkeypatch, tmp_path):
+        # the 4-fold diabolic point of the 9x9 lambda3 generator: every char
+        # poly comes from the dense kernel, none from Bareiss or exact_div
+        def refuse(*args, **kwargs):
+            raise RuntimeError("sparse determinant route called")
+
+        monkeypatch.setattr(poly, "det_bareiss", refuse)
+        monkeypatch.setattr(poly.MultiPoly, "exact_div", refuse)
+        model = tmp_path / "lambda3.json"
+        model.write_text(json.dumps(LAMBDA3))
+        payload = run_json(
+            capsys,
+            ["polygon", "--model", str(model), "--bind", "g1=1", "--bind", "g2=1",
+             "--bind", "O=0", "--omega0", "-1/2"],
+        )
+        segments = [
+            {"slope": "-1", "start": [0, 4], "end": [4, 0], "hspan": 4},
+            {"slope": "0", "start": [4, 0], "end": [9, 0], "hspan": 5},
+        ]
+        valuations = [
+            {"valuation": "0", "multiplicity": 5},
+            {"valuation": "1", "multiplicity": 4},
+        ]
+        assert payload["polygon"]["segments"] == segments
+        assert payload["valuations"] == valuations
+        assert payload["tentacle_directions"] == ["1", "vertical"]
+        c = payload["classification"]
+        assert (c["kind"], c["order"], c["alg_mult"], c["geom_mult"]) == ("diabolic", None, 4, 4)
+        assert c["valuations"] == valuations
+        assert c["polygon"]["segments"] == segments
+
+    def test_four_level_ladder(self, capsys, monkeypatch):
+        # a 16x16 generator at a 6-fold diabolic point, tropical route included
+        checked = []
+        tropicalize = newton.tropicalize
+        monkeypatch.setattr(newton, "tropicalize", lambda f: checked.append(f) or tropicalize(f))
+        start = time.perf_counter()
+        payload = run_json(
+            capsys,
+            ["polygon", "--model", str(LADDER4), "--bind", "g1=1", "--bind", "g2=1",
+             "--bind", "g3=1", "--bind", "O=0", "--omega0", "-1/2"],
+        )
+        assert time.perf_counter() - start < 20
+        assert checked
+        c = payload["classification"]
+        assert (c["kind"], c["alg_mult"], c["geom_mult"]) == ("diabolic", 6, 6)
+        assert payload["valuations"] == [
+            {"valuation": "0", "multiplicity": 10},
+            {"valuation": "1", "multiplicity": 6},
+        ]
 
     def test_svg_written(self, tmp_path, capsys):
         out = tmp_path / "poly.json"
@@ -345,6 +414,23 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert message in out.err
         assert out.out == ""
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--eps-max", "inf"), ("--eps-max", "nan"), ("--eps-min", "0")],
+        ids=["inf", "nan", "0"],
+    )
+    def test_scale_window_checked_before_numpy(self, capsys, flag, value):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(
+                ["scale"] + QUBIT_EP + ["--omega0", "-1/2", "--perturb", "gamma_f", flag, value]
+            )
+        assert code == 3
+        out = capsys.readouterr()
+        assert out.err == "precondition violated: epsilon values must be finite and positive\n"
+        assert out.out == ""
+        assert [str(w.message) for w in caught] == []
 
     def test_invalid_model_json(self, tmp_path):
         bad = tmp_path / "bad.json"

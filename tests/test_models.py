@@ -1,5 +1,6 @@
 """Generator assembly: vectorization, built-in models, frozen entries."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from liouville_ep.models import (
     model_from_dict,
     perturbation_matrix,
 )
-from liouville_ep.poly import GaussRational, MultiPoly, PolyMatrix
+from liouville_ep.poly import GaussRational, MultiPoly, PolyMatrix, det_bareiss, det_cofactor
 
 
 def entries(superop):
@@ -238,6 +239,109 @@ class TestCharPolyContract:
         mat = PolyMatrix.identity(("x",), 2)
         with pytest.raises(ValueError):
             char_poly(mat)
+
+
+KERNEL_VARS = ("g", "h", "k", OMEGA, EPSILON)
+
+
+def _random_entry(rng, free, max_deg, span=5, den=6):
+    """A random polynomial in `free` over KERNEL_VARS with Gaussian-rational
+    coefficients that carry denominators; about a third of entries are zero."""
+    if rng.random() < 0.3:
+        return MultiPoly.zero(KERNEL_VARS)
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        expo = tuple(rng.randint(0, max_deg) if v in free else 0 for v in KERNEL_VARS)
+        terms[expo] = GaussRational.of(
+            Fraction(rng.randint(-span, span), rng.randint(1, den)),
+            Fraction(rng.randint(-span, span), rng.randint(1, den)),
+        )
+    return MultiPoly(KERNEL_VARS, terms)
+
+
+def _random_matrix(seed, n, free=(), max_deg=0):
+    rng = random.Random(seed)
+    return PolyMatrix([[_random_entry(rng, free, max_deg) for _ in range(n)] for _ in range(n)])
+
+
+def _parsed(rows):
+    return PolyMatrix([[parse_expression(e, KERNEL_VARS) for e in row] for row in rows])
+
+
+def _shifted(matrix, perturbation, shift):
+    """M + eps*L1 - (omega + shift) I, built in the test from ring operations."""
+    v, n = matrix.vars, matrix.shape[0]
+    work = matrix
+    if perturbation is not None:
+        work = work + perturbation.scale(MultiPoly.variable(v, EPSILON))
+    omega = MultiPoly.variable(v, OMEGA) + MultiPoly.constant(v, shift)
+    return work - PolyMatrix.identity(v, n).scale(omega)
+
+
+class TestCharPolyKernel:
+    """`char_poly` (Berkowitz plus interpolation) against two determinant oracles."""
+
+    CASES = {
+        "gaussian-rational": (_random_matrix(1, 5), _random_matrix(2, 5), Fraction(-3, 7)),
+        "degree-3-in-one-parameter": (
+            _random_matrix(3, 4, ("g",), 3), None, GaussRational.of(Fraction(1, 2), Fraction(-1, 3))
+        ),
+        "quadratic-rate": (
+            model_from_dict(
+                {
+                    "name": "square-rate",
+                    "dim": 2,
+                    "params": ["g", "h", "k"],
+                    "hamiltonian": [["0", "h/2"], ["h/2", "0"]],
+                    "jumps": [{"rate": "g^2", "operator": [["0", "1"], ["0", "0"]]}],
+                }
+            ).l0.matrix,
+            _random_matrix(4, 4),
+            GaussRational.of(0, Fraction(1, 3)),
+        ),
+        "two-variables": (_random_matrix(5, 3, ("g", "h"), 2), _random_matrix(6, 3), Fraction(1, 5)),
+        "three-variables": (
+            _random_matrix(7, 3, ("g", "h", "k"), 1), _random_matrix(8, 3, ("g",), 1), 2
+        ),
+        "one-by-one": (_parsed([["g^2/3 - 1/2*i"]]), _parsed([["h"]]), Fraction(5, 4)),
+        "zero": (PolyMatrix.identity(KERNEL_VARS, 3).scale(0), None, 0),
+        "zero-with-shift": (
+            PolyMatrix.identity(KERNEL_VARS, 3).scale(0), None, GaussRational.of(1, 1)
+        ),
+        "singular": (
+            _parsed([["g", "2*g", "1/3"], ["h", "2*h", "i"], ["g + h", "2*g + 2*h", "1/3 + i"]]),
+            None,
+            0,
+        ),
+        "complex-shift": (
+            _random_matrix(10, 4, ("g",), 1),
+            _random_matrix(11, 4),
+            GaussRational.of(Fraction(-2, 3), Fraction(5, 7)),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_determinant_oracles(self, case):
+        matrix, perturbation, shift = self.CASES[case]
+        got = char_poly(matrix, perturbation, shift=shift)
+        work = _shifted(matrix, perturbation, shift)
+        assert got == det_bareiss(work)
+        if matrix.shape[0] <= 4:
+            assert got == det_cofactor(work)
+
+    def test_degree_bound_reaches_the_true_degree(self):
+        # diag(g^3, g^2): the omega^0 coefficient g^5 sits exactly at the
+        # row-sum bound, so an interpolation grid one point short would miss it
+        got = char_poly(_parsed([["g^3", "0"], ["0", "g^2"]]))
+        assert got == parse_expression("(g^3 - omega) * (g^2 - omega)", KERNEL_VARS)
+
+    @pytest.mark.parametrize("where", ["matrix", "perturbation"])
+    def test_omega_entry_rejected(self, where):
+        plain = _parsed([["1", "g"], ["0", "2"]])
+        with_omega = _parsed([["1", "omega"], ["0", "2"]])
+        args = (with_omega, plain) if where == "matrix" else (plain, with_omega)
+        with pytest.raises(ValueError, match="omega"):
+            char_poly(*args)
 
 
 class TestModelFromDict:

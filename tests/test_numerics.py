@@ -327,6 +327,22 @@ class TestAmoebaSample:
         assert np.array_equal(cloud.points[:, 0], expected[:, 0])
         assert np.allclose(cloud.points, expected, rtol=0, atol=1e-12)
 
+    def test_term_order_does_not_move_the_cloud(self):
+        # two equal polynomials whose terms were inserted in opposite orders
+        # (qubit 4-fold point, gamma_f perturbation) give the same cloud bit
+        # for bit
+        m = builtin_model("qubit")
+        bindings = {"gamma_e": 1, "gamma_f": 0, "J": Fraction(1, 4)}
+        bound = m.l_eff.matrix.substitute(bindings)
+        l1 = perturbation_matrix(m.l_eff, "gamma_f").substitute(bindings)
+        f = char_poly(bound, l1, shift=Fraction(-1, 2))
+        flipped = MultiPoly(f.vars, dict(reversed(f.terms.items())))
+        assert flipped == f and list(flipped.terms) != list(f.terms)
+        a, b = amoeba_sample(f), amoeba_sample(flipped)
+        assert a.skips == b.skips
+        assert a.points.shape == b.points.shape
+        assert a.points.tobytes() == b.points.tobytes()
+
     def test_modulus_range_validation(self):
         with pytest.raises(ValueError):
             amoeba_sample(biv("omega - epsilon"), (1e-2, 1e-6))
