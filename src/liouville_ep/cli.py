@@ -304,7 +304,9 @@ def cmd_scale(args) -> int:
     if not all(0 < e < math.inf for e in (args.eps_min, args.eps_max)):
         # checked before np.geomspace, which warns on inf/nan and rejects 0
         raise ValueError("epsilon values must be finite and positive")
-    eps_values = np.geomspace(args.eps_min, args.eps_max, args.eps_points)
+    # a negative count, which np.geomspace rejects, is an empty sweep:
+    # scaling_sweep rejects it with the same message as any short sweep
+    eps_values = np.geomspace(args.eps_min, args.eps_max, max(args.eps_points, 0))
     fit = scaling_sweep(
         as_complex_matrix(bound), as_complex_matrix(l1), complex(w0), eps_values
     )

@@ -219,6 +219,8 @@ class BuiltinModel:
 def _matrix_from_strings(
     rows: Sequence[Sequence[str]], variables: Sequence[str], field: str = "matrix"
 ) -> PolyMatrix:
+    if not isinstance(rows, list) or not rows:
+        raise ValueError(f"{field}: expected a non-empty list of rows")
     for i, row in enumerate(rows):
         if not isinstance(row, list):
             raise ValueError(f"{field}[{i}]: expected a list of expression strings")
@@ -314,7 +316,11 @@ def model_from_dict(data: Mapping) -> BuiltinModel:
     h = _matrix_from_strings(ham_rows, variables, "hamiltonian")
     channels = []
     for k, (rate_text, op_rows) in enumerate(jumps):
-        rate = parse_expression(str(rate_text), variables)
+        if not isinstance(rate_text, str):
+            raise ValueError(
+                f"jumps[{k}].rate: expected an expression string, got {type(rate_text).__name__}"
+            )
+        rate = parse_expression(rate_text, variables)
         op = _matrix_from_strings(op_rows, variables, f"jumps[{k}].operator")
         channels.append(JumpChannel(rate, op))
     spec = ModelSpec(name, dim, params, h, tuple(channels))

@@ -228,8 +228,8 @@ def scaling_sweep(
     a0 = as_complex_matrix(l0)
     a1 = as_complex_matrix(l1)
     eps_values = sorted(float(e) for e in eps_values)
-    if len(eps_values) < 3:
-        raise ValueError("need at least 3 epsilon values")
+    if len(set(eps_values)) < 3:
+        raise ValueError("need at least 3 distinct epsilon values")
     if not all(0 < e < math.inf for e in eps_values):
         raise ValueError("epsilon values must be finite and positive")
     eps_column = np.array(eps_values)[:, None, None]

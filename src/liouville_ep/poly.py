@@ -8,13 +8,13 @@ lists are never extended silently: pick the ambient list for a computation up
 front and stick with it.
 
 The matrix layer (`PolyMatrix`) provides the handful of exact linear-algebra
-routines the rest of the package needs: Kronecker products, the dense
-characteristic-polynomial kernel `char_poly_berkowitz` (denominators cleared
-once, division-free Berkowitz over Gaussian-integer pairs at integer points of
-the free variables, exact interpolation), the fraction-free Bareiss
-determinant (at run time only the Sylvester resultant uses it; cofactor
-expansion is kept only as an independent oracle for tests), and the Sylvester
-resultant.
+routines the rest of the package needs: Kronecker products, the Sylvester
+matrix and the dense char-poly kernel `char_poly_berkowitz` (denominators
+cleared once, division-free Berkowitz over Gaussian-integer pairs at integer
+points of the free variables, exact interpolation), the one runtime
+determinant route: it gives every char poly and the scan's discriminant.  The
+Bareiss determinant, the multivariate Sylvester resultant on it and cofactor
+expansion are test oracles only.
 """
 
 from __future__ import annotations
@@ -510,7 +510,8 @@ def det_cofactor(matrix: PolyMatrix) -> MultiPoly:
 
 
 def det_bareiss(matrix: PolyMatrix) -> MultiPoly:
-    """Fraction-free Bareiss determinant.
+    """Fraction-free Bareiss determinant: a test oracle, and the route of
+    `sylvester_resultant`; no runtime path calls it.
 
     All intermediate divisions are exact.  Row pivoting handles zero pivots.
     A pivot column that is zero from the current row down means the
@@ -521,8 +522,6 @@ def det_bareiss(matrix: PolyMatrix) -> MultiPoly:
     n, m = matrix.shape
     if n != m:
         raise ValueError("determinant of non-square matrix")
-    if n == 1:
-        return matrix.rows[0][0]
     work = [list(row) for row in matrix.rows]
     sign = 1
     prev = MultiPoly.constant(matrix.vars, 1)
@@ -686,12 +685,9 @@ def char_poly_berkowitz(matrix: PolyMatrix, var: str) -> MultiPoly:
     return MultiPoly(vs, terms)
 
 
-def sylvester_resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
-    """Resultant of f and g with respect to `var` via the Sylvester matrix.
-
-    Degree-zero edge cases follow the usual conventions: Res(c, g) = c^deg(g).
-    Both inputs degree zero in `var` is an error (nothing to eliminate).
-    """
+def sylvester_matrix(f: MultiPoly, g: MultiPoly, var: str) -> PolyMatrix:
+    """Sylvester matrix of f and g in `var` (n shifted rows of f's coefficients
+    over m of g's, m and n their degrees); its entries do not involve `var`."""
     if f.vars != g.vars:
         raise ValueError("variable mismatch")
     if f.is_zero() or g.is_zero():
@@ -700,27 +696,26 @@ def sylvester_resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     n = g.degree(var)
     if m == 0 and n == 0:
         raise ValueError("both polynomials are constant in " + repr(var))
-    if m == 0:
-        return f ** n
-    if n == 0:
-        return g ** m
-    fc = f.coefficient_list(var)  # ascending
-    gc = g.coefficient_list(var)
-    size = m + n
     zero = MultiPoly.zero(f.vars)
     rows = []
-    # n rows of f's coefficients, descending, shifted right
-    for shift in range(n):
-        row = [zero] * size
-        for k, c in enumerate(reversed(fc)):  # c_m, ..., c_0
-            row[shift + k] = c
-        rows.append(row)
-    for shift in range(m):
-        row = [zero] * size
-        for k, c in enumerate(reversed(gc)):
-            row[shift + k] = c
-        rows.append(row)
-    return det_bareiss(PolyMatrix(rows))
+    for coeffs, count in ((f.coefficient_list(var), n), (g.coefficient_list(var), m)):
+        for shift in range(count):
+            row = [zero] * (m + n)
+            row[shift:shift + len(coeffs)] = reversed(coeffs)
+            rows.append(row)
+    return PolyMatrix(rows)
+
+
+def sylvester_resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
+    """Resultant of f and g in `var`: Bareiss on the Sylvester matrix, so
+    Res(c, g) = c^deg(g); both constant in `var` is an error.
+
+    The general multivariate route, kept as a test oracle.  The scan's bound
+    discriminant takes det S from `char_poly_berkowitz` on a one-axis grid
+    (lambda3, g2 free: 6.3 -> 0.90 s); unbound, that grid is the product of
+    every variable's bound (spin_half: 0.62 s here, 19.9 s in the kernel).
+    """
+    return det_bareiss(sylvester_matrix(f, g, var))
 
 
 def _univariate_coeffs(p: MultiPoly, var: str) -> list[GaussRational]:

@@ -5,13 +5,15 @@ an exact rational and takes the characteristic polynomial q(omega) =
 det(L - omega I), a polynomial in omega and the target only.  An eigenvalue is
 degenerate exactly where q and q' share a root, so the discriminant
 Res_omega(q', q) is one polynomial in the target whose zeros carry every
-double point.  One helper serves every root: it solves the square-free part
-numerically (a linear factor exactly), snaps the roots back to rationals and
-certifies each by exact evaluation.  The scan applies it to the discriminant
-(a value is exact where the discriminant vanishes exactly) and then to
-gcd(q, q') at each exact value for the double eigenvalues, and classifies
-every degeneracy through the Newton polygon of a seeded generic perturbation
-plus an exact geometric multiplicity computation.
+double point; det of the Sylvester matrix S is the omega^0 coefficient of
+det(S - omega I) from the dense kernel that gives every char poly.  One helper
+serves every root: it solves the square-free part numerically (a linear
+factor exactly), snaps the roots back to rationals and certifies each by exact
+evaluation.  The scan applies it to the discriminant (a value is exact where
+the discriminant vanishes exactly) and then to gcd(q, q') at each exact value
+for the double eigenvalues, and classifies every degeneracy through the Newton
+polygon of a seeded generic perturbation plus an exact geometric multiplicity
+computation.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ from .poly import (
     GaussRational,
     MultiPoly,
     PolyMatrix,
+    char_poly_berkowitz,
     gcd_univariate,
-    sylvester_resultant,
+    sylvester_matrix,
 )
 
 
@@ -202,7 +205,7 @@ def solve_candidates(q: MultiPoly, target: str, bindings: Mapping[str, Fraction]
     if deg < 2:
         raise ValueError(f"need deg_omega >= 2 for a double eigenvalue, got {deg}")
     dq = q.derivative(OMEGA)
-    disc = sylvester_resultant(dq, q, OMEGA)
+    disc = char_poly_berkowitz(sylvester_matrix(dq, q, OMEGA), OMEGA).coefficient_list(OMEGA)[0]
     if disc.is_zero():
         return ScanResult(target, dict(bindings), True, ())
     if disc.is_constant():

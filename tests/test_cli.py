@@ -53,6 +53,32 @@ LAMBDA3 = {
         {"rate": "g2", "operator": [["0", "0", "0"], ["0", "0", "1"], ["0", "0", "0"]]},
     ],
 }
+# the three scans of the exact-2level benchmark: (argv after --model,
+# continuum, [(value, exact, omega0, classification labels)])
+SCAN_FROZEN = [
+    (
+        ["spin_half", "--bind", "Omega=1", "--bind", "gamma_minus=0", "--bind", "gamma_y=2"],
+        False,
+        [
+            ("-2", True, ["0"], ["diabolic"]),
+            ("-1/8", True, ["0", "-15/4"], ["diabolic", "diabolic"]),
+            ("1", True, ["-3"], ["EP(2)"]),
+            ("3", True, ["-5"], ["EP(2)"]),
+        ],
+    ),
+    (
+        ["qubit", "--bind", "gamma_e=1", "--bind", "J=1/4"],
+        False,
+        [
+            ("-344895/756736", False, [], []),
+            ("0", True, ["-1/2"], ["EP(3)"]),
+            ("1406787/883972-411153/291280*i", False, [], []),
+            ("1406787/883972+411153/291280*i", False, [], []),
+            ("2508418/766423", False, [], []),
+        ],
+    ),
+    (["qubit", "--bind", "gamma_e=1", "--bind", "gamma_f=0"], True, []),
+]
 # the 4-level ladder: a 16x16 generator
 LADDER4 = Path(__file__).resolve().parent / "models" / "ladder4.json"
 
@@ -147,12 +173,21 @@ class TestPolygon:
         assert slopes == ["-1/2", "0"]
 
     def test_exact_layer_needs_no_bareiss(self, capsys, monkeypatch, tmp_path):
-        # the 4-fold diabolic point of the 9x9 lambda3 generator: every char
-        # poly comes from the dense kernel, none from Bareiss or exact_div
+        # every char poly and every scan discriminant comes from the dense
+        # kernel; the scan's square-free step still divides exactly
         def refuse(*args, **kwargs):
             raise RuntimeError("sparse determinant route called")
 
         monkeypatch.setattr(poly, "det_bareiss", refuse)
+        for argv, continuum, frozen in SCAN_FROZEN:
+            payload = run_json(capsys, ["scan", "--model"] + argv)
+            assert payload["continuum"] is continuum
+            assert [
+                (c["value"], c["exact"], c["omega0"],
+                 [k["label"] for k in c["classifications"]])
+                for c in payload["candidates"]
+            ] == frozen
+        # the 4-fold diabolic point of the 9x9 lambda3 generator: no exact_div
         monkeypatch.setattr(poly.MultiPoly, "exact_div", refuse)
         model = tmp_path / "lambda3.json"
         model.write_text(json.dumps(LAMBDA3))
@@ -349,6 +384,10 @@ class TestEncircle:
         float(re), float(im)
 
 
+WINDOW = "epsilon values must be finite and positive"
+SHORT_SWEEP = "need at least 3 distinct epsilon values"
+
+
 class TestExitCodes:
     def test_unknown_model(self):
         assert cli.main(["build", "--model", "nope"]) == 2
@@ -416,19 +455,25 @@ class TestExitCodes:
         assert out.out == ""
 
     @pytest.mark.parametrize(
-        "flag, value",
-        [("--eps-max", "inf"), ("--eps-max", "nan"), ("--eps-min", "0")],
-        ids=["inf", "nan", "0"],
+        "window, message",
+        [
+            (["--eps-max", "inf"], WINDOW),
+            (["--eps-max", "nan"], WINDOW),
+            (["--eps-min", "0"], WINDOW),
+            (["--eps-min", "1e-3", "--eps-max", "1e-3"], SHORT_SWEEP),
+            (["--eps-points", "-5"], SHORT_SWEEP),
+        ],
+        ids=["inf", "nan", "0", "one-point", "negative-count"],
     )
-    def test_scale_window_checked_before_numpy(self, capsys, flag, value):
+    def test_scale_window_checked_before_numpy(self, capsys, window, message):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = cli.main(
-                ["scale"] + QUBIT_EP + ["--omega0", "-1/2", "--perturb", "gamma_f", flag, value]
+                ["scale"] + QUBIT_EP + ["--omega0", "-1/2", "--perturb", "gamma_f"] + window
             )
         assert code == 3
         out = capsys.readouterr()
-        assert out.err == "precondition violated: epsilon values must be finite and positive\n"
+        assert out.err == f"precondition violated: {message}\n"
         assert out.out == ""
         assert [str(w.message) for w in caught] == []
 
@@ -481,8 +526,26 @@ class TestExitCodes:
                 {**DECAY, "hamiltonian": ["0g", "g0"]},
                 "hamiltonian[0]: expected a list of expression strings",
             ),
+            ({**DECAY, "hamiltonian": 5}, "hamiltonian: expected a non-empty list of rows"),
+            ({**DECAY, "hamiltonian": []}, "hamiltonian: expected a non-empty list of rows"),
+            (
+                {**DECAY, "jumps": [{"rate": "g", "operator": 5}]},
+                "jumps[0].operator: expected a non-empty list of rows",
+            ),
+            (
+                {**DECAY, "jumps": [{"rate": [1], "operator": [["0", "1"], ["0", "0"]]}]},
+                "jumps[0].rate: expected an expression string, got list",
+            ),
         ],
-        ids=["hamiltonian", "jump-operator", "string-row"],
+        ids=[
+            "hamiltonian",
+            "jump-operator",
+            "string-row",
+            "hamiltonian-int",
+            "hamiltonian-empty",
+            "jump-operator-int",
+            "rate-list",
+        ],
     )
     def test_malformed_matrix_named(self, tmp_path, capsys, data, message):
         bad = tmp_path / "numbers.json"

@@ -1,8 +1,8 @@
 """Static hygiene: every name a package module imports, and every private
 module-level name it defines, is used in it; every public module-level name
 is used somewhere in the package or exported; `__init__.py` exports exactly
-what it imports; every function the benchmark's tracer wraps exists in the
-package.
+what it imports; no module but `poly.py` reads a determinant or resultant
+oracle; every function the benchmark's tracer wraps exists in the package.
 
 No linter is a dependency, so this walks each module's AST.  `__init__.py`
 is exempt from the import check: it imports names only to re-export them.
@@ -114,6 +114,18 @@ def test_no_unreferenced_public_names():
         if not name.startswith("_") and name not in used
     )
     assert not unreferenced, f"public names nothing in the package uses: {unreferenced}"
+
+
+# test oracles and the general multivariate resultant: only poly.py may read
+# them, so none can turn into a hidden runtime fallback
+ORACLES = {"det_bareiss", "det_cofactor", "sylvester_resultant"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "poly.py"], ids=lambda p: p.name)
+def test_oracles_stay_out_of_the_runtime(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = sorted(ORACLES & (_loaded_names(tree) | set(_imported_names(tree))))
+    assert not read, f"{path.name} reads test oracles: {read}"
 
 
 def test_traced_names_resolve():

@@ -13,7 +13,9 @@ from liouville_ep.poly import (
     GaussRational,
     MultiPoly,
     PolyMatrix,
+    char_poly_berkowitz,
     gcd_univariate,
+    sylvester_matrix,
     sylvester_resultant,
 )
 from liouville_ep.scan import (
@@ -228,6 +230,9 @@ def test_discriminant_zero_iff_common_root(make):
     q, target = make()
     dq = q.derivative(OMEGA)
     disc = sylvester_resultant(dq, q, OMEGA)
+    # the scan's route: det S as the omega^0 coefficient of the dense kernel
+    kernel = char_poly_berkowitz(sylvester_matrix(dq, q, OMEGA), OMEGA)
+    assert kernel.coefficient_list(OMEGA)[0] == disc
     out = solve_candidates(q, target, {})
     assert out.candidates
     for cand in out.candidates:
@@ -385,12 +390,13 @@ class TestScanParameter:
         bindings = {"gamma_e": Fraction(1), "J": Fraction(1, 4)}
         seen = []
 
-        def spy(f, g, var):
-            res = sylvester_resultant(f, g, var)
-            seen.append(res)
+        def spy(matrix, var):
+            # the scan's discriminant is det S, the var^0 coefficient
+            res = char_poly_berkowitz(matrix, var)
+            seen.append(res.coefficient_list(var)[0])
             return res
 
-        monkeypatch.setattr(scan, "sylvester_resultant", spy)
+        monkeypatch.setattr(scan, "char_poly_berkowitz", spy)
         solve_candidates(char_poly(m.l_eff.matrix.substitute(bindings)), "gamma_f", bindings)
         (disc,) = seen
 
