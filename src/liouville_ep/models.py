@@ -217,18 +217,35 @@ class BuiltinModel:
 
 
 def _matrix_from_strings(
-    rows: Sequence[Sequence[str]], variables: Sequence[str], field: str = "matrix"
+    rows: Sequence[Sequence[str]],
+    variables: Sequence[str],
+    field: str = "matrix",
+    dim: int | None = None,
 ) -> PolyMatrix:
+    """Parse a nested list of expression strings; errors name `field`.
+
+    With `dim` given the matrix must be dim x dim.
+    """
     if not isinstance(rows, list) or not rows:
         raise ValueError(f"{field}: expected a non-empty list of rows")
     for i, row in enumerate(rows):
         if not isinstance(row, list):
             raise ValueError(f"{field}[{i}]: expected a list of expression strings")
+        if not row:
+            raise ValueError(f"{field}[{i}]: empty row")
+        if len(row) != len(rows[0]):
+            raise ValueError(
+                f"{field}[{i}]: expected {len(rows[0])} entries like row 0, got {len(row)}"
+            )
         for j, s in enumerate(row):
             if not isinstance(s, str):
                 raise ValueError(
                     f"{field}[{i}][{j}]: expected an expression string, got {type(s).__name__}"
                 )
+    if dim is not None and (len(rows), len(rows[0])) != (dim, dim):
+        raise ValueError(
+            f"{field}: expected a {dim}x{dim} matrix, got {len(rows)}x{len(rows[0])}"
+        )
     return PolyMatrix([[parse_expression(s, variables) for s in row] for row in rows])
 
 
@@ -302,18 +319,24 @@ def model_from_dict(data: Mapping) -> BuiltinModel:
     try:
         name = str(data["name"])
         dim = data["dim"]
-        if not isinstance(dim, int) or isinstance(dim, bool):
-            raise TypeError(f"dim must be an integer, got {dim!r}")
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+            raise TypeError(f"dim must be a positive integer, got {dim!r}")
         params = data["params"]
         if not isinstance(params, list) or not all(isinstance(p, str) for p in params):
             raise TypeError(f"params must be a list of strings, got {params!r}")
         params = tuple(params)
         ham_rows = data["hamiltonian"]
-        jumps = [(j["rate"], j["operator"]) for j in data.get("jumps", [])]
+        jumps = data.get("jumps", [])
+        if not isinstance(jumps, list):
+            raise TypeError(f"jumps must be a list, got {jumps!r}")
+        for k, j in enumerate(jumps):
+            if not isinstance(j, Mapping) or not {"rate", "operator"} <= j.keys():
+                raise TypeError(f"jumps[{k}] must be an object with rate and operator, got {j!r}")
+        jumps = [(j["rate"], j["operator"]) for j in jumps]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model description: {exc}") from exc
     variables = ambient_variables(params)
-    h = _matrix_from_strings(ham_rows, variables, "hamiltonian")
+    h = _matrix_from_strings(ham_rows, variables, "hamiltonian", dim)
     channels = []
     for k, (rate_text, op_rows) in enumerate(jumps):
         if not isinstance(rate_text, str):
@@ -321,7 +344,7 @@ def model_from_dict(data: Mapping) -> BuiltinModel:
                 f"jumps[{k}].rate: expected an expression string, got {type(rate_text).__name__}"
             )
         rate = parse_expression(rate_text, variables)
-        op = _matrix_from_strings(op_rows, variables, f"jumps[{k}].operator")
+        op = _matrix_from_strings(op_rows, variables, f"jumps[{k}].operator", dim)
         channels.append(JumpChannel(rate, op))
     spec = ModelSpec(name, dim, params, h, tuple(channels))
     l_full = build_liouvillian(spec)

@@ -27,7 +27,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .models import EPSILON, OMEGA
 from .poly import MultiPoly, PolyMatrix
@@ -156,8 +155,9 @@ def collapse_clusters(values: np.ndarray, tol: float) -> np.ndarray:
     The mean of m computed copies of an m-fold root is far more accurate than
     any individual copy, which scatter at radius ~ noise^(1/m).
     """
-    # imported here: scipy.cluster takes tens of ms to import, and only
-    # `eigenvalues` with a collapse tolerance (encircle) calls this
+    # scipy is imported inside functions, here and in `encircle`: it takes
+    # hundreds of ms to import, and only encircle needs it (it calls this
+    # through `eigenvalues` with a collapse tolerance)
     from scipy.cluster.hierarchy import DisjointSet
 
     vals = np.asarray(values, dtype=complex)
@@ -324,6 +324,8 @@ def encircle(l0, l1, radius: float = 0.01, steps: int = 400) -> PermutationRepor
     both are cured by more steps or a smaller radius.  A radius that is not
     finite and positive encircles nothing and raises ValueError.
     """
+    from scipy.optimize import linear_sum_assignment  # see collapse_clusters
+
     a0 = as_complex_matrix(l0)
     a1 = as_complex_matrix(l1)
     if steps < 8:

@@ -7,8 +7,8 @@ standalone SVG document as a string.
 
 from __future__ import annotations
 
+import html
 import math
-from xml.sax.saxutils import escape
 
 WIDTH = 640
 HEIGHT = 480
@@ -94,7 +94,7 @@ class Figure:
             f'viewBox="0 0 {WIDTH} {HEIGHT}">',
             f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
             f'<text x="{WIDTH / 2}" y="20" text-anchor="middle" font-size="14" '
-            f'font-family="sans-serif">{escape(self.title)}</text>',
+            f'font-family="sans-serif">{html.escape(self.title, quote=False)}</text>',
         ]
         axis = (
             f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{iw}" height="{ih}" '
@@ -123,12 +123,13 @@ class Figure:
             )
         parts.append(
             f'<text x="{MARGIN_L + iw / 2}" y="{HEIGHT - 12}" text-anchor="middle" '
-            f'font-size="12" font-family="sans-serif">{escape(self.xlabel)}</text>'
+            f'font-size="12" font-family="sans-serif">'
+            f"{html.escape(self.xlabel, quote=False)}</text>"
         )
         parts.append(
             f'<text x="16" y="{MARGIN_T + ih / 2}" text-anchor="middle" font-size="12" '
             f'font-family="sans-serif" transform="rotate(-90 16 {MARGIN_T + ih / 2})">'
-            f"{escape(self.ylabel)}</text>"
+            f"{html.escape(self.ylabel, quote=False)}</text>"
         )
         for pts, color in self.lines:
             if not pts:

@@ -5,6 +5,7 @@ import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from xml.sax.saxutils import escape  # the reference escape; the package uses html.escape
 
 import pytest
 
@@ -364,6 +365,18 @@ class TestScale:
         assert calls == []
 
 
+# a model name that SVG text must escape, with quotes that it need not
+TITLE_MODEL = 'decay & <"loss">'
+COLD_ENCIRCLE = """
+import json, sys
+from liouville_ep import cli
+assert "scipy" not in sys.modules, "importing the CLI loaded scipy"
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+assert "scipy.optimize" in sys.modules
+"""
+
+
 class TestEncircle:
     def test_cycles_header_and_rows(self, capsys):
         code = cli.main(
@@ -382,6 +395,28 @@ class TestEncircle:
         assert float(t) == 0.0
         assert idx == "0"
         float(re), float(im)
+
+    def test_cold_process(self, capsys, tmp_path, fresh_python):
+        # the suite has long loaded scipy, so only a fresh interpreter takes
+        # encircle's function-level scipy imports cold
+        titled = tmp_path / "titled.json"
+        titled.write_text(json.dumps({**DECAY, "name": TITLE_MODEL}))
+        runs = [
+            ["encircle", *SPIN_SLICE, "--bind", "gamma_x=1", "--out", str(tmp_path / "spin.csv")],
+            ["encircle", "--model", str(titled), "--bind", "g=1", "--svg",
+             "--out", str(tmp_path / "titled.csv")],
+        ]
+        fresh_python(COLD_ENCIRCLE, json.dumps(runs))
+        assert cli.main(runs[0][:-2]) == 0
+
+        def cycles(text):
+            return text.split(" cycles=", 1)[1].split(" ", 1)[0]
+
+        warm = cycles(capsys.readouterr().out)
+        assert warm == "[2,1,1]"
+        assert cycles((tmp_path / "spin.csv").read_text()) == warm
+        svg = (tmp_path / "titled.svg").read_text()
+        assert f">Eigenvalue loops ({escape(TITLE_MODEL)}, generic)</text>" in svg
 
 
 WINDOW = "epsilon values must be finite and positive"
@@ -493,6 +528,7 @@ class TestExitCodes:
             {**DECAY, "dim": 2.9},
             {**DECAY, "dim": "2"},
             {**DECAY, "dim": True},
+            {**DECAY, "dim": 0},
         ],
         ids=[
             "no-dim",
@@ -503,6 +539,7 @@ class TestExitCodes:
             "dim-float",
             "dim-string",
             "dim-bool",
+            "dim-zero",
         ],
     )
     def test_malformed_model_dict(self, tmp_path, capsys, data):
@@ -536,6 +573,22 @@ class TestExitCodes:
                 {**DECAY, "jumps": [{"rate": [1], "operator": [["0", "1"], ["0", "0"]]}]},
                 "jumps[0].rate: expected an expression string, got list",
             ),
+            ({**DECAY, "hamiltonian": [[]]}, "hamiltonian[0]: empty row"),
+            (
+                {**DECAY, "hamiltonian": [["0", "0"], ["0"]]},
+                "hamiltonian[1]: expected 2 entries like row 0, got 1",
+            ),
+            (
+                {**DECAY, "jumps": [{"rate": "g", "operator": [["0", "1"], ["0"]]}]},
+                "jumps[0].operator[1]: expected 2 entries like row 0, got 1",
+            ),
+            ({**DECAY, "jumps": 5}, "jumps must be a list, got 5"),
+            ({**DECAY, "jumps": [5]}, "jumps[0] must be an object with rate and operator, got 5"),
+            (
+                {**DECAY, "jumps": [{"rate": "g", "operator": [["0"] * 3] * 3}]},
+                "jumps[0].operator: expected a 2x2 matrix, got 3x3",
+            ),
+            ({**DECAY, "hamiltonian": [["0"]]}, "hamiltonian: expected a 2x2 matrix, got 1x1"),
         ],
         ids=[
             "hamiltonian",
@@ -545,6 +598,13 @@ class TestExitCodes:
             "hamiltonian-empty",
             "jump-operator-int",
             "rate-list",
+            "hamiltonian-empty-row",
+            "hamiltonian-ragged",
+            "jump-operator-ragged",
+            "jumps-int",
+            "jump-int",
+            "jump-operator-size",
+            "hamiltonian-size",
         ],
     )
     def test_malformed_matrix_named(self, tmp_path, capsys, data, message):

@@ -2,7 +2,10 @@
 module-level name it defines, is used in it; every public module-level name
 is used somewhere in the package or exported; `__init__.py` exports exactly
 what it imports; no module but `poly.py` reads a determinant or resultant
-oracle; every function the benchmark's tracer wraps exists in the package.
+oracle; every function the benchmark's tracer wraps exists in the package;
+no module imports scipy, or a module that drags in the network stack, at
+module level, and a fresh interpreter that imports the CLI and runs the
+exact layer loads none of them.
 
 No linter is a dependency, so this walks each module's AST.  `__init__.py`
 is exempt from the import check: it imports names only to re-export them.
@@ -11,6 +14,7 @@ is exempt from the import check: it imports names only to re-export them.
 import ast
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -161,3 +165,64 @@ def test_all_matches_reexports():
     package = importlib.import_module("liouville_ep")
     unresolved = [name for name in exported if not hasattr(package, name)]
     assert not unresolved, f"__all__ names the package lacks: {unresolved}"
+
+
+# a one-shot CLI process pays for every module its import loads: scipy costs
+# more than the rest of the package together and only `encircle` needs it, and
+# `xml.sax` pulls in urllib, http and email; the package imports scipy inside
+# the functions that use it and escapes SVG text with `html.escape`
+HEAVY = ("scipy", "xml.sax", "urllib", "http", "email")
+
+
+def _is_heavy(module: str) -> bool:
+    return any(module == h or module.startswith(h + ".") for h in HEAVY)
+
+
+def _module_level_imports(tree: ast.Module):
+    """Absolute module names imported outside every function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+        stack.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_heavy_module_level_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    heavy = sorted(m for m in _module_level_imports(tree) if _is_heavy(m))
+    assert not heavy, f"{path.name} imports at module level: {heavy}"
+
+
+# the three exact-2level scans of the benchmark and the lambda3 polygon at its
+# 4-fold diabolic point; the interpreter's own start-up may already load some
+# of HEAVY (urllib.parse, say), so only the modules these runs add count
+EXACT_RUNS = [
+    ["scan", "--model", "spin_half", "--bind", "Omega=1", "--bind", "gamma_minus=0",
+     "--bind", "gamma_y=2"],
+    ["scan", "--model", "qubit", "--bind", "gamma_e=1", "--bind", "J=1/4"],
+    ["scan", "--model", "qubit", "--bind", "gamma_e=1", "--bind", "gamma_f=0"],
+    ["polygon", "--model", str(ROOT / "perfbench" / "models" / "lambda3.json"),
+     "--bind", "g1=1", "--bind", "g2=1", "--bind", "O=0", "--omega0", "-1/2"],
+]
+LOADED_BY_RUNS = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from liouville_ep import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_exact_runs_load_no_heavy_module(fresh_python):
+    loaded = json.loads(fresh_python(LOADED_BY_RUNS, json.dumps(EXACT_RUNS)))
+    assert "liouville_ep.cli" in loaded and "numpy" in loaded
+    heavy = [m for m in loaded if _is_heavy(m)]
+    assert not heavy, f"importing the CLI and running the exact layer loaded {heavy}"
