@@ -317,6 +317,11 @@ def model_from_dict(data: Mapping) -> BuiltinModel:
     Lindblad channels; the bundle has no jump split.
     """
     try:
+        if not isinstance(data, Mapping):
+            raise TypeError(f"expected a JSON object, got {type(data).__name__}")
+        for key in ("name", "dim", "params", "hamiltonian"):
+            if key not in data:
+                raise ValueError(f"missing key {key!r}")
         name = str(data["name"])
         dim = data["dim"]
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
@@ -333,7 +338,7 @@ def model_from_dict(data: Mapping) -> BuiltinModel:
             if not isinstance(j, Mapping) or not {"rate", "operator"} <= j.keys():
                 raise TypeError(f"jumps[{k}] must be an object with rate and operator, got {j!r}")
         jumps = [(j["rate"], j["operator"]) for j in jumps]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed model description: {exc}") from exc
     variables = ambient_variables(params)
     h = _matrix_from_strings(ham_rows, variables, "hamiltonian", dim)

@@ -5,17 +5,18 @@ into numerical experiments: eigenvalues of constant matrices or stacks of them
 (LAPACK via numpy.linalg.eigvals, one call per stack), which also gives
 polynomial roots as companion-matrix eigenvalues (`roots_aberth`, and the
 batched `_companion_roots` inside), epsilon scaling sweeps and adiabatic
-encircling of a degeneracy (each one stacked eigenvalue call, then sequential
-matching), amoeba point clouds (the whole epsilon grid through the batched
-root kernel), and tentacle slope fits.
+encircling of a degeneracy (each one stacked eigenvalue call, then nearest-
+neighbour matching), amoeba point clouds (the whole epsilon grid through the
+batched root kernel), and tentacle slope fits, with numpy alone.
 
 Accuracy note on degenerate spectra: a defective eigenvalue of multiplicity m
 is only computable to about eps_machine^(1/m) per root by any backward-stable
 dense method, but the centroid of the computed cluster is first-order
 accurate.  `eigenvalues` therefore accepts an optional collapse tolerance that
-replaces clustered roots by their mean (keeping multiplicity); callers that
-track nearly-degenerate but genuinely distinct eigenvalues must leave it off
-or pass a tolerance well below the smallest true splitting.
+replaces clustered roots by their mean (keeping multiplicity, one call for a
+whole stack); callers that track nearly-degenerate but genuinely distinct
+eigenvalues must leave it off or pass a tolerance well below the smallest
+true splitting.
 """
 
 from __future__ import annotations
@@ -150,27 +151,26 @@ def roots_aberth(coeffs: Sequence[complex]) -> np.ndarray:
 
 
 def collapse_clusters(values: np.ndarray, tol: float) -> np.ndarray:
-    """Single-linkage clustering; members of each cluster replaced by the mean.
-
-    The mean of m computed copies of an m-fold root is far more accurate than
-    any individual copy, which scatter at radius ~ noise^(1/m).
+    """Single-linkage clustering of each spectrum of a stack (..., n): members
+    of a cluster (a connected component of |v_i - v_j| <= tol, found by
+    propagating the least label) are replaced by their mean, which for m
+    computed copies of an m-fold root is far more accurate than any one copy.
     """
-    # scipy is imported inside functions, here and in `encircle`: it takes
-    # hundreds of ms to import, and only encircle needs it (it calls this
-    # through `eigenvalues` with a collapse tolerance)
-    from scipy.cluster.hierarchy import DisjointSet
-
     vals = np.asarray(values, dtype=complex)
-    clusters = DisjointSet(range(vals.size))
-    close = np.abs(vals[:, None] - vals[None, :]) <= tol
-    for i, j in zip(*np.nonzero(close)):
-        clusters.merge(i, j)
-    out = vals.copy()
-    for members in clusters.subsets():
-        if len(members) > 1:
-            idx = sorted(members)
-            out[idx] = vals[idx].mean()
-    return out
+    n = vals.shape[-1]
+    close = np.abs(vals[..., :, None] - vals[..., None, :]) <= tol
+    labels = np.broadcast_to(np.arange(n), vals.shape)
+    while True:
+        spread = np.where(close, labels[..., None, :], n).min(axis=-1, initial=n)
+        if np.array_equal(spread, labels):
+            break
+        labels = spread
+    same = labels[..., :, None] == labels[..., None, :]
+    # members packed first, in index order: a sum ignores where its members sit
+    members = np.where(same, vals[..., None, :], 0)
+    packed = np.take_along_axis(members, np.argsort(~same, axis=-1, kind="stable"), -1)
+    size = same.sum(axis=-1)
+    return np.where(size > 1, packed.sum(axis=-1) / size, vals)
 
 
 def eigenvalues(matrix, collapse_tol: float | None = None) -> np.ndarray:
@@ -182,10 +182,7 @@ def eigenvalues(matrix, collapse_tol: float | None = None) -> np.ndarray:
     """
     values = np.linalg.eigvals(as_complex_matrix(matrix))
     if collapse_tol is not None:
-        flat = values.reshape(-1, values.shape[-1])
-        values = np.array([collapse_clusters(v, collapse_tol) for v in flat]).reshape(
-            values.shape
-        )
+        values = collapse_clusters(values, collapse_tol)
     order = np.lexsort((values.imag, values.real))
     return np.take_along_axis(values, order, axis=-1)
 
@@ -310,6 +307,20 @@ def _cluster_reps(values: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return np.array(reps, dtype=complex), mults
 
 
+def _nearest(old: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, float]:
+    """Match old[i] to its nearest new value new[order[i]]; returns order and
+    the largest matched distance.  Within `encircle`'s contract (that distance
+    below half the smallest gap) nearest values are unique and this is the
+    least-cost matching, so two old values sharing one raise NumericalError."""
+    cost = np.abs(old[:, None] - new[None, :])
+    order = np.argmin(cost, axis=1)
+    if len(set(order.tolist())) < order.size:
+        raise NumericalError(
+            "tracking ambiguous: two eigenvalues share a nearest neighbour; increase steps"
+        )
+    return order, float(cost[np.arange(order.size), order].max())
+
+
 ENCIRCLE_COLLAPSE_TOL = 1e-4
 
 
@@ -319,13 +330,12 @@ def encircle(l0, l1, radius: float = 0.01, steps: int = 400) -> PermutationRepor
     Exactly coincident eigenvalues (collapsed within ENCIRCLE_COLLAPSE_TOL at
     every step) are tracked as one representative with multiplicity, so persistent
     degeneracies come out as fixed slots rather than arbitrary 2-cycles.
-    Raises NumericalError when the matching is ambiguous (residual not below
-    half the minimal gap along the path) or the cluster structure changes;
+    Raises NumericalError when the matching is ambiguous (two eigenvalues
+    share a nearest neighbour, or the residual is not below half the minimal
+    gap along the path) or the cluster structure changes;
     both are cured by more steps or a smaller radius.  A radius that is not
     finite and positive encircles nothing and raises ValueError.
     """
-    from scipy.optimize import linear_sum_assignment  # see collapse_clusters
-
     a0 = as_complex_matrix(l0)
     a1 = as_complex_matrix(l1)
     if steps < 8:
@@ -337,8 +347,7 @@ def encircle(l0, l1, radius: float = 0.01, steps: int = 400) -> PermutationRepor
     spectra = eigenvalues(a0 + loop * a1, ENCIRCLE_COLLAPSE_TOL)
     init_vals = spectra[0]  # t = 0
     reps, mults = _cluster_reps(init_vals)
-    start_reps = reps.copy()
-    start_mults = list(mults)
+    start_reps = reps
     tracking_residual = 0.0
     min_gap = math.inf
 
@@ -351,38 +360,30 @@ def encircle(l0, l1, radius: float = 0.01, steps: int = 400) -> PermutationRepor
     trace = [expand(reps)]
     for vals in spectra[1:]:
         new_reps, new_mults = _cluster_reps(vals)
-        if sorted(new_mults) != sorted(start_mults):
+        if sorted(new_mults) != sorted(mults):
             raise NumericalError(
                 "degeneracy structure changed along the loop; "
                 "increase steps or shrink the radius"
             )
-        cost = np.abs(reps[:, None] - new_reps[None, :])
-        rows, cols = linear_sum_assignment(cost)
-        order = np.empty(len(new_reps), dtype=int)
-        order[rows] = cols
-        matched = new_reps[order]
+        order, residual = _nearest(reps, new_reps)
         matched_mults = [new_mults[j] for j in order]
         if matched_mults != mults:
             raise NumericalError(
                 "eigenvalue multiplicities were exchanged between clusters; "
                 "increase steps"
             )
-        tracking_residual = max(tracking_residual, float(cost[rows, cols].max()))
+        tracking_residual = max(tracking_residual, residual)
         if len(new_reps) > 1:
             d = np.abs(new_reps[:, None] - new_reps[None, :])
             np.fill_diagonal(d, np.inf)
             min_gap = min(min_gap, float(d.min()))
-        reps = matched
+        reps = new_reps[order]
         trace.append(expand(reps))
     # close the loop: map the continued representatives back onto the start set
-    cost = np.abs(reps[:, None] - start_reps[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    perm_rep = np.empty(len(reps), dtype=int)
-    perm_rep[rows] = cols
-    tracking_residual = max(tracking_residual, float(cost[rows, cols].max()))
-    for i, j in enumerate(perm_rep):
-        if start_mults[i] != start_mults[j]:
-            raise NumericalError("loop closure mixes clusters of different size")
+    perm_rep, residual = _nearest(reps, start_reps)
+    tracking_residual = max(tracking_residual, residual)
+    if any(mults[i] != mults[j] for i, j in enumerate(perm_rep)):
+        raise NumericalError("loop closure mixes clusters of different size")
     if not tracking_residual < min_gap / 2:
         raise NumericalError(
             f"tracking ambiguous: residual {tracking_residual:.3e} is not below "
@@ -391,15 +392,9 @@ def encircle(l0, l1, radius: float = 0.01, steps: int = 400) -> PermutationRepor
         )
     # expand cluster slots: cluster i occupies consecutive slots in the sorted
     # start spectrum
-    offsets = []
-    total = 0
-    for m in start_mults:
-        offsets.append(total)
-        total += m
-    perm = [0] * total
-    for i, j in enumerate(perm_rep):
-        for k in range(start_mults[i]):
-            perm[offsets[i] + k] = offsets[j] + k
+    offsets = [sum(mults[:i]) for i in range(len(mults))]
+    perm = [offsets[j] + k for i, j in enumerate(perm_rep) for k in range(mults[i])]
+    total = len(perm)
     seen = [False] * total
     cycles = []
     for i in range(total):

@@ -370,10 +370,10 @@ TITLE_MODEL = 'decay & <"loss">'
 COLD_ENCIRCLE = """
 import json, sys
 from liouville_ep import cli
-assert "scipy" not in sys.modules, "importing the CLI loaded scipy"
 for argv in json.loads(sys.argv[1]):
     assert cli.main(argv) == 0, argv
-assert "scipy.optimize" in sys.modules
+scipy = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not scipy, f"encircle loaded {scipy}"
 """
 
 
@@ -397,8 +397,8 @@ class TestEncircle:
         float(re), float(im)
 
     def test_cold_process(self, capsys, tmp_path, fresh_python):
-        # the suite has long loaded scipy, so only a fresh interpreter takes
-        # encircle's function-level scipy imports cold
+        # the suite's process may have loaded anything by now, so only a fresh
+        # interpreter shows what a one-shot encircle loads
         titled = tmp_path / "titled.json"
         titled.write_text(json.dumps({**DECAY, "name": TITLE_MODEL}))
         runs = [
@@ -417,6 +417,16 @@ class TestEncircle:
         assert cycles((tmp_path / "spin.csv").read_text()) == warm
         svg = (tmp_path / "titled.svg").read_text()
         assert f">Eigenvalue loops ({escape(TITLE_MODEL)}, generic)</text>" in svg
+
+    def test_coarse_loop_is_a_numerical_failure(self, capsys):
+        # eight steps of radius 0.1 move the spin_half eigenvalues too far for
+        # nearest-neighbour matching to be unambiguous
+        code = cli.main(["encircle", *SPIN_SLICE, "--bind", "gamma_x=1",
+                         "--radius", "0.1", "--steps", "8"])
+        assert code == 4
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("numerical failure: tracking ambiguous")
 
 
 WINDOW = "epsilon values must be finite and positive"
@@ -518,17 +528,27 @@ class TestExitCodes:
         assert cli.main(["build", "--model", str(bad)]) == 2
 
     @pytest.mark.parametrize(
-        "data",
+        "data, message",
         [
-            {"name": "x"},
-            {**DECAY, "jumps": [{"operator": [["0", "1"], ["0", "0"]]}]},
-            {**DECAY, "jumps": [{"rate": "g"}]},
-            {**DECAY, "params": "g"},
-            {**DECAY, "params": "gamma"},
-            {**DECAY, "dim": 2.9},
-            {**DECAY, "dim": "2"},
-            {**DECAY, "dim": True},
-            {**DECAY, "dim": 0},
+            ({"name": "x"}, "missing key 'dim'"),
+            (
+                {**DECAY, "jumps": [{"operator": [["0", "1"], ["0", "0"]]}]},
+                "jumps[0] must be an object with rate and operator",
+            ),
+            (
+                {**DECAY, "jumps": [{"rate": "g"}]},
+                "jumps[0] must be an object with rate and operator",
+            ),
+            ({**DECAY, "params": "g"}, "params must be a list of strings, got 'g'"),
+            ({**DECAY, "params": "gamma"}, "params must be a list of strings, got 'gamma'"),
+            ({**DECAY, "dim": 2.9}, "dim must be a positive integer, got 2.9"),
+            ({**DECAY, "dim": "2"}, "dim must be a positive integer, got '2'"),
+            ({**DECAY, "dim": True}, "dim must be a positive integer, got True"),
+            ({**DECAY, "dim": 0}, "dim must be a positive integer, got 0"),
+            ([1], "expected a JSON object, got list"),
+            ("x", "expected a JSON object, got str"),
+            ({"dim": 2}, "missing key 'name'"),
+            ({k: v for k, v in DECAY.items() if k != "hamiltonian"}, "missing key 'hamiltonian'"),
         ],
         ids=[
             "no-dim",
@@ -540,13 +560,17 @@ class TestExitCodes:
             "dim-string",
             "dim-bool",
             "dim-zero",
+            "top-level-list",
+            "top-level-string",
+            "no-name",
+            "no-hamiltonian",
         ],
     )
-    def test_malformed_model_dict(self, tmp_path, capsys, data):
+    def test_malformed_model_dict(self, tmp_path, capsys, data, message):
         bad = tmp_path / "incomplete.json"
         bad.write_text(json.dumps(data))
         assert cli.main(["build", "--model", str(bad)]) == 2
-        assert "malformed model description" in capsys.readouterr().err
+        assert f"malformed model description: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "data, message",

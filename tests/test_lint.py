@@ -3,9 +3,9 @@ module-level name it defines, is used in it; every public module-level name
 is used somewhere in the package or exported; `__init__.py` exports exactly
 what it imports; no module but `poly.py` reads a determinant or resultant
 oracle; every function the benchmark's tracer wraps exists in the package;
-no module imports scipy, or a module that drags in the network stack, at
-module level, and a fresh interpreter that imports the CLI and runs the
-exact layer loads none of them.
+no module imports scipy anywhere, or a module that drags in the network
+stack at module level, and a fresh interpreter that imports the CLI and runs
+any subcommand loads none of them.
 
 No linter is a dependency, so this walks each module's AST.  `__init__.py`
 is exempt from the import check: it imports names only to re-export them.
@@ -167,10 +167,9 @@ def test_all_matches_reexports():
     assert not unresolved, f"__all__ names the package lacks: {unresolved}"
 
 
-# a one-shot CLI process pays for every module its import loads: scipy costs
-# more than the rest of the package together and only `encircle` needs it, and
-# `xml.sax` pulls in urllib, http and email; the package imports scipy inside
-# the functions that use it and escapes SVG text with `html.escape`
+# a one-shot CLI process pays for every module it loads: scipy costs more than
+# the rest of the package together, and `xml.sax` pulls in urllib, http and
+# email; the package needs numpy alone and escapes SVG text with `html.escape`
 HEAVY = ("scipy", "xml.sax", "urllib", "http", "email")
 
 
@@ -197,6 +196,18 @@ def test_no_heavy_module_level_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     heavy = sorted(m for m in _module_level_imports(tree) if _is_heavy(m))
     assert not heavy, f"{path.name} imports at module level: {heavy}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_scipy_imports(path):
+    # function bodies included: scipy is no dependency of the package
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    imported += [
+        n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level == 0
+    ]
+    scipy = sorted(m for m in imported if m == "scipy" or m.startswith("scipy."))
+    assert not scipy, f"{path.name} imports {scipy}"
 
 
 # the three exact-2level scans of the benchmark and the lambda3 polygon at its
@@ -226,3 +237,21 @@ def test_exact_runs_load_no_heavy_module(fresh_python):
     assert "liouville_ep.cli" in loaded and "numpy" in loaded
     heavy = [m for m in loaded if _is_heavy(m)]
     assert not heavy, f"importing the CLI and running the exact layer loaded {heavy}"
+
+
+# the subcommands that leave the exact layer, each writing its SVG too
+QUBIT_EP = ["--model", "qubit", "--bind", "gamma_e=1", "--bind", "gamma_f=0", "--bind", "J=1/4"]
+NUMERIC_RUNS = [
+    ["amoeba", *QUBIT_EP, "--omega0", "-1/2", "--perturb", "gamma_f", "--svg"],
+    ["scale", *QUBIT_EP, "--omega0", "-1/2", "--perturb", "gamma_f", "--svg"],
+    ["encircle", *QUBIT_EP, "--perturb", "gamma_f", "--svg"],
+]
+
+
+def test_numeric_runs_load_no_heavy_module(fresh_python, tmp_path):
+    runs = [[*argv, "--out", str(tmp_path / f"{argv[0]}.csv")] for argv in NUMERIC_RUNS]
+    loaded = json.loads(fresh_python(LOADED_BY_RUNS, json.dumps(runs)))
+    svgs = sorted(p.name for p in tmp_path.glob("*.svg"))
+    assert svgs == ["amoeba.svg", "encircle.svg", "scale.svg"]
+    heavy = [m for m in loaded if _is_heavy(m)]
+    assert not heavy, f"importing the CLI and running amoeba, scale and encircle loaded {heavy}"

@@ -1,11 +1,13 @@
 """Floating-point layer: root finding, eigenvalues, sweeps, amoebas, fits."""
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liouville_ep import numerics
 from liouville_ep.expr import parse_expression
@@ -21,6 +23,7 @@ from liouville_ep.numerics import (
     encircle,
     fit_tentacles,
     _companion_roots,
+    _nearest,
     roots_aberth,
     scaling_sweep,
 )
@@ -186,6 +189,51 @@ class TestCollapseClusters:
     def test_separated_values_untouched(self):
         vals = collapse_clusters(np.array([0.0, 3.0]), 1.0)
         assert np.allclose(vals, [0.0, 3.0])
+
+    def test_stack_matches_row_by_row(self):
+        stack = np.array(
+            [
+                [1.8, 0.0, 0.9],  # 1.8 reaches 0.0 only through 0.9: two propagation rounds
+                [complex(-0.0, -0.0), 3.0 - 0.0j, -7.5 + 2j],  # no cluster
+                [0.1 + 0.3j, 0.1 + 0.2j, 5.0],
+                [1e-9, -1e-9j, 2e-9 + 1e-9j],
+            ]
+        )
+        collapsed = collapse_clusters(stack, 1.0)
+        rows = np.array([collapse_clusters(row, 1.0) for row in stack])
+        assert np.array_equal(collapsed, rows)
+        assert np.allclose(collapsed[0], 0.9)
+        assert collapsed[1].tobytes() == stack[1].tobytes()
+        assert np.array_equal(collapse_clusters(stack[None], 1.0)[0], collapsed)
+
+
+# distinct lattice points: every gap is at least 1, far above rounding
+DISTINCT_POINTS = st.lists(
+    st.tuples(st.integers(-20, 20), st.integers(-20, 20)), min_size=1, max_size=6, unique=True
+)
+
+
+class TestNearestMatching:
+    @settings(max_examples=200, deadline=None)
+    @given(DISTINCT_POINTS, st.data())
+    def test_recovers_the_least_cost_permutation(self, points, data):
+        new = np.array([complex(*p) for p in points])
+        n = new.size
+        perm = data.draw(st.permutations(range(n)))
+        gap = min((abs(a - b) for a, b in itertools.combinations(new, 2)), default=1.0)
+        moves = data.draw(st.lists(st.tuples(st.floats(0, 0.99), st.floats(0, 2 * math.pi)),
+                                   min_size=n, max_size=n))
+        old = np.array([new[j] + f * gap / 2 * cmath.exp(1j * t) for j, (f, t) in zip(perm, moves)])
+        order, residual = _nearest(old, new)
+        assert list(order) == list(perm)
+        assert residual < gap / 2
+        cost = np.abs(old[:, None] - new[None, :])
+        best = min(itertools.permutations(range(n)), key=lambda s: cost[range(n), s].sum())
+        assert list(best) == list(perm)
+
+    def test_shared_nearest_neighbour_raises(self):
+        with pytest.raises(NumericalError, match="share a nearest neighbour"):
+            _nearest(np.array([0.0, 0.1]), np.array([0.05, 5.0]))
 
 
 class TestScalingSweep:
