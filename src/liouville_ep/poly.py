@@ -8,13 +8,18 @@ lists are never extended silently: pick the ambient list for a computation up
 front and stick with it.
 
 The matrix layer (`PolyMatrix`) provides the handful of exact linear-algebra
-routines the rest of the package needs: Kronecker products, the Sylvester
-matrix and the dense char-poly kernel `char_poly_berkowitz` (denominators
-cleared once, division-free Berkowitz over Gaussian-integer pairs at integer
-points of the free variables, exact interpolation), the one runtime
-determinant route: it gives every char poly and the scan's discriminant.  The
-Bareiss determinant, the multivariate Sylvester resultant on it and cofactor
-expansion are test oracles only.
+routines the rest of the package needs: Kronecker products and the dense
+char-poly kernel `char_poly_berkowitz` (denominators cleared once,
+division-free Berkowitz over Gaussian-integer pairs at integer points of the
+free variables, exact interpolation), the one runtime determinant route.
+
+The dense univariate layer serves a scan once its parameters are bound: lists
+of Gaussian-integer pairs with a subresultant PRS (resultant and gcd), Yun's
+square-free decomposition `square_free` and homogenised `horner` evaluation.
+
+The Bareiss determinant, the Sylvester matrix and the multivariate resultant
+on it, cofactor expansion, `gcd_univariate` and `MultiPoly.exact_div` are
+test oracles only.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import product, zip_longest
 from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -685,6 +690,186 @@ def char_poly_berkowitz(matrix: PolyMatrix, var: str) -> MultiPoly:
     return MultiPoly(vs, terms)
 
 
+# -- dense univariate layer ---------------------------------------------------
+#
+# Once a scan has bound every parameter but its target, everything it derives
+# from the char poly is univariate.  These helpers take dense lists of
+# Gaussian-integer pairs (re, im), highest power first with a nonzero leading
+# pair ([] is zero), as `_berkowitz` does.
+
+Dense = list[tuple[int, int]]
+
+
+def _gmul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _gdiv(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """x / y for Gaussian integers where y divides x."""
+    if not y[1]:
+        return (x[0] // y[0], x[1] // y[0])
+    n = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) // n, (x[1] * y[0] - x[0] * y[1]) // n)
+
+
+def _gpow(x: tuple[int, int], k: int) -> tuple[int, int]:
+    out = (1, 0)
+    for _ in range(k):
+        out = _gmul(out, x)
+    return out
+
+
+def _trim(p: Dense) -> Dense:
+    k = 0
+    while k < len(p) and p[k] == (0, 0):
+        k += 1
+    return p[k:]
+
+
+def _derivative(p: Dense) -> Dense:
+    return [(k * re, k * im) for k, (re, im) in zip(range(len(p) - 1, 0, -1), p)]
+
+
+def _ggcd(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """gcd of two Gaussian integers, up to a unit: Euclid with the quotient
+    rounded to the nearest Gaussian integer, which at least halves the norm."""
+    while y != (0, 0):
+        n = y[0] * y[0] + y[1] * y[1]
+        t0, t1 = x[0] * y[0] + x[1] * y[1], x[1] * y[0] - x[0] * y[1]
+        q0, q1 = (2 * t0 + n) // (2 * n), (2 * t1 + n) // (2 * n)
+        x, y = y, (x[0] - q0 * y[0] + q1 * y[1], x[1] - q0 * y[1] - q1 * y[0])
+    return x
+
+
+def _content(p: Dense) -> tuple[int, int]:
+    """gcd of the coefficients of p in Z[i], up to a unit; (0, 0) for p = 0."""
+    g = math.gcd(*(x for c in p for x in c))
+    if not g or not any(im for _, im in p):
+        return (g, 0)
+    out = (0, 0)
+    for re, im in p:
+        out = _ggcd((re // g, im // g), out)
+    return (out[0] * g, out[1] * g)
+
+
+def _primitive(p: Dense) -> Dense:
+    """p over its content, times the unit that puts its leading pair in
+    re > 0, im >= 0."""
+    c = _content(p)
+    p = [_gdiv(x, c) for x in p]
+    while not (p[0][0] > 0 and p[0][1] >= 0):
+        p = [(-im, re) for re, im in p]
+    return p
+
+
+def _prem(a: Dense, b: Dense) -> Dense:
+    """Pseudo-remainder of a by b: lc(b)^(deg a - deg b + 1) * a mod b, which
+    is integral.  Needs deg a >= deg b >= 0."""
+    (lr, li), tail = b[0], b[1:]
+    for _ in range(len(a) - len(b) + 1):
+        cr, ci = a[0]
+        a = [
+            (lr * xr - li * xi - cr * yr + ci * yi, lr * xi + li * xr - cr * yi - ci * yr)
+            for (xr, xi), (yr, yi) in zip_longest(a[1:], tail, fillvalue=(0, 0))
+        ]
+    return _trim(a)
+
+
+def _exact_quotient(a: Dense, b: Dense) -> Dense:
+    """a / b for a primitive b that divides a over the fractions: by Gauss's
+    lemma the quotient is integral, so every step divides by lc(b) exactly."""
+    lead, tail = b[0], b[1:]
+    quotient = []
+    for _ in range(len(a) - len(b) + 1):
+        cr, ci = c = _gdiv(a[0], lead)
+        quotient.append(c)
+        a = [
+            (xr - cr * yr + ci * yi, xi - cr * yi - ci * yr)
+            for (xr, xi), (yr, yi) in zip_longest(a[1:], tail, fillvalue=(0, 0))
+        ]
+    return quotient
+
+
+def _subresultant_prs(a: Dense, b: Dense) -> tuple[tuple[int, int], Dense]:
+    """Res(a, b) and the last nonzero remainder of the subresultant PRS, a
+    scalar multiple of gcd(a, b) (Collins 1967; Brown & Traub 1971; Cohen,
+    Algorithm 3.3.7).  With a = 0 or b = 0 the resultant is 0 and the
+    remainder is the other argument.
+
+    The contents of a and b are divided out first.  Each pseudo-remainder is
+    then divided by the factor g * h^delta that the subresultant theorem says
+    it carries, so coefficients grow only linearly along the sequence.
+    """
+    if not a or not b:
+        return (0, 0), a or b
+    sign = 1
+    if len(a) < len(b):
+        a, b = b, a
+        sign = -1 if (len(a) - 1) * (len(b) - 1) % 2 else 1
+    if len(b) == 1:
+        res = _gpow(b[0], len(a) - 1)
+        return (sign * res[0], sign * res[1]), b
+    ca, cb = _content(a), _content(b)
+    scale = _gmul(_gpow(ca, len(b) - 1), _gpow(cb, len(a) - 1))
+    scale = (sign * scale[0], sign * scale[1])
+    a = [_gdiv(c, ca) for c in a]
+    b = [_gdiv(c, cb) for c in b]
+    g = h = (1, 0)
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            scale = (-scale[0], -scale[1])
+        d = _gmul(g, _gpow(h, delta))
+        a, b = b, [_gdiv(c, d) for c in _prem(a, b)]
+        g = a[0]
+        if delta:
+            h = _gdiv(_gpow(g, delta), _gpow(h, delta - 1))
+    if not b:
+        return (0, 0), a
+    return _gmul(scale, _gdiv(_gpow(b[0], len(a) - 1), _gpow(h, len(a) - 2))), b
+
+
+def square_free(p: Dense) -> tuple[Dense, list[Dense]]:
+    """Square-free part of a non-constant p, and its Yun decomposition (Yun
+    1976): primitive factors a_1, a_2, ..., square-free and pairwise coprime,
+    with p a scalar times a_1 a_2^2 a_3^3 ...; a multiplicity that does not
+    occur gives the factor [(1, 0)].  The part is a_1 a_2 a_3 ..., primitive.
+
+    With c = p/gcd(p, p') and d = p'/gcd(p, p') - c', each step takes
+    a = gcd(c, d), made primitive, and then c <- c/a, d <- d/a - c'.  Both
+    quotients of a step lose the same content, so c and d stay off the field
+    recurrence by one common scalar.
+    """
+
+    def step(c: Dense, d: Dense) -> tuple[Dense, Dense, Dense]:
+        a = _primitive(_subresultant_prs(c, d)[1])
+        c, e = _exact_quotient(c, a), _exact_quotient(d, a)
+        k = _content(c + e)
+        c = [_gdiv(x, k) for x in c]
+        e = [(0, 0)] * (len(c) - 1 - len(e)) + [_gdiv(x, k) for x in e]
+        d = [(xr - yr, xi - yi) for (xr, xi), (yr, yi) in zip(e, _derivative(c))]
+        return a, c, _trim(d)
+
+    _, c, d = step(p, _derivative(p))
+    part = _primitive(c)
+    factors = []
+    while len(c) > 1:
+        a, c, d = step(c, d)
+        factors.append(a)
+    return part, factors
+
+
+def horner(p: Dense, num: tuple[int, int], den: int) -> tuple[int, int]:
+    """den^(len(p) - 1) * p(num/den) by homogenised Horner, exactly; leading
+    zeros in p raise the power of den."""
+    acc, power = (0, 0), 1
+    for re, im in p:
+        acc = _gmul(acc, num)
+        acc = (acc[0] + re * power, acc[1] + im * power)
+        power *= den
+    return acc
+
+
 def sylvester_matrix(f: MultiPoly, g: MultiPoly, var: str) -> PolyMatrix:
     """Sylvester matrix of f and g in `var` (n shifted rows of f's coefficients
     over m of g's, m and n their degrees); its entries do not involve `var`."""
@@ -710,10 +895,8 @@ def sylvester_resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     """Resultant of f and g in `var`: Bareiss on the Sylvester matrix, so
     Res(c, g) = c^deg(g); both constant in `var` is an error.
 
-    The general multivariate route, kept as a test oracle.  The scan's bound
-    discriminant takes det S from `char_poly_berkowitz` on a one-axis grid
-    (lambda3, g2 free: 6.3 -> 0.90 s); unbound, that grid is the product of
-    every variable's bound (spin_half: 0.62 s here, 19.9 s in the kernel).
+    The general multivariate route, kept as a test oracle; the scan's bound
+    discriminant comes from the dense univariate layer.
     """
     return det_bareiss(sylvester_matrix(f, g, var))
 

@@ -5,15 +5,17 @@ an exact rational and takes the characteristic polynomial q(omega) =
 det(L - omega I), a polynomial in omega and the target only.  An eigenvalue is
 degenerate exactly where q and q' share a root, so the discriminant
 Res_omega(q', q) is one polynomial in the target whose zeros carry every
-double point; det of the Sylvester matrix S is the omega^0 coefficient of
-det(S - omega I) from the dense kernel that gives every char poly.  One helper
-serves every root: it solves the square-free part numerically (a linear
-factor exactly), snaps the roots back to rationals and certifies each by exact
-evaluation.  The scan applies it to the discriminant (a value is exact where
-the discriminant vanishes exactly) and then to gcd(q, q') at each exact value
-for the double eigenvalues, and classifies every degeneracy through the Newton
-polygon of a seeded generic perturbation plus an exact geometric multiplicity
-computation.
+double point.  From there on every object is univariate, and the scan works
+on the dense Gaussian-integer layer of `poly` with q's denominators cleared
+once: the discriminant is the subresultant-PRS resultant at integer points of
+the target, interpolated exactly.  One helper serves every root: it solves the
+Yun square-free part numerically (a linear part exactly), snaps the roots back
+to rationals and certifies each by exact Horner evaluation.  The scan applies
+it to the discriminant (a value is exact where the discriminant vanishes
+exactly) and then, for the double eigenvalues, to gcd(q, q') at each exact
+value, the last nonzero remainder of the same PRS.  It classifies every
+degeneracy through the Newton polygon of a seeded generic perturbation plus
+an exact geometric multiplicity computation.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, Sequence
 
 from .models import OMEGA, generic_perturbation, char_poly
@@ -34,12 +37,16 @@ from .newton import (
 from .numerics import NumericalError, roots_aberth
 from .poly import (
     GR_ZERO,
+    Dense,
     GaussRational,
     MultiPoly,
     PolyMatrix,
-    char_poly_berkowitz,
-    gcd_univariate,
-    sylvester_matrix,
+    _derivative,
+    _inverse_vandermonde,
+    _subresultant_prs,
+    _trim,
+    horner,
+    square_free,
 )
 
 
@@ -139,44 +146,88 @@ def _rationalize(z: complex) -> GaussRational:
     )
 
 
-def _to_univariate_complex(p: MultiPoly, var: str) -> list[complex]:
-    return [complex(c.constant_value()) for c in p.coefficient_list(var)]
+def _homogenised(v: GaussRational) -> tuple[tuple[int, int], int]:
+    """v as num/den, num a Gaussian integer and den a positive integer."""
+    den = math.lcm(v.re.denominator, v.im.denominator)
+    num = (v.re.numerator * (den // v.re.denominator), v.im.numerator * (den // v.im.denominator))
+    return num, den
 
 
-def _square_free(p: MultiPoly, var: str) -> MultiPoly:
-    """Exact square-free part p / gcd(p, p'), so every root becomes simple.
-
-    Multiple resultant roots are the norm at diabolic points; floating-point
-    root finders only locate an m-fold root to ~eps^(1/m), which would defeat
-    the rational snap-back.  Dividing out the repeated factors keeps the
-    numeric step well conditioned.
-    """
-    d = p.derivative(var)
-    if d.is_zero():
-        return p
-    g = gcd_univariate(p, d, var)
-    if g.degree(var) < 1:
-        return p
-    return p.exact_div(g)
-
-
-def _exact_roots_univariate(g: MultiPoly, var: str) -> list[tuple[GaussRational, bool]]:
-    """Roots of a non-constant univariate polynomial, each with its exactness.
+def _exact_roots(
+    p: Dense, lead: tuple[int, int] = (1, 0), scale: int = 1
+) -> list[tuple[GaussRational, bool]]:
+    """Roots of a non-constant dense polynomial, each with its exactness.
 
     The roots of the square-free part are snapped to nearby rationals (a
-    linear factor is solved exactly); a snapped value is exact when the
-    polynomial vanishes there exactly.  Each snapped value is reported once.
+    linear part is solved exactly); a snapped value is exact when the part
+    vanishes there exactly.  Each snapped value is reported once.  Multiple
+    roots are the norm at diabolic points, and a floating-point root finder
+    only locates an m-fold root to ~eps^(1/m), which would defeat the snap.
+    The root finder sees the part scaled to the leading coefficient
+    lead/scale, so its input does not depend on how p was scaled.
     """
-    g = _square_free(g, var)
-    coeffs = g.coefficient_list(var)
-    if len(coeffs) == 2:
-        return [(GR_ZERO - coeffs[0].constant_value() / coeffs[1].constant_value(), True)]
+    part = square_free(p)[0]
+    if len(part) == 2:
+        return [(GR_ZERO - GaussRational.of(*part[1]) / GaussRational.of(*part[0]), True)]
+    # part * lead / (scale * lc(part)), as integers over one integer divisor
+    (tr, ti), (lr, li) = part[0], lead
+    mr, mi = lr * tr + li * ti, li * tr - lr * ti
+    norm = scale * (tr * tr + ti * ti)
+    coeffs = [
+        complex((cr * mr - ci * mi) / norm, (cr * mi + ci * mr) / norm) for cr, ci in reversed(part)
+    ]
     out: dict[GaussRational, bool] = {}
-    for r in roots_aberth(_to_univariate_complex(g, var)):
+    for r in roots_aberth(coeffs):
         value = _rationalize(complex(r))
         if value not in out:
-            out[value] = g.substitute({var: value}).is_zero()
+            out[value] = horner(part, *_homogenised(value)) == (0, 0)
     return list(out.items())
+
+
+def _cleared_rows(q: MultiPoly, target: str) -> tuple[list[Dense], int]:
+    """D*q, D the lcm of q's denominators, as rows of Gaussian-integer pairs:
+    row k is the coefficient of omega^(n-k) as a dense polynomial in the
+    target, every row padded to deg_target(q) + 1 entries.  Returns the rows
+    and D."""
+    n, d = q.degree(OMEGA), max(q.degree(target), 0)
+    iw, it = q.vars.index(OMEGA), q.vars.index(target)
+    denom = math.lcm(*(x.denominator for c in q.terms.values() for x in (c.re, c.im)))
+    rows = [[(0, 0)] * (d + 1) for _ in range(n + 1)]
+    for expo, c in q.terms.items():
+        rows[n - expo[iw]][d - expo[it]] = (
+            c.re.numerator * (denom // c.re.denominator),
+            c.im.numerator * (denom // c.im.denominator),
+        )
+    return rows, denom
+
+
+def _discriminant(rows: list[Dense], denom: int) -> tuple[Dense, int]:
+    """Res_omega(q', q) of q = rows/denom (see `_cleared_rows`), as a dense
+    polynomial in the target and one integer divisor.
+
+    Collins' evaluation scheme: the resultant of the rows at each integer
+    point 0..B of the target, by the subresultant PRS, then exact
+    interpolation.  Evaluation commutes with the resultant because q and q'
+    lead in omega with constants.  B bounds the degree of det S, S the
+    Sylvester matrix of q' and q, as `char_poly_berkowitz` bounds a
+    determinant's: the lesser of the sums over the rows and over the columns
+    of S of the greatest entry degree.  The resultant of D*q' and D*q
+    carries D^(2n-1).
+    """
+    n = len(rows) - 1
+    # the target degree of each omega coefficient, a zero one counting 0
+    degs = [next((len(row) - 1 - j for j, c in enumerate(row) if c != (0, 0)), 0) for row in rows]
+    sylvester = [[0] * s + degs[:-1] + [0] * (n - 1 - s) for s in range(n)]
+    sylvester += [[0] * s + degs + [0] * (n - 2 - s) for s in range(n - 1)]
+    bound = min(sum(map(max, sylvester)), sum(map(max, zip(*sylvester))))
+    values = []
+    for t in range(bound + 1):
+        at = [horner(row, (t, 0), 1) for row in rows]
+        values.append(_subresultant_prs(_derivative(at), at)[0])
+    re, im = [v[0] for v in values], [v[1] for v in values]
+    w = _inverse_vandermonde(bound)
+    disc = [(sum(map(mul, row, re)), sum(map(mul, row, im))) for row in reversed(w)]
+    return _trim(disc), math.factorial(bound) * denom ** (2 * n - 1)
 
 
 # A snapped value where q and q' have no exact common root is 'approximate'
@@ -188,40 +239,45 @@ def solve_candidates(q: MultiPoly, target: str, bindings: Mapping[str, Fraction]
     """Solve the discriminant of a bound char poly for one parameter and verify the roots.
 
     `q` is det(L - omega I) with every parameter but `target` bound (to
-    `bindings`, which the result records).  Its discriminant Res_omega(q', q)
-    vanishing identically means a continuum of degeneracies (flagged, not an
-    error).  Each root is snapped to a nearby rational; since q leads with
-    (-1)^n in omega, the discriminant at a value v is Res(q'(., v), q(., v)),
-    so the value is exact when the discriminant vanishes there exactly.  The
-    double eigenvalues of an exact value are back-solved from gcd(q, q') by
-    the same snap; one that is not rational flags the candidate
-    'approximate'.  A value that is not exact is kept with an 'approximate'
-    flag when q and q' have roots within VERIFY_TOL of each other, or
-    'unverified' when they do not.
+    `bindings`, which the result records); its leading coefficient in omega
+    must be a constant.  Denominators are cleared once, and the rest is
+    dense Gaussian-integer arithmetic.  The discriminant Res_omega(q', q)
+    comes from a subresultant PRS at integer points of the target and exact
+    interpolation; vanishing identically, it means a continuum of
+    degeneracies (flagged, not an error).  Each root of its Yun square-free
+    part is snapped to a nearby rational; since q leads with a constant in
+    omega, the discriminant at a value v is Res(q'(., v), q(., v)), so the
+    value is exact when the part vanishes there, by Horner in integers.  The
+    double eigenvalues of an exact value are back-solved by the same snap
+    from gcd(q, q'), the last nonzero remainder of the PRS of q and q' at v;
+    one that is not rational flags the candidate 'approximate'.  A value
+    that is not exact is kept with an 'approximate' flag when q and q' have
+    roots within VERIFY_TOL of each other, or 'unverified' when they do not.
     """
     if not q.uses_only([target, OMEGA]):
         raise ValueError("bindings must fix every parameter except the target")
     deg = q.degree(OMEGA)
     if deg < 2:
         raise ValueError(f"need deg_omega >= 2 for a double eigenvalue, got {deg}")
-    dq = q.derivative(OMEGA)
-    disc = char_poly_berkowitz(sylvester_matrix(dq, q, OMEGA), OMEGA).coefficient_list(OMEGA)[0]
-    if disc.is_zero():
-        return ScanResult(target, dict(bindings), True, ())
-    if disc.is_constant():
-        return ScanResult(target, dict(bindings), False, ())
+    rows, denom = _cleared_rows(q, target)
+    if any(c != (0, 0) for c in rows[0][:-1]):
+        raise ValueError(f"the leading coefficient in omega must not involve {target!r}")
+    disc, scale = _discriminant(rows, denom)
+    if len(disc) < 2:
+        return ScanResult(target, dict(bindings), not disc, ())
     candidates: list[Candidate] = []
-    for value, on_disc in _exact_roots_univariate(disc, target):
-        q_at = q.substitute({target: value})
-        dq_at = dq.substitute({target: value})
+    for value, on_disc in _exact_roots(disc, disc[0], scale):
+        num, den = _homogenised(value)
+        # denom * den^deg_target(q) * q(omega, value)
+        q_at = [horner(row, num, den) for row in rows]
         if on_disc:
-            shifts = _exact_roots_univariate(gcd_univariate(q_at, dq_at, OMEGA), OMEGA)
+            shifts = _exact_roots(_subresultant_prs(q_at, _derivative(q_at))[1])
             exact = all(ok for _, ok in shifts)
             omega0_values = tuple(w for w, _ in shifts)
             flags = () if exact else ("approximate",)
         else:
             exact = False
-            near = _near_common_roots(q_at, dq_at)
+            near = _near_common_roots(q_at, denom * den ** (len(rows[0]) - 1))
             omega0_values = tuple(_rationalize(w) for w in near)
             flags = ("approximate",) if near else ("unverified",)
         candidates.append(Candidate(target, value, exact, omega0_values, flags))
@@ -231,11 +287,15 @@ def solve_candidates(q: MultiPoly, target: str, bindings: Mapping[str, Fraction]
     return ScanResult(target, dict(bindings), False, tuple(candidates))
 
 
-def _near_common_roots(q_at: MultiPoly, dq_at: MultiPoly) -> list[complex]:
-    """Roots of q_at within VERIFY_TOL of a root of its derivative dq_at."""
+def _near_common_roots(q_at: Dense, scale: int) -> list[complex]:
+    """Roots of q_at / scale within VERIFY_TOL of a root of its derivative."""
+
+    def coeffs(p: Dense) -> list[complex]:
+        return [complex(re / scale, im / scale) for re, im in reversed(p)]
+
     try:
-        roots_q = roots_aberth(_to_univariate_complex(q_at, OMEGA))
-        roots_dq = roots_aberth(_to_univariate_complex(dq_at, OMEGA))
+        roots_q = roots_aberth(coeffs(q_at))
+        roots_dq = roots_aberth(coeffs(_derivative(q_at)))
     except NumericalError:
         return []
     return [complex(r) for r in roots_q if any(abs(r - s) <= VERIFY_TOL for s in roots_dq)]

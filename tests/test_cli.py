@@ -82,6 +82,9 @@ SCAN_FROZEN = [
 ]
 # the 4-level ladder: a 16x16 generator
 LADDER4 = Path(__file__).resolve().parent / "models" / "ladder4.json"
+# the benchmark's 3-level model and the stdout of its g2 scan, frozen
+LAMBDA3_MODEL = Path(__file__).resolve().parent.parent / "perfbench" / "models" / "lambda3.json"
+LAMBDA3_G2_SCAN = Path(__file__).resolve().parent / "fixtures" / "lambda3_g2_scan.json"
 
 
 def run_json(capsys, argv):
@@ -174,12 +177,13 @@ class TestPolygon:
         assert slopes == ["-1/2", "0"]
 
     def test_exact_layer_needs_no_bareiss(self, capsys, monkeypatch, tmp_path):
-        # every char poly and every scan discriminant comes from the dense
-        # kernel; the scan's square-free step still divides exactly
+        # every char poly comes from the dense kernel and every scan
+        # discriminant from the dense univariate layer: no sparse division
         def refuse(*args, **kwargs):
             raise RuntimeError("sparse determinant route called")
 
         monkeypatch.setattr(poly, "det_bareiss", refuse)
+        monkeypatch.setattr(poly.MultiPoly, "exact_div", refuse)
         for argv, continuum, frozen in SCAN_FROZEN:
             payload = run_json(capsys, ["scan", "--model"] + argv)
             assert payload["continuum"] is continuum
@@ -188,8 +192,7 @@ class TestPolygon:
                  [k["label"] for k in c["classifications"]])
                 for c in payload["candidates"]
             ] == frozen
-        # the 4-fold diabolic point of the 9x9 lambda3 generator: no exact_div
-        monkeypatch.setattr(poly.MultiPoly, "exact_div", refuse)
+        # the 4-fold diabolic point of the 9x9 lambda3 generator
         model = tmp_path / "lambda3.json"
         model.write_text(json.dumps(LAMBDA3))
         payload = run_json(
@@ -276,6 +279,16 @@ class TestScan:
     def test_needs_exactly_one_free_parameter(self, capsys):
         assert cli.main(["scan"] + QUBIT_EP) == 3
         assert cli.main(["scan", "--model", "qubit", "--bind", "J=0"]) == 3
+
+    def test_lambda3_g2_slice_is_frozen(self, capsys):
+        # 31 candidates, one exact (-4/17): a degree-44 discriminant whose
+        # square-free part has degree 31, byte for byte as first recorded
+        start = time.perf_counter()
+        code = cli.main(["scan", "--model", str(LAMBDA3_MODEL), "--bind", "g1=1", "--bind", "O=1/3"])
+        out = capsys.readouterr().out
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        assert out == LAMBDA3_G2_SCAN.read_text()
 
 
 class TestAmoeba:

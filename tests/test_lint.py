@@ -1,11 +1,12 @@
 """Static hygiene: every name a package module imports, and every private
 module-level name it defines, is used in it; every public module-level name
 is used somewhere in the package or exported; `__init__.py` exports exactly
-what it imports; no module but `poly.py` reads a determinant or resultant
-oracle; every function the benchmark's tracer wraps exists in the package;
-no module imports scipy anywhere, or a module that drags in the network
-stack at module level, and a fresh interpreter that imports the CLI and runs
-any subcommand loads none of them.
+what it imports; no module but `poly.py` reads a determinant, resultant or
+gcd oracle, and `scan.py` does not read the char-poly kernel; every function
+the benchmark's tracer wraps exists in the package; no module imports scipy
+anywhere, or a module that drags in the network stack at module level, and a
+fresh interpreter that imports the CLI and runs any subcommand loads none of
+them.
 
 No linter is a dependency, so this walks each module's AST.  `__init__.py`
 is exempt from the import check: it imports names only to re-export them.
@@ -120,9 +121,17 @@ def test_no_unreferenced_public_names():
     assert not unreferenced, f"public names nothing in the package uses: {unreferenced}"
 
 
-# test oracles and the general multivariate resultant: only poly.py may read
-# them, so none can turn into a hidden runtime fallback
-ORACLES = {"det_bareiss", "det_cofactor", "sylvester_resultant"}
+# test oracles, the general multivariate resultant and the Fraction-based
+# univariate Euclid (`gcd_univariate`, the Sylvester matrix, `.exact_div`):
+# only poly.py may read them, so none can turn into a hidden runtime fallback
+ORACLES = {
+    "det_bareiss",
+    "det_cofactor",
+    "sylvester_resultant",
+    "gcd_univariate",
+    "sylvester_matrix",
+    "exact_div",
+}
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "poly.py"], ids=lambda p: p.name)
@@ -130,6 +139,13 @@ def test_oracles_stay_out_of_the_runtime(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     read = sorted(ORACLES & (_loaded_names(tree) | set(_imported_names(tree))))
     assert not read, f"{path.name} reads test oracles: {read}"
+
+
+def test_scan_takes_no_kernel_determinant():
+    # the scan's discriminant comes from the dense univariate layer, not from
+    # the char-poly kernel on a Sylvester matrix
+    tree = ast.parse((PACKAGE / "scan.py").read_text())
+    assert "char_poly_berkowitz" not in _loaded_names(tree) | set(_imported_names(tree))
 
 
 def test_traced_names_resolve():

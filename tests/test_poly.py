@@ -4,15 +4,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liouville_ep.poly import (
     ExactDivisionError,
     GaussRational,
     MultiPoly,
     PolyMatrix,
+    _subresultant_prs,
     det_bareiss,
     det_cofactor,
     gcd_univariate,
+    horner,
+    square_free,
     sylvester_resultant,
 )
 
@@ -314,3 +319,113 @@ class TestGcd:
         f = (x - MultiPoly.constant(vs, 2)).scale(gr(0, 5))
         g = (x - MultiPoly.constant(vs, 2)).scale(gr(7))
         assert gcd_univariate(f, g, "x") == x - MultiPoly.constant(vs, 2)
+
+
+# -- dense univariate layer ----------------------------------------------------
+
+X = ("x",)
+
+
+def gauss_ints(imaginary):
+    parts = st.integers(-6, 6)
+    return st.tuples(parts, parts if imaginary else st.just(0))
+
+
+def dense_polys(imaginary, min_degree=0, max_degree=5):
+    """Dense Gaussian-integer polynomials, highest power first, leading pair nonzero."""
+    return st.lists(gauss_ints(imaginary), min_size=min_degree + 1, max_size=max_degree + 1).filter(
+        lambda p: p[0] != (0, 0)
+    )
+
+
+def dense_mul(a, b):
+    out = [(0, 0)] * (len(a) + len(b) - 1)
+    for i, (ar, ai) in enumerate(a):
+        for j, (br, bi) in enumerate(b):
+            o = out[i + j]
+            out[i + j] = (o[0] + ar * br - ai * bi, o[1] + ar * bi + ai * br)
+    return out
+
+
+def as_poly(p):
+    n = len(p) - 1
+    return MultiPoly(X, {(n - k,): GaussRational.of(*c) for k, c in enumerate(p)})
+
+
+def monic(p):
+    return as_poly(p).scale(GaussRational.of(1) / GaussRational.of(*p[0]))
+
+
+class TestDenseLayer:
+    @settings(max_examples=80, deadline=None)
+    @given(st.booleans().flatmap(lambda im: st.tuples(
+        dense_polys(im), dense_polys(im), dense_polys(im, max_degree=2))))
+    def test_prs_matches_the_oracles(self, polys):
+        # then a shared factor makes the gcd non-trivial and the resultant zero
+        a, b, common = polys
+        for a, b in ((a, b), (dense_mul(a, common), dense_mul(b, common))):
+            if len(a) == len(b) == 1:
+                continue
+            res, last = _subresultant_prs(a, b)
+            oracle = sylvester_resultant(as_poly(a), as_poly(b), "x")
+            assert GaussRational.of(*res) == oracle.constant_value()
+            assert monic(last) == gcd_univariate(as_poly(a), as_poly(b), "x")
+
+    def test_prs_argument_order(self):
+        # Res(b, a) = (-1)^(deg a deg b) Res(a, b): x + 1 and x^3 + 2
+        a, b = [(1, 0), (1, 0)], [(1, 0), (0, 0), (0, 0), (2, 0)]
+        assert _subresultant_prs(a, b)[0] == (1, 0)
+        assert _subresultant_prs(b, a)[0] == (-1, 0)
+
+    def test_prs_zero_argument(self):
+        p = [(2, 0), (0, 0), (-8, 0)]
+        assert _subresultant_prs([], p) == ((0, 0), p)
+        assert _subresultant_prs(p, []) == ((0, 0), p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(dense_polys(False, min_degree=1, max_degree=3), min_size=1, max_size=3), st.integers(1, 6))
+    def test_yun_matches_sympy(self, factors, scalar):
+        # p = scalar * f_1 f_2^2 f_3^3 ...; sympy is the oracle here only
+        sympy = pytest.importorskip("sympy")
+        p = [(scalar, 0)]
+        for k, f in enumerate(factors):
+            for _ in range(k + 1):
+                p = dense_mul(p, f)
+        part, yun = square_free(p)
+        x = sympy.symbols("x")
+        expr = sympy.Poly([re for re, _ in p], x)
+        _, expected = sympy.sqf_list(expr)
+        got = [(sympy.Poly([re for re, _ in f], x), k + 1) for k, f in enumerate(yun) if len(f) > 1]
+        assert got == expected
+        assert all(im == 0 for f in yun for _, im in f)
+        assert sympy.Poly([re for re, _ in part], x) == sympy.Poly(sympy.sqf_part(expr), x).primitive()[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(dense_polys(True, min_degree=0, max_degree=2), min_size=1, max_size=3))
+    def test_yun_rebuilds_gaussian_input(self, factors):
+        p = [(1, 0)]
+        for k, f in enumerate(factors):
+            for _ in range(k + 1):
+                p = dense_mul(p, f)
+        if len(p) == 1:
+            return
+        part, yun = square_free(p)
+        rebuilt, product = [(1, 0)], [(1, 0)]
+        for k, f in enumerate(yun):
+            product = dense_mul(product, f)
+            for _ in range(k + 1):
+                rebuilt = dense_mul(rebuilt, f)
+        assert monic(rebuilt) == monic(p)
+        assert monic(product) == monic(part)
+        for k, f in enumerate(yun):
+            if len(f) > 1:
+                assert len(square_free(f)[0]) == len(f)  # square-free
+
+    @settings(max_examples=60, deadline=None)
+    @given(dense_polys(True), gauss_ints(True), st.integers(1, 9))
+    def test_horner_is_homogenised_evaluation(self, p, num, den):
+        value = GaussRational.of(Fraction(num[0], den), Fraction(num[1], den))
+        expected = as_poly(p).substitute({"x": value}).constant_value()
+        got = horner(p, num, den)
+        scale = Fraction(den) ** (len(p) - 1)
+        assert GaussRational.of(Fraction(got[0]) / scale, Fraction(got[1]) / scale) == expected

@@ -1,20 +1,26 @@
 """Degeneracy location: discriminant, snap-back, classification."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from liouville_ep import scan
 from liouville_ep.expr import parse_expression
-from liouville_ep.models import OMEGA, builtin_model, char_poly
+from liouville_ep.models import OMEGA, builtin_model, char_poly, model_from_dict
 from liouville_ep.numerics import roots_aberth
 from liouville_ep.poly import (
     GaussRational,
     MultiPoly,
     PolyMatrix,
+    _derivative,
+    _subresultant_prs,
     char_poly_berkowitz,
     gcd_univariate,
+    horner,
+    square_free,
     sylvester_matrix,
     sylvester_resultant,
 )
@@ -58,6 +64,27 @@ def qubit_ep3_bound():
 
 def slice_char_poly(name, bindings):
     return char_poly(builtin_model(name).l_eff.matrix.substitute(bindings))
+
+
+def from_dense(p, like, var, lead=None):
+    """The dense polynomial p in `var` as a MultiPoly over like's variables,
+    scaled to the leading coefficient `lead` (p's own when None)."""
+    factor = GaussRational.of(1) if lead is None else lead / GaussRational.of(*p[0])
+    idx = like.vars.index(var)
+    n = len(p) - 1
+    return MultiPoly(
+        like.vars,
+        {
+            tuple(n - k if i == idx else 0 for i in range(len(like.vars))): GaussRational.of(*c) * factor
+            for k, c in enumerate(p)
+        },
+    )
+
+
+def over_divisor(dense, scale, like, var):
+    """dense / scale, the scan's form of its discriminant, as a MultiPoly."""
+    (re, im) = dense[0]
+    return from_dense(dense, like, var, GaussRational.of(Fraction(re, scale), Fraction(im, scale)))
 
 
 class TestExactRank:
@@ -135,6 +162,12 @@ class TestSolveCandidates:
         with pytest.raises(ValueError):
             solve_candidates(toy("omega + x"), "x", {})
 
+    def test_leading_coefficient_in_the_target_rejected(self):
+        # the discriminant is evaluated pointwise in the target, which needs
+        # q's omega-degree to hold at every point
+        with pytest.raises(ValueError, match="leading coefficient"):
+            solve_candidates(toy("x*omega^2 - 1"), "x", {})
+
     def test_constant_specialization_yields_nothing(self):
         out = solve_candidates(toy("omega^2 - 1"), "x", {})
         assert not out.continuum
@@ -190,15 +223,18 @@ class TestSolveCandidates:
         q = slice_char_poly("qubit", QUBIT_SLICE)
         firsts = []
 
-        def spy(f, g, var):
+        def spy(f, g):
             firsts.append(f)
-            return gcd_univariate(f, g, var)
+            return _subresultant_prs(f, g)
 
-        monkeypatch.setattr(scan, "gcd_univariate", spy)
+        # the scan's PRS calls: Res(q', q) at each interpolation point, and
+        # gcd(q_at, q_at') with q_at scaled to integers
+        monkeypatch.setattr(scan, "_subresultant_prs", spy)
         out = solve_candidates(q, "gamma_f", QUBIT_SLICE)
         assert len(out.candidates) == 5
         (exact,) = [c for c in out.candidates if c.exact]
-        q_ats = [f for f in firsts if f.degree(OMEGA) == q.degree(OMEGA)]
+        lead = q.coefficient_list(OMEGA)[-1].constant_value()
+        q_ats = [from_dense(f, q, OMEGA, lead) for f in firsts if len(f) == q.degree(OMEGA) + 1]
         assert q_ats == [q.substitute({"gamma_f": exact.value})]
 
 
@@ -230,9 +266,12 @@ def test_discriminant_zero_iff_common_root(make):
     q, target = make()
     dq = q.derivative(OMEGA)
     disc = sylvester_resultant(dq, q, OMEGA)
-    # the scan's route: det S as the omega^0 coefficient of the dense kernel
+    # det S as the omega^0 coefficient of the dense kernel
     kernel = char_poly_berkowitz(sylvester_matrix(dq, q, OMEGA), OMEGA)
     assert kernel.coefficient_list(OMEGA)[0] == disc
+    # the scan's route: the subresultant PRS at integer points, interpolated
+    rows, denom = scan._cleared_rows(q, target)
+    assert over_divisor(*scan._discriminant(rows, denom), q, target) == disc
     out = solve_candidates(q, target, {})
     assert out.candidates
     for cand in out.candidates:
@@ -241,6 +280,29 @@ def test_discriminant_zero_iff_common_root(make):
         common = gcd_univariate(q.substitute(at), dq.substitute(at), OMEGA)
         assert on_disc == (common.degree(OMEGA) >= 1), cand
         assert on_disc or not cand.exact
+        # the scan's gcd: the last PRS remainder of q_at and q_at', made monic
+        q_at = [horner(row, *scan._homogenised(cand.value)) for row in rows]
+        prs = _subresultant_prs(q_at, _derivative(q_at))[1]
+        assert from_dense(prs, q, OMEGA, GaussRational.of(1)) == common
+
+
+def test_lambda3_discriminant_square_free_matches_sympy():
+    # the benchmark's 3-level slice (g1 = 1, O = 1/3, target g2): a degree-44
+    # discriminant with Yun factors of degrees 20, 10, 0 and 1 (g2^4), so a
+    # square-free part of degree 31; sympy is the oracle here only
+    sympy = pytest.importorskip("sympy")
+    spec = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "models" / "lambda3.json").read_text())
+    m = model_from_dict(spec)
+    q = char_poly(m.l0.matrix.substitute({"g1": Fraction(1), "O": Fraction(1, 3)}))
+    disc, _ = scan._discriminant(*scan._cleared_rows(q, "g2"))
+    assert len(disc) == 45 and all(im == 0 for _, im in disc)
+    part, factors = square_free(disc)
+    g2 = sympy.symbols("g2")
+    _, expected = sympy.sqf_list(sympy.Poly([re for re, _ in disc], g2))
+    got = [(sympy.Poly([re for re, _ in f], g2), k + 1) for k, f in enumerate(factors) if len(f) > 1]
+    assert got == expected
+    assert [len(f) - 1 for f in factors] == [20, 10, 0, 1]
+    assert len(part) - 1 == 31
 
 
 class TestClassify:
@@ -389,15 +451,17 @@ class TestScanParameter:
         m = builtin_model("qubit")
         bindings = {"gamma_e": Fraction(1), "J": Fraction(1, 4)}
         seen = []
+        discriminant = scan._discriminant
+        q = char_poly(m.l_eff.matrix.substitute(bindings))
 
-        def spy(matrix, var):
-            # the scan's discriminant is det S, the var^0 coefficient
-            res = char_poly_berkowitz(matrix, var)
-            seen.append(res.coefficient_list(var)[0])
-            return res
+        def spy(rows, denom):
+            # the scan's discriminant: dense integer coefficients over one divisor
+            dense, scale = discriminant(rows, denom)
+            seen.append(over_divisor(dense, scale, q, "gamma_f"))
+            return dense, scale
 
-        monkeypatch.setattr(scan, "char_poly_berkowitz", spy)
-        solve_candidates(char_poly(m.l_eff.matrix.substitute(bindings)), "gamma_f", bindings)
+        monkeypatch.setattr(scan, "_discriminant", spy)
+        solve_candidates(q, "gamma_f", bindings)
         (disc,) = seen
 
         symbols = sympy.symbols(m.variables)
