@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .expr import parse_expression
-from .poly import GaussRational, MultiPoly, PolyMatrix, ScalarLike, char_poly_berkowitz
+from .poly import GR_ZERO, GaussRational, MultiPoly, PolyMatrix, ScalarLike, char_poly_berkowitz
 
 OMEGA = "omega"
 EPSILON = "epsilon"
@@ -141,9 +141,13 @@ def char_poly(
 
     The convention puts the eigenvalue at omega = 0: with the constant
     shift = s, omega = 0 is a root exactly when s is an eigenvalue of
-    L0 + eps*L1.  The determinant comes from the dense kernel
-    `char_poly_berkowitz`: division-free Berkowitz over Gaussian integers at
-    integer points of the free variables, then exact interpolation.  An
+    L0 + eps*L1.  The pencil L0 - s I + eps*L1 is assembled in one pass over
+    the entries' terms (s subtracted from each diagonal constant term, L1's
+    terms added with their epsilon exponent raised by one), and its
+    determinant comes from the dense kernel `char_poly_berkowitz`: one
+    batched division-free Berkowitz on residues modulo a fixed table of
+    primes at integer points of the free variables, then interpolation and
+    CRT, exact by a Hadamard bound; there is no Python-integer fallback.  An
     entry of L0 or L1 that involves omega is a ValueError.
     """
     matrix = l0.matrix if isinstance(l0, Superoperator) else l0
@@ -153,12 +157,28 @@ def char_poly(
     n, m = matrix.shape
     if n != m:
         raise ValueError("square matrix required")
-    work = matrix - PolyMatrix.identity(variables, n).scale(shift)
     if perturbation is not None:
         if perturbation.shape != matrix.shape:
             raise ValueError("perturbation shape mismatch")
-        work = work + perturbation.scale(MultiPoly.variable(variables, EPSILON))
-    return char_poly_berkowitz(work, OMEGA)
+        if perturbation.vars != variables:
+            raise ValueError(f"variable mismatch: {variables} vs {perturbation.vars}")
+    ie = variables.index(EPSILON)
+    constant = (0,) * len(variables)
+    minus_shift = -GaussRational.coerce(shift)
+    rows = []
+    for i, row in enumerate(matrix.rows):
+        out = []
+        for j, entry in enumerate(row):
+            terms = dict(entry.terms)
+            if i == j:
+                terms[constant] = terms.get(constant, GR_ZERO) + minus_shift
+            if perturbation is not None:
+                for expo, c in perturbation.rows[i][j].terms.items():
+                    raised = expo[:ie] + (expo[ie] + 1,) + expo[ie + 1:]
+                    terms[raised] = terms.get(raised, GR_ZERO) + c
+            out.append(MultiPoly(variables, terms))
+        rows.append(out)
+    return char_poly_berkowitz(PolyMatrix(rows), OMEGA)
 
 
 def perturbation_matrix(superop: Union[Superoperator, PolyMatrix], param: str) -> PolyMatrix:

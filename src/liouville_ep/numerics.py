@@ -83,8 +83,9 @@ def _eval_scale(c: np.ndarray, x: np.ndarray) -> np.ndarray:
 # Convergence contract of the root finder (see `roots_aberth`).
 ROOT_RESIDUAL_TOL = 1e-10
 
-# Rows per block times n^2: bounds each block's (rows, n, n) companion stack to
-# about 1 MiB whatever the grid size.
+# Rows per block times n^2: bounds each block's (rows, n, n) stack (companion
+# matrices, or the pairwise distances of `collapse_clusters`) to about 1 MiB
+# whatever the batch size.
 _ROOT_BLOCK = 1 << 16
 
 
@@ -155,22 +156,31 @@ def collapse_clusters(values: np.ndarray, tol: float) -> np.ndarray:
     of a cluster (a connected component of |v_i - v_j| <= tol, found by
     propagating the least label) are replaced by their mean, which for m
     computed copies of an m-fold root is far more accurate than any one copy.
+
+    Spectra are independent, so the stack is taken in blocks of rows whose
+    (rows, n, n) temporaries stay near 1 MiB, as `_companion_roots` does.
     """
     vals = np.asarray(values, dtype=complex)
     n = vals.shape[-1]
-    close = np.abs(vals[..., :, None] - vals[..., None, :]) <= tol
-    labels = np.broadcast_to(np.arange(n), vals.shape)
-    while True:
-        spread = np.where(close, labels[..., None, :], n).min(axis=-1, initial=n)
-        if np.array_equal(spread, labels):
-            break
-        labels = spread
-    same = labels[..., :, None] == labels[..., None, :]
-    # members packed first, in index order: a sum ignores where its members sit
-    members = np.where(same, vals[..., None, :], 0)
-    packed = np.take_along_axis(members, np.argsort(~same, axis=-1, kind="stable"), -1)
-    size = same.sum(axis=-1)
-    return np.where(size > 1, packed.sum(axis=-1) / size, vals)
+    flat = vals.reshape(-1, n)
+    out = np.empty_like(flat)
+    rows = max(1, _ROOT_BLOCK // max(1, n * n))
+    for i in range(0, flat.shape[0], rows):
+        block = flat[i : i + rows]
+        close = np.abs(block[:, :, None] - block[:, None, :]) <= tol
+        labels = np.broadcast_to(np.arange(n), block.shape)
+        while True:
+            spread = np.where(close, labels[:, None, :], n).min(axis=-1, initial=n)
+            if np.array_equal(spread, labels):
+                break
+            labels = spread
+        same = labels[:, :, None] == labels[:, None, :]
+        # members packed first, in index order: a sum ignores where its members sit
+        members = np.where(same, block[:, None, :], 0)
+        packed = np.take_along_axis(members, np.argsort(~same, axis=-1, kind="stable"), -1)
+        size = same.sum(axis=-1)
+        out[i : i + rows] = np.where(size > 1, packed.sum(axis=-1) / size, block)
+    return out.reshape(vals.shape)
 
 
 def eigenvalues(matrix, collapse_tol: float | None = None) -> np.ndarray:

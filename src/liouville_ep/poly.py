@@ -9,9 +9,14 @@ front and stick with it.
 
 The matrix layer (`PolyMatrix`) provides the handful of exact linear-algebra
 routines the rest of the package needs: Kronecker products and the dense
-char-poly kernel `char_poly_berkowitz` (denominators cleared once,
-division-free Berkowitz over Gaussian-integer pairs at integer points of the
-free variables, exact interpolation), the one runtime determinant route.
+char-poly kernel `char_poly_berkowitz`, the one runtime determinant route.
+The kernel clears denominators once and works on residues in numpy int64:
+Z[i] modulo each prime p = 1 (mod 4) below 2^26 of a fixed table (found on
+first use) splits into two copies of F_p, and one batched division-free
+Berkowitz runs over every integer grid point of the free variables, prime
+and embedding.  Interpolation is modulo p, and Garner's CRT recovers the
+integers; a Hadamard bound on the coefficients fixes how many primes, so the
+result is exact by construction.  There is no Python-integer fallback.
 
 The dense univariate layer serves a scan once its parameters are bound: lists
 of Gaussian-integer pairs with a subresultant PRS (resultant and gcd), Yun's
@@ -28,9 +33,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product, zip_longest
-from operator import mul
+from itertools import zip_longest
 from typing import Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "GaussRational"]
@@ -548,44 +554,6 @@ def det_bareiss(matrix: PolyMatrix) -> MultiPoly:
     return result if sign == 1 else -result
 
 
-def _berkowitz(re: list[list[int]], im: list[list[int]]) -> tuple[list[int], list[int]]:
-    """det(x I - A) of the Gaussian-integer matrix A = re + i*im, as (real,
-    imaginary) coefficient lists with the highest power first, computed
-    without division (Berkowitz 1984).
-
-    Step r borders the leading r x r block S with the column C, the row R and
-    the corner a; the bordered char poly is the lower-triangular Toeplitz
-    product of [1, -a, -R C, -R S C, ..., -R S^(r-1) C] with the block's.
-    """
-    p_re, p_im = [1], [0]
-    for r in range(len(re)):
-        s_re = [row[:r] for row in re[:r]]
-        s_im = [row[:r] for row in im[:r]]
-        row_re, row_im = re[r][:r], im[r][:r]
-        v_re = [row[r] for row in re[:r]]
-        v_im = [row[r] for row in im[:r]]
-        q_re, q_im = [1, -re[r][r]], [0, -im[r][r]]
-        for k in range(r):
-            if k:
-                v_re, v_im = (
-                    [sum(map(mul, a, v_re)) - sum(map(mul, b, v_im)) for a, b in zip(s_re, s_im)],
-                    [sum(map(mul, a, v_im)) + sum(map(mul, b, v_re)) for a, b in zip(s_re, s_im)],
-                )
-            q_re.append(sum(map(mul, row_im, v_im)) - sum(map(mul, row_re, v_re)))
-            q_im.append(-sum(map(mul, row_re, v_im)) - sum(map(mul, row_im, v_re)))
-        p_re, p_im = (
-            [
-                sum(q_re[i - j] * p_re[j] - q_im[i - j] * p_im[j] for j in range(min(i, r) + 1))
-                for i in range(r + 2)
-            ],
-            [
-                sum(q_re[i - j] * p_im[j] + q_im[i - j] * p_re[j] for j in range(min(i, r) + 1))
-                for i in range(r + 2)
-            ],
-        )
-    return p_re, p_im
-
-
 @lru_cache(maxsize=64)
 def _inverse_vandermonde(d: int) -> tuple[tuple[int, ...], ...]:
     """W with W / d! the inverse Vandermonde matrix of the points 0, ..., d.
@@ -609,6 +577,94 @@ def _inverse_vandermonde(d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*cols))
 
 
+# -- residue char-poly kernel -------------------------------------------------
+#
+# Z[i]/p is F_p x F_p for a prime p = 1 (mod 4), through i -> +iota and
+# i -> -iota with iota^2 = -1 (mod p).  Residues stay below p < 2^26, so a
+# product is below 2^52 and a sum of fewer than 2^11 products fits in int64.
+
+_PRIME_CEILING = 1 << 26
+_TERMS_PER_SUM = 1 << 11
+# residues per block of grid points: 2 MiB of int64 matrices
+_KERNEL_BLOCK = 1 << 18
+
+# (p, iota) for the primes p = 1 (mod 4) below 2^26, largest first; filled on
+# first use, as far as a call needs.
+_PRIMES: list[tuple[int, int]] = []
+
+
+def _is_prime(c: int) -> bool:
+    """Miller-Rabin with the bases 2, 3, 5, 7: exact for odd c < 3.2e9."""
+    d, s = c - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, c)
+        if x in (1, c - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % c
+            if x == c - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes_beyond(bound: int) -> list[tuple[int, int]]:
+    """The fewest leading entries of the prime table whose product exceeds
+    `bound`, each with its iota."""
+    out, total = [], 1
+    while total <= bound:
+        if len(out) == len(_PRIMES):
+            c = _PRIMES[-1][0] - 4 if _PRIMES else _PRIME_CEILING - 3
+            while not _is_prime(c):
+                c -= 4
+            # a non-residue g has g^((c-1)/2) = -1, so g^((c-1)/4) squares to -1
+            g = next(g for g in range(2, c) if pow(g, (c - 1) // 2, c) == c - 1)
+            _PRIMES.append((c, pow(g, (c - 1) // 4, c)))
+        out.append(_PRIMES[len(out)])
+        total *= out[-1][0]
+    return out
+
+
+def _dot_mod(a: np.ndarray, b: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """a @ b modulo `mod` for int64 stacks of residues, summed in slices of
+    fewer than 2^11 terms so that no partial sum overflows."""
+    step = _TERMS_PER_SUM - 1
+    out = a[..., :0] @ b[..., :0, :]
+    for s in range(0, a.shape[-1], step):
+        out = (out + a[..., s:s + step] @ b[..., s:s + step, :]) % mod
+    return out
+
+
+def _berkowitz_mod(a: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """det(x I - A) modulo `mod` for a stack of residue matrices (..., n, n),
+    as coefficients (..., n+1) with the highest power first, computed without
+    division (Berkowitz 1984); `mod` broadcasts against (..., 1, 1).
+
+    Step r borders the leading r x r block S with the column C, the row R and
+    the corner a; the bordered char poly is the lower-triangular Toeplitz
+    product of [1, -a, -R C, -R S C, ..., -R S^(r-1) C] with the block's.
+    """
+    n = a.shape[-1]
+    one = np.ones(a.shape[:-2] + (1,), dtype=np.int64)
+    poly = one[..., None]  # a column, so that each Toeplitz product is a matmul
+    for r in range(n):
+        s = a[..., :r, :r]
+        krylov = [a[..., :r, r:r + 1]]  # C, S C, ..., S^(r-1) C
+        for _ in range(1, r):
+            krylov.append(s @ krylov[-1] % mod)
+        tail = a[..., r, r:r + 1]
+        if r:
+            row = a[..., r:r + 1, :r] @ np.concatenate(krylov, axis=-1)
+            tail = np.concatenate([tail, row[..., 0, :]], axis=-1)
+        # r + 1 zeros after q, where the Toeplitz matrix's negative indices land
+        q = np.concatenate([one, -tail % mod[..., 0], np.zeros_like(tail)], axis=-1)
+        poly = q[..., np.arange(r + 2)[:, None] - np.arange(r + 1)] @ poly % mod
+    return poly[..., 0]
+
+
 def char_poly_berkowitz(matrix: PolyMatrix, var: str) -> MultiPoly:
     """det(matrix - var*I) for a square matrix whose entries do not involve var.
 
@@ -616,77 +672,148 @@ def char_poly_berkowitz(matrix: PolyMatrix, var: str) -> MultiPoly:
     cleared once: with D the lcm of all coefficient denominators, D*matrix
     takes Gaussian-integer values at integer points.  For each other variable
     x that occurs, the determinant's x-degree is at most min(sum of row-max,
-    sum of column-max) of the entries' x-degrees; the char poly of D*matrix is
-    taken by `_berkowitz` at every point of the tensor grid 0..bound_x, and
-    each var-coefficient is interpolated in integers axis by axis with one
-    division at the end (the var^k coefficient carries D^(n-k)).  A constant
-    matrix is one Berkowitz call and no interpolation.
+    sum of column-max) of the entries' x-degrees, and the char poly is taken
+    at every point of the tensor grid 0..bound_x.
+
+    The arithmetic is residues in numpy int64.  For each prime p of a fixed
+    table (p = 1 mod 4 and p < 2^26, largest first, found on first use),
+    Z[i]/p splits into two copies of F_p through i -> +-iota, iota^2 = -1, so
+    every grid point, prime and embedding gives one residue matrix, and one
+    batched division-free Berkowitz (`_berkowitz_mod`) runs on the whole
+    stack; a grid too large for one 2 MiB stack goes through in blocks of
+    points.  Each var-coefficient is interpolated axis by axis modulo p
+    (the scaled inverse Vandermonde `_inverse_vandermonde`).  The real and
+    imaginary parts are (x+ + x-)/2 and (x+ - x-)/(2 iota), and Garner's CRT
+    with the symmetric lift gives the integers, divided once at the end by
+    prod(d!) * D^(n-k) for the var^k coefficient.
+
+    The prime count is a proof, not a probability.  With M the largest
+    |re| + |im| of an entry of D*matrix on the grid, a coefficient of
+    det(x I - D*matrix) at a grid point is a sum of binomial(n, k) principal
+    k x k minors, each at most k^(k/2) M^k by Hadamard; interpolation
+    multiplies that by each axis's largest row L1-norm of the scaled inverse
+    Vandermonde.  Primes are taken until their product exceeds twice the
+    bound.  There is no Python-integer fallback: one path serves every size.
     """
     n, m = matrix.shape
     if n != m:
         raise ValueError("square matrix required")
+    if n >= _TERMS_PER_SUM:
+        # a Berkowitz step sums up to n products of residues
+        raise ValueError(f"the residue kernel takes fewer than {_TERMS_PER_SUM} rows")
     vs = matrix.vars
     iv = vs.index(var)
     entries = [e for row in matrix.rows for e in row]
-    if any(expo[iv] for e in entries for expo in e.terms):
+    # each entry's degree in each variable
+    degs = [list(map(max, zip(*e.terms))) if e.terms else [0] * len(vs) for e in entries]
+    if any(d[iv] for d in degs):
         raise ValueError(f"matrix entries must not involve {var!r}")
-    free = [k for k in range(len(vs)) if any(expo[k] for e in entries for expo in e.terms)]
+    free = [k for k in range(len(vs)) if any(d[k] for d in degs)]
     bounds = []
     for k in free:
-        deg = [[max((expo[k] for expo in e.terms), default=0) for e in row] for row in matrix.rows]
+        deg = [[d[k] for d in degs[r * n:(r + 1) * n]] for r in range(n)]
         bounds.append(min(sum(map(max, deg)), sum(map(max, zip(*deg)))))
     denom = math.lcm(
         *(d for e in entries for c in e.terms.values() for d in (c.re.denominator, c.im.denominator))
     )
-    # every entry of D*matrix as [(exponents of the free variables, re, im)]
+    # every term of D*matrix as (entry, exponents of the free variables, re, im)
     scaled = [
-        [
-            (
-                tuple(expo[k] for k in free),
-                c.re.numerator * (denom // c.re.denominator),
-                c.im.numerator * (denom // c.im.denominator),
-            )
-            for expo, c in e.terms.items()
-        ]
-        for e in entries
-    ]
-    monomials = {expo for terms in scaled for expo, _, _ in terms}
-    values = {}
-    for point in product(*(range(b + 1) for b in bounds)):
-        at = {expo: math.prod(map(pow, point, expo)) for expo in monomials}
-        flat_re = [sum(r * at[expo] for expo, r, _ in terms) for terms in scaled]
-        flat_im = [sum(i * at[expo] for expo, _, i in terms) for terms in scaled]
-        values[point] = _berkowitz(
-            [flat_re[r * n:(r + 1) * n] for r in range(n)],
-            [flat_im[r * n:(r + 1) * n] for r in range(n)],
+        (
+            at,
+            tuple(expo[k] for k in free),
+            c.re.numerator * (denom // c.re.denominator),
+            c.im.numerator * (denom // c.im.denominator),
         )
-    for axis, b in enumerate(bounds):
-        w = _inverse_vandermonde(b)
-        grid = [range(c + 1) for c in bounds]
-        grid[axis] = range(1)
-        interpolated = {}
-        for key in product(*grid):
-            fiber = [values[key[:axis] + (j,) + key[axis + 1:]] for j in range(b + 1)]
-            # along[part][t]: the real (part 0) or imaginary (part 1) part of
-            # coefficient t at each point of the fiber
-            along = [list(zip(*(y[part] for y in fiber))) for part in (0, 1)]
-            for power, row in enumerate(w):
-                interpolated[key[:axis] + (power,) + key[axis + 1:]] = tuple(
-                    [sum(map(mul, row, ys)) for ys in part] for part in along
-                )
-        values = interpolated
+        for at, e in enumerate(entries)
+        for expo, c in e.terms.items()
+    ]
+    # the grid's largest |re| + |im| of an entry sits at its far corner
+    largest = [0] * (n * n)
+    for at, expo, re, im in scaled:
+        largest[at] += (abs(re) + abs(im)) * math.prod(map(pow, bounds, expo))
+    big = max(largest)
+    bound = max(math.comb(n, k) * (math.isqrt(k**k - 1) + 1) * big**k for k in range(n + 1))
+    for b in bounds:
+        bound *= max(sum(map(abs, row)) for row in _inverse_vandermonde(b))
+    primes = _primes_beyond(2 * bound)
+    count = len(primes)
+    mod = np.array([p for p, _ in primes], dtype=np.int64).reshape(count, 1, 1, 1)
+
+    # coefficient residues (prime, embedding, monomial, entry)
+    monomials = {expo: i for i, expo in enumerate(dict.fromkeys(expo for _, expo, _, _ in scaled))}
+    coeff = np.zeros((count, 2, len(monomials), n * n), dtype=np.int64)
+    if scaled:
+        ats, expos, re, im = zip(*scaled)
+        coeff[:, :, [monomials[e] for e in expos], list(ats)] = np.array(
+            [[[(r + i * x) % p for r, x in zip(re, im)], [(r - i * x) % p for r, x in zip(re, im)]]
+             for p, i in primes],
+            dtype=np.int64,
+        )
+    # powers[axis][p, x, e] = x^e modulo the p-th prime, and each monomial's
+    # exponent on that axis
+    powers = [
+        np.array([[[pow(x, e, p) for e in range(top + 1)] for x in range(b + 1)] for p, _ in primes])
+        for b, top in zip(bounds, map(max, zip(*monomials)))
+    ]
+    exponents = [list(column) for column in zip(*monomials)]
+    shape = tuple(b + 1 for b in bounds)
+    size = math.prod(shape)
+    residues = np.empty((count, 2, size, n + 1), dtype=np.int64)
+    # blocks of grid points keep each block's (primes, 2, points, n, n) stack
+    # near _KERNEL_BLOCK residues
+    rows = max(1, _KERNEL_BLOCK // (2 * count * n * n))
+    strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
+    for start in range(0, size, rows):
+        points = np.arange(start, min(start + rows, size))[:, None]
+        values = np.ones((count, len(points), len(monomials)), dtype=np.int64)
+        for power, stride, width, e in zip(powers, strides, shape, exponents):
+            values = values * power[:, points // stride % width, e] % mod[..., 0]
+        stack = _dot_mod(values[:, None], coeff, mod).reshape(count, -1, n, n)
+        residues[:, :, start:start + rows] = _berkowitz_mod(stack, mod).reshape(count, 2, -1, n + 1)
+    residues = residues.reshape((count, 2) + shape + (n + 1,))
+    for axis, b in enumerate(bounds, 2):
+        w = np.array([[[x % p for x in row] for row in _inverse_vandermonde(b)] for p, _ in primes])
+        lead = math.prod(residues.shape[1:axis])
+        residues = _dot_mod(w[:, None], residues.reshape(count, lead, b + 1, -1), mod).reshape(residues.shape)
+    # re and im from the two embeddings x+- = re +- iota im
+    p_col = mod.reshape(count, 1)
+    half = p_col - p_col // 2
+    inv_two_iota = half * (p_col - np.array([[i] for _, i in primes])) % p_col
+    plus, minus = residues[:, 0].reshape(count, -1), residues[:, 1].reshape(count, -1)
+    parts = np.concatenate(
+        [(plus + minus) * half % p_col, (plus - minus) % p_col * inv_two_iota % p_col], axis=1
+    )
+    # Garner: mixed-radix digits, then the integers with the symmetric lift
+    digits = [parts[0]]
+    for i in range(1, count):
+        p, d = primes[i][0], parts[i]
+        for j in range(i):
+            d = (d - digits[j]) % p * pow(primes[j][0], -1, p) % p
+        digits.append(d)
+    digits = np.array(digits)
+    nonzero = np.flatnonzero(digits.any(axis=0))
+    modulus = math.prod(p for p, _ in primes)
+    ints = {}
+    for at, column in zip(nonzero.tolist(), digits[::-1, nonzero].T.tolist()):
+        x = 0
+        for (p, _), d in zip(reversed(primes), column):
+            x = x * p + d
+        ints[at] = x - modulus if 2 * x > modulus else x
+
     # det(matrix - var I) = (-1)^n det(var I - matrix); interpolation scaled by prod b!
     scale = (-1) ** n * math.prod(math.factorial(b) for b in bounds)
+    span = size * (n + 1)  # the imaginary parts follow the real ones
+    found = sorted({at % span for at in ints})
     terms = {}
-    for free_expo, (p_re, p_im) in values.items():
-        for t in range(n + 1):
-            if p_re[t] or p_im[t]:
-                expo = [0] * len(vs)
-                expo[iv] = n - t
-                for k, x in zip(free, free_expo):
-                    expo[k] = x
-                d = scale * denom ** t
-                terms[tuple(expo)] = GaussRational(Fraction(p_re[t], d), Fraction(p_im[t], d))
+    for at, index in zip(found, zip(*np.unravel_index(found, shape + (n + 1,)))):
+        re, im = ints.get(at, 0), ints.get(span + at, 0)
+        *free_expo, t = map(int, index)
+        expo = [0] * len(vs)
+        expo[iv] = n - t
+        for k, x in zip(free, free_expo):
+            expo[k] = x
+        d = scale * denom**t
+        terms[tuple(expo)] = GaussRational(Fraction(re, d), Fraction(im, d))
     return MultiPoly(vs, terms)
 
 
@@ -695,7 +822,7 @@ def char_poly_berkowitz(matrix: PolyMatrix, var: str) -> MultiPoly:
 # Once a scan has bound every parameter but its target, everything it derives
 # from the char poly is univariate.  These helpers take dense lists of
 # Gaussian-integer pairs (re, im), highest power first with a nonzero leading
-# pair ([] is zero), as `_berkowitz` does.
+# pair ([] is zero).
 
 Dense = list[tuple[int, int]]
 

@@ -206,6 +206,20 @@ class TestCollapseClusters:
         assert collapsed[1].tobytes() == stack[1].tobytes()
         assert np.array_equal(collapse_clusters(stack[None], 1.0)[0], collapsed)
 
+    def test_blocks_match_one_block(self, monkeypatch):
+        # 2 x 50 spectra of 5 values around 3 centres, so most rows hold
+        # clusters; 7 rows per block splits the stack with a short last block
+        rng = np.random.default_rng(7)
+        centres = rng.normal(size=(2, 50, 3)) + 1j * rng.normal(size=(2, 50, 3))
+        stack = centres[..., [0, 0, 1, 1, 2]] + 1e-3 * rng.normal(size=(2, 50, 5))
+        whole = collapse_clusters(stack, 1e-2)
+        assert numerics._ROOT_BLOCK // 25 >= 100
+        monkeypatch.setattr(numerics, "_ROOT_BLOCK", 7 * 25)
+        blocked = collapse_clusters(stack, 1e-2)
+        assert blocked.shape == stack.shape
+        assert blocked.tobytes() == whole.tobytes()
+        assert not np.array_equal(whole, stack)
+
 
 # distinct lattice points: every gap is at least 1, far above rounding
 DISTINCT_POINTS = st.lists(

@@ -1,18 +1,22 @@
 """Exact arithmetic layer: scalars, polynomials, matrices, determinants."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liouville_ep import poly
 from liouville_ep.poly import (
     ExactDivisionError,
     GaussRational,
     MultiPoly,
     PolyMatrix,
     _subresultant_prs,
+    char_poly_berkowitz,
     det_bareiss,
     det_cofactor,
     gcd_univariate,
@@ -319,6 +323,139 @@ class TestGcd:
         f = (x - MultiPoly.constant(vs, 2)).scale(gr(0, 5))
         g = (x - MultiPoly.constant(vs, 2)).scale(gr(7))
         assert gcd_univariate(f, g, "x") == x - MultiPoly.constant(vs, 2)
+
+
+# -- residue char-poly kernel ---------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+KV = ("g", "h", "omega")
+
+
+def minus_omega(matrix):
+    """matrix - omega I, built in the test from ring operations."""
+    w = MultiPoly.variable(matrix.vars, "omega")
+    return PolyMatrix(
+        [[e - w if i == j else e for j, e in enumerate(row)] for i, row in enumerate(matrix.rows)]
+    )
+
+
+def kernel_entries(free, numerators):
+    """Entries over KV in the first `free` of g, h: up to three terms of
+    degree <= 2 per variable, Gaussian-rational coefficients with denominators."""
+    coeff = st.builds(
+        lambda a, b, c, d: GaussRational.of(Fraction(a, b), Fraction(c, d)),
+        numerators, st.integers(1, 40), numerators, st.integers(1, 40),
+    )
+    expo = st.tuples(*(st.integers(0, 2) for _ in range(free))).map(lambda e: e + (0,) * (3 - len(e)))
+    return st.dictionaries(expo, coeff, max_size=3).map(lambda t: MultiPoly(KV, t))
+
+
+def kernel_matrices(free, numerators=st.integers(-9, 9), max_n=4):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(
+            st.lists(kernel_entries(free, numerators), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    ).map(PolyMatrix)
+
+
+class TestResidueKernel:
+    """`char_poly_berkowitz` (residues, interpolation and CRT) against the
+    Bareiss determinant of M - omega I."""
+
+    @pytest.mark.parametrize("free", [0, 1, 2])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_bareiss(self, free, data):
+        matrix = data.draw(kernel_matrices(free))
+        assert char_poly_berkowitz(matrix, "omega") == det_bareiss(minus_omega(matrix))
+
+    @settings(max_examples=15, deadline=None)
+    @given(kernel_matrices(1, st.integers(-(10**25), 10**25), max_n=3))
+    def test_matches_bareiss_with_large_numerators(self, matrix):
+        assert char_poly_berkowitz(matrix, "omega") == det_bareiss(minus_omega(matrix))
+
+    def test_grid_blocks_match_one_block(self, monkeypatch):
+        # 3x3 in g and h: a 4x4 grid of points, then one point per block
+        rng = random.Random(5)
+        matrix = PolyMatrix(
+            [[MultiPoly(KV, {(rng.randint(0, 1), rng.randint(0, 1), 0): rand_gr(rng)}) for _ in range(3)]
+             for _ in range(3)]
+        )
+        whole = char_poly_berkowitz(matrix, "omega")
+        monkeypatch.setattr(poly, "_KERNEL_BLOCK", 1)
+        assert char_poly_berkowitz(matrix, "omega") == whole == det_bareiss(minus_omega(matrix))
+
+    def test_rows_that_could_overflow_rejected(self, monkeypatch):
+        # n products of residues below 2^26 must sum below 2^63: n < 2^11,
+        # lowered here so that a 3x3 matrix stands in for a 2048x2048 one
+        monkeypatch.setattr(poly, "_TERMS_PER_SUM", 3)
+        with pytest.raises(ValueError, match="fewer than 3 rows"):
+            char_poly_berkowitz(PolyMatrix.identity(KV, 3), "omega")
+        assert char_poly_berkowitz(PolyMatrix.identity(KV, 2), "omega") == det_bareiss(
+            minus_omega(PolyMatrix.identity(KV, 2))
+        )
+
+    def test_one_by_one_and_zero(self):
+        entry = MultiPoly(KV, {(2, 0, 0): gr(Fraction(1, 3)), (0, 0, 0): gr(0, Fraction(-1, 2))})
+        one = PolyMatrix([[entry]])
+        omega = MultiPoly.variable(KV, "omega")
+        assert char_poly_berkowitz(one, "omega") == entry - omega
+        zero = PolyMatrix.identity(KV, 3).scale(0)
+        assert char_poly_berkowitz(zero, "omega") == -(omega**3)
+
+    def test_entries_beyond_int64(self):
+        # numerators past 2^64 over coprime denominators, one free variable
+        g = MultiPoly.variable(KV, "g")
+
+        def c(re, im=0):
+            return MultiPoly.constant(KV, gr(re, im))
+
+        matrix = PolyMatrix(
+            [
+                [c(Fraction(2**64 + 13, 3), Fraction(1 - 2**70, 5)), c(Fraction(-(2**65), 7)) * g, g],
+                [c(Fraction(3, 2**66 + 1), 1), c(Fraction(2**80 - 1, 11), Fraction(1, 9)) + g * g, c(2**64)],
+                [g, c(0, Fraction(2**90, 13)), c(-1)],
+            ]
+        )
+        assert char_poly_berkowitz(matrix, "omega") == det_bareiss(minus_omega(matrix))
+
+    def test_hadamard_bound_is_met(self):
+        # the 8x8 Sylvester-Hadamard matrix H has |det H| = 8^4, Hadamard's
+        # bound, so the determinant of s*H needs every prime the bound asks for
+        h = [[1]]
+        for _ in range(3):
+            h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+        s = Fraction(2**70 + 3, 7)
+        matrix = PolyMatrix([[MultiPoly.constant(KV, gr(s * x)) for x in row] for row in h])
+        got = char_poly_berkowitz(matrix, "omega")
+        assert abs(got.terms[(0, 0, 0)].re) == s**8 * 8**4
+        assert got == det_bareiss(minus_omega(matrix))
+
+    def test_unbound_multi_parameter_pencil(self):
+        # unbound spin_half with a generic eps perturbation and a complex
+        # shift: a tensor grid over five variables
+        from liouville_ep.models import EPSILON, builtin_model, char_poly, generic_perturbation
+
+        l0 = builtin_model("spin_half").l0.matrix
+        l1 = generic_perturbation(l0.vars, 4, 7)
+        shift = GaussRational.of(Fraction(1, 3), Fraction(-2, 5))
+        eps = MultiPoly.variable(l0.vars, EPSILON)
+        omega = MultiPoly.variable(l0.vars, "omega") + MultiPoly.constant(l0.vars, shift)
+        work = (l0 + l1.scale(eps)) - PolyMatrix.identity(l0.vars, 4).scale(omega)
+        assert char_poly(l0, l1, shift=shift) == det_bareiss(work)
+
+    def test_lambda3_classify_pencil_is_frozen(self):
+        # the char poly of the 9x9 lambda3 pencil at the 4-fold point (g1 =
+        # g2 = 1, O = 0, omega0 = -1/2, generic seed 42), as the Python-integer
+        # Berkowitz kernel computed it
+        from liouville_ep.expr import parse_expression
+        from liouville_ep.models import char_poly, generic_perturbation, model_from_dict
+
+        model = model_from_dict(json.loads((ROOT / "perfbench" / "models" / "lambda3.json").read_text()))
+        bound = model.l0.matrix.substitute({"g1": 1, "g2": 1, "O": 0})
+        f = char_poly(bound, generic_perturbation(bound.vars, 9, 42), shift=Fraction(-1, 2))
+        frozen = (ROOT / "tests" / "fixtures" / "lambda3_classify_char_poly.txt").read_text()
+        assert f == parse_expression(frozen.strip(), bound.vars)
 
 
 # -- dense univariate layer ----------------------------------------------------
