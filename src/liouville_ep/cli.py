@@ -28,13 +28,11 @@ from .models import (
 from .newton import (
     assert_routes_agree,
     directions_to_list,
-    lower_hull,
-    newton_points,
     polygon_to_dict,
     report_to_dict,
     tentacle_directions,
 )
-from .numerics import NumericalError, amoeba_sample, as_complex_matrix, encircle, scaling_sweep
+from .numerics import NumericalError, amoeba_sample, encircle, scaling_sweep
 from .poly import GaussRational
 from .scan import Classification, classify, geometric_multiplicity, scan_parameter
 from . import svgplot
@@ -127,10 +125,17 @@ def _perturbation(bundle, bindings, args):
     return l1, choice
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path!r}: {exc.strerror}") from None
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -207,9 +212,7 @@ def cmd_polygon(args) -> int:
         # classify's first seed is --seed: its polygon is this perturbation's
         polygon, report = classification.polygon, classification.report
     else:
-        f = char_poly(bound, l1, shift=w0)
-        report = assert_routes_agree(f)
-        polygon = lower_hull(newton_points(f))
+        polygon, report = assert_routes_agree(char_poly(bound, l1, shift=w0))
     payload = {
         "schema": 1,
         "model": bundle.name,
@@ -223,11 +226,10 @@ def cmd_polygon(args) -> int:
     }
     _emit(_dumps(payload), args.out)
     if args.svg:
-        pts = [(p.i, p.j) for p in polygon.points]
-        verts = [(p.i, p.j) for p in polygon.vertices]
-        svg = svgplot.polygon_svg(pts, verts, f"Newton polygon ({bundle.name})")
-        with open(_svg_path(args, "polygon.svg"), "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        fig = svgplot.Figure(f"Newton polygon ({bundle.name})", "omega degree", "epsilon order")
+        fig.add_points([(p.i, p.j) for p in polygon.points], r=3.0)
+        fig.add_line([(p.i, p.j) for p in polygon.vertices])
+        _write(_svg_path(args, "polygon.svg"), fig.render())
     return EXIT_OK
 
 
@@ -287,14 +289,11 @@ def cmd_amoeba(args) -> int:
         lines.append(f"{float(le)!r},{float(lm)!r}")
     _emit("\n".join(lines) + "\n", args.out)
     if args.svg:
-        svg = svgplot.scatter_svg(
-            [(lm, le) for le, lm in cloud.points],
-            f"Amoeba ({bundle.name}, {pname})",
-            "log10 |omega - omega0|",
-            "log10 |epsilon|",
+        fig = svgplot.Figure(
+            f"Amoeba ({bundle.name}, {pname})", "log10 |omega - omega0|", "log10 |epsilon|"
         )
-        with open(_svg_path(args, "amoeba.svg"), "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        fig.add_points([(lm, le) for le, lm in cloud.points])
+        _write(_svg_path(args, "amoeba.svg"), fig.render())
     return EXIT_OK
 
 
@@ -307,9 +306,7 @@ def cmd_scale(args) -> int:
     # a negative count, which np.geomspace rejects, is an empty sweep:
     # scaling_sweep rejects it with the same message as any short sweep
     eps_values = np.geomspace(args.eps_min, args.eps_max, max(args.eps_points, 0))
-    fit = scaling_sweep(
-        as_complex_matrix(bound), as_complex_matrix(l1), complex(w0), eps_values
-    )
+    fit = scaling_sweep(bound, l1, complex(w0), eps_values)
     lines = [
         f"# scale model={bundle.name} perturbation={pname} omega0={w0} "
         f"slope={fit.slope!r} intercept={fit.intercept!r} r_squared={fit.r_squared!r} "
@@ -342,19 +339,13 @@ def cmd_scale(args) -> int:
                     (max(xs), fit.slope * max(xs) + fit.intercept),
                 ]
             )
-        with open(_svg_path(args, "scale.svg"), "w", encoding="utf-8") as fh:
-            fh.write(fig.render())
+        _write(_svg_path(args, "scale.svg"), fig.render())
     return EXIT_OK
 
 
 def cmd_encircle(args) -> int:
     bundle, bound, l1, pname, _ = _bound_point(args)
-    report = encircle(
-        as_complex_matrix(bound),
-        as_complex_matrix(l1),
-        radius=args.radius,
-        steps=args.steps,
-    )
+    report = encircle(bound, l1, radius=args.radius, steps=args.steps)
     cyc = ",".join(str(c) for c in report.cycles)
     perm = ",".join(str(p) for p in report.permutation)
     lines = [
@@ -368,16 +359,12 @@ def cmd_encircle(args) -> int:
             lines.append(f"{t!r},{idx},{z.real!r},{z.imag!r}")
     _emit("\n".join(lines) + "\n", args.out)
     if args.svg:
-        nslots = len(report.trace[0])
-        traces = [
-            [(report.trace[s][k].real, report.trace[s][k].imag) for s in range(len(report.ts))]
-            for k in range(nslots)
-        ]
-        svg = svgplot.traces_svg(
-            traces, f"Eigenvalue loops ({bundle.name}, {pname})", "Re omega", "Im omega"
-        )
-        with open(_svg_path(args, "encircle.svg"), "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        fig = svgplot.Figure(f"Eigenvalue loops ({bundle.name}, {pname})", "Re omega", "Im omega")
+        palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+        for k in range(len(report.trace[0])):
+            trace = [(row[k].real, row[k].imag) for row in report.trace]
+            fig.add_line(trace, palette[k % len(palette)])
+        _write(_svg_path(args, "encircle.svg"), fig.render())
     return EXIT_OK
 
 

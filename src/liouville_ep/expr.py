@@ -9,8 +9,13 @@ Grammar (whitespace-insensitive, no implicit multiplication):
 
 Numbers are unsigned integer or decimal literals; decimals are parsed as exact
 rationals (0.25 -> 1/4).  'i' is the imaginary unit and is reserved.  Division
-is only allowed by subexpressions that reduce to nonzero constants.  Syntax
-errors carry the byte offset of the offending token.
+is only allowed by subexpressions that reduce to nonzero constants.
+
+Parsing is one pass with no syntax tree: each grammar rule returns the
+polynomial of the text it consumed.  The tokenizer runs first, so a bad
+character is reported before anything else; after that, syntax errors,
+unknown variables and invalid divisions are reported left to right.  Every
+error carries the byte offset of the offending token.
 
 The printer emits a canonical form (graded-lexicographic term order, highest
 first) that parses back to the identical polynomial.
@@ -81,17 +86,17 @@ def _tokenize(src: str) -> list[_Token]:
     return tokens
 
 
-# -- AST ---------------------------------------------------------------------
-
-# Nodes are plain tuples: ('num', Fraction), ('i',), ('var', name, offset),
-# ('neg', node), ('add'|'sub'|'mul', a, b), ('div', a, b, offset),
-# ('pow', node, k).
+# -- parser ------------------------------------------------------------------
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    """Recursive descent over the token list; each grammar method returns the
+    MultiPoly of the text it consumed, so errors surface left to right."""
+
+    def __init__(self, tokens: list[_Token], variables: tuple[str, ...]):
         self.tokens = tokens
         self.pos = 0
+        self.variables = variables
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -101,103 +106,71 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse(self):
-        node = self.expr()
+    def parse(self) -> MultiPoly:
+        poly = self.expr()
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected token {tok.text!r}", tok.offset)
-        return node
+        return poly
 
-    def expr(self):
-        node = self.term()
+    def expr(self) -> MultiPoly:
+        poly = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.advance()
             rhs = self.term()
-            node = ("add" if op.kind == "+" else "sub", node, rhs)
-        return node
+            poly = poly + rhs if op.kind == "+" else poly - rhs
+        return poly
 
-    def term(self):
-        node = self.factor()
+    def term(self) -> MultiPoly:
+        poly = self.factor()
         while self.peek().kind in ("*", "/"):
             op = self.advance()
             rhs = self.factor()
             if op.kind == "*":
-                node = ("mul", node, rhs)
+                poly = poly * rhs
+            elif not rhs.is_constant():
+                raise ParseError("division only by constant subexpressions", op.offset)
+            elif rhs.is_zero():
+                raise ParseError("division by zero", op.offset)
             else:
-                node = ("div", node, rhs, op.offset)
-        return node
+                poly = poly.scale(GR_ONE / rhs.constant_value())
+        return poly
 
-    def factor(self):
-        node = self.base()
+    def factor(self) -> MultiPoly:
+        poly = self.base()
         if self.peek().kind == "^":
-            caret = self.advance()
+            self.advance()
             tok = self.peek()
             if tok.kind != "num" or "." in tok.text:
                 raise ParseError("exponent must be an unsigned integer", tok.offset)
             self.advance()
-            node = ("pow", node, int(tok.text))
-        return node
+            poly = poly ** int(tok.text)
+        return poly
 
-    def base(self):
+    def base(self) -> MultiPoly:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            return ("num", Fraction(tok.text))
+            return MultiPoly.constant(self.variables, Fraction(tok.text))
         if tok.kind == "ident":
             self.advance()
             if tok.text == "i":
-                return ("i",)
-            return ("var", tok.text, tok.offset)
+                return MultiPoly.constant(self.variables, GaussRational.of(0, 1))
+            if tok.text not in self.variables:
+                raise ParseError(f"unknown variable {tok.text!r}", tok.offset)
+            return MultiPoly.variable(self.variables, tok.text)
         if tok.kind == "(":
             self.advance()
-            node = self.expr()
+            poly = self.expr()
             closing = self.peek()
             if closing.kind != ")":
                 raise ParseError("expected ')'", closing.offset)
             self.advance()
-            return node
+            return poly
         if tok.kind == "-":
             self.advance()
-            return ("neg", self.base())
+            return -self.base()
         raise ParseError(f"unexpected token {tok.text!r}", tok.offset)
-
-
-def parse_ast(source: str):
-    """Parse to the raw AST without binding variables."""
-    return _Parser(_tokenize(source)).parse()
-
-
-def _fold(node, variables: tuple[str, ...]) -> MultiPoly:
-    kind = node[0]
-    if kind == "num":
-        return MultiPoly.constant(variables, Fraction(node[1]))
-    if kind == "i":
-        return MultiPoly.constant(variables, GaussRational.of(0, 1))
-    if kind == "var":
-        name, offset = node[1], node[2]
-        if name not in variables:
-            raise ParseError(f"unknown variable {name!r}", offset)
-        return MultiPoly.variable(variables, name)
-    if kind == "neg":
-        return -_fold(node[1], variables)
-    if kind == "add":
-        return _fold(node[1], variables) + _fold(node[2], variables)
-    if kind == "sub":
-        return _fold(node[1], variables) - _fold(node[2], variables)
-    if kind == "mul":
-        return _fold(node[1], variables) * _fold(node[2], variables)
-    if kind == "div":
-        lhs = _fold(node[1], variables)
-        rhs = _fold(node[2], variables)
-        offset = node[3]
-        if not rhs.is_constant():
-            raise ParseError("division only by constant subexpressions", offset)
-        if rhs.is_zero():
-            raise ParseError("division by zero", offset)
-        return lhs.scale(GR_ONE / rhs.constant_value())
-    if kind == "pow":
-        return _fold(node[1], variables) ** node[2]
-    raise AssertionError(f"unknown node {kind}")
 
 
 def parse_expression(source: str, variables: Sequence[str]) -> MultiPoly:
@@ -209,7 +182,7 @@ def parse_expression(source: str, variables: Sequence[str]) -> MultiPoly:
     vs = tuple(variables)
     if "i" in vs:
         raise ValueError("'i' is reserved for the imaginary unit")
-    return _fold(parse_ast(source), vs)
+    return _Parser(_tokenize(source), vs).parse()
 
 
 # -- printer -----------------------------------------------------------------

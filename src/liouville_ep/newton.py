@@ -218,14 +218,16 @@ def tropical_roots(tf: TropicalFunction) -> list[tuple[Fraction, int]]:
     return roots
 
 
-def assert_routes_agree(f: MultiPoly) -> EPReport:
-    """Compute the polygon report and assert the tropical route matches it."""
-    report = ep_orders(lower_hull(newton_points(f)))
+def assert_routes_agree(f: MultiPoly) -> tuple[NewtonPolygon, EPReport]:
+    """The Newton polygon of f and its report, after asserting that the
+    tropical route (which never sees the hull) gives the same valuations."""
+    polygon = lower_hull(newton_points(f))
+    report = ep_orders(polygon)
     trop = tropical_roots(tropicalize(f))
     finite = [(v, m) for v, m in report.finite()]
     if trop != finite:
         raise AssertionError(f"tropical roots {trop} disagree with polygon report {finite}")
-    return report
+    return polygon, report
 
 
 # -- serialization --------------------------------------------------------------

@@ -70,16 +70,6 @@ def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return p
 
 
-def _eval_scale(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_k |c_k| |x|^k row by row, the natural backward-error scale of p at x."""
-    ax = np.abs(x)
-    ac = np.hypot(c.real, c.imag)  # libm rounding, as abs() of one complex
-    s = np.repeat(ac[:, -1:], x.shape[1], axis=1)
-    for k in range(c.shape[1] - 2, -1, -1):
-        s = s * ax + ac[:, k : k + 1]
-    return s
-
-
 # Convergence contract of the root finder (see `roots_aberth`).
 ROOT_RESIDUAL_TOL = 1e-10
 
@@ -113,7 +103,9 @@ def _companion_roots(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
         comp[:, 0, :] = np.where(finite[:, None], top, 0.0)
         roots[i : i + rows] = np.where(finite[:, None], np.linalg.eigvals(comp), np.nan)
-    resid = np.abs(_horner(c, roots)) / _eval_scale(c, roots)
+    # the backward-error scale sum_k |c_k||r|^k; hypot gives libm's rounding,
+    # as abs() of one complex does
+    resid = np.abs(_horner(c, roots)) / _horner(np.hypot(c.real, c.imag), np.abs(roots))
     return roots, resid.max(axis=1)
 
 

@@ -27,13 +27,7 @@ from operator import mul
 from typing import Mapping, Sequence
 
 from .models import OMEGA, generic_perturbation, char_poly
-from .newton import (
-    EPReport,
-    NewtonPolygon,
-    assert_routes_agree,
-    lower_hull,
-    newton_points,
-)
+from .newton import EPReport, NewtonPolygon, assert_routes_agree
 from .numerics import NumericalError, roots_aberth
 from .poly import (
     GR_ZERO,
@@ -336,9 +330,8 @@ def classify(bound_matrix: PolyMatrix, omega0: GaussRational, seed: int = 42) ->
     seed_list = tuple(range(seed, seed + CLASSIFY_SEEDS))
     for s in seed_list:
         l1 = generic_perturbation(bound_matrix.vars, n, s)
-        f = char_poly(bound_matrix, l1, shift=omega0)
-        report = assert_routes_agree(f)
-        polygons.append(lower_hull(newton_points(f)))
+        polygon, report = assert_routes_agree(char_poly(bound_matrix, l1, shift=omega0))
+        polygons.append(polygon)
         reports.append(report)
     signature = {tuple((seg.slope, seg.hspan) for seg in p.segments) for p in polygons}
     agree = len(signature) == 1

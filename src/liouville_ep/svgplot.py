@@ -147,25 +147,3 @@ class Figure:
         parts.append("</svg>")
         return "\n".join(parts)
 
-
-def scatter_svg(points, title: str, xlabel: str, ylabel: str) -> str:
-    fig = Figure(title, xlabel, ylabel)
-    fig.add_points(points)
-    return fig.render()
-
-
-def traces_svg(traces, title: str, xlabel: str, ylabel: str) -> str:
-    """One polyline per trace; traces is a list of (x, y) sequences."""
-    fig = Figure(title, xlabel, ylabel)
-    palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
-    for k, tr in enumerate(traces):
-        fig.add_line(tr, palette[k % len(palette)])
-    return fig.render()
-
-
-def polygon_svg(points, vertices, title: str) -> str:
-    """Newton polygon: all support points plus the lower hull polyline."""
-    fig = Figure(title, "omega degree", "epsilon order")
-    fig.add_points(points, color="#1f77b4", r=3.0)
-    fig.add_line(vertices, color="#d62728")
-    return fig.render()

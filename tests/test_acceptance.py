@@ -135,7 +135,7 @@ def test_criterion_3_tropical_equivalence():
             if not terms:
                 continue
             f = MultiPoly(biv, terms)
-            report = assert_routes_agree(f)
+            _, report = assert_routes_agree(f)
             trop = tropical_roots(tropicalize(f))
             assert trop == list(report.finite())
             checked += 1

@@ -1,6 +1,8 @@
 """Command-line interface: payload shapes, determinism, exit codes."""
 
+import errno
 import json
+import os
 import time
 import warnings
 from fractions import Fraction
@@ -534,6 +536,33 @@ class TestExitCodes:
         assert out.err == f"precondition violated: {message}\n"
         assert out.out == ""
         assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--model", "qubit", "--bind", "gamma_e=1", "--bind", "J=1/4"],
+            ["polygon", *QUBIT_EP, "--omega0", "-1/2", "--perturb", "gamma_f", "--svg"],
+            ["amoeba", *QUBIT_EP, "--omega0", "-1/2", "--perturb", "gamma_f", "--svg"],
+            ["scale", *QUBIT_EP, "--omega0", "-1/2", "--perturb", "gamma_f", "--svg"],
+            ["encircle", *QUBIT_EP, "--perturb", "gamma_f", "--svg"],
+        ],
+        ids=["scan-out", "polygon-svg", "amoeba-svg", "scale-svg", "encircle-svg"],
+    )
+    def test_unwritable_output_is_an_input_error(self, tmp_path, monkeypatch, capsys, argv):
+        # scan writes --out into a missing directory; the --svg runs print
+        # their data and write the plot into a working directory that is gone
+        gone = tmp_path / "gone"
+        if "--svg" in argv:
+            gone.mkdir()
+            monkeypatch.chdir(gone)
+            gone.rmdir()
+            target = f"{argv[0]}.svg"
+        else:
+            target = str(gone / "x.json")
+            argv = [*argv, "--out", target]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {target!r}: {os.strerror(errno.ENOENT)}\n"
 
     def test_invalid_model_json(self, tmp_path):
         bad = tmp_path / "bad.json"

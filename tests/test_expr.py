@@ -91,6 +91,23 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_expression("z + 1", V)
 
+    @pytest.mark.parametrize(
+        "source, message, offset",
+        [
+            ("q + (", "unknown variable 'q'", 0),
+            ("x/0 )", "division by zero", 1),
+            ("y + x/y (", "division only by constant subexpressions", 5),
+        ],
+        ids=["unknown-variable", "division-by-zero", "division-by-variable"],
+    )
+    def test_errors_reported_left_to_right(self, source, message, offset):
+        # the polynomial is built while parsing, so a semantic error before a
+        # syntax error is the one reported
+        with pytest.raises(ParseError) as exc:
+            parse_expression(source, V)
+        assert str(exc.value) == f"{message} (offset {offset})"
+        assert exc.value.offset == offset
+
     def test_power_requires_unsigned_integer(self):
         with pytest.raises(ParseError):
             parse_expression("x^-2", V)

@@ -2,11 +2,11 @@
 module-level name it defines, is used in it; every public module-level name
 is used somewhere in the package or exported; `__init__.py` exports exactly
 what it imports; no module but `poly.py` reads a determinant, resultant or
-gcd oracle, and `scan.py` does not read the char-poly kernel; every function
-the benchmark's tracer wraps exists in the package; no module imports scipy
-anywhere, or a module that drags in the network stack at module level, and a
-fresh interpreter that imports the CLI and runs any subcommand loads none of
-them.
+gcd oracle, and `scan.py` does not read the char-poly kernel; only
+`cli._write` opens a file for writing; every function the benchmark's tracer
+wraps exists in the package; no module imports scipy anywhere, or a module
+that drags in the network stack at module level, and a fresh interpreter that
+imports the CLI and runs any subcommand loads none of them.
 
 No linter is a dependency, so this walks each module's AST.  `__init__.py`
 is exempt from the import check: it imports names only to re-export them.
@@ -146,6 +146,39 @@ def test_scan_takes_no_kernel_determinant():
     # the char-poly kernel on a Sylvester matrix
     tree = ast.parse((PACKAGE / "scan.py").read_text())
     assert "char_poly_berkowitz" not in _loaded_names(tree) | set(_imported_names(tree))
+
+
+def _write_opens(tree: ast.Module):
+    """(enclosing function, line) of every `open(...)` whose mode writes."""
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "open"
+            ):
+                modes = child.args[1:2] + [k.value for k in child.keywords if k.arg == "mode"]
+                if any(isinstance(m, ast.Constant) and "w" in str(m.value) for m in modes):
+                    yield owner, child.lineno
+            yield from visit(child, owner)
+
+    return visit(tree, None)
+
+
+def test_files_are_written_only_by_cli_write():
+    # one write path: an unwritable output is an input error (exit 2)
+    # everywhere, never a traceback from a stray open()
+    stray = sorted(
+        f"{path.name}:{line} (in {owner})"
+        for path in SOURCES
+        for owner, line in _write_opens(ast.parse(path.read_text(), filename=str(path)))
+        if (path.name, owner) != ("cli.py", "_write")
+    )
+    assert not stray, f"files opened for writing outside cli._write: {stray}"
 
 
 def test_traced_names_resolve():

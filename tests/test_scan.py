@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liouville_ep import scan
+from liouville_ep import newton, scan
 from liouville_ep.expr import parse_expression
 from liouville_ep.models import OMEGA, builtin_model, char_poly, model_from_dict
 from liouville_ep.numerics import roots_aberth
@@ -353,6 +353,23 @@ class TestClassify:
         monkeypatch.setattr(scan, "char_poly", spy)
         c = classify(qubit_ep3_bound(), gr(Fraction(-1, 2)))
         assert c.alg_mult == 4
+        assert len(calls) == scan.CLASSIFY_SEEDS
+
+    def test_one_newton_polygon_per_seed(self, monkeypatch):
+        # the polygon checked against the tropical route is the one classify
+        # keeps: no module builds a second hull of the same char poly
+        calls = []
+        hull = newton.lower_hull
+
+        def spy(points):
+            calls.append(points)
+            return hull(points)
+
+        for module in (newton, scan):
+            if getattr(module, "lower_hull", None) is hull:
+                monkeypatch.setattr(module, "lower_hull", spy)
+        c = classify(qubit_ep3_bound(), gr(Fraction(-1, 2)))
+        assert c.order == 3
         assert len(calls) == scan.CLASSIFY_SEEDS
 
 
