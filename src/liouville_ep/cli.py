@@ -3,8 +3,8 @@
 Subcommands: build, polygon, scan, amoeba, scale, encircle.  Data outputs are
 JSON (always carrying "schema": 1) or CSV with a documented header; SVG plots
 are optional.  Exit codes: 0 success, 2 input or parse error, 3 precondition
-violation, 4 numerical failure.  All invocations are deterministic under a
-fixed seed.
+violation (a request too large for memory included), 4 numerical failure.
+All invocations are deterministic under a fixed seed.
 """
 
 from __future__ import annotations
@@ -147,6 +147,17 @@ def _svg_path(args, default: str) -> str:
     return default
 
 
+# rows of a long CSV table formatted at a time, which bounds its cell lists
+_CSV_ROWS = 1 << 12
+
+
+def _float_reprs(values: np.ndarray) -> list[str]:
+    """repr() of every float of the array in C order, for CSV cells: one
+    list repr split back into its items, each of them float.__repr__."""
+    flat = values.ravel().tolist()
+    return repr(flat)[1:-1].split(", ") if flat else []
+
+
 def _dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
@@ -285,8 +296,8 @@ def cmd_amoeba(args) -> int:
         f"grid={cloud.moduli}x{cloud.phases} skips={cloud.skips}",
         "logeps,logmag",
     ]
-    for le, lm in cloud.points:
-        lines.append(f"{float(le)!r},{float(lm)!r}")
+    cells = _float_reprs(cloud.points)
+    lines.extend(map(",".join, zip(cells[0::2], cells[1::2])))
     _emit("\n".join(lines) + "\n", args.out)
     if args.svg:
         fig = svgplot.Figure(
@@ -354,9 +365,19 @@ def cmd_encircle(args) -> int:
         f"residual={report.tracking_residual!r} min_gap={report.min_gap!r}",
         "t,index,re,im",
     ]
-    for step, t in enumerate(report.ts):
-        for idx, z in enumerate(report.trace[step]):
-            lines.append(f"{t!r},{idx},{z.real!r},{z.imag!r}")
+    trace = np.array(report.trace)
+    ts = _float_reprs(np.array(report.ts))
+    index = [str(idx) for idx in range(trace.shape[1])]
+    steps = max(1, _CSV_ROWS // len(index))
+    for i in range(0, len(ts), steps):
+        block = trace[i : i + steps]
+        cells = zip(
+            [t for t in ts[i : i + steps] for _ in index],
+            index * len(block),
+            _float_reprs(block.real),
+            _float_reprs(block.imag),
+        )
+        lines.append("\n".join(map(",".join, cells)))
     _emit("\n".join(lines) + "\n", args.out)
     if args.svg:
         fig = svgplot.Figure(f"Eigenvalue loops ({bundle.name}, {pname})", "Re omega", "Im omega")
@@ -465,6 +486,10 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except MemoryError as exc:
+        # a request too large for this host, e.g. encircle --steps 10^11
+        print(f"precondition violated: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_PRECONDITION
 
 

@@ -4,10 +4,12 @@ Everything exact lives in poly/newton; this module turns exact predictions
 into numerical experiments: eigenvalues of constant matrices or stacks of them
 (LAPACK via numpy.linalg.eigvals, one call per stack), which also gives
 polynomial roots as companion-matrix eigenvalues (`roots_aberth`, and the
-batched `_companion_roots` inside), epsilon scaling sweeps and adiabatic
-encircling of a degeneracy (each one stacked eigenvalue call, then nearest-
-neighbour matching), amoeba point clouds (the whole epsilon grid through the
-batched root kernel), and tentacle slope fits, with numpy alone.
+batched `_companion_roots` inside), epsilon scaling sweeps (one stacked
+eigenvalue call, then nearest-neighbour tracking), adiabatic encircling of a
+degeneracy (the loop built and diagonalised in blocks of steps, then one
+batched nearest-neighbour matching of the whole stack of spectra), amoeba
+point clouds (the whole epsilon grid through the batched root kernel), and
+tentacle slope fits, with numpy alone.
 
 Accuracy note on degenerate spectra: a defective eigenvalue of multiplicity m
 is only computable to about eps_machine^(1/m) per root by any backward-stable
@@ -21,7 +23,6 @@ true splitting.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -93,19 +94,22 @@ def _companion_roots(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     batch, n = c.shape[0], c.shape[1] - 1
     rows = max(1, _ROOT_BLOCK // (n * n))
     roots = np.empty((batch, n), dtype=complex)
-    for i in range(0, batch, rows):
-        # first row -c_{n-1}/c_n, ..., -c_0/c_n (the numpy.roots form): with
-        # the coefficients in the last column instead, roots spread over many
-        # decades miss the residual contract
-        top = -c[i : i + rows, -2::-1] / c[i : i + rows, -1:]
-        finite = np.isfinite(top).all(axis=1)
-        comp = np.zeros((top.shape[0], n, n), dtype=complex)
-        comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-        comp[:, 0, :] = np.where(finite[:, None], top, 0.0)
-        roots[i : i + rows] = np.where(finite[:, None], np.linalg.eigvals(comp), np.nan)
-    # the backward-error scale sum_k |c_k||r|^k; hypot gives libm's rounding,
-    # as abs() of one complex does
-    resid = np.abs(_horner(c, roots)) / _horner(np.hypot(c.real, c.imag), np.abs(roots))
+    # an overflowing row is caught by the finite mask or the residual
+    # contract, so numpy's floating-point warnings are only noise here
+    with np.errstate(all="ignore"):
+        for i in range(0, batch, rows):
+            # first row -c_{n-1}/c_n, ..., -c_0/c_n (the numpy.roots form): with
+            # the coefficients in the last column instead, roots spread over many
+            # decades miss the residual contract
+            top = -c[i : i + rows, -2::-1] / c[i : i + rows, -1:]
+            finite = np.isfinite(top).all(axis=1)
+            comp = np.zeros((top.shape[0], n, n), dtype=complex)
+            comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+            comp[:, 0, :] = np.where(finite[:, None], top, 0.0)
+            roots[i : i + rows] = np.where(finite[:, None], np.linalg.eigvals(comp), np.nan)
+        # the backward-error scale sum_k |c_k||r|^k; hypot gives libm's rounding,
+        # as abs() of one complex does
+        resid = np.abs(_horner(c, roots)) / _horner(np.hypot(c.real, c.imag), np.abs(roots))
     return roots, resid.max(axis=1)
 
 
@@ -296,17 +300,7 @@ class PermutationReport:
     trace: tuple[tuple[complex, ...], ...] = ()  # trace[step][slot]
 
 
-def _cluster_reps(values: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Group exactly equal (post-collapse) values into (reps, multiplicities)."""
-    reps: list[complex] = []
-    mults: list[int] = []
-    for v in values:  # values sorted; equal entries adjacent
-        if reps and v == reps[-1]:
-            mults[-1] += 1
-        else:
-            reps.append(complex(v))
-            mults.append(1)
-    return np.array(reps, dtype=complex), mults
+_SHARED_NEIGHBOUR = "tracking ambiguous: two eigenvalues share a nearest neighbour; increase steps"
 
 
 def _nearest(old: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, float]:
@@ -317,9 +311,7 @@ def _nearest(old: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, float]:
     cost = np.abs(old[:, None] - new[None, :])
     order = np.argmin(cost, axis=1)
     if len(set(order.tolist())) < order.size:
-        raise NumericalError(
-            "tracking ambiguous: two eigenvalues share a nearest neighbour; increase steps"
-        )
+        raise NumericalError(_SHARED_NEIGHBOUR)
     return order, float(cost[np.arange(order.size), order].max())
 
 
@@ -334,9 +326,19 @@ def encircle(l0, l1, radius: float = 0.01, steps: int = 400) -> PermutationRepor
     degeneracies come out as fixed slots rather than arbitrary 2-cycles.
     Raises NumericalError when the matching is ambiguous (two eigenvalues
     share a nearest neighbour, or the residual is not below half the minimal
-    gap along the path) or the cluster structure changes;
-    both are cured by more steps or a smaller radius.  A radius that is not
-    finite and positive encircles nothing and raises ValueError.
+    gap along the path), when the cluster structure changes, or when clusters
+    of different multiplicity trade places; all are cured by more steps or a
+    smaller radius.  A radius that is not finite and positive encircles
+    nothing and raises ValueError.
+
+    The loop's matrices are built and diagonalised in blocks of steps, and the
+    whole stack of spectra is matched at once: a nearest neighbour does not
+    depend on how the previous step's clusters are labelled, so each step's
+    sorted clusters are matched to the step before's by one argmin, and the
+    tracked slots are the composition of those matchings.  A failure is
+    reported at the first step that fails, with the message step-by-step
+    tracking gives there.  The distance tables are taken in blocks of steps
+    too, so memory stays bounded however long the loop.
     """
     a0 = as_complex_matrix(l0)
     a1 = as_complex_matrix(l1)
@@ -345,46 +347,74 @@ def encircle(l0, l1, radius: float = 0.01, steps: int = 400) -> PermutationRepor
     if not (0 < radius < math.inf):
         raise ValueError("loop radius must be finite and > 0")
     ts = np.linspace(0.0, 2.0 * np.pi, steps + 1)
-    loop = np.array([radius * cmath.exp(1j * t) for t in ts])[:, None, None]
-    spectra = eigenvalues(a0 + loop * a1, ENCIRCLE_COLLAPSE_TOL)
-    init_vals = spectra[0]  # t = 0
-    reps, mults = _cluster_reps(init_vals)
-    start_reps = reps
-    tracking_residual = 0.0
-    min_gap = math.inf
+    loop = radius * np.exp(1j * ts)
+    n = a0.shape[-1]
+    rows = max(1, _ROOT_BLOCK // max(1, n * n))
+    spectra = np.concatenate(
+        [
+            eigenvalues(a0 + loop[i : i + rows, None, None] * a1, ENCIRCLE_COLLAPSE_TOL)
+            for i in range(0, steps + 1, rows)
+        ]
+    )
 
-    def expand(rs):
-        row = []
-        for rep, m in zip(rs, mults):
-            row.extend([complex(rep)] * m)
-        return tuple(row)
+    # clusters: runs of equal values in each sorted, collapsed spectrum;
+    # steps 0 .. last-1 share the cluster structure of t = 0
+    first = np.ones(spectra.shape, dtype=bool)
+    first[:, 1:] = spectra[:, 1:] != spectra[:, :-1]
+    counts = first.sum(axis=1)
+    last = int(np.argmax(counts != counts[0])) or steps + 1
+    pos = np.nonzero(first[:last])[1].reshape(last, -1)
+    mults = np.diff(pos, axis=1, append=n)
+    changed = (np.sort(mults, axis=1) != np.sort(mults[0])).any(axis=1)
+    last = int(np.argmax(changed)) or last
+    reps, mults = np.take_along_axis(spectra[:last], pos[:last], 1), mults[:last]
 
-    trace = [expand(reps)]
-    for vals in spectra[1:]:
-        new_reps, new_mults = _cluster_reps(vals)
-        if sorted(new_mults) != sorted(mults):
-            raise NumericalError(
-                "degeneracy structure changed along the loop; "
-                "increase steps or shrink the radius"
-            )
-        order, residual = _nearest(reps, new_reps)
-        matched_mults = [new_mults[j] for j in order]
-        if matched_mults != mults:
-            raise NumericalError(
-                "eigenvalue multiplicities were exchanged between clusters; "
-                "increase steps"
-            )
-        tracking_residual = max(tracking_residual, residual)
-        if len(new_reps) > 1:
-            d = np.abs(new_reps[:, None] - new_reps[None, :])
-            np.fill_diagonal(d, np.inf)
-            min_gap = min(min_gap, float(d.min()))
-        reps = new_reps[order]
-        trace.append(expand(reps))
+    # match step k-1 to step k for every k; under the checks below each
+    # matching is a bijection that keeps multiplicities
+    m = reps.shape[1]
+    nearest = np.empty((last - 1, m), dtype=np.intp)
+    moved = np.empty(last - 1)
+    gaps = np.empty(last - 1)
+    block = max(1, _ROOT_BLOCK // max(1, m * m))
+    for i in range(1, last, block):
+        j = min(i + block, last)
+        new = reps[i:j]
+        cost = np.abs(reps[i - 1 : j - 1, :, None] - new[:, None, :])
+        nn = cost.argmin(axis=2)
+        nearest[i - 1 : j - 1] = nn
+        moved[i - 1 : j - 1] = np.take_along_axis(cost, nn[:, :, None], 2).max(axis=(1, 2))
+        gap = np.abs(new[:, :, None] - new[:, None, :])
+        gap[:, np.arange(m), np.arange(m)] = math.inf  # one cluster: no gap, inf
+        gaps[i - 1 : j - 1] = gap.min(axis=(1, 2))
+    ranked = np.sort(nearest, axis=1)
+    shared = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
+    exchanged = (np.take_along_axis(mults[1:], nearest, 1) != mults[:-1]).any(axis=1)
+    bad = shared | exchanged
+    if bad.any():
+        if shared[np.argmax(bad)]:
+            raise NumericalError(_SHARED_NEIGHBOUR)
+        raise NumericalError(
+            "eigenvalue multiplicities were exchanged between clusters; increase steps"
+        )
+    if last <= steps:
+        raise NumericalError(
+            "degeneracy structure changed along the loop; increase steps or shrink the radius"
+        )
+
+    # slots[k] = nearest[k-1][slots[k-1]]: a prefix composition by doubling
+    slots = np.concatenate([np.arange(m)[None], nearest])
+    span = 1
+    while span <= steps:
+        slots[span:] = np.take_along_axis(slots[span:], slots[:-span], 1)
+        span *= 2
+    tracked = np.take_along_axis(reps, slots, 1)
+    tracking_residual = float(moved.max())
+    min_gap = float(gaps.min())
     # close the loop: map the continued representatives back onto the start set
-    perm_rep, residual = _nearest(reps, start_reps)
+    perm_rep, residual = _nearest(tracked[-1], reps[0])
     tracking_residual = max(tracking_residual, residual)
-    if any(mults[i] != mults[j] for i, j in enumerate(perm_rep)):
+    start_mults = mults[0]
+    if (start_mults[perm_rep] != start_mults).any():
         raise NumericalError("loop closure mixes clusters of different size")
     if not tracking_residual < min_gap / 2:
         raise NumericalError(
@@ -394,8 +424,8 @@ def encircle(l0, l1, radius: float = 0.01, steps: int = 400) -> PermutationRepor
         )
     # expand cluster slots: cluster i occupies consecutive slots in the sorted
     # start spectrum
-    offsets = [sum(mults[:i]) for i in range(len(mults))]
-    perm = [offsets[j] + k for i, j in enumerate(perm_rep) for k in range(mults[i])]
+    offsets = pos[0].tolist()
+    perm = [offsets[j] + k for i, j in enumerate(perm_rep.tolist()) for k in range(start_mults[i])]
     total = len(perm)
     seen = [False] * total
     cycles = []
@@ -414,10 +444,10 @@ def encircle(l0, l1, radius: float = 0.01, steps: int = 400) -> PermutationRepor
         tuple(perm),
         tuple(cycles),
         tracking_residual,
-        float(min_gap),
-        tuple(complex(v) for v in init_vals),
-        tuple(float(t) for t in ts),
-        tuple(trace),
+        min_gap,
+        tuple(spectra[0].tolist()),
+        tuple(ts.tolist()),
+        tuple(map(tuple, np.repeat(tracked, start_mults, axis=1).tolist())),
     )
 
 
@@ -469,15 +499,17 @@ def amoeba_sample(
         raise ValueError("the epsilon grid needs at least one modulus and one phase")
     radii = np.geomspace(lo, hi, moduli)
     angles = 2.0 * np.pi * np.arange(phases) / phases
-    eps = np.array([r * cmath.exp(1j * th) for r in radii for th in angles], dtype=complex)
+    eps = (radii[:, None] * np.exp(1j * angles)).ravel()
     iw, ie = f.vars.index(OMEGA), f.vars.index(EPSILON)
     degree = max((e[iw] for e in f.terms), default=0)
-    eps_powers = [np.ones_like(eps)]
-    for _ in range(max((e[ie] for e in f.terms), default=0)):
-        eps_powers.append(eps_powers[-1] * eps)
     coeffs = np.zeros((eps.size, degree + 1), dtype=complex)
-    for e, c in sorted(f.terms.items()):  # a fixed summation order: equal f, equal cloud
-        coeffs[:, e[iw]] += complex(c) * eps_powers[e[ie]]
+    # a grid point whose coefficients overflow is a skip, counted below
+    with np.errstate(all="ignore"):
+        eps_powers = [np.ones_like(eps)]
+        for _ in range(max((e[ie] for e in f.terms), default=0)):
+            eps_powers.append(eps_powers[-1] * eps)
+        for e, c in sorted(f.terms.items()):  # a fixed summation order: equal f, equal cloud
+            coeffs[:, e[iw]] += complex(c) * eps_powers[e[ie]]
 
     nonzero = coeffs != 0
     low = np.argmax(nonzero, axis=1)

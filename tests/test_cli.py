@@ -9,10 +9,12 @@ from fractions import Fraction
 from pathlib import Path
 from xml.sax.saxutils import escape  # the reference escape; the package uses html.escape
 
+import numpy as np
 import pytest
 
 from liouville_ep import cli, newton, poly
 from liouville_ep.models import builtin_model, char_poly, perturbation_matrix
+from liouville_ep.numerics import amoeba_sample, encircle
 
 QUBIT_EP = [
     "--model",
@@ -87,6 +89,27 @@ LADDER4 = Path(__file__).resolve().parent / "models" / "ladder4.json"
 # the benchmark's 3-level model and the stdout of its g2 scan, frozen
 LAMBDA3_MODEL = Path(__file__).resolve().parent.parent / "perfbench" / "models" / "lambda3.json"
 LAMBDA3_G2_SCAN = Path(__file__).resolve().parent / "fixtures" / "lambda3_g2_scan.json"
+
+
+def qubit_ep_pencil(perturb):
+    """The bound qubit generator at QUBIT_EP and its perturbation, as the
+    CLI builds them."""
+    m = builtin_model("qubit")
+    point = {"gamma_e": Fraction(1), "gamma_f": Fraction(0), "J": Fraction(1, 4)}
+    return m.l_eff.matrix.substitute(point), perturbation_matrix(m.l_eff, perturb).substitute(point)
+
+
+def csv_columns(text):
+    """The CSV rows below the summary and header lines, as columns of cells."""
+    return list(zip(*(row.split(",") for row in text.strip().split("\n")[2:])))
+
+
+def same_bits(cells, values):
+    parsed = np.array([float(c) for c in cells])
+    values = np.asarray(values, dtype=float).ravel()
+    return parsed.shape == values.shape and np.array_equal(
+        parsed.view(np.int64), values.view(np.int64)
+    )
 
 
 def run_json(capsys, argv):
@@ -329,6 +352,30 @@ class TestAmoeba:
         assert cli.main(self.ARGS + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_csv_round_trip(self, capsys):
+        # every cell parses back to the library's float, bit for bit
+        assert cli.main(["amoeba", *QUBIT_EP, "--omega0", "-1/2", "--perturb", "gamma_f"]) == 0
+        logeps, logmag = csv_columns(capsys.readouterr().out)
+        bound, l1 = qubit_ep_pencil("gamma_f")
+        cloud = amoeba_sample(char_poly(bound, l1, shift=Fraction(-1, 2)))
+        assert same_bits(logeps, cloud.points[:, 0])
+        assert same_bits(logmag, cloud.points[:, 1])
+
+    def test_overflowing_grid_is_quiet(self, capsys):
+        # eps^k overflows on this grid: every point is a counted skip, and
+        # numpy's floating-point warnings do not reach stderr
+        argv = ["amoeba", *QUBIT_EP, "--omega0", "-1/2", "--perturb", "gamma_f",
+                "--eps-min", "1e200", "--eps-max", "1e300", "--eps-points", "3", "--phases", "2"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+        out = capsys.readouterr()
+        assert code == 0
+        assert [str(w.message) for w in caught] == []
+        assert out.err == ""
+        assert out.out.split("\n")[0].endswith("grid=3x2 skips=6")
+        assert out.out.split("\n")[1:] == ["logeps,logmag", ""]
+
 
 class TestScale:
     def test_cube_root_slope(self, capsys):
@@ -411,6 +458,19 @@ class TestEncircle:
         assert idx == "0"
         float(re), float(im)
 
+    def test_csv_round_trip(self, capsys):
+        # every cell parses back to the library's report, bit for bit
+        assert cli.main(["encircle", *QUBIT_EP, "--perturb", "gamma_f"]) == 0
+        t, index, re, im = csv_columns(capsys.readouterr().out)
+        report = encircle(*qubit_ep_pencil("gamma_f"))
+        trace = np.array(report.trace)
+        steps, width = trace.shape
+        assert steps == 401
+        assert same_bits(t, np.repeat(report.ts, width))
+        assert list(index) == [str(k) for k in range(width)] * steps
+        assert same_bits(re, trace.real)
+        assert same_bits(im, trace.imag)
+
     def test_cold_process(self, capsys, tmp_path, fresh_python):
         # the suite's process may have loaded anything by now, so only a fresh
         # interpreter shows what a one-shot encircle loads
@@ -474,6 +534,29 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert "radius" in out.err
         assert out.out == ""
+
+    @pytest.mark.parametrize(
+        "message, printed",
+        [
+            ("Unable to allocate 745. GiB for an array with shape (100000000001,) "
+             "and data type float64", None),
+            ("", "out of memory"),
+        ],
+        ids=["numpy", "bare"],
+    )
+    def test_out_of_memory_is_a_precondition_violation(self, capsys, monkeypatch, message,
+                                                       printed):
+        # stands in for `--steps 100000000000`; a real allocation that size
+        # could be granted by an overcommitting host and then killed
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "encircle", refuse)
+        code = cli.main(["encircle", *QUBIT_EP, "--steps", "100000000000"])
+        out = capsys.readouterr()
+        assert code == 3
+        assert out.out == ""
+        assert out.err == f"precondition violated: {printed or message}\n"
 
     def test_bad_omega0_expression(self):
         assert cli.main(["polygon"] + QUBIT_EP + ["--omega0", "1/"]) == 2

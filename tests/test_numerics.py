@@ -334,6 +334,164 @@ class TestEncircle:
         with pytest.raises(ValueError):
             encircle(l0, l1, steps=4)
 
+    def test_structure_change_fails_the_loop(self):
+        # eigenvalues 0 and 0.01 - eps: one double cluster at t = 0 only
+        with pytest.raises(NumericalError, match="degeneracy structure changed"):
+            encircle(np.diag([0.0, 0.01]), np.diag([0.0, -1.0]), radius=0.01, steps=8)
+
+    def test_exchanged_multiplicities_fail_the_loop(self):
+        # a double eigenvalue a + eps and a single -eps: with a = -r(1 + e^(i pi/4))
+        # the first step puts each one where the other started
+        a = -0.01 * (1 + cmath.exp(1j * math.pi / 4))
+        with pytest.raises(NumericalError, match="multiplicities were exchanged"):
+            encircle(np.diag([a, a, 0]), np.diag([1.0, 1.0, -1.0]), radius=0.01, steps=8)
+
+    def test_closure_that_mixes_cluster_sizes_fails(self, monkeypatch):
+        # A pencil's spectrum returns to itself, so no pencil ends its loop on
+        # a different cluster structure; hand-built spectra do: a double
+        # cluster and a single trade places along two half circles.
+        half = np.exp(1j * np.pi * np.arange(9) / 8)
+        double, single = 0.5 - 0.5 * half, 0.5 + 0.5 * half
+        stack = np.sort_complex(np.stack([double, double, single], axis=1))
+        served = []
+
+        def spectra(matrices, collapse_tol=None):
+            done = sum(served)
+            served.append(len(matrices))
+            return stack[done : done + len(matrices)]
+
+        monkeypatch.setattr(numerics, "eigenvalues", spectra)
+        with pytest.raises(NumericalError, match="loop closure mixes clusters"):
+            encircle(np.zeros((3, 3)), np.zeros((3, 3)), radius=1.0, steps=8)
+
+    def test_blocks_of_steps_change_nothing(self, monkeypatch):
+        l0 = np.diag([0.0, 0.0, 1.0, 0.0])
+        l0[0][1] = 1.0
+        l1 = np.ones((4, 4)) - np.eye(4)
+        whole = encircle(l0, l1, radius=0.01, steps=50)
+        # 40 entries: blocks of two steps, of 4x4 matrices and of 4x4 distance tables
+        monkeypatch.setattr(numerics, "_ROOT_BLOCK", 40)
+        assert encircle(l0, l1, radius=0.01, steps=50) == whole
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n),
+                st.lists(st.sampled_from([0, 1]), min_size=n * n, max_size=n * n),
+                st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n),
+            )
+        ),
+        st.sampled_from([0.001, 0.01, 0.1, 0.5, 1.0]),
+        st.integers(8, 24),
+    )
+    def test_matches_the_step_by_step_loop(self, pencil, radius, steps):
+        # repeated diagonal entries and nilpotent couplings give persistent
+        # and splitting degeneracies, and every failure of the matching
+        diag, upper, pert = pencil
+        n = len(diag)
+        l0 = np.triu(np.array(upper, dtype=float).reshape(n, n), 1) + np.diag(diag)
+        l1 = np.array(pert, dtype=float).reshape(n, n)
+        assert_tracks_like_steps(l0, l1, radius, steps)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9),
+                           st.integers(-9, 9)), min_size=2, max_size=5),
+        st.integers(8, 24),
+    )
+    def test_close_clusters_match_the_step_by_step_loop(self, entries, steps):
+        # a double eigenvalue among others within a few collapse tolerances,
+        # all moving on circles of about that size: clusters merge, split and
+        # trade places, so every per-step failure shows up
+        c = np.array([complex(a, b) for a, b, _, _ in entries]) * 2e-5
+        d = np.array([complex(a, b) for _, _, a, b in entries]) * 2e-5
+        c[-1] = c[0]
+        assert_tracks_like_steps(np.diag(c), np.diag(d), 1.0, steps)
+
+
+def assert_tracks_like_steps(l0, l1, radius, steps):
+    """encircle gives the oracle's report, or fails with its message."""
+    try:
+        expected = encircle_by_steps(l0, l1, radius, steps)
+    except NumericalError as exc:
+        with pytest.raises(NumericalError) as got:
+            encircle(l0, l1, radius=radius, steps=steps)
+        assert str(got.value) == str(exc)
+    else:
+        assert encircle(l0, l1, radius=radius, steps=steps) == expected
+
+
+def encircle_by_steps(l0, l1, radius, steps):
+    """The per-step tracking loop `encircle` once ran, kept as its oracle:
+    clusters of each step are matched to the tracked ones of the step before."""
+    a0, a1 = np.asarray(l0, dtype=complex), np.asarray(l1, dtype=complex)
+    ts = np.linspace(0.0, 2.0 * np.pi, steps + 1)
+    loop = (radius * np.exp(1j * ts))[:, None, None]
+    spectra = eigenvalues(a0 + loop * a1, numerics.ENCIRCLE_COLLAPSE_TOL)
+
+    def clusters(values):
+        reps, mults = [], []
+        for v in values:
+            if reps and v == reps[-1]:
+                mults[-1] += 1
+            else:
+                reps.append(complex(v))
+                mults.append(1)
+        return np.array(reps), mults
+
+    reps, mults = clusters(spectra[0])
+    start_reps = reps
+
+    def expand(rs):
+        return tuple(complex(r) for r, m in zip(rs, mults) for _ in range(m))
+
+    residual, min_gap = 0.0, math.inf
+    trace = [expand(reps)]
+    for vals in spectra[1:]:
+        new_reps, new_mults = clusters(vals)
+        if sorted(new_mults) != sorted(mults):
+            raise NumericalError(
+                "degeneracy structure changed along the loop; increase steps or shrink the radius"
+            )
+        order, moved = _nearest(reps, new_reps)
+        if [new_mults[j] for j in order] != mults:
+            raise NumericalError(
+                "eigenvalue multiplicities were exchanged between clusters; increase steps"
+            )
+        residual = max(residual, moved)
+        if len(new_reps) > 1:
+            d = np.abs(new_reps[:, None] - new_reps[None, :])
+            np.fill_diagonal(d, np.inf)
+            min_gap = min(min_gap, float(d.min()))
+        reps = new_reps[order]
+        trace.append(expand(reps))
+    perm_rep, moved = _nearest(reps, start_reps)
+    residual = max(residual, moved)
+    if any(mults[i] != mults[j] for i, j in enumerate(perm_rep)):
+        raise NumericalError("loop closure mixes clusters of different size")
+    if not residual < min_gap / 2:
+        raise NumericalError(
+            f"tracking ambiguous: residual {residual:.3e} is not below "
+            f"half the minimal gap {min_gap:.3e}; increase steps"
+        )
+    offsets = [sum(mults[:i]) for i in range(len(mults))]
+    perm = [offsets[j] + k for i, j in enumerate(perm_rep) for k in range(mults[i])]
+    cycles, seen = [], [False] * len(perm)
+    for i in range(len(perm)):
+        length, j = 0, i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length:
+            cycles.append(length)
+    cycles.sort(reverse=True)
+    return numerics.PermutationReport(
+        tuple(perm), tuple(cycles), residual, float(min_gap),
+        tuple(complex(v) for v in spectra[0]), tuple(float(t) for t in ts), tuple(trace),
+    )
+
 
 class TestAmoebaSample:
     def test_square_root_amoeba_line(self):
