@@ -20,9 +20,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence, Union
 
-from .expr import parse_expression
+from .expr import format_poly, parse_expression
 from .poly import GR_ZERO, GaussRational, MultiPoly, PolyMatrix, ScalarLike, char_poly_berkowitz
 
 OMEGA = "omega"
@@ -176,7 +177,7 @@ def char_poly(
                 for expo, c in perturbation.rows[i][j].terms.items():
                     raised = expo[:ie] + (expo[ie] + 1,) + expo[ie + 1:]
                     terms[raised] = terms.get(raised, GR_ZERO) + c
-            out.append(MultiPoly(variables, terms))
+            out.append(MultiPoly._trusted(variables, terms))
         rows.append(out)
     return char_poly_berkowitz(PolyMatrix(rows), OMEGA)
 
@@ -225,8 +226,9 @@ class BuiltinModel:
     l_jumps: Superoperator | None = None
     rate_params: tuple[str, ...] = field(default=())
 
-    @property
+    @cached_property
     def l_eff(self) -> Superoperator:
+        """l0 plus l_jumps, built once per bundle."""
         if self.l_jumps is None:
             return self.l0
         return Superoperator(self.l0.dim, self.l0.matrix + self.l_jumps.matrix)
@@ -333,8 +335,10 @@ def model_from_dict(data: Mapping) -> BuiltinModel:
 
     Expected keys: name (str), dim (int), params (list of str), hamiltonian
     (dim x dim nested list of expression strings), jumps (list of {rate:
-    expression string, operator: nested list}).  All channels are standard
-    Lindblad channels; the bundle has no jump split.
+    expression string, operator: nested list}).  The Hamiltonian must equal
+    its conjugate transpose exactly, with the parameters taken as real; the
+    first entry that does not is named.  All channels are standard Lindblad
+    channels; the bundle has no jump split.
     """
     try:
         if not isinstance(data, Mapping):
@@ -362,6 +366,16 @@ def model_from_dict(data: Mapping) -> BuiltinModel:
         raise ValueError(f"malformed model description: {exc}") from exc
     variables = ambient_variables(params)
     h = _matrix_from_strings(ham_rows, variables, "hamiltonian", dim)
+    conjugate = h.dagger()
+    for i in range(dim):
+        for j in range(dim):
+            entry, conj = h.rows[i][j], conjugate.rows[i][j]
+            if entry != conj:
+                raise ValueError(
+                    f"hamiltonian[{i}][{j}]: expected {format_poly(conj)}, the conjugate of "
+                    f"hamiltonian[{j}][{i}], got {format_poly(entry)}; the Hamiltonian must "
+                    "be Hermitian, with real parameters"
+                )
     channels = []
     for k, (rate_text, op_rows) in enumerate(jumps):
         if not isinstance(rate_text, str):

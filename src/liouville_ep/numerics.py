@@ -329,7 +329,8 @@ def encircle(l0, l1, radius: float = 0.01, steps: int = 400) -> PermutationRepor
     gap along the path), when the cluster structure changes, or when clusters
     of different multiplicity trade places; all are cured by more steps or a
     smaller radius.  A radius that is not finite and positive encircles
-    nothing and raises ValueError.
+    nothing and raises ValueError, as does one so large that a loop matrix
+    overflows to inf or nan.
 
     The loop's matrices are built and diagonalised in blocks of steps, and the
     whole stack of spectra is matched at once: a nearest neighbour does not
@@ -350,12 +351,15 @@ def encircle(l0, l1, radius: float = 0.01, steps: int = 400) -> PermutationRepor
     loop = radius * np.exp(1j * ts)
     n = a0.shape[-1]
     rows = max(1, _ROOT_BLOCK // max(1, n * n))
-    spectra = np.concatenate(
-        [
-            eigenvalues(a0 + loop[i : i + rows, None, None] * a1, ENCIRCLE_COLLAPSE_TOL)
-            for i in range(0, steps + 1, rows)
-        ]
-    )
+
+    def spectra_of(i: int) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            pencils = a0 + loop[i : i + rows, None, None] * a1
+        if not np.isfinite(pencils).all():
+            raise ValueError(f"loop radius {radius!r} overflows the loop matrices")
+        return eigenvalues(pencils, ENCIRCLE_COLLAPSE_TOL)
+
+    spectra = np.concatenate([spectra_of(i) for i in range(0, steps + 1, rows)])
 
     # clusters: runs of equal values in each sorted, collapsed spectrum;
     # steps 0 .. last-1 share the cluster structure of t = 0

@@ -1,11 +1,16 @@
 """Exact sparse multivariate polynomial arithmetic over Gaussian rationals.
 
 Coefficients are complex numbers with exact rational real and imaginary parts
-(`GaussRational`, built on `fractions.Fraction`).  Polynomials carry a fixed,
-ordered variable tuple; every exponent vector has one slot per variable and
-operations between polynomials require identical variable tuples.  Variable
-lists are never extended silently: pick the ambient list for a computation up
-front and stick with it.
+(`GaussRational`: one Gaussian integer a + b*i over one positive integer d in
+lowest terms, so its arithmetic is on plain ints; `re` and `im` are Fraction
+views).  Polynomials carry a fixed, ordered variable tuple; every exponent
+vector has one slot per variable and operations between polynomials require
+identical variable tuples.  Variable lists are never extended silently: pick
+the ambient list for a computation up front and stick with it.  The public
+`MultiPoly` constructor validates its exponents; the ring operations,
+`scale`, `derivative`, `constant` and `substitute` build their results through
+one trusted internal constructor that only drops zero coefficients, and
+`substitute` with constant values evaluates each term on scalars.
 
 The matrix layer (`PolyMatrix`) provides the handful of exact linear-algebra
 routines the rest of the package needs: Kronecker products and the dense
@@ -30,10 +35,11 @@ test oracles only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -42,73 +48,164 @@ RationalLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "GaussRational"]
 
 
-def _as_fraction(x: RationalLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
-
-
-@dataclass(frozen=True)
 class GaussRational:
-    """Complex number with exact rational parts, re + im*i."""
+    """Complex number with exact rational parts, re + im*i.
 
-    re: Fraction
-    im: Fraction
+    Stored as one Gaussian integer a + b*i over one positive integer d, in
+    lowest terms: gcd(a, b, d) = 1, so zero is 0/1 and equal values have
+    equal (a, b, d).  Arithmetic works on plain ints and takes one gcd only
+    when the result's denominator is not 1.  `re` and `im` are Fraction
+    views; instances are immutable.
+    """
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, re: RationalLike, im: RationalLike):
+        for x in (re, im):
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+        # the lcm of two reduced denominators leaves gcd(a, b, d) = 1
+        p, q, r, s = re.numerator, re.denominator, im.numerator, im.denominator
+        d = q * s // math.gcd(q, s)
+        _set_a(self, p * (d // q))
+        _set_b(self, r * (d // s))
+        _set_d(self, d)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return GaussRational, (self.re, self.im)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     @staticmethod
     def of(re: RationalLike, im: RationalLike = 0) -> "GaussRational":
-        return GaussRational(_as_fraction(re), _as_fraction(im))
+        return GaussRational(re, im)
 
     @staticmethod
     def coerce(x: ScalarLike) -> "GaussRational":
         if isinstance(x, GaussRational):
             return x
-        return GaussRational.of(x)
+        if type(x) is int:
+            return _gr(x, 0, 1)
+        return GaussRational(x, 0)
 
     def __add__(self, other: "GaussRational") -> "GaussRational":
-        return GaussRational(self.re + other.re, self.im + other.im)
+        d, f = self.d, other.d
+        if d == f:
+            if d == 1:
+                return _gr(self.a + other.a, self.b + other.b, 1)
+            return _reduced(self.a + other.a, self.b + other.b, d)
+        return _reduced(self.a * f + other.a * d, self.b * f + other.b * d, d * f)
 
     def __sub__(self, other: "GaussRational") -> "GaussRational":
-        return GaussRational(self.re - other.re, self.im - other.im)
+        d, f = self.d, other.d
+        if d == f:
+            if d == 1:
+                return _gr(self.a - other.a, self.b - other.b, 1)
+            return _reduced(self.a - other.a, self.b - other.b, d)
+        return _reduced(self.a * f - other.a * d, self.b * f - other.b * d, d * f)
 
     def __neg__(self) -> "GaussRational":
-        return GaussRational(-self.re, -self.im)
+        return _gr(-self.a, -self.b, self.d)
 
     def __mul__(self, other: "GaussRational") -> "GaussRational":
-        return GaussRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self.a, self.b, other.a, other.b
+        d = self.d * other.d
+        if d == 1:
+            return _gr(a * c - b * e, a * e + b * c, 1)
+        return _reduced(a * c - b * e, a * e + b * c, d)
 
     def __truediv__(self, other: "GaussRational") -> "GaussRational":
-        if other.is_zero():
+        c, e = other.a, other.b
+        if not c and not e:
             raise ZeroDivisionError("division by zero GaussRational")
-        d = other.re * other.re + other.im * other.im
-        return GaussRational(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        # (a + bi)/d / ((c + ei)/f) = (a + bi)(c - ei) f / ((c^2 + e^2) d)
+        a, b, f = self.a, self.b, other.d
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, (c * c + e * e) * self.d)
 
     def conjugate(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
+        return _gr(self.a, -self.b, self.d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.a and not self.b
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GaussRational):
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.d))
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int true division rounds correctly, as float(Fraction) does
+        return complex(self.a / self.d, self.b / self.d)
+
+    def __repr__(self) -> str:
+        return f"GaussRational(re={self.re!r}, im={self.im!r})"
 
     def __str__(self) -> str:
         """'3/2', 'i', '-i', '3/2*i', '1/2-i': a unit imaginary part prints bare."""
-        if self.im == 0:
-            return str(self.re)
-        im = "i" if abs(self.im) == 1 else f"{abs(self.im)}*i"
-        if self.re == 0:
-            return im if self.im > 0 else f"-{im}"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{im}"
+        a, b, d = self.a, self.b, self.d
+        if not b:
+            return _ratio_str(a, d)
+        im = "i" if abs(b) == d else f"{_ratio_str(abs(b), d)}*i"
+        if not a:
+            return im if b > 0 else f"-{im}"
+        return f"{_ratio_str(a, d)}{'+' if b > 0 else '-'}{im}"
+
+
+_new = object.__new__
+_set_a = GaussRational.a.__set__
+_set_b = GaussRational.b.__set__
+_set_d = GaussRational.d.__set__
+
+
+def _gr(a: int, b: int, d: int) -> GaussRational:
+    """The trusted constructor: (a + b*i)/d already in lowest terms, d > 0."""
+    z = _new(GaussRational)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> GaussRational:
+    """(a + b*i)/d in lowest terms, for any nonzero d."""
+    if d < 0:
+        a, b, d = -a, -b, -d
+    if d != 1:
+        g = math.gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return _gr(a, b, d)
+
+
+def _scalar_power(x: GaussRational, k: int) -> GaussRational:
+    out = GR_ONE
+    while k:
+        if k & 1:
+            out = out * x
+        x = x * x
+        k >>= 1
+    return out
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0."""
+    g = math.gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
 GR_ZERO = GaussRational.of(0)
@@ -149,6 +246,17 @@ class MultiPoly:
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "terms", clean)
 
+    @staticmethod
+    def _trusted(
+        variables: tuple[str, ...], terms: dict[tuple[int, ...], GaussRational]
+    ) -> "MultiPoly":
+        """The internal constructor: `terms` holds exponent tuples that a
+        method built itself, so only its zero coefficients are dropped."""
+        p = _new(MultiPoly)
+        p.vars = variables
+        p.terms = {e: c for e, c in terms.items() if c.a or c.b}
+        return p
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -157,9 +265,8 @@ class MultiPoly:
 
     @staticmethod
     def constant(variables: Sequence[str], value: ScalarLike) -> "MultiPoly":
-        c = GaussRational.coerce(value)
-        zero_expo = (0,) * len(tuple(variables))
-        return MultiPoly(variables, {zero_expo: c})
+        vs = tuple(variables)
+        return MultiPoly._trusted(vs, {(0,) * len(vs): GaussRational.coerce(value)})
 
     @staticmethod
     def variable(variables: Sequence[str], name: str) -> "MultiPoly":
@@ -194,31 +301,27 @@ class MultiPoly:
         self._check_vars(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, GR_ZERO) + c
-        return MultiPoly(self.vars, out)
+            out[e] = out[e] + c if e in out else c
+        return MultiPoly._trusted(self.vars, out)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_vars(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, GR_ZERO) - c
-        return MultiPoly(self.vars, out)
+            out[e] = out[e] - c if e in out else -c
+        return MultiPoly._trusted(self.vars, out)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_vars(other)
         out: dict[tuple[int, ...], GaussRational] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                if e in out:
-                    out[e] = out[e] + prod
-                else:
-                    out[e] = prod
-        return MultiPoly(self.vars, out)
+                e = tuple(map(add, e1, e2))
+                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+        return MultiPoly._trusted(self.vars, out)
 
     def __pow__(self, n: int) -> "MultiPoly":
         if not isinstance(n, int) or n < 0:
@@ -234,7 +337,7 @@ class MultiPoly:
 
     def scale(self, value: ScalarLike) -> "MultiPoly":
         c = GaussRational.coerce(value)
-        return MultiPoly(self.vars, {e: co * c for e, co in self.terms.items()})
+        return MultiPoly._trusted(self.vars, {e: co * c for e, co in self.terms.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiPoly):
@@ -273,7 +376,7 @@ class MultiPoly:
             k = e[idx]
             rest = e[:idx] + (0,) + e[idx + 1:]
             groups.setdefault(k, {})[rest] = c
-        return {k: MultiPoly(self.vars, t) for k, t in sorted(groups.items())}
+        return {k: MultiPoly._trusted(self.vars, t) for k, t in sorted(groups.items())}
 
     def coefficient_list(self, var: str) -> list["MultiPoly"]:
         """Dense ascending coefficient list [c0, c1, ..., c_deg] in `var`."""
@@ -291,9 +394,9 @@ class MultiPoly:
             k = e[idx]
             if k == 0:
                 continue
-            e2 = e[:idx] + (k - 1,) + e[idx + 1:]
-            out[e2] = out.get(e2, GR_ZERO) + c * GaussRational.of(k)
-        return MultiPoly(self.vars, out)
+            # distinct exponents keep distinct images, and k*c is not zero
+            out[e[:idx] + (k - 1,) + e[idx + 1:]] = c * _gr(k, 0, 1)
+        return MultiPoly._trusted(self.vars, out)
 
     def uses_only(self, allowed: Iterable[str]) -> bool:
         """True when every term's support is within `allowed`."""
@@ -312,16 +415,44 @@ class MultiPoly:
         The result stays in the same ambient variable list.  Polynomial values
         must share that list.
         """
-        values: dict[int, MultiPoly] = {}
+        values: dict[int, Union[MultiPoly, GaussRational]] = {}
         for name, val in bindings.items():
             idx = self.vars.index(name)
             if isinstance(val, MultiPoly):
                 self._check_vars(val)
                 values[idx] = val
             else:
-                values[idx] = MultiPoly.constant(self.vars, val)
+                values[idx] = GaussRational.coerce(val)
         if not values:
             return self
+        if any(isinstance(v, MultiPoly) for v in values.values()):
+            return self._substitute_polys(
+                {i: v if isinstance(v, MultiPoly) else MultiPoly.constant(self.vars, v)
+                 for i, v in values.items()}
+            )
+        # every value is a scalar: each term is one scalar product, and a sum
+        # that cancels leaves the map, as adding the terms one at a time would
+        powers: dict[tuple[int, int], GaussRational] = {}
+        out: dict[tuple[int, ...], GaussRational] = {}
+        for e, c in self.terms.items():
+            for idx, v in values.items():
+                k = e[idx]
+                if k:
+                    if (idx, k) not in powers:
+                        powers[idx, k] = _scalar_power(v, k)
+                    c = c * powers[idx, k]
+            if not c.a and not c.b:
+                continue
+            kept = tuple(0 if i in values else k for i, k in enumerate(e))
+            if kept in out:
+                c = out[kept] + c
+                if not c.a and not c.b:
+                    del out[kept]
+                    continue
+            out[kept] = c
+        return MultiPoly._trusted(self.vars, out)
+
+    def _substitute_polys(self, values: Mapping[int, "MultiPoly"]) -> "MultiPoly":
         power_cache: dict[tuple[int, int], MultiPoly] = {}
 
         def power(idx: int, k: int) -> MultiPoly:
@@ -333,7 +464,7 @@ class MultiPoly:
         result = MultiPoly.zero(self.vars)
         for e, c in self.terms.items():
             kept = tuple(0 if i in values else k for i, k in enumerate(e))
-            term = MultiPoly(self.vars, {kept: c})
+            term = MultiPoly._trusted(self.vars, {kept: c})
             for idx in values:
                 if e[idx]:
                     term = term * power(idx, e[idx])
@@ -443,7 +574,8 @@ class PolyMatrix:
 
     def scale(self, factor: MultiPoly | ScalarLike) -> "PolyMatrix":
         if not isinstance(factor, MultiPoly):
-            factor = MultiPoly.constant(self.vars, factor)
+            c = GaussRational.coerce(factor)
+            return PolyMatrix([[e.scale(c) for e in row] for row in self.rows])
         return PolyMatrix([[factor * e for e in row] for row in self.rows])
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
@@ -471,7 +603,10 @@ class PolyMatrix:
         """Entrywise coefficient conjugation; variables are treated as real."""
         return PolyMatrix(
             [
-                [MultiPoly(e.vars, {k: c.conjugate() for k, c in e.terms.items()}) for e in row]
+                [
+                    MultiPoly._trusted(e.vars, {k: c.conjugate() for k, c in e.terms.items()})
+                    for e in row
+                ]
                 for row in self.rows
             ]
         )
@@ -713,17 +848,10 @@ def char_poly_berkowitz(matrix: PolyMatrix, var: str) -> MultiPoly:
     for k in free:
         deg = [[d[k] for d in degs[r * n:(r + 1) * n]] for r in range(n)]
         bounds.append(min(sum(map(max, deg)), sum(map(max, zip(*deg)))))
-    denom = math.lcm(
-        *(d for e in entries for c in e.terms.values() for d in (c.re.denominator, c.im.denominator))
-    )
+    denom = math.lcm(*(c.d for e in entries for c in e.terms.values()))
     # every term of D*matrix as (entry, exponents of the free variables, re, im)
     scaled = [
-        (
-            at,
-            tuple(expo[k] for k in free),
-            c.re.numerator * (denom // c.re.denominator),
-            c.im.numerator * (denom // c.im.denominator),
-        )
+        (at, tuple(expo[k] for k in free), c.a * (denom // c.d), c.b * (denom // c.d))
         for at, e in enumerate(entries)
         for expo, c in e.terms.items()
     ]
@@ -812,9 +940,8 @@ def char_poly_berkowitz(matrix: PolyMatrix, var: str) -> MultiPoly:
         expo[iv] = n - t
         for k, x in zip(free, free_expo):
             expo[k] = x
-        d = scale * denom**t
-        terms[tuple(expo)] = GaussRational(Fraction(re, d), Fraction(im, d))
-    return MultiPoly(vs, terms)
+        terms[tuple(expo)] = _reduced(re, im, scale * denom**t)
+    return MultiPoly._trusted(vs, terms)
 
 
 # -- dense univariate layer ---------------------------------------------------

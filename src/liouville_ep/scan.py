@@ -142,9 +142,7 @@ def _rationalize(z: complex) -> GaussRational:
 
 def _homogenised(v: GaussRational) -> tuple[tuple[int, int], int]:
     """v as num/den, num a Gaussian integer and den a positive integer."""
-    den = math.lcm(v.re.denominator, v.im.denominator)
-    num = (v.re.numerator * (den // v.re.denominator), v.im.numerator * (den // v.im.denominator))
-    return num, den
+    return (v.a, v.b), v.d
 
 
 def _exact_roots(
@@ -185,13 +183,10 @@ def _cleared_rows(q: MultiPoly, target: str) -> tuple[list[Dense], int]:
     and D."""
     n, d = q.degree(OMEGA), max(q.degree(target), 0)
     iw, it = q.vars.index(OMEGA), q.vars.index(target)
-    denom = math.lcm(*(x.denominator for c in q.terms.values() for x in (c.re, c.im)))
+    denom = math.lcm(*(c.d for c in q.terms.values()))
     rows = [[(0, 0)] * (d + 1) for _ in range(n + 1)]
     for expo, c in q.terms.items():
-        rows[n - expo[iw]][d - expo[it]] = (
-            c.re.numerator * (denom // c.re.denominator),
-            c.im.numerator * (denom // c.im.denominator),
-        )
+        rows[n - expo[iw]][d - expo[it]] = (c.a * (denom // c.d), c.b * (denom // c.d))
     return rows, denom
 
 

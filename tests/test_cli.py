@@ -535,6 +535,27 @@ class TestExitCodes:
         assert "radius" in out.err
         assert out.out == ""
 
+    def test_encircle_radius_that_overflows_the_loop(self, capsys):
+        # radius * e^(it) * L1 overflows float64: rejected by name before
+        # numpy warns or LAPACK sees an inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["encircle", *QUBIT_EP, "--radius", "1e308"])
+        out = capsys.readouterr()
+        assert code == 3
+        assert out.out == ""
+        assert out.err == "precondition violated: loop radius 1e+308 overflows the loop matrices\n"
+
+    def test_non_hermitian_hamiltonian(self, tmp_path, capsys):
+        model = tmp_path / "skew.json"
+        model.write_text(json.dumps({**LAMBDA3, "hamiltonian": [["0", "O", "0"], ["0", "0", "O"],
+                                                                ["0", "O", "0"]]}))
+        code = cli.main(["scan", "--model", str(model), "--bind", "g1=1", "--bind", "g2=1"])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert "hamiltonian[0][1]: expected 0, the conjugate of hamiltonian[1][0], got O" in out.err
+
     @pytest.mark.parametrize(
         "message, printed",
         [

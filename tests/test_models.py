@@ -1,7 +1,9 @@
 """Generator assembly: vectorization, built-in models, frozen entries."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,8 @@ from liouville_ep.models import (
     perturbation_matrix,
 )
 from liouville_ep.poly import GaussRational, MultiPoly, PolyMatrix, det_bareiss, det_cofactor
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def entries(superop):
@@ -390,8 +394,46 @@ class TestModelFromDict:
         with pytest.raises(ValueError):
             model_from_dict(bad)
 
+    @pytest.mark.parametrize(
+        "hamiltonian, message",
+        [
+            ([["0", "g"], ["0", "0"]],
+             "hamiltonian[0][1]: expected 0, the conjugate of hamiltonian[1][0], got g"),
+            ([["i", "g"], ["g", "0"]],
+             "hamiltonian[0][0]: expected -i, the conjugate of hamiltonian[0][0], got i"),
+            ([["0", "i*g"], ["i*g", "0"]],
+             "hamiltonian[0][1]: expected -i*g, the conjugate of hamiltonian[1][0], got i*g"),
+        ],
+        ids=["upper-only", "imaginary-diagonal", "symmetric-imaginary"],
+    )
+    def test_non_hermitian_hamiltonian_is_named(self, hamiltonian, message):
+        with pytest.raises(ValueError) as err:
+            model_from_dict(dict(self.DATA, hamiltonian=hamiltonian))
+        assert str(err.value).startswith(message)
+
+    def test_hermitian_complex_hamiltonian_is_accepted(self):
+        m = model_from_dict(dict(self.DATA, hamiltonian=[["g", "1-i*g"], ["1+i*g", "-g"]]))
+        assert m.spec.hamiltonian == m.spec.hamiltonian.dagger()
+
+    @pytest.mark.parametrize("path", ["perfbench/models/lambda3.json", "tests/models/ladder4.json"])
+    def test_shipped_models_are_hermitian(self, path):
+        h = model_from_dict(json.loads((ROOT / path).read_text())).spec.hamiltonian
+        assert h == h.dagger()
+
 
 class TestBuiltinLookup:
+    @pytest.mark.parametrize("name", ["qubit", "spin_half"])
+    def test_hamiltonians_are_hermitian(self, name):
+        h = builtin_model(name).spec.hamiltonian
+        assert h == h.dagger()
+
+    @pytest.mark.parametrize("name", ["qubit", "spin_half"])
+    def test_l_eff_is_built_once_per_bundle(self, name):
+        m = builtin_model(name)
+        assert m.l_eff is m.l_eff
+        if m.l_jumps is not None:
+            assert m.l_eff.matrix == m.l0.matrix + m.l_jumps.matrix
+
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             builtin_model("nope")

@@ -1,6 +1,9 @@
 """Exact arithmetic layer: scalars, polynomials, matrices, determinants."""
 
+import copy
 import json
+import math
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -76,6 +79,157 @@ class TestGaussRational:
         assert str(gr(Fraction(1, 2), Fraction(-3, 2))) == "1/2-3/2*i"
         assert str(gr(0, Fraction(3, 2))) == "3/2*i"
         assert str(gr(Fraction(-1, 2))) == "-1/2"
+
+
+# rationals with numerators and denominators well beyond 2^64, and small ones
+# so that sums and products cancel
+rationals = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**70)),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+)
+pairs = st.tuples(rationals, rationals)
+
+
+def reference_str(re: Fraction, im: Fraction) -> str:
+    """The printed form of re + im*i, spelled out on Fractions."""
+    if im == 0:
+        return str(re)
+    unit = "i" if abs(im) == 1 else f"{abs(im)}*i"
+    if re == 0:
+        return unit if im > 0 else f"-{unit}"
+    return f"{re}{'+' if im > 0 else '-'}{unit}"
+
+
+def assert_matches(z: GaussRational, re: Fraction, im: Fraction) -> None:
+    """z equals re + im*i, in lowest terms, with every view agreeing."""
+    assert (z.re, z.im) == (re, im)
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert z.d > 0 and math.gcd(z.a, z.b, z.d) == 1
+    assert z.d == math.lcm(re.denominator, im.denominator)
+    assert z == GaussRational(re, im) and hash(z) == hash(GaussRational(re, im))
+    assert str(z) == reference_str(re, im)
+    assert complex(z) == complex(float(re), float(im))
+    assert z.is_zero() == (re == 0 and im == 0)
+
+
+class TestGaussRationalAgainstFractionPairs:
+    """The integer form against (Fraction, Fraction) arithmetic."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs, pairs)
+    def test_field_operations(self, x, y):
+        (r1, i1), (r2, i2) = x, y
+        a, b = GaussRational(r1, i1), GaussRational(r2, i2)
+        assert_matches(a, r1, i1)
+        assert_matches(a + b, r1 + r2, i1 + i2)
+        assert_matches(a - b, r1 - r2, i1 - i2)
+        assert_matches(a * b, r1 * r2 - i1 * i2, r1 * i2 + i1 * r2)
+        assert_matches(-a, -r1, -i1)
+        assert_matches(a.conjugate(), r1, -i1)
+        norm = r2 * r2 + i2 * i2
+        if norm:
+            assert_matches(a / b, (r1 * r2 + i1 * i2) / norm, (i1 * r2 - r1 * i2) / norm)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a / b
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs, pairs)
+    def test_equality_and_hash(self, x, y):
+        a, b = GaussRational(*x), GaussRational(*y)
+        assert (a == b) == (x == y)
+        if a == b:
+            assert hash(a) == hash(b)
+        # int and Fraction arguments name the same value
+        n = x[0].numerator
+        assert GaussRational.of(n) == GaussRational(Fraction(n), Fraction(0))
+        assert GaussRational.coerce(x[0]) == GaussRational(x[0], 0)
+
+    def test_constructor_rejects_floats(self):
+        with pytest.raises(TypeError):
+            GaussRational(0.5, 0)
+        with pytest.raises(TypeError):
+            GaussRational.of(1, 0.5)
+
+    def test_immutable(self):
+        z = gr(Fraction(1, 2), 3)
+        for name in ("re", "im", "a", "b", "d"):
+            with pytest.raises(AttributeError):
+                setattr(z, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(z, name)
+        assert z == gr(Fraction(1, 2), 3)
+
+    def test_copies_and_pickles_to_equal_values(self):
+        z = gr(Fraction(-7, 6), Fraction(2**70, 3))
+        assert copy.copy(z) == z and copy.deepcopy(z) == z
+        assert pickle.loads(pickle.dumps(z)) == z
+
+    def test_arithmetic_builds_no_fraction(self, monkeypatch):
+        values = [gr(Fraction(1, 2), 3), gr(-2, Fraction(1, 4)), gr(5), gr(0, Fraction(-2**70, 9))]
+        polys = [MultiPoly(V, {(1, 0): v, (0, 2): w}) for v, w in zip(values, values[1:])]
+        matrix = PolyMatrix([[polys[0], polys[1]], [polys[2], polys[0]]])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+        monkeypatch.setattr(poly, "Fraction", refuse)
+        for a in values:
+            for b in values:
+                a + b, a - b, a * b, a / b, a == b, hash(a)
+            -a, a.conjugate(), a.is_zero(), str(a), complex(a)
+        for p in polys:
+            for q in polys:
+                p + q, p - q, p * q
+            -p, p.scale(values[0]), p.derivative("x"), p.substitute({"x": values[1]})
+        char_poly_berkowitz(matrix.substitute({"y": values[2]}), "y")
+
+
+# polynomials in V with small coefficients, so that sums cancel
+small_coeffs = st.builds(gr, st.integers(-2, 2), st.integers(-1, 1))
+small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), small_coeffs, max_size=6
+).map(lambda terms: MultiPoly(V, terms))
+
+
+def assert_canonical(p: MultiPoly) -> None:
+    assert all(not c.is_zero() for c in p.terms.values()), p.terms
+    assert all(len(e) == len(p.vars) and min(e) >= 0 for e in p.terms)
+
+
+class TestCanonicalForm:
+    """Methods that build their result through the trusted constructor store
+    no zero coefficient."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_polys, small_polys, small_coeffs, small_coeffs)
+    def test_no_zero_coefficient_is_stored(self, p, q, c, v):
+        for out in (p + q, p - q, p * q, -p, p.scale(c), p.derivative("x"), p.derivative("y"),
+                    p + (-p), p - p, p.substitute({"x": v}), p.substitute({"x": v, "y": c}),
+                    MultiPoly.constant(V, c)):
+            assert_canonical(out)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_polys, small_coeffs, small_coeffs)
+    def test_scalar_substitution_matches_the_polynomial_route(self, p, v, w):
+        # the scalar route keeps the term order of adding one term at a time
+        as_polys = {"x": MultiPoly.constant(V, v), "y": MultiPoly.constant(V, w)}
+        for names in (("x",), ("y",), ("x", "y"), ("y", "x")):
+            got = p.substitute({n: {"x": v, "y": w}[n] for n in names})
+            expected = p.substitute({n: as_polys[n] for n in names})
+            assert list(got.terms.items()) == list(expected.terms.items())
+
+    def test_cancelling_sum_moves_the_term_last(self):
+        # x - x*y + 1 + x*y^2 at y = 1 adds x, -x, 1 and x: x cancels, leaves
+        # the map and comes back after 1
+        x, y = MultiPoly.variable(V, "x"), MultiPoly.variable(V, "y")
+        p = MultiPoly(V, {(1, 0): gr(1), (1, 1): gr(-1), (0, 0): gr(1), (1, 2): gr(1)})
+        got = p.substitute({"y": gr(1)})
+        assert got == x + MultiPoly.constant(V, 1)
+        assert list(got.terms) == [(0, 0), (1, 0)]
+        assert list(got.terms) == list(p.substitute({"y": MultiPoly.constant(V, 1)}).terms)
+        assert (x + y).substitute({"y": gr(0)}) == x
 
 
 class TestMultiPolyRing:
