@@ -11,8 +11,20 @@ with G the channel operator.  Loss-only channels (population leaving the
 modeled subspace) contribute only the anticommutator part; for those the
 stored operator stands in for the leaving operator and only G^H G enters.
 
+No Kronecker product is formed.  With r = (i, j) and c = (k, l) the
+generator's entry is
+
+    L[r, c] = -i (H[i,k] delta[j,l] - delta[i,k] H[l,j])
+              + sum_k rate_k (G[i,k] conj(G[j,l])
+                              - 1/2 (G^H G)[i,k] delta[j,l] - 1/2 delta[i,k] (G^H G)[l,j])
+
+so each nonzero entry of H, G^H G and G writes its terms straight into the
+flat entries it reaches, and each generator entry is built once.
+
 Reserved variable names: 'omega' (the eigenvalue variable), 'epsilon' (the
-perturbation strength), and 'i'.  Model parameters may not collide with them.
+perturbation strength), and 'i'.  Model parameters may not collide with them,
+and a model file's entries and rates may not use them.  A model file's rates
+must be real.
 """
 
 from __future__ import annotations
@@ -95,42 +107,101 @@ class Superoperator:
             raise ValueError("superoperator must be dim^2 square")
 
 
-def _channel_pieces(spec: ModelSpec, ch: JumpChannel) -> tuple[PolyMatrix, PolyMatrix]:
-    """(anticommutator part, refill part) of one channel, rate included."""
+def _add_terms(acc: dict, terms: Mapping) -> None:
+    """acc += terms in place.  A sum that cancels leaves the map at once, as
+    MultiPoly addition drops it, so a later term with that exponent is
+    appended where a chain of MultiPoly sums would append it."""
+    for e, c in terms.items():
+        if e in acc:
+            c = acc[e] + c
+            if not c.a and not c.b:
+                del acc[e]
+                continue
+        acc[e] = c
+
+
+def _with_identity(n: int, left: Mapping, right: Mapping) -> dict[tuple[int, int], dict]:
+    """Term maps of (A kron I) + (I kron B^T), entry by entry, for A and B
+    given as {(row, col): terms} over their nonzero entries:
+    (A kron I)[(i,j),(k,l)] = A[i,k] delta[j,l] and
+    (I kron B^T)[(i,j),(k,l)] = delta[i,k] B[l,j].  Each entry takes A's
+    terms before B's, as the dense sum adds them."""
+    out: dict[tuple[int, int], dict] = {}
+    for (i, k), terms in left.items():
+        for j in range(n):
+            _add_terms(out.setdefault((i * n + j, k * n + j), {}), terms)
+    for (l, j), terms in right.items():
+        for i in range(n):
+            _add_terms(out.setdefault((i * n + j, i * n + l), {}), terms)
+    return out
+
+
+def _assemble(spec: ModelSpec, drift: bool, refills: Sequence[int]) -> PolyMatrix:
+    """Write the generator's nonzero terms straight into their flat entries.
+
+    With drift, the commutator and every channel's anticommutator enter;
+    `refills` names the channels whose G kron conj(G) term enters, entry
+    (G kron conj(G))[(i,j),(k,l)] = G[i,k] conj(G[j,l]).  Only the nonzero
+    entries of H, G^H G and G are visited.  Each entry takes its pieces in
+    the order of the dense sum: -i[H, .], then channel by channel the
+    anticommutator and the refill, each product formed as MultiPoly
+    multiplies.  Its terms therefore equal the dense sum's, in the same
+    order.
+    """
     variables = spec.variables
     n = spec.dim
-    ident = PolyMatrix.identity(variables, n)
-    g = ch.operator
-    ghg = g.dagger() @ g
-    half = Fraction(1, 2)
-    anti = (ghg.kron(ident) + ident.kron(ghg.transpose())).scale(-half).scale(ch.rate)
-    refill = g.kron(g.conjugate()).scale(ch.rate)
-    return anti, refill
+    acc: dict[tuple[int, int], dict] = {}
+    if drift:
+        # -i (H kron I - I kron H^T)
+        h = spec.hamiltonian.rows
+        nonzero_h = [(a, b) for a in range(n) for b in range(n) if h[a][b].terms]
+        left = {(a, b): h[a][b].scale(GaussRational.of(0, -1)).terms for a, b in nonzero_h}
+        right = {(a, b): h[a][b].scale(GaussRational.of(0, 1)).terms for a, b in nonzero_h}
+        acc = _with_identity(n, left, right)
+
+    def into(r: int, c: int, terms: Mapping) -> None:
+        _add_terms(acc.setdefault((r, c), {}), terms)
+
+    minus_half = GaussRational.of(Fraction(-1, 2))
+    for index, ch in enumerate(spec.channels):
+        g = ch.operator.rows
+        gbar = ch.operator.conjugate().rows
+        nonzero_g = [(a, b) for a in range(n) for b in range(n) if g[a][b].terms]
+        if drift:
+            # G^H G summed over the rows t of G, as the dense matmul adds them
+            ghg: dict[tuple[int, int], dict] = {}
+            for t in range(n):
+                row = [b for a, b in nonzero_g if a == t]
+                for i in row:
+                    for k in row:
+                        _add_terms(ghg.setdefault((i, k), {}), (gbar[t][i] * g[t][k]).terms)
+            half_rate = ch.rate.scale(minus_half)
+            for (r, c), terms in _with_identity(n, ghg, ghg).items():
+                if terms:
+                    into(r, c, (half_rate * MultiPoly._trusted(variables, terms)).terms)
+        if index in refills:
+            for i, k in nonzero_g:
+                for j, l in nonzero_g:
+                    into(i * n + j, k * n + l, (ch.rate * (g[i][k] * gbar[j][l])).terms)
+    zero = MultiPoly.zero(variables)
+    rows = [[zero] * (n * n) for _ in range(n * n)]
+    for (r, c), terms in acc.items():
+        if terms:
+            rows[r][c] = MultiPoly._trusted(variables, terms)
+    return PolyMatrix(rows)
 
 
 def channel_refill(spec: ModelSpec, index: int) -> PolyMatrix:
     """Refill (quantum-jump) superoperator term of one channel."""
-    ch = spec.channels[index]
-    if not ch.refill:
+    if not spec.channels[index].refill:
         raise ValueError("loss-only channel has no refill term")
-    _, refill = _channel_pieces(spec, ch)
-    return refill
+    return _assemble(spec, False, (index,))
 
 
 def build_liouvillian(spec: ModelSpec) -> Superoperator:
     """Assemble the full generator of the model."""
-    variables = spec.variables
-    n = spec.dim
-    ident = PolyMatrix.identity(variables, n)
-    h = spec.hamiltonian
-    commutator = h.kron(ident) - ident.kron(h.transpose())
-    total = commutator.scale(GaussRational.of(0, -1))
-    for ch in spec.channels:
-        anti, refill = _channel_pieces(spec, ch)
-        total = total + anti
-        if ch.refill:
-            total = total + refill
-    return Superoperator(n, total)
+    refills = [k for k, ch in enumerate(spec.channels) if ch.refill]
+    return Superoperator(spec.dim, _assemble(spec, True, refills))
 
 
 def char_poly(
@@ -268,7 +339,24 @@ def _matrix_from_strings(
         raise ValueError(
             f"{field}: expected a {dim}x{dim} matrix, got {len(rows)}x{len(rows[0])}"
         )
-    return PolyMatrix([[parse_expression(s, variables) for s in row] for row in rows])
+    return PolyMatrix(
+        [[_parse_entry(s, variables, f"{field}[{i}][{j}]") for j, s in enumerate(row)]
+         for i, row in enumerate(rows)]
+    )
+
+
+def _parse_entry(text: str, variables: Sequence[str], field: str) -> MultiPoly:
+    """Parse one model expression over the ambient variables; an expression
+    that uses omega or epsilon is a ValueError naming `field`."""
+    p = parse_expression(text, variables)
+    for name in (OMEGA, EPSILON):
+        k = variables.index(name)
+        if any(e[k] for e in p.terms):
+            raise ValueError(
+                f"{field}: uses the reserved variable {name!r}; a model entry may use only "
+                "the model's parameters"
+            )
+    return p
 
 
 def _rate_param_names(spec: ModelSpec) -> tuple[str, ...]:
@@ -312,10 +400,9 @@ def _qubit() -> BuiltinModel:
         JumpChannel(parse_expression("gamma_f", variables), decay_fe, refill=True),
     )
     spec = ModelSpec("qubit", 2, params, h, channels)
-    l_full = build_liouvillian(spec)
-    jumps = channel_refill(spec, 1)
-    l0 = Superoperator(2, l_full.matrix - jumps)
-    return BuiltinModel("qubit", spec, l0, Superoperator(2, jumps), _rate_param_names(spec))
+    l0 = Superoperator(2, _assemble(spec, True, ()))
+    jumps = Superoperator(2, channel_refill(spec, 1))
+    return BuiltinModel("qubit", spec, l0, jumps, _rate_param_names(spec))
 
 
 _BUILTINS = {"spin_half": _spin_half, "qubit": _qubit}
@@ -337,8 +424,10 @@ def model_from_dict(data: Mapping) -> BuiltinModel:
     (dim x dim nested list of expression strings), jumps (list of {rate:
     expression string, operator: nested list}).  The Hamiltonian must equal
     its conjugate transpose exactly, with the parameters taken as real; the
-    first entry that does not is named.  All channels are standard Lindblad
-    channels; the bundle has no jump split.
+    first entry that does not is named.  No entry or rate may use omega or
+    epsilon, and every rate's coefficients must be real; the offending field
+    is named.  All channels are standard Lindblad channels; the bundle has no
+    jump split.
     """
     try:
         if not isinstance(data, Mapping):
@@ -382,7 +471,12 @@ def model_from_dict(data: Mapping) -> BuiltinModel:
             raise ValueError(
                 f"jumps[{k}].rate: expected an expression string, got {type(rate_text).__name__}"
             )
-        rate = parse_expression(rate_text, variables)
+        rate = _parse_entry(rate_text, variables, f"jumps[{k}].rate")
+        if any(c.b for c in rate.terms.values()):
+            raise ValueError(
+                f"jumps[{k}].rate: {format_poly(rate)} has a non-real coefficient; a rate "
+                "must be real, with real parameters"
+            )
         op = _matrix_from_strings(op_rows, variables, f"jumps[{k}].operator", dim)
         channels.append(JumpChannel(rate, op))
     spec = ModelSpec(name, dim, params, h, tuple(channels))

@@ -415,6 +415,12 @@ class MultiPoly:
         The result stays in the same ambient variable list.  Polynomial values
         must share that list.
         """
+        return self._substitute_values(self._binding_values(bindings))
+
+    def _binding_values(
+        self, bindings: Mapping[str, Union["MultiPoly", ScalarLike]]
+    ) -> dict[int, Union["MultiPoly", GaussRational]]:
+        """Variable index -> polynomial or coerced scalar value."""
         values: dict[int, Union[MultiPoly, GaussRational]] = {}
         for name, val in bindings.items():
             idx = self.vars.index(name)
@@ -423,6 +429,11 @@ class MultiPoly:
                 values[idx] = val
             else:
                 values[idx] = GaussRational.coerce(val)
+        return values
+
+    def _substitute_values(
+        self, values: Mapping[int, Union["MultiPoly", GaussRational]]
+    ) -> "MultiPoly":
         if not values:
             return self
         if any(isinstance(v, MultiPoly) for v in values.values()):
@@ -627,7 +638,12 @@ class PolyMatrix:
         return PolyMatrix(out)
 
     def substitute(self, bindings: Mapping[str, Union[MultiPoly, ScalarLike]]) -> "PolyMatrix":
-        return PolyMatrix([[e.substitute(bindings) for e in row] for row in self.rows])
+        """Entrywise `MultiPoly.substitute`; the bindings are coerced once and
+        zero entries are returned as they are."""
+        values = self.rows[0][0]._binding_values(bindings)
+        return PolyMatrix(
+            [[e._substitute_values(values) if e.terms else e for e in row] for row in self.rows]
+        )
 
 
 def det_cofactor(matrix: PolyMatrix) -> MultiPoly:

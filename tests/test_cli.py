@@ -88,7 +88,8 @@ SCAN_FROZEN = [
 LADDER4 = Path(__file__).resolve().parent / "models" / "ladder4.json"
 # the benchmark's 3-level model and the stdout of its g2 scan, frozen
 LAMBDA3_MODEL = Path(__file__).resolve().parent.parent / "perfbench" / "models" / "lambda3.json"
-LAMBDA3_G2_SCAN = Path(__file__).resolve().parent / "fixtures" / "lambda3_g2_scan.json"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+LAMBDA3_G2_SCAN = FIXTURES / "lambda3_g2_scan.json"
 
 
 def qubit_ep_pencil(perturb):
@@ -143,6 +144,12 @@ class TestBuild:
         payload = json.loads(out.read_text())
         assert payload["model"] == "spin_half"
         assert payload["dim"] == 4
+
+    @pytest.mark.parametrize("name, model", [("lambda3", LAMBDA3_MODEL), ("ladder4", LADDER4)])
+    def test_file_model_entries_are_frozen(self, capsys, name, model):
+        # the whole generator of each shipped model file, as first recorded
+        assert cli.main(["build", "--model", str(model)]) == 0
+        assert capsys.readouterr().out == (FIXTURES / f"{name}_build.json").read_text()
 
 
 class TestPolygon:
@@ -759,6 +766,18 @@ class TestExitCodes:
                 "jumps[0].operator: expected a 2x2 matrix, got 3x3",
             ),
             ({**DECAY, "hamiltonian": [["0"]]}, "hamiltonian: expected a 2x2 matrix, got 1x1"),
+            (
+                {**DECAY, "hamiltonian": [["epsilon", "0"], ["0", "0"]]},
+                "hamiltonian[0][0]: uses the reserved variable 'epsilon'",
+            ),
+            (
+                {**DECAY, "jumps": [{"rate": "g*omega", "operator": [["0", "1"], ["0", "0"]]}]},
+                "jumps[0].rate: uses the reserved variable 'omega'",
+            ),
+            (
+                {**DECAY, "jumps": [{"rate": "i*g", "operator": [["0", "1"], ["0", "0"]]}]},
+                "jumps[0].rate: i*g has a non-real coefficient",
+            ),
         ],
         ids=[
             "hamiltonian",
@@ -775,6 +794,9 @@ class TestExitCodes:
             "jump-int",
             "jump-operator-size",
             "hamiltonian-size",
+            "hamiltonian-epsilon",
+            "rate-omega",
+            "rate-complex",
         ],
     )
     def test_malformed_matrix_named(self, tmp_path, capsys, data, message):

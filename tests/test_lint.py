@@ -2,11 +2,12 @@
 module-level name it defines, is used in it; every public module-level name
 is used somewhere in the package or exported; `__init__.py` exports exactly
 what it imports; no module but `poly.py` reads a determinant, resultant or
-gcd oracle, and `scan.py` does not read the char-poly kernel; only
-`cli._write` opens a file for writing; every function the benchmark's tracer
-wraps exists in the package; no module imports scipy anywhere, or a module
-that drags in the network stack at module level, and a fresh interpreter that
-imports the CLI and runs any subcommand loads none of them.
+gcd oracle or calls `.kron`, and `scan.py` does not read the char-poly
+kernel; only `cli._write` opens a file for writing; every function the
+benchmark's tracer wraps exists in the package; no module imports scipy
+anywhere, or a module that drags in the network stack at module level, and a
+fresh interpreter that imports the CLI and runs any subcommand loads none of
+them.
 
 No linter is a dependency, so this walks each module's AST.  `__init__.py`
 is exempt from the import check: it imports names only to re-export them.
@@ -121,9 +122,11 @@ def test_no_unreferenced_public_names():
     assert not unreferenced, f"public names nothing in the package uses: {unreferenced}"
 
 
-# test oracles, the general multivariate resultant and the Fraction-based
-# univariate Euclid (`gcd_univariate`, the Sylvester matrix, `.exact_div`):
-# only poly.py may read them, so none can turn into a hidden runtime fallback
+# test oracles, the general multivariate resultant, the Fraction-based
+# univariate Euclid (`gcd_univariate`, the Sylvester matrix, `.exact_div`) and
+# the dense Kronecker product that the generator's entry-wise assembly is
+# tested against: only poly.py may read them, so none can turn into a hidden
+# runtime fallback
 ORACLES = {
     "det_bareiss",
     "det_cofactor",
@@ -131,6 +134,7 @@ ORACLES = {
     "gcd_univariate",
     "sylvester_matrix",
     "exact_div",
+    "kron",
 }
 
 

@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liouville_ep.expr import format_poly, parse_expression
 from liouville_ep.models import (
@@ -13,6 +15,7 @@ from liouville_ep.models import (
     OMEGA,
     JumpChannel,
     ModelSpec,
+    ambient_variables,
     build_liouvillian,
     builtin_model,
     channel_refill,
@@ -233,6 +236,99 @@ class TestPerturbations:
         assert p.degree(EPSILON) == 4
 
 
+def kronecker_generator(spec, drift=True, refills=None):
+    """The generator as dense Kronecker products, summed in the order
+    -i[H, .], then channel by channel anticommutator and refill: the
+    independent oracle for the entry-wise assembly.  `refills` defaults to
+    every channel that refills."""
+    if refills is None:
+        refills = [k for k, ch in enumerate(spec.channels) if ch.refill]
+    v, n = spec.variables, spec.dim
+    ident = PolyMatrix.identity(v, n)
+    h = spec.hamiltonian
+    total = PolyMatrix.identity(v, n * n).scale(0)
+    if drift:
+        total = (h.kron(ident) - ident.kron(h.transpose())).scale(GaussRational.of(0, -1))
+    for k, ch in enumerate(spec.channels):
+        g = ch.operator
+        ghg = g.dagger() @ g
+        if drift:
+            anti = (ghg.kron(ident) + ident.kron(ghg.transpose())).scale(Fraction(-1, 2))
+            total = total + anti.scale(ch.rate)
+        if k in refills:
+            total = total + g.kron(g.conjugate()).scale(ch.rate)
+    return total
+
+
+def term_lists(matrix):
+    """Every entry's terms in their stored order."""
+    return [[list(e.terms.items()) for e in row] for row in matrix.rows]
+
+
+ASSEMBLY_VARS = ambient_variables(("g", "h"))
+# few coefficients and low degrees, so that sums cancel often
+assembly_entries = st.dictionaries(
+    st.tuples(st.integers(0, 1), st.integers(0, 1)).map(lambda e: e + (0, 0)),
+    st.sampled_from(
+        [GaussRational.of(1), GaussRational.of(-1), GaussRational.of(0, 1),
+         GaussRational.of(Fraction(1, 2), -2), GaussRational.of(Fraction(-1, 3))]
+    ),
+    max_size=3,
+).map(lambda t: MultiPoly(ASSEMBLY_VARS, t))
+
+
+@st.composite
+def assembly_specs(draw):
+    """A model of dim 1-4 with sparse operators and zero to three channels,
+    refilling or loss-only; H is not required to be Hermitian."""
+    n = draw(st.integers(1, 4))
+    index = st.integers(0, n - 1)
+
+    def sparse():
+        rows = [[MultiPoly.zero(ASSEMBLY_VARS)] * n for _ in range(n)]
+        for i, j, e in draw(st.lists(st.tuples(index, index, assembly_entries), max_size=n + 1)):
+            rows[i][j] = e
+        return PolyMatrix(rows)
+
+    channels = tuple(
+        JumpChannel(draw(assembly_entries), sparse(), draw(st.booleans()))
+        for _ in range(draw(st.integers(0, 3)))
+    )
+    return ModelSpec("random", n, ("g", "h"), sparse(), channels)
+
+
+class TestEntrywiseAssembly:
+    """Entry-wise assembly against the Kronecker formula, term for term and
+    in the same term order (substitution and the kernel read that order)."""
+
+    @given(assembly_specs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_kronecker_formula(self, spec):
+        assert term_lists(build_liouvillian(spec).matrix) == term_lists(kronecker_generator(spec))
+        for k, ch in enumerate(spec.channels):
+            if ch.refill:
+                oracle = kronecker_generator(spec, drift=False, refills=[k])
+                assert term_lists(channel_refill(spec, k)) == term_lists(oracle)
+
+    def test_qubit_split(self):
+        m = builtin_model("qubit")
+        full = kronecker_generator(m.spec)
+        jumps = kronecker_generator(m.spec, drift=False, refills=[1])
+        assert term_lists(m.l_jumps.matrix) == term_lists(jumps)
+        assert term_lists(m.l0.matrix) == term_lists(full - jumps)
+        assert term_lists(m.l_eff.matrix) == term_lists(full - jumps + jumps)
+
+    @pytest.mark.parametrize(
+        "model", ["spin_half", "perfbench/models/lambda3.json", "tests/models/ladder4.json"]
+    )
+    def test_unsplit_models(self, model):
+        if model == "spin_half":
+            m = builtin_model(model)
+        else:
+            m = model_from_dict(json.loads((ROOT / model).read_text()))
+        assert term_lists(m.l0.matrix) == term_lists(kronecker_generator(m.spec))
+
+
 class TestCharPolyContract:
     def test_perturbation_shape_mismatch(self):
         m = builtin_model("qubit")
@@ -410,6 +506,35 @@ class TestModelFromDict:
         with pytest.raises(ValueError) as err:
             model_from_dict(dict(self.DATA, hamiltonian=hamiltonian))
         assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"hamiltonian": [["epsilon", "g"], ["g", "0"]]},
+             "hamiltonian[0][0]: uses the reserved variable 'epsilon'"),
+            ({"jumps": [{"rate": "g*omega", "operator": [["0", "1"], ["0", "0"]]}]},
+             "jumps[0].rate: uses the reserved variable 'omega'"),
+            ({"jumps": [{"rate": "g", "operator": [["0", "1"], ["omega^2", "0"]]}]},
+             "jumps[0].operator[1][0]: uses the reserved variable 'omega'"),
+            ({"jumps": [{"rate": "i*g", "operator": [["0", "1"], ["0", "0"]]}]},
+             "jumps[0].rate: i*g has a non-real coefficient"),
+            ({"jumps": [{"rate": "g", "operator": [["0", "1"], ["0", "0"]]},
+                        {"rate": "g + 1/2*i", "operator": [["0", "0"], ["1", "0"]]}]},
+             "jumps[1].rate: g + 1/2*i has a non-real coefficient"),
+        ],
+        ids=["epsilon-in-hamiltonian", "omega-in-rate", "omega-in-operator", "imaginary-rate",
+             "complex-constant-in-rate"],
+    )
+    def test_reserved_variable_or_complex_rate_is_named(self, change, message):
+        with pytest.raises(ValueError) as err:
+            model_from_dict(dict(self.DATA, **change))
+        assert str(err.value).startswith(message)
+
+    def test_real_rate_with_imaginary_unit_is_accepted(self):
+        m = model_from_dict(
+            dict(self.DATA, jumps=[{"rate": "i*g*i + 2*g", "operator": [["0", "1"], ["0", "0"]]}])
+        )
+        assert m.spec.channels[0].rate == parse_expression("g", m.variables)
 
     def test_hermitian_complex_hamiltonian_is_accepted(self):
         m = model_from_dict(dict(self.DATA, hamiltonian=[["g", "1-i*g"], ["1+i*g", "-g"]]))

@@ -220,6 +220,17 @@ class TestCanonicalForm:
             expected = p.substitute({n: as_polys[n] for n in names})
             assert list(got.terms.items()) == list(expected.terms.items())
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(small_polys, min_size=4, max_size=4), small_coeffs, small_polys)
+    def test_matrix_substitution_is_entrywise(self, entries, v, q):
+        # the matrix coerces its bindings once and passes zero entries through
+        m = PolyMatrix([entries[:2], entries[2:]])
+        for bindings in ({"x": v}, {"x": 1, "y": Fraction(1, 2)}, {"y": q}, {}):
+            got = m.substitute(bindings)
+            for got_row, row in zip(got.rows, m.rows):
+                for a, e in zip(got_row, row):
+                    assert list(a.terms.items()) == list(e.substitute(bindings).terms.items())
+
     def test_cancelling_sum_moves_the_term_last(self):
         # x - x*y + 1 + x*y^2 at y = 1 adds x, -x, 1 and x: x cancels, leaves
         # the map and comes back after 1
