@@ -28,11 +28,9 @@ from .models import (
     BuiltinModel,
     JumpChannel,
     ModelSpec,
-    Superoperator,
     build_liouvillian,
     builtin_model,
     char_poly,
-    channel_refill,
     flatten_index,
     generic_perturbation,
     model_from_dict,
@@ -102,7 +100,6 @@ __all__ = [
     "ScalingFit",
     "ScanResult",
     "Segment",
-    "Superoperator",
     "TentacleFit",
     "TropicalFunction",
     "amoeba_sample",
@@ -110,7 +107,6 @@ __all__ = [
     "assert_routes_agree",
     "build_liouvillian",
     "builtin_model",
-    "channel_refill",
     "char_poly",
     "classify",
     "collapse_clusters",

@@ -10,6 +10,7 @@ All invocations are deterministic under a fixed seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -107,9 +108,7 @@ def _omega0(args) -> GaussRational:
     if args.omega0 is None:
         raise InputError("--omega0 is required for this subcommand")
     w0 = _parse_scalar(args.omega0)
-    if getattr(args, "shift_sign", "plus") == "minus":
-        w0 = GaussRational(-w0.re, -w0.im)
-    return w0
+    return -w0 if args.shift_sign == "minus" else w0
 
 
 def _perturbation(bundle, bindings, args):
@@ -121,7 +120,7 @@ def _perturbation(bundle, bindings, args):
         raise InputError(
             f"--perturb must be 'generic' or one of {list(bundle.spec.params)}"
         )
-    l1 = perturbation_matrix(bundle.l_eff, choice).substitute(bindings)
+    l1 = perturbation_matrix(bundle.generator, choice).substitute(bindings)
     return l1, choice
 
 
@@ -183,7 +182,7 @@ def _classification_dict(c: Classification) -> dict:
 def cmd_build(args) -> int:
     bundle = _load_model(args.model)
     bindings = _bindings_map(bundle, args.bind)
-    matrix = bundle.l_eff.matrix
+    matrix = bundle.generator
     if bindings:
         matrix = matrix.substitute(bindings)
     payload = {
@@ -206,7 +205,7 @@ def _bound_point(args):
     bindings = _bindings_map(bundle, args.bind)
     _require_all_bound(bundle, bindings)
     w0 = _omega0(args) if hasattr(args, "omega0") else None
-    bound = bundle.l_eff.matrix.substitute(bindings)
+    bound = bundle.generator.substitute(bindings)
     l1, pname = _perturbation(bundle, bindings, args)
     return bundle, bound, l1, pname, w0
 
@@ -254,7 +253,7 @@ def cmd_scan(args) -> int:
         )
     target = free[0]
     result = scan_parameter(
-        bundle.l_eff.matrix, target, bindings, bundle.rate_params, seed=args.seed
+        bundle.generator, target, bindings, bundle.rate_params, seed=args.seed
     )
     candidates = []
     for cand in result.candidates:
@@ -414,6 +413,7 @@ def _add_common(p: argparse.ArgumentParser, *, omega0=False, perturb=False, eps=
         p.add_argument("--eps-points", type=int, default=25)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liouville-ep",

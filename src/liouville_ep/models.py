@@ -1,8 +1,9 @@
 """Exact vectorized Liouvillians for open quantum systems.
 
 A model is a Hamiltonian plus a list of dissipation channels with polynomial
-rates.  Density matrices are flattened row-major: index(row, col) = row*dim +
-col, so vec(A rho B) = (A kron B^T) vec(rho).  The generator assembled here is
+rates, and it has one generator, built by `build_liouvillian` as a dim^2 x
+dim^2 PolyMatrix.  Density matrices are flattened row-major: index(row, col)
+= row*dim + col, so vec(A rho B) = (A kron B^T) vec(rho).  The generator is
 
     L = -i (H kron I - I kron H^T)
         + sum_k rate_k (G kron conj(G) - 1/2 (G^H G) kron I - 1/2 I kron (G^H G)^T)
@@ -30,10 +31,9 @@ must be real.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 from .expr import format_poly, parse_expression
 from .poly import GR_ZERO, GaussRational, MultiPoly, PolyMatrix, ScalarLike, char_poly_berkowitz
@@ -94,19 +94,6 @@ class ModelSpec:
         return ambient_variables(self.params)
 
 
-@dataclass(frozen=True)
-class Superoperator:
-    """A dim^2 x dim^2 generator acting on row-major vectorized densities."""
-
-    dim: int
-    matrix: PolyMatrix
-
-    def __post_init__(self):
-        n, m = self.matrix.shape
-        if n != m or n != self.dim * self.dim:
-            raise ValueError("superoperator must be dim^2 square")
-
-
 def _add_terms(acc: dict, terms: Mapping) -> None:
     """acc += terms in place.  A sum that cancels leaves the map at once, as
     MultiPoly addition drops it, so a later term with that exponent is
@@ -136,50 +123,47 @@ def _with_identity(n: int, left: Mapping, right: Mapping) -> dict[tuple[int, int
     return out
 
 
-def _assemble(spec: ModelSpec, drift: bool, refills: Sequence[int]) -> PolyMatrix:
-    """Write the generator's nonzero terms straight into their flat entries.
+def build_liouvillian(spec: ModelSpec) -> PolyMatrix:
+    """Assemble the model's generator, writing its nonzero terms straight
+    into their flat entries.
 
-    With drift, the commutator and every channel's anticommutator enter;
-    `refills` names the channels whose G kron conj(G) term enters, entry
-    (G kron conj(G))[(i,j),(k,l)] = G[i,k] conj(G[j,l]).  Only the nonzero
-    entries of H, G^H G and G are visited.  Each entry takes its pieces in
-    the order of the dense sum: -i[H, .], then channel by channel the
-    anticommutator and the refill, each product formed as MultiPoly
-    multiplies.  Its terms therefore equal the dense sum's, in the same
-    order.
+    The commutator and every channel's anticommutator enter; a channel that
+    refills adds its G kron conj(G) term, entry (G kron conj(G))[(i,j),(k,l)]
+    = G[i,k] conj(G[j,l]).  Only the nonzero entries of H, G^H G and G are
+    visited.  Each entry takes its pieces in the order of the dense sum:
+    -i[H, .], then channel by channel the anticommutator and the refill, each
+    product formed as MultiPoly multiplies.  Its terms therefore equal the
+    dense sum's, in the same order.
     """
     variables = spec.variables
     n = spec.dim
-    acc: dict[tuple[int, int], dict] = {}
-    if drift:
-        # -i (H kron I - I kron H^T)
-        h = spec.hamiltonian.rows
-        nonzero_h = [(a, b) for a in range(n) for b in range(n) if h[a][b].terms]
-        left = {(a, b): h[a][b].scale(GaussRational.of(0, -1)).terms for a, b in nonzero_h}
-        right = {(a, b): h[a][b].scale(GaussRational.of(0, 1)).terms for a, b in nonzero_h}
-        acc = _with_identity(n, left, right)
+    # -i (H kron I - I kron H^T)
+    h = spec.hamiltonian.rows
+    nonzero_h = [(a, b) for a in range(n) for b in range(n) if h[a][b].terms]
+    left = {(a, b): h[a][b].scale(GaussRational.of(0, -1)).terms for a, b in nonzero_h}
+    right = {(a, b): h[a][b].scale(GaussRational.of(0, 1)).terms for a, b in nonzero_h}
+    acc = _with_identity(n, left, right)
 
     def into(r: int, c: int, terms: Mapping) -> None:
         _add_terms(acc.setdefault((r, c), {}), terms)
 
     minus_half = GaussRational.of(Fraction(-1, 2))
-    for index, ch in enumerate(spec.channels):
+    for ch in spec.channels:
         g = ch.operator.rows
         gbar = ch.operator.conjugate().rows
         nonzero_g = [(a, b) for a in range(n) for b in range(n) if g[a][b].terms]
-        if drift:
-            # G^H G summed over the rows t of G, as the dense matmul adds them
-            ghg: dict[tuple[int, int], dict] = {}
-            for t in range(n):
-                row = [b for a, b in nonzero_g if a == t]
-                for i in row:
-                    for k in row:
-                        _add_terms(ghg.setdefault((i, k), {}), (gbar[t][i] * g[t][k]).terms)
-            half_rate = ch.rate.scale(minus_half)
-            for (r, c), terms in _with_identity(n, ghg, ghg).items():
-                if terms:
-                    into(r, c, (half_rate * MultiPoly._trusted(variables, terms)).terms)
-        if index in refills:
+        # G^H G summed over the rows t of G, as the dense matmul adds them
+        ghg: dict[tuple[int, int], dict] = {}
+        for t in range(n):
+            row = [b for a, b in nonzero_g if a == t]
+            for i in row:
+                for k in row:
+                    _add_terms(ghg.setdefault((i, k), {}), (gbar[t][i] * g[t][k]).terms)
+        half_rate = ch.rate.scale(minus_half)
+        for (r, c), terms in _with_identity(n, ghg, ghg).items():
+            if terms:
+                into(r, c, (half_rate * MultiPoly._trusted(variables, terms)).terms)
+        if ch.refill:
             for i, k in nonzero_g:
                 for j, l in nonzero_g:
                     into(i * n + j, k * n + l, (ch.rate * (g[i][k] * gbar[j][l])).terms)
@@ -191,21 +175,8 @@ def _assemble(spec: ModelSpec, drift: bool, refills: Sequence[int]) -> PolyMatri
     return PolyMatrix(rows)
 
 
-def channel_refill(spec: ModelSpec, index: int) -> PolyMatrix:
-    """Refill (quantum-jump) superoperator term of one channel."""
-    if not spec.channels[index].refill:
-        raise ValueError("loss-only channel has no refill term")
-    return _assemble(spec, False, (index,))
-
-
-def build_liouvillian(spec: ModelSpec) -> Superoperator:
-    """Assemble the full generator of the model."""
-    refills = [k for k, ch in enumerate(spec.channels) if ch.refill]
-    return Superoperator(spec.dim, _assemble(spec, True, refills))
-
-
 def char_poly(
-    l0: Union[Superoperator, PolyMatrix],
+    l0: PolyMatrix,
     perturbation: PolyMatrix | None = None,
     shift: ScalarLike = 0,
 ) -> MultiPoly:
@@ -222,15 +193,14 @@ def char_poly(
     CRT, exact by a Hadamard bound; there is no Python-integer fallback.  An
     entry of L0 or L1 that involves omega is a ValueError.
     """
-    matrix = l0.matrix if isinstance(l0, Superoperator) else l0
-    variables = matrix.vars
+    variables = l0.vars
     if OMEGA not in variables or EPSILON not in variables:
         raise ValueError(f"ambient variables must include {OMEGA!r} and {EPSILON!r}")
-    n, m = matrix.shape
+    n, m = l0.shape
     if n != m:
         raise ValueError("square matrix required")
     if perturbation is not None:
-        if perturbation.shape != matrix.shape:
+        if perturbation.shape != l0.shape:
             raise ValueError("perturbation shape mismatch")
         if perturbation.vars != variables:
             raise ValueError(f"variable mismatch: {variables} vs {perturbation.vars}")
@@ -238,7 +208,7 @@ def char_poly(
     constant = (0,) * len(variables)
     minus_shift = -GaussRational.coerce(shift)
     rows = []
-    for i, row in enumerate(matrix.rows):
+    for i, row in enumerate(l0.rows):
         out = []
         for j, entry in enumerate(row):
             terms = dict(entry.terms)
@@ -253,12 +223,11 @@ def char_poly(
     return char_poly_berkowitz(PolyMatrix(rows), OMEGA)
 
 
-def perturbation_matrix(superop: Union[Superoperator, PolyMatrix], param: str) -> PolyMatrix:
+def perturbation_matrix(superop: PolyMatrix, param: str) -> PolyMatrix:
     """Entrywise partial derivative of the generator with respect to one parameter."""
-    matrix = superop.matrix if isinstance(superop, Superoperator) else superop
-    if param not in matrix.vars:
+    if param not in superop.vars:
         raise ValueError(f"unknown parameter {param!r}")
-    return PolyMatrix([[e.derivative(param) for e in row] for row in matrix.rows])
+    return PolyMatrix([[e.derivative(param) for e in row] for row in superop.rows])
 
 
 def generic_perturbation(variables: Sequence[str], size: int, seed: int) -> PolyMatrix:
@@ -284,25 +253,14 @@ def generic_perturbation(variables: Sequence[str], size: int, seed: int) -> Poly
 
 @dataclass(frozen=True)
 class BuiltinModel:
-    """Model bundle: spec plus the generator split used by the analyses.
-
-    l0 is the deterministic (no-jump) part and l_jumps the recycling term that
-    is treated as the perturbation in hybrid analyses; for fully Lindbladian
-    models l_jumps is None and l0 is the complete generator.
-    """
+    """Model bundle: the spec, its generator as built by `build_liouvillian`
+    (a dim^2 x dim^2 matrix acting on row-major vectorized densities) and the
+    parameters that enter the channel rates."""
 
     name: str
     spec: ModelSpec
-    l0: Superoperator
-    l_jumps: Superoperator | None = None
-    rate_params: tuple[str, ...] = field(default=())
-
-    @cached_property
-    def l_eff(self) -> Superoperator:
-        """l0 plus l_jumps, built once per bundle."""
-        if self.l_jumps is None:
-            return self.l0
-        return Superoperator(self.l0.dim, self.l0.matrix + self.l_jumps.matrix)
+    generator: PolyMatrix
+    rate_params: tuple[str, ...]
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -382,14 +340,13 @@ def _spin_half() -> BuiltinModel:
         JumpChannel(parse_expression("gamma_y", variables), sy),
     )
     spec = ModelSpec("spin_half", 2, params, h, channels)
-    l_full = build_liouvillian(spec)
-    return BuiltinModel("spin_half", spec, l_full, None, _rate_param_names(spec))
+    return BuiltinModel("spin_half", spec, build_liouvillian(spec), _rate_param_names(spec))
 
 
 def _qubit() -> BuiltinModel:
     # two-level submanifold {e, f} of a three-level ladder; the e -> ground
     # decay leaves the subspace (loss-only channel), the f -> e decay stays
-    # inside and its recycling term is the natural perturbation block
+    # inside and refills e
     params = ("gamma_e", "gamma_f", "J")
     variables = ambient_variables(params)
     h = _matrix_from_strings([["0", "J"], ["J", "0"]], variables)
@@ -400,9 +357,7 @@ def _qubit() -> BuiltinModel:
         JumpChannel(parse_expression("gamma_f", variables), decay_fe, refill=True),
     )
     spec = ModelSpec("qubit", 2, params, h, channels)
-    l0 = Superoperator(2, _assemble(spec, True, ()))
-    jumps = Superoperator(2, channel_refill(spec, 1))
-    return BuiltinModel("qubit", spec, l0, jumps, _rate_param_names(spec))
+    return BuiltinModel("qubit", spec, build_liouvillian(spec), _rate_param_names(spec))
 
 
 _BUILTINS = {"spin_half": _spin_half, "qubit": _qubit}
@@ -426,8 +381,7 @@ def model_from_dict(data: Mapping) -> BuiltinModel:
     its conjugate transpose exactly, with the parameters taken as real; the
     first entry that does not is named.  No entry or rate may use omega or
     epsilon, and every rate's coefficients must be real; the offending field
-    is named.  All channels are standard Lindblad channels; the bundle has no
-    jump split.
+    is named.  All channels are standard Lindblad channels.
     """
     try:
         if not isinstance(data, Mapping):
@@ -480,5 +434,4 @@ def model_from_dict(data: Mapping) -> BuiltinModel:
         op = _matrix_from_strings(op_rows, variables, f"jumps[{k}].operator", dim)
         channels.append(JumpChannel(rate, op))
     spec = ModelSpec(name, dim, params, h, tuple(channels))
-    l_full = build_liouvillian(spec)
-    return BuiltinModel(name, spec, l_full, None, _rate_param_names(spec))
+    return BuiltinModel(name, spec, build_liouvillian(spec), _rate_param_names(spec))

@@ -69,7 +69,7 @@ class EPReport:
     entries: tuple[tuple[Fraction | float, int], ...]
 
     def finite(self) -> tuple[tuple[Fraction, int], ...]:
-        return tuple((v, m) for v, m in self.entries if v is not INF and not math.isinf(v))
+        return tuple((v, m) for v, m in self.entries if not math.isinf(v))
 
     def max_order(self) -> int | None:
         """Largest n >= 2 such that some root valuation equals 1/n."""
@@ -107,11 +107,11 @@ def lower_hull(points: Sequence[NewtonPoint]) -> NewtonPolygon:
     Finite segment slopes strictly increase left to right.  When the minimal
     omega-degree is positive a vertical marker segment is prepended.
     """
-    pts = sorted(set(points), key=lambda p: (p.i, p.j))
-    if not pts:
+    ordered = tuple(sorted(set(points), key=lambda p: (p.i, p.j)))
+    if not ordered:
         raise ValueError("no points")
     by_i: dict[int, NewtonPoint] = {}
-    for p in pts:
+    for p in ordered:
         if p.i not in by_i:  # keep lowest j per abscissa
             by_i[p.i] = p
     pts = [by_i[i] for i in sorted(by_i)]
@@ -126,7 +126,7 @@ def lower_hull(points: Sequence[NewtonPoint]) -> NewtonPolygon:
         segments.append(Segment(leftmost, leftmost, None))
     for a, b in zip(hull, hull[1:]):
         segments.append(Segment(a, b, Fraction(b.j - a.j, b.i - a.i)))
-    return NewtonPolygon(tuple(sorted(set(points), key=lambda p: (p.i, p.j))), tuple(hull), tuple(segments))
+    return NewtonPolygon(ordered, tuple(hull), tuple(segments))
 
 
 def ep_orders(polygon: NewtonPolygon) -> EPReport:

@@ -5,6 +5,7 @@ Tolerances are part of the contract and are stated inline; exact checks use
 rational equality, numerical ones carry explicit bars.
 """
 
+import math
 import random
 import time
 from contextlib import contextmanager
@@ -68,17 +69,17 @@ SPIN_POINT = {
 
 def qubit_bound():
     m = builtin_model("qubit")
-    return m, m.l_eff.matrix.substitute(QUBIT_POINT)
+    return m, m.generator.substitute(QUBIT_POINT)
 
 
 def spin_bound():
     m = builtin_model("spin_half")
-    return m, m.l0.matrix.substitute(SPIN_POINT)
+    return m, m.generator.substitute(SPIN_POINT)
 
 
 def qubit_charpoly(param):
     m, bound = qubit_bound()
-    pert = perturbation_matrix(m.l_eff, param).substitute(QUBIT_POINT)
+    pert = perturbation_matrix(m.generator, param).substitute(QUBIT_POINT)
     return char_poly(bound, pert, shift=Fraction(-1, 2))
 
 
@@ -171,11 +172,11 @@ def test_criterion_5_scaling_fits():
         assert abs(fit.slope - 0.5) <= 0.05
 
         mq, bq = qubit_bound()
-        l_gf = perturbation_matrix(mq.l_eff, "gamma_f").substitute(QUBIT_POINT)
+        l_gf = perturbation_matrix(mq.generator, "gamma_f").substitute(QUBIT_POINT)
         fit_gf = scaling_sweep(bq, l_gf, -0.5, eps)
         assert abs(fit_gf.slope - 1 / 3) <= 0.05
 
-        l_j = perturbation_matrix(mq.l_eff, "J").substitute(QUBIT_POINT)
+        l_j = perturbation_matrix(mq.generator, "J").substitute(QUBIT_POINT)
         fit_j = scaling_sweep(bq, l_j, -0.5, eps)
         assert abs(fit_j.slope - 0.5) <= 0.05
 
@@ -187,10 +188,10 @@ def test_criterion_6_encircling_permutations():
         assert encircle(bound, l1).cycles == (2, 1, 1)
 
         mq, bq = qubit_bound()
-        l_gf = perturbation_matrix(mq.l_eff, "gamma_f").substitute(QUBIT_POINT)
+        l_gf = perturbation_matrix(mq.generator, "gamma_f").substitute(QUBIT_POINT)
         assert encircle(bq, l_gf).cycles == (3, 1)
 
-        l_j = perturbation_matrix(mq.l_eff, "J").substitute(QUBIT_POINT)
+        l_j = perturbation_matrix(mq.generator, "J").substitute(QUBIT_POINT)
         assert encircle(bq, l_j).cycles == (2, 1, 1)
 
 
@@ -198,7 +199,7 @@ def test_criterion_7_scan_completeness():
     with criterion(7, "rate scan finds and classifies every slice candidate"):
         m = builtin_model("spin_half")
         bindings = {k: v for k, v in SPIN_POINT.items() if k != "gamma_x"}
-        out = scan_parameter(m.l0.matrix, "gamma_x", bindings, m.rate_params)
+        out = scan_parameter(m.generator, "gamma_x", bindings, m.rate_params)
         assert not out.continuum
         by_value = {c.value: c for c in out.candidates}
 
@@ -221,7 +222,7 @@ def test_criterion_7_scan_completeness():
         # the closed-form degeneracy curves annihilate the discriminant of
         # the unbound char poly
         v = m.variables
-        q = char_poly(m.l0.matrix)
+        q = char_poly(m.generator)
         disc = sylvester_resultant(q.derivative("omega"), q, "omega")
         for curve in ("gamma_y - Omega", "gamma_y + Omega", "-gamma_minus/2 - gamma_y"):
             assert disc.substitute({"gamma_x": parse_expression(curve, v)}).is_zero()
@@ -279,21 +280,22 @@ def test_criterion_8_property_suites():
             assert res.is_zero() == planted
 
         # every standard-channel model conserves the trace functional exactly
-        def trace_cols(superop):
-            n2 = superop.dim**2
-            diag = [flatten_index(d, d, superop.dim) for d in range(superop.dim)]
-            zero = MultiPoly.zero(superop.matrix.vars)
+        def trace_cols(generator):
+            n2 = generator.shape[0]
+            dim = math.isqrt(n2)
+            diag = [flatten_index(d, d, dim) for d in range(dim)]
+            zero = MultiPoly.zero(generator.vars)
             cols = []
             for col in range(n2):
                 total = zero
                 for r in diag:
-                    total = total + superop.matrix.rows[r][col]
+                    total = total + generator.rows[r][col]
                 cols.append(total)
             return cols
 
         spin = builtin_model("spin_half")
         zero = MultiPoly.zero(spin.variables)
-        assert all(c == zero for c in trace_cols(spin.l0))
+        assert all(c == zero for c in trace_cols(spin.generator))
         for k in range(5):
             params = ("r0", "r1")
             variables = params + ("omega", "epsilon")
@@ -322,9 +324,9 @@ def test_criterion_8_property_suites():
                     JumpChannel(MultiPoly.variable(variables, "r1"), cmat(2)),
                 ),
             )
-            sup = build_liouvillian(spec)
+            generator = build_liouvillian(spec)
             zero_v = MultiPoly.zero(variables)
-            assert all(c == zero_v for c in trace_cols(sup))
+            assert all(c == zero_v for c in trace_cols(generator))
 
         # parse/format round-trip
         for _ in range(200):

@@ -97,7 +97,7 @@ def qubit_ep_pencil(perturb):
     CLI builds them."""
     m = builtin_model("qubit")
     point = {"gamma_e": Fraction(1), "gamma_f": Fraction(0), "J": Fraction(1, 4)}
-    return m.l_eff.matrix.substitute(point), perturbation_matrix(m.l_eff, perturb).substitute(point)
+    return m.generator.substitute(point), perturbation_matrix(m.generator, perturb).substitute(point)
 
 
 def csv_columns(text):
@@ -181,8 +181,8 @@ class TestPolygon:
         run_json(capsys, ["polygon"] + QUBIT_EP + ["--omega0", "-1/2", "--perturb", "gamma_f"])
         m = builtin_model("qubit")
         point = {"gamma_e": Fraction(1), "gamma_f": Fraction(0), "J": Fraction(1, 4)}
-        bound = m.l_eff.matrix.substitute(point)
-        pert = perturbation_matrix(m.l_eff, "gamma_f").substitute(point)
+        bound = m.generator.substitute(point)
+        pert = perturbation_matrix(m.generator, "gamma_f").substitute(point)
         assert char_poly(bound, pert, shift=Fraction(-1, 2)) in seen
 
     def test_shift_sign_minus_is_equivalent(self, capsys):
@@ -513,6 +513,39 @@ class TestEncircle:
 
 WINDOW = "epsilon values must be finite and positive"
 SHORT_SWEEP = "need at least 3 distinct epsilon values"
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process; no parsed value carries
+    over from one call to the next."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_bindings_do_not_carry_over(self, capsys):
+        assert run_json(capsys, ["build"] + QUBIT_EP)["bound"] == {
+            "gamma_e": "1", "gamma_f": "0", "J": "1/4"
+        }
+        assert run_json(capsys, ["build", "--model", "qubit"])["bound"] == {}
+
+    def test_shift_sign_does_not_carry_over(self, capsys):
+        tail = ["--perturb", "gamma_f"]
+        flipped = run_json(
+            capsys, ["polygon"] + QUBIT_EP + ["--omega0", "1/2", "--shift-sign", "minus"] + tail
+        )
+        plain = run_json(capsys, ["polygon"] + QUBIT_EP + ["--omega0", "-1/2"] + tail)
+        assert flipped["omega0"] == plain["omega0"] == "-1/2"
+
+    def test_subcommand_defaults_do_not_carry_over(self, capsys):
+        point = QUBIT_EP + ["--omega0", "-1/2", "--perturb", "gamma_f"]
+
+        def header(argv):
+            assert cli.main(argv) == 0
+            return capsys.readouterr().out.split("\n", 1)[0]
+
+        assert "npoints=25" in header(["scale"] + point)
+        assert "grid=40x2" in header(["amoeba"] + point + ["--phases", "2"])
+        assert "npoints=25" in header(["scale"] + point)
 
 
 class TestExitCodes:

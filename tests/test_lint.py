@@ -7,7 +7,7 @@ kernel; only `cli._write` opens a file for writing; every function the
 benchmark's tracer wraps exists in the package; no module imports scipy
 anywhere, or a module that drags in the network stack at module level, and a
 fresh interpreter that imports the CLI and runs any subcommand loads none of
-them.
+them; the README's minimal session runs as printed.
 
 No linter is a dependency, so this walks each module's AST.  `__init__.py`
 is exempt from the import check: it imports names only to re-export them.
@@ -308,3 +308,11 @@ def test_numeric_runs_load_no_heavy_module(fresh_python, tmp_path):
     assert svgs == ["amoeba.svg", "encircle.svg", "scale.svg"]
     heavy = [m for m in loaded if _is_heavy(m)]
     assert not heavy, f"importing the CLI and running amoeba, scale and encircle loaded {heavy}"
+
+
+def test_readme_session_runs(fresh_python):
+    """The README's first python block runs as printed, so a renamed name it
+    uses fails here instead of leaving the docs broken."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    session = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    assert fresh_python(session).strip()

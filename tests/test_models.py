@@ -1,6 +1,7 @@
 """Generator assembly: vectorization, built-in models, frozen entries."""
 
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -18,7 +19,6 @@ from liouville_ep.models import (
     ambient_variables,
     build_liouvillian,
     builtin_model,
-    channel_refill,
     char_poly,
     flatten_index,
     generic_perturbation,
@@ -30,19 +30,20 @@ from liouville_ep.poly import GaussRational, MultiPoly, PolyMatrix, det_bareiss,
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def entries(superop):
-    return [[format_poly(e) for e in row] for row in superop.matrix.rows]
+def entries(matrix):
+    return [[format_poly(e) for e in row] for row in matrix.rows]
 
 
-def trace_row(superop):
+def trace_row(generator):
     """vec(I)^T L: one functional per column; all zero iff trace is conserved."""
-    n2 = superop.dim * superop.dim
-    diag = [flatten_index(d, d, superop.dim) for d in range(superop.dim)]
+    n2 = generator.shape[0]
+    dim = math.isqrt(n2)
+    diag = [flatten_index(d, d, dim) for d in range(dim)]
     cols = []
     for c in range(n2):
-        total = MultiPoly.zero(superop.matrix.vars)
+        total = MultiPoly.zero(generator.vars)
         for r in diag:
-            total = total + superop.matrix.rows[r][c]
+            total = total + generator.rows[r][c]
         cols.append(total)
     return cols
 
@@ -84,8 +85,7 @@ class TestFlattenIndex:
 class TestSpinHalf:
     def test_frozen_entries(self):
         m = builtin_model("spin_half")
-        assert m.l_jumps is None
-        assert entries(m.l0) == [
+        assert entries(m.generator) == [
             ["-gamma_minus - gamma_x - gamma_y", "0", "0", "gamma_x + gamma_y"],
             ["0", "-i*Omega - 1/2*gamma_minus - gamma_x - gamma_y", "gamma_x - gamma_y", "0"],
             ["0", "gamma_x - gamma_y", "i*Omega - 1/2*gamma_minus - gamma_x - gamma_y", "0"],
@@ -102,13 +102,13 @@ class TestSpinHalf:
     def test_trace_preserved(self):
         m = builtin_model("spin_half")
         zero = MultiPoly.zero(m.variables)
-        assert all(c == zero for c in trace_row(m.l0))
+        assert all(c == zero for c in trace_row(m.generator))
 
     def test_char_poly_factors(self):
         # coherence block contributes omega^2 + 2*a*omega + a^2 + Omega^2 - (gx-gy)^2
         # with a = gamma_minus/2 + gamma_x + gamma_y; populations give the rest
         m = builtin_model("spin_half")
-        p = char_poly(m.l0)
+        p = char_poly(m.generator)
         quad = parse_expression(
             "omega^2 + (gamma_minus + 2*gamma_x + 2*gamma_y)*omega"
             " + (gamma_minus/2 + gamma_x + gamma_y)^2 + Omega^2 - (gamma_x - gamma_y)^2",
@@ -132,40 +132,35 @@ class TestSpinHalf:
             for j in range(2):
                 perm_rows[flatten_index(i, j, 2)][flatten_index(j, i, 2)] = one
         perm = PolyMatrix(perm_rows)
-        mat = m.l0.matrix
+        mat = m.generator
         assert perm @ mat @ perm == mat.conjugate()
 
 
 class TestQubit:
     def test_frozen_effective_entries(self):
         m = builtin_model("qubit")
-        assert entries(m.l_eff) == [
+        assert entries(m.generator) == [
             ["-gamma_e", "i*J", "-i*J", "gamma_f"],
             ["i*J", "-1/2*gamma_e - 1/2*gamma_f", "0", "-i*J"],
             ["-i*J", "0", "-1/2*gamma_e - 1/2*gamma_f", "i*J"],
             ["0", "-i*J", "i*J", "-gamma_f"],
         ]
 
-    def test_jump_split(self):
+    def test_metadata(self):
         m = builtin_model("qubit")
-        assert m.l_jumps is not None
-        jump = entries(m.l_jumps)
-        expected = [["0"] * 4 for _ in range(4)]
-        expected[0][3] = "gamma_f"
-        assert jump == expected
-        assert m.l_eff.matrix == m.l0.matrix + m.l_jumps.matrix
+        assert m.spec.params == ("gamma_e", "gamma_f", "J")
         assert m.rate_params == ("gamma_e", "gamma_f")
 
     def test_loss_channel_breaks_trace(self):
         m = builtin_model("qubit")
-        cols = trace_row(m.l_eff)
+        cols = trace_row(m.generator)
         minus_ge = parse_expression("-gamma_e", m.variables)
         assert cols[0] == minus_ge
         assert cols[3] == MultiPoly.zero(m.variables)
 
     def test_rate_derivative_matrices(self):
         m = builtin_model("qubit")
-        d_gf = perturbation_matrix(m.l_eff, "gamma_f")
+        d_gf = perturbation_matrix(m.generator, "gamma_f")
         got = [[format_poly(e) for e in row] for row in d_gf.rows]
         assert got == [
             ["0", "0", "0", "1"],
@@ -173,7 +168,7 @@ class TestQubit:
             ["0", "0", "-1/2", "0"],
             ["0", "0", "0", "-1"],
         ]
-        d_j = perturbation_matrix(m.l_eff, "J")
+        d_j = perturbation_matrix(m.generator, "J")
         got_j = [[format_poly(e) for e in row] for row in d_j.rows]
         assert got_j == [
             ["0", "i", "-i", "0"],
@@ -184,7 +179,7 @@ class TestQubit:
 
     def test_quartic_root_at_special_point(self):
         m = builtin_model("qubit")
-        bound = m.l_eff.matrix.substitute(
+        bound = m.generator.substitute(
             {"gamma_e": Fraction(1), "gamma_f": Fraction(0), "J": Fraction(1, 4)}
         )
         p = char_poly(bound, shift=Fraction(-1, 2))
@@ -196,7 +191,7 @@ class TestQubit:
         # root at the shift for every J: the two lowest coefficients vanish
         # identically as polynomials in J
         m = builtin_model("qubit")
-        bound = m.l_eff.matrix.substitute({"gamma_e": Fraction(1), "gamma_f": Fraction(0)})
+        bound = m.generator.substitute({"gamma_e": Fraction(1), "gamma_f": Fraction(0)})
         p = char_poly(bound, shift=Fraction(-1, 2))
         coeffs = p.coefficient_list(OMEGA)
         zero = MultiPoly.zero(m.variables)
@@ -226,36 +221,30 @@ class TestPerturbations:
     def test_unknown_parameter_rejected(self):
         m = builtin_model("qubit")
         with pytest.raises(ValueError):
-            perturbation_matrix(m.l_eff, "nope")
+            perturbation_matrix(m.generator, "nope")
 
     def test_char_poly_with_perturbation_degree(self):
         m = builtin_model("spin_half")
         pert = generic_perturbation(m.variables, 4, 42)
-        p = char_poly(m.l0, pert)
+        p = char_poly(m.generator, pert)
         assert p.degree(OMEGA) == 4
         assert p.degree(EPSILON) == 4
 
 
-def kronecker_generator(spec, drift=True, refills=None):
+def kronecker_generator(spec):
     """The generator as dense Kronecker products, summed in the order
-    -i[H, .], then channel by channel anticommutator and refill: the
-    independent oracle for the entry-wise assembly.  `refills` defaults to
-    every channel that refills."""
-    if refills is None:
-        refills = [k for k, ch in enumerate(spec.channels) if ch.refill]
+    -i[H, .], then channel by channel anticommutator and, for a channel that
+    refills, refill: the independent oracle for the entry-wise assembly."""
     v, n = spec.variables, spec.dim
     ident = PolyMatrix.identity(v, n)
     h = spec.hamiltonian
-    total = PolyMatrix.identity(v, n * n).scale(0)
-    if drift:
-        total = (h.kron(ident) - ident.kron(h.transpose())).scale(GaussRational.of(0, -1))
-    for k, ch in enumerate(spec.channels):
+    total = (h.kron(ident) - ident.kron(h.transpose())).scale(GaussRational.of(0, -1))
+    for ch in spec.channels:
         g = ch.operator
         ghg = g.dagger() @ g
-        if drift:
-            anti = (ghg.kron(ident) + ident.kron(ghg.transpose())).scale(Fraction(-1, 2))
-            total = total + anti.scale(ch.rate)
-        if k in refills:
+        anti = (ghg.kron(ident) + ident.kron(ghg.transpose())).scale(Fraction(-1, 2))
+        total = total + anti.scale(ch.rate)
+        if ch.refill:
             total = total + g.kron(g.conjugate()).scale(ch.rate)
     return total
 
@@ -304,36 +293,24 @@ class TestEntrywiseAssembly:
     @given(assembly_specs())
     @settings(max_examples=150, deadline=None)
     def test_matches_kronecker_formula(self, spec):
-        assert term_lists(build_liouvillian(spec).matrix) == term_lists(kronecker_generator(spec))
-        for k, ch in enumerate(spec.channels):
-            if ch.refill:
-                oracle = kronecker_generator(spec, drift=False, refills=[k])
-                assert term_lists(channel_refill(spec, k)) == term_lists(oracle)
-
-    def test_qubit_split(self):
-        m = builtin_model("qubit")
-        full = kronecker_generator(m.spec)
-        jumps = kronecker_generator(m.spec, drift=False, refills=[1])
-        assert term_lists(m.l_jumps.matrix) == term_lists(jumps)
-        assert term_lists(m.l0.matrix) == term_lists(full - jumps)
-        assert term_lists(m.l_eff.matrix) == term_lists(full - jumps + jumps)
+        assert term_lists(build_liouvillian(spec)) == term_lists(kronecker_generator(spec))
 
     @pytest.mark.parametrize(
-        "model", ["spin_half", "perfbench/models/lambda3.json", "tests/models/ladder4.json"]
+        "model", ["qubit", "spin_half", "perfbench/models/lambda3.json", "tests/models/ladder4.json"]
     )
     def test_unsplit_models(self, model):
-        if model == "spin_half":
-            m = builtin_model(model)
-        else:
+        if model.endswith(".json"):
             m = model_from_dict(json.loads((ROOT / model).read_text()))
-        assert term_lists(m.l0.matrix) == term_lists(kronecker_generator(m.spec))
+        else:
+            m = builtin_model(model)
+        assert term_lists(m.generator) == term_lists(kronecker_generator(m.spec))
 
 
 class TestCharPolyContract:
     def test_perturbation_shape_mismatch(self):
         m = builtin_model("qubit")
         with pytest.raises(ValueError):
-            char_poly(m.l_eff, generic_perturbation(m.variables, 3, 1))
+            char_poly(m.generator, generic_perturbation(m.variables, 3, 1))
 
     def test_missing_ambient_variables(self):
         mat = PolyMatrix.identity(("x",), 2)
@@ -395,7 +372,7 @@ class TestCharPolyKernel:
                     "hamiltonian": [["0", "h/2"], ["h/2", "0"]],
                     "jumps": [{"rate": "g^2", "operator": [["0", "1"], ["0", "0"]]}],
                 }
-            ).l0.matrix,
+            ).generator,
             _random_matrix(4, 4),
             GaussRational.of(0, Fraction(1, 3)),
         ),
@@ -456,7 +433,6 @@ class TestModelFromDict:
     def test_round_trip_matches_hand_built(self):
         m = model_from_dict(self.DATA)
         assert m.spec.params == ("g",)
-        assert m.l_jumps is None
         assert m.rate_params == ("g",)
         variables = m.variables
         h = PolyMatrix(
@@ -469,12 +445,12 @@ class TestModelFromDict:
             ]
         )
         spec = ModelSpec("toy", 2, ("g",), h, (JumpChannel(parse_expression("g", variables), op),))
-        assert m.l0.matrix == build_liouvillian(spec).matrix
+        assert m.generator == build_liouvillian(spec)
 
     def test_dict_model_preserves_trace(self):
         m = model_from_dict(self.DATA)
         zero = MultiPoly.zero(m.variables)
-        assert all(c == zero for c in trace_row(m.l0))
+        assert all(c == zero for c in trace_row(m.generator))
 
     def test_missing_key(self):
         with pytest.raises(ValueError):
@@ -552,18 +528,7 @@ class TestBuiltinLookup:
         h = builtin_model(name).spec.hamiltonian
         assert h == h.dagger()
 
-    @pytest.mark.parametrize("name", ["qubit", "spin_half"])
-    def test_l_eff_is_built_once_per_bundle(self, name):
-        m = builtin_model(name)
-        assert m.l_eff is m.l_eff
-        if m.l_jumps is not None:
-            assert m.l_eff.matrix == m.l0.matrix + m.l_jumps.matrix
-
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             builtin_model("nope")
 
-    def test_loss_only_channel_has_no_refill(self):
-        m = builtin_model("qubit")
-        with pytest.raises(ValueError):
-            channel_refill(m.spec, 0)

@@ -157,11 +157,11 @@ class TestFrozenModelPolygons:
     def qubit_bound(self):
         m = builtin_model("qubit")
         b = {"gamma_e": Fraction(1), "gamma_f": Fraction(0), "J": Fraction(1, 4)}
-        return m, m.l_eff.matrix.substitute(b), b
+        return m, m.generator.substitute(b), b
 
     def test_qubit_rate_perturbation(self):
         m, bound, b = self.qubit_bound()
-        pert = perturbation_matrix(m.l_eff, "gamma_f").substitute(b)
+        pert = perturbation_matrix(m.generator, "gamma_f").substitute(b)
         f = char_poly(bound, pert, shift=Fraction(-1, 2))
         points = newton_points(f)
         assert points == pts((0, 2), (1, 1), (2, 1), (3, 1), (4, 0))
@@ -175,7 +175,7 @@ class TestFrozenModelPolygons:
 
     def test_qubit_coupling_perturbation(self):
         m, bound, b = self.qubit_bound()
-        pert = perturbation_matrix(m.l_eff, "J").substitute(b)
+        pert = perturbation_matrix(m.generator, "J").substitute(b)
         f = char_poly(bound, pert, shift=Fraction(-1, 2))
         expected = parse_expression(
             "omega^4 + omega^2*(4*epsilon^2 + 2*epsilon)", m.variables
@@ -197,7 +197,7 @@ class TestFrozenModelPolygons:
             "gamma_x": Fraction(1),
             "gamma_y": Fraction(2),
         }
-        bound = m.l0.matrix.substitute(b)
+        bound = m.generator.substitute(b)
         pert = generic_perturbation(m.variables, 4, 42)
         f = char_poly(bound, pert, shift=Fraction(-3))
         points = newton_points(f)

@@ -553,8 +553,8 @@ class TestAmoebaSample:
         # for bit
         m = builtin_model("qubit")
         bindings = {"gamma_e": 1, "gamma_f": 0, "J": Fraction(1, 4)}
-        bound = m.l_eff.matrix.substitute(bindings)
-        l1 = perturbation_matrix(m.l_eff, "gamma_f").substitute(bindings)
+        bound = m.generator.substitute(bindings)
+        l1 = perturbation_matrix(m.generator, "gamma_f").substitute(bindings)
         f = char_poly(bound, l1, shift=Fraction(-1, 2))
         flipped = MultiPoly(f.vars, dict(reversed(f.terms.items())))
         assert flipped == f and list(flipped.terms) != list(f.terms)
@@ -592,8 +592,8 @@ class TestNoPerPointLoops:
         monkeypatch.setattr(numerics, "roots_aberth", refuse)
         point = {"gamma_e": Fraction(1), "gamma_f": Fraction(0), "J": Fraction(1, 4)}
         model = builtin_model("qubit")
-        bound = model.l_eff.matrix.substitute(point)
-        pert = perturbation_matrix(model.l_eff, "gamma_f").substitute(point)
+        bound = model.generator.substitute(point)
+        pert = perturbation_matrix(model.generator, "gamma_f").substitute(point)
         f = char_poly(bound, pert, shift=Fraction(-1, 2))
         cloud = amoeba_sample(f, (1e-6, 1e-2), moduli=40, phases=64)  # acceptance 4 grid
         assert cloud.skips == 0

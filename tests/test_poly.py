@@ -601,7 +601,7 @@ class TestResidueKernel:
         # shift: a tensor grid over five variables
         from liouville_ep.models import EPSILON, builtin_model, char_poly, generic_perturbation
 
-        l0 = builtin_model("spin_half").l0.matrix
+        l0 = builtin_model("spin_half").generator
         l1 = generic_perturbation(l0.vars, 4, 7)
         shift = GaussRational.of(Fraction(1, 3), Fraction(-2, 5))
         eps = MultiPoly.variable(l0.vars, EPSILON)
@@ -617,7 +617,7 @@ class TestResidueKernel:
         from liouville_ep.models import char_poly, generic_perturbation, model_from_dict
 
         model = model_from_dict(json.loads((ROOT / "perfbench" / "models" / "lambda3.json").read_text()))
-        bound = model.l0.matrix.substitute({"g1": 1, "g2": 1, "O": 0})
+        bound = model.generator.substitute({"g1": 1, "g2": 1, "O": 0})
         f = char_poly(bound, generic_perturbation(bound.vars, 9, 42), shift=Fraction(-1, 2))
         frozen = (ROOT / "tests" / "fixtures" / "lambda3_classify_char_poly.txt").read_text()
         assert f == parse_expression(frozen.strip(), bound.vars)

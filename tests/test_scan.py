@@ -59,11 +59,11 @@ QUBIT_SLICE = {"gamma_e": Fraction(1), "J": Fraction(1, 4)}
 def qubit_ep3_bound():
     # the qubit's EP3 point: omega0 = -1/2 at gamma_f = 0 on the slice
     m = builtin_model("qubit")
-    return m.l_eff.matrix.substitute({**QUBIT_SLICE, "gamma_f": Fraction(0)})
+    return m.generator.substitute({**QUBIT_SLICE, "gamma_f": Fraction(0)})
 
 
 def slice_char_poly(name, bindings):
-    return char_poly(builtin_model(name).l_eff.matrix.substitute(bindings))
+    return char_poly(builtin_model(name).generator.substitute(bindings))
 
 
 def from_dense(p, like, var, lead=None):
@@ -293,7 +293,7 @@ def test_lambda3_discriminant_square_free_matches_sympy():
     sympy = pytest.importorskip("sympy")
     spec = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "models" / "lambda3.json").read_text())
     m = model_from_dict(spec)
-    q = char_poly(m.l0.matrix.substitute({"g1": Fraction(1), "O": Fraction(1, 3)}))
+    q = char_poly(m.generator.substitute({"g1": Fraction(1), "O": Fraction(1, 3)}))
     disc, _ = scan._discriminant(*scan._cleared_rows(q, "g2"))
     assert len(disc) == 45 and all(im == 0 for _, im in disc)
     part, factors = square_free(disc)
@@ -308,7 +308,7 @@ def test_lambda3_discriminant_square_free_matches_sympy():
 class TestClassify:
     def spin_half_bound(self, gamma_x):
         m, bindings = spin_half_slice()
-        return m.l0.matrix.substitute({**bindings, "gamma_x": Fraction(gamma_x)})
+        return m.generator.substitute({**bindings, "gamma_x": Fraction(gamma_x)})
 
     def test_second_order_ep(self):
         c = classify(self.spin_half_bound(1), gr(-3))
@@ -376,7 +376,7 @@ class TestClassify:
 class TestScanParameter:
     def test_frozen_slice(self):
         m, bindings = spin_half_slice()
-        out = scan_parameter(m.l0.matrix, "gamma_x", bindings, m.rate_params)
+        out = scan_parameter(m.generator, "gamma_x", bindings, m.rate_params)
         assert not out.continuum
         by_value = {c.value: c for c in out.candidates}
         assert set(by_value) == {gr(-2), gr(Fraction(-1, 8)), gr(1), gr(3)}
@@ -415,7 +415,7 @@ class TestScanParameter:
             "gamma_minus": Fraction(0),
             "gamma_x": Fraction(1),
         }
-        out = scan_parameter(m.l0.matrix, "gamma_y", bindings, m.rate_params)
+        out = scan_parameter(m.generator, "gamma_y", bindings, m.rate_params)
         by_value = {c.value: c for c in out.candidates}
         assert gr(2) in by_value
         cand = by_value[gr(2)]
@@ -431,7 +431,7 @@ class TestScanParameter:
         # part by two ulps towards either order must not reorder the output
         m = builtin_model("qubit")
         bindings = {"gamma_e": Fraction(1), "J": Fraction(1, 4)}
-        reference = scan_parameter(m.l_eff.matrix, "gamma_f", bindings, m.rate_params)
+        reference = scan_parameter(m.generator, "gamma_f", bindings, m.rate_params)
 
         def nudged(coeffs):
             roots = roots_aberth(coeffs)
@@ -439,7 +439,7 @@ class TestScanParameter:
             return roots.real + shift + 1j * roots.imag
 
         monkeypatch.setattr(scan, "roots_aberth", nudged)
-        out = scan_parameter(m.l_eff.matrix, "gamma_f", bindings, m.rate_params)
+        out = scan_parameter(m.generator, "gamma_f", bindings, m.rate_params)
         values = [c.value for c in out.candidates]
         assert gr(Fraction(1406787, 883972), Fraction(-411153, 291280)) in values
         assert values == sorted(values, key=lambda v: (v.re, v.im))
@@ -458,7 +458,7 @@ class TestScanParameter:
 
         monkeypatch.setattr(scan, "char_poly", spy)
         monkeypatch.setattr(scan, "classify", lambda *args, **kwargs: None)
-        scan_parameter(m.l0.matrix, "gamma_x", bindings, m.rate_params)
+        scan_parameter(m.generator, "gamma_x", bindings, m.rate_params)
         assert returned
         for p in returned:
             assert p.uses_only(["gamma_x", OMEGA]), p.vars
@@ -469,7 +469,7 @@ class TestScanParameter:
         bindings = {"gamma_e": Fraction(1), "J": Fraction(1, 4)}
         seen = []
         discriminant = scan._discriminant
-        q = char_poly(m.l_eff.matrix.substitute(bindings))
+        q = char_poly(m.generator.substitute(bindings))
 
         def spy(rows, denom):
             # the scan's discriminant: dense integer coefficients over one divisor
@@ -493,7 +493,7 @@ class TestScanParameter:
                 )
             )
 
-        bound = m.l_eff.matrix.substitute(bindings)
+        bound = m.generator.substitute(bindings)
         omega = symbols[m.variables.index(OMEGA)]
         q = (sympy.Matrix([[to_sympy(e) for e in row] for row in bound.rows])
              - omega * sympy.eye(bound.shape[0])).det(method="berkowitz")
@@ -504,7 +504,7 @@ class TestScanParameter:
     def test_continuum_detection(self):
         m = builtin_model("qubit")
         out = scan_parameter(
-            m.l_eff.matrix,
+            m.generator,
             "gamma_e",
             {"gamma_f": Fraction(0), "J": Fraction(0)},
             m.rate_params,
@@ -517,7 +517,7 @@ class TestClosedFormRegimes:
     def test_known_degeneracy_curves_annihilate_resultant(self):
         m = builtin_model("spin_half")
         v = m.variables
-        q = char_poly(m.l0.matrix)
+        q = char_poly(m.generator)
         disc = sylvester_resultant(q.derivative(OMEGA), q, OMEGA)
         assert not disc.is_zero()
         gx = parse_expression
