@@ -151,10 +151,16 @@ _CSV_ROWS = 1 << 12
 
 
 def _float_reprs(values: np.ndarray) -> list[str]:
-    """repr() of every float of the array in C order, for CSV cells: one
-    list repr split back into its items, each of them float.__repr__."""
-    flat = values.ravel().tolist()
-    return repr(flat)[1:-1].split(", ") if flat else []
+    """repr() of every float64 of the array in C order, for CSV cells.
+
+    Each distinct value is formatted once: the values are told apart by
+    their bit patterns (so -0.0 and 0.0 stay apart), the distinct ones go
+    through one list repr split back into its items, each of them
+    float.__repr__, and the cells are gathered back through the inverse.
+    """
+    bits, inverse = np.unique(values.ravel().view(np.int64), return_inverse=True)
+    cells = np.array(repr(bits.view(np.float64).tolist())[1:-1].split(", "), dtype=object)
+    return cells[inverse].tolist()
 
 
 def _dumps(obj) -> str:

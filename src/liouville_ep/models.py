@@ -184,15 +184,31 @@ def char_poly(
 
     The convention puts the eigenvalue at omega = 0: with the constant
     shift = s, omega = 0 is a root exactly when s is an eigenvalue of
-    L0 + eps*L1.  The pencil L0 - s I + eps*L1 is assembled in one pass over
-    the entries' terms (s subtracted from each diagonal constant term, L1's
-    terms added with their epsilon exponent raised by one), and its
-    determinant comes from the dense kernel `char_poly_berkowitz`: one
-    batched division-free Berkowitz on residues modulo a fixed table of
-    primes at integer points of the free variables, then interpolation and
-    CRT, exact by a Hadamard bound; there is no Python-integer fallback.  An
-    entry of L0 or L1 that involves omega is a ValueError.
+    L0 + eps*L1.  This is the one-pencil case of `char_polys`.
     """
+    return char_polys([(l0, perturbation, shift)])[0]
+
+
+def char_polys(
+    pencils: Sequence[tuple[PolyMatrix, PolyMatrix | None, ScalarLike]],
+) -> list[MultiPoly]:
+    """`char_poly` of every (l0, perturbation, shift) pencil, in order.
+
+    Each pencil L0 - s I + eps*L1 is assembled in one pass over the entries'
+    terms (s subtracted from each diagonal constant term, L1's terms added
+    with their epsilon exponent raised by one), and every determinant comes
+    from one batched call of the dense kernel `char_poly_berkowitz`: a
+    division-free Berkowitz on residues modulo a fixed table of primes at
+    integer points of the free variables, then interpolation and CRT, exact
+    by a Hadamard bound; there is no Python-integer fallback.  The pencils
+    must share one shape and one variable tuple.  An entry of L0 or L1 that
+    involves omega is a ValueError.
+    """
+    return char_poly_berkowitz([_pencil(*pencil) for pencil in pencils], OMEGA)
+
+
+def _pencil(l0: PolyMatrix, perturbation: PolyMatrix | None, shift: ScalarLike) -> PolyMatrix:
+    """L0 - shift I + eps*L1, assembled in one pass over the entries' terms."""
     variables = l0.vars
     if OMEGA not in variables or EPSILON not in variables:
         raise ValueError(f"ambient variables must include {OMEGA!r} and {EPSILON!r}")
@@ -220,7 +236,7 @@ def char_poly(
                     terms[raised] = terms.get(raised, GR_ZERO) + c
             out.append(MultiPoly._trusted(variables, terms))
         rows.append(out)
-    return char_poly_berkowitz(PolyMatrix(rows), OMEGA)
+    return PolyMatrix(rows)
 
 
 def perturbation_matrix(superop: PolyMatrix, param: str) -> PolyMatrix:

@@ -15,13 +15,16 @@ one trusted internal constructor that only drops zero coefficients, and
 The matrix layer (`PolyMatrix`) provides the handful of exact linear-algebra
 routines the rest of the package needs: Kronecker products and the dense
 char-poly kernel `char_poly_berkowitz`, the one runtime determinant route.
-The kernel clears denominators once and works on residues in numpy int64:
-Z[i] modulo each prime p = 1 (mod 4) below 2^26 of a fixed table (found on
-first use) splits into two copies of F_p, and one batched division-free
-Berkowitz runs over every integer grid point of the free variables, prime
-and embedding.  Interpolation is modulo p, and Garner's CRT recovers the
-integers; a Hadamard bound on the coefficients fixes how many primes, so the
-result is exact by construction.  There is no Python-integer fallback.
+The kernel takes a batch of equally shaped matrices, clears each matrix's
+denominators once and works on residues in numpy int64: Z[i] modulo each
+prime p = 1 (mod 4) below 2^26 of a fixed table (found on first use) splits
+into two copies of F_p, and one batched division-free Berkowitz runs over
+every prime, embedding, integer grid point of the free variables and matrix
+of the batch, in blocks of (grid point, matrix) pairs that keep each stack
+near 2 MiB.  Interpolation is modulo p, and Garner's CRT recovers the
+integers; a Hadamard bound on the coefficients, the largest over the batch,
+fixes how many primes, so every result is exact by construction.  There is
+no Python-integer fallback.
 
 The dense univariate layer serves a scan once its parameters are bound: lists
 of Gaussian-integer pairs with a subresultant PRS (resultant and gcd), Yun's
@@ -736,7 +739,7 @@ def _inverse_vandermonde(d: int) -> tuple[tuple[int, ...], ...]:
 
 _PRIME_CEILING = 1 << 26
 _TERMS_PER_SUM = 1 << 11
-# residues per block of grid points: 2 MiB of int64 matrices
+# residues per block of (grid point, matrix) pairs: 2 MiB of int64 matrices
 _KERNEL_BLOCK = 1 << 18
 
 # (p, iota) for the primes p = 1 (mod 4) below 2^26, largest first; filled on
@@ -816,45 +819,63 @@ def _berkowitz_mod(a: np.ndarray, mod: np.ndarray) -> np.ndarray:
     return poly[..., 0]
 
 
-def char_poly_berkowitz(matrix: PolyMatrix, var: str) -> MultiPoly:
-    """det(matrix - var*I) for a square matrix whose entries do not involve var.
+def char_poly_berkowitz(matrices: Sequence[PolyMatrix], var: str) -> list[MultiPoly]:
+    """det(M - var*I) for each matrix M of a batch, in order; no entry may
+    involve var.
 
-    The dense exact kernel behind `models.char_poly`.  Every denominator is
-    cleared once: with D the lcm of all coefficient denominators, D*matrix
-    takes Gaussian-integer values at integer points.  For each other variable
-    x that occurs, the determinant's x-degree is at most min(sum of row-max,
-    sum of column-max) of the entries' x-degrees, and the char poly is taken
-    at every point of the tensor grid 0..bound_x.
+    The dense exact kernel behind `models.char_polys`.  The batch is a
+    non-empty sequence of square matrices of one shape on one variable tuple
+    (anything else is a ValueError), and it is one residue computation; a
+    single matrix is a batch of one.  Each matrix's denominators are cleared
+    once: with D_k the lcm of the coefficient denominators of matrix k,
+    D_k*M_k takes Gaussian-integer values at integer points, so a batch-mate
+    never enlarges its entries.  For each other variable x that occurs in the
+    batch, a determinant's x-degree is at most min(sum of row-max, sum of
+    column-max) of its entries' x-degrees; the maximum of that over the batch
+    bounds the grid 0..bound_x, and every char poly is taken at every point
+    of the tensor grid.
 
     The arithmetic is residues in numpy int64.  For each prime p of a fixed
     table (p = 1 mod 4 and p < 2^26, largest first, found on first use),
     Z[i]/p splits into two copies of F_p through i -> +-iota, iota^2 = -1, so
-    every grid point, prime and embedding gives one residue matrix, and one
-    batched division-free Berkowitz (`_berkowitz_mod`) runs on the whole
-    stack; a grid too large for one 2 MiB stack goes through in blocks of
-    points.  Each var-coefficient is interpolated axis by axis modulo p
-    (the scaled inverse Vandermonde `_inverse_vandermonde`).  The real and
-    imaginary parts are (x+ + x-)/2 and (x+ - x-)/(2 iota), and Garner's CRT
-    with the symmetric lift gives the integers, divided once at the end by
-    prod(d!) * D^(n-k) for the var^k coefficient.
+    every prime, embedding, grid point and matrix gives one residue matrix of
+    the stack (primes, 2, points, matrices, n, n), and one batched
+    division-free Berkowitz (`_berkowitz_mod`) runs on it.  A stack larger
+    than `_KERNEL_BLOCK` residues (2 MiB) goes through in blocks of (grid
+    point, matrix) pairs: runs of points with the whole batch while a point
+    fits in a block, else runs of matrices at one point, so every block stays
+    near the limit whatever the batch size.  Each var-coefficient is
+    interpolated axis by axis modulo p (the scaled inverse Vandermonde
+    `_inverse_vandermonde`).  The real and imaginary parts are (x+ + x-)/2
+    and (x+ - x-)/(2 iota), and Garner's CRT with the symmetric lift gives
+    the integers, divided once at the end by prod(d!) * D_k^(n-j) for the
+    var^j coefficient of matrix k.  Each result lists its terms in
+    lexicographic (free exponents, n - var power) order, as a lone call does.
 
     The prime count is a proof, not a probability.  With M the largest
-    |re| + |im| of an entry of D*matrix on the grid, a coefficient of
-    det(x I - D*matrix) at a grid point is a sum of binomial(n, k) principal
-    k x k minors, each at most k^(k/2) M^k by Hadamard; interpolation
+    |re| + |im| of an entry of any D_k*M_k on the grid, a coefficient of
+    det(x I - D_k*M_k) at a grid point is a sum of binomial(n, j) principal
+    j x j minors, each at most j^(j/2) M^j by Hadamard; interpolation
     multiplies that by each axis's largest row L1-norm of the scaled inverse
     Vandermonde.  Primes are taken until their product exceeds twice the
     bound.  There is no Python-integer fallback: one path serves every size.
     """
-    n, m = matrix.shape
-    if n != m:
-        raise ValueError("square matrix required")
+    if not matrices:
+        raise ValueError("at least one matrix required")
+    vs = matrices[0].vars
+    n = matrices[0].shape[0]
+    for matrix in matrices:
+        if matrix.shape != (n, n):
+            raise ValueError(f"square matrices of one shape required: {matrix.shape} vs {(n, n)}")
+        if matrix.vars != vs:
+            raise ValueError(f"variable mismatch: {vs} vs {matrix.vars}")
     if n >= _TERMS_PER_SUM:
         # a Berkowitz step sums up to n products of residues
         raise ValueError(f"the residue kernel takes fewer than {_TERMS_PER_SUM} rows")
-    vs = matrix.vars
     iv = vs.index(var)
-    entries = [e for row in matrix.rows for e in row]
+    batch, nn = len(matrices), n * n
+    # entry `at` is row (at % nn) // n, column at % n of matrix at // nn
+    entries = [e for matrix in matrices for row in matrix.rows for e in row]
     # each entry's degree in each variable
     degs = [list(map(max, zip(*e.terms))) if e.terms else [0] * len(vs) for e in entries]
     if any(d[iv] for d in degs):
@@ -862,17 +883,25 @@ def char_poly_berkowitz(matrix: PolyMatrix, var: str) -> MultiPoly:
     free = [k for k in range(len(vs)) if any(d[k] for d in degs)]
     bounds = []
     for k in free:
-        deg = [[d[k] for d in degs[r * n:(r + 1) * n]] for r in range(n)]
-        bounds.append(min(sum(map(max, deg)), sum(map(max, zip(*deg)))))
-    denom = math.lcm(*(c.d for e in entries for c in e.terms.values()))
-    # every term of D*matrix as (entry, exponents of the free variables, re, im)
+        # each matrix's n x n table of its entries' degrees in variable k
+        tables = [
+            [[d[k] for d in degs[r:r + n]] for r in range(first, first + nn, n)]
+            for first in range(0, batch * nn, nn)
+        ]
+        bounds.append(max(min(sum(map(max, t)), sum(map(max, zip(*t)))) for t in tables))
+    denoms = [
+        math.lcm(*(c.d for e in entries[first:first + nn] for c in e.terms.values()))
+        for first in range(0, batch * nn, nn)
+    ]
+    # every term of the D_k*M_k as (entry, exponents of the free variables, re, im)
     scaled = [
         (at, tuple(expo[k] for k in free), c.a * (denom // c.d), c.b * (denom // c.d))
         for at, e in enumerate(entries)
+        for denom in (denoms[at // nn],)
         for expo, c in e.terms.items()
     ]
     # the grid's largest |re| + |im| of an entry sits at its far corner
-    largest = [0] * (n * n)
+    largest = [0] * (batch * nn)
     for at, expo, re, im in scaled:
         largest[at] += (abs(re) + abs(im)) * math.prod(map(pow, bounds, expo))
     big = max(largest)
@@ -885,7 +914,7 @@ def char_poly_berkowitz(matrix: PolyMatrix, var: str) -> MultiPoly:
 
     # coefficient residues (prime, embedding, monomial, entry)
     monomials = {expo: i for i, expo in enumerate(dict.fromkeys(expo for _, expo, _, _ in scaled))}
-    coeff = np.zeros((count, 2, len(monomials), n * n), dtype=np.int64)
+    coeff = np.zeros((count, 2, len(monomials), batch * nn), dtype=np.int64)
     if scaled:
         ats, expos, re, im = zip(*scaled)
         coeff[:, :, [monomials[e] for e in expos], list(ats)] = np.array(
@@ -902,19 +931,27 @@ def char_poly_berkowitz(matrix: PolyMatrix, var: str) -> MultiPoly:
     exponents = [list(column) for column in zip(*monomials)]
     shape = tuple(b + 1 for b in bounds)
     size = math.prod(shape)
-    residues = np.empty((count, 2, size, n + 1), dtype=np.int64)
-    # blocks of grid points keep each block's (primes, 2, points, n, n) stack
-    # near _KERNEL_BLOCK residues
-    rows = max(1, _KERNEL_BLOCK // (2 * count * n * n))
+    residues = np.empty((count, 2, size, batch, n + 1), dtype=np.int64)
+    # a block is `rows` grid points times `width` matrices, and its
+    # (primes, 2, points, matrices, n, n) stack stays near _KERNEL_BLOCK
+    # residues: whole points while one point of the batch fits, else one
+    # point and as many matrices as fit
+    pairs = max(1, _KERNEL_BLOCK // (2 * count * nn))
+    width = min(batch, pairs)
+    rows = pairs // width
     strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
     for start in range(0, size, rows):
         points = np.arange(start, min(start + rows, size))[:, None]
         values = np.ones((count, len(points), len(monomials)), dtype=np.int64)
-        for power, stride, width, e in zip(powers, strides, shape, exponents):
-            values = values * power[:, points // stride % width, e] % mod[..., 0]
-        stack = _dot_mod(values[:, None], coeff, mod).reshape(count, -1, n, n)
-        residues[:, :, start:start + rows] = _berkowitz_mod(stack, mod).reshape(count, 2, -1, n + 1)
-    residues = residues.reshape((count, 2) + shape + (n + 1,))
+        for power, stride, extent, e in zip(powers, strides, shape, exponents):
+            values = values * power[:, points // stride % extent, e] % mod[..., 0]
+        for first in range(0, batch, width):
+            block = coeff[..., first * nn:(first + width) * nn]
+            stack = _dot_mod(values[:, None], block, mod).reshape(count, -1, n, n)
+            residues[:, :, start:start + rows, first:first + width] = _berkowitz_mod(stack, mod).reshape(
+                count, 2, len(points), -1, n + 1
+            )
+    residues = residues.reshape((count, 2) + shape + (batch * (n + 1),))
     for axis, b in enumerate(bounds, 2):
         w = np.array([[[x % p for x in row] for row in _inverse_vandermonde(b)] for p, _ in primes])
         lead = math.prod(residues.shape[1:axis])
@@ -944,20 +981,22 @@ def char_poly_berkowitz(matrix: PolyMatrix, var: str) -> MultiPoly:
             x = x * p + d
         ints[at] = x - modulus if 2 * x > modulus else x
 
-    # det(matrix - var I) = (-1)^n det(var I - matrix); interpolation scaled by prod b!
+    # det(M - var I) = (-1)^n det(var I - M); interpolation scaled by prod b!
     scale = (-1) ** n * math.prod(math.factorial(b) for b in bounds)
-    span = size * (n + 1)  # the imaginary parts follow the real ones
+    span = size * batch * (n + 1)  # the imaginary parts follow the real ones
     found = sorted({at % span for at in ints})
-    terms = {}
-    for at, index in zip(found, zip(*np.unravel_index(found, shape + (n + 1,)))):
+    # in (grid point, matrix, n - var power) order, so each matrix's terms
+    # come in (free exponents, n - var power) order
+    terms = [{} for _ in range(batch)]
+    for at, index in zip(found, zip(*np.unravel_index(found, shape + (batch, n + 1)))):
         re, im = ints.get(at, 0), ints.get(span + at, 0)
-        *free_expo, t = map(int, index)
+        *free_expo, k, t = map(int, index)
         expo = [0] * len(vs)
         expo[iv] = n - t
-        for k, x in zip(free, free_expo):
-            expo[k] = x
-        terms[tuple(expo)] = _reduced(re, im, scale * denom**t)
-    return MultiPoly._trusted(vs, terms)
+        for v, x in zip(free, free_expo):
+            expo[v] = x
+        terms[k][tuple(expo)] = _reduced(re, im, scale * denoms[k] ** t)
+    return [MultiPoly._trusted(vs, t) for t in terms]
 
 
 # -- dense univariate layer ---------------------------------------------------

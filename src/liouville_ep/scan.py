@@ -15,7 +15,8 @@ it to the discriminant (a value is exact where the discriminant vanishes
 exactly) and then, for the double eigenvalues, to gcd(q, q') at each exact
 value, the last nonzero remainder of the same PRS.  It classifies every
 degeneracy through the Newton polygon of a seeded generic perturbation plus
-an exact geometric multiplicity computation.
+an exact geometric multiplicity computation; the char polys of every seed at
+every point of one classification batch come from one kernel call.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Mapping, Sequence
 
-from .models import OMEGA, generic_perturbation, char_poly
+from .models import OMEGA, char_poly, char_polys, generic_perturbation
 from .newton import EPReport, NewtonPolygon, assert_routes_agree
 from .numerics import NumericalError, roots_aberth
 from .poly import (
@@ -302,30 +303,63 @@ def classify(bound_matrix: PolyMatrix, omega0: GaussRational, seed: int = 42) ->
     Requires omega0 to be an exact eigenvalue, that is M - omega0 I singular
     (a geometric multiplicity of at least one by exact rank).  The Newton
     polygon of a seeded generic perturbation is recomputed for CLASSIFY_SEEDS
-    consecutive seeds from `seed`; disagreement marks the point inconclusive.
-    The algebraic multiplicity is the lowest omega-degree of the polygon's
-    points on epsilon = 0, the order of omega = 0 as a root of f(omega, 0).
-    Rules:
+    consecutive seeds from `seed`, all of whose char polys come from one
+    batched kernel call; disagreement marks the point inconclusive.  The
+    algebraic multiplicity is the lowest omega-degree of the polygon's points
+    on epsilon = 0, the order of omega = 0 as a root of f(omega, 0).  Rules:
 
       * EP(n): some root valuation equals 1/n with n >= 2 and the geometric
         multiplicity is below the algebraic one (defective);
       * diabolic: every finite positive valuation equals 1 and the geometric
         multiplicity equals the algebraic one (semisimple linear splitting);
       * anything else: inconclusive.
+
+    This is the one-point case of `_classify_points`.
     """
-    n, m = bound_matrix.shape
-    if n != m:
-        raise ValueError("square matrix required")
-    geom_mult = geometric_multiplicity(bound_matrix, omega0)
-    if geom_mult == 0:
-        raise ValueError("omega0 is not an exact eigenvalue of the bound generator")
+    return _classify_points([(bound_matrix, omega0)], seed)[0]
+
+
+def _classify_points(
+    points: Sequence[tuple[PolyMatrix, GaussRational]], seed: int
+) -> list[Classification]:
+    """`classify` at every (bound matrix, omega0) point, in order.
+
+    Every point's geometric multiplicity is checked first, in order, so the
+    first point that is not an exact eigenvalue raises; then the pencils of
+    every point and seed go through one `char_polys` call.  The matrices
+    must share one shape and one variable tuple.
+    """
+    geom_mults = []
+    for bound_matrix, omega0 in points:
+        n, m = bound_matrix.shape
+        if n != m:
+            raise ValueError("square matrix required")
+        geom_mult = geometric_multiplicity(bound_matrix, omega0)
+        if geom_mult == 0:
+            raise ValueError("omega0 is not an exact eigenvalue of the bound generator")
+        geom_mults.append(geom_mult)
+    seed_list = tuple(range(seed, seed + CLASSIFY_SEEDS))
+    # one batch shares its shape and variables, so each seed's perturbation
+    # serves every point
+    first = points[0][0]
+    l1s = [generic_perturbation(first.vars, first.shape[0], s) for s in seed_list]
+    fs = char_polys([(bound_matrix, l1, omega0) for bound_matrix, omega0 in points for l1 in l1s])
+    k = CLASSIFY_SEEDS
+    return [
+        _classification(geom_mult, fs[i * k:(i + 1) * k], seed_list)
+        for i, geom_mult in enumerate(geom_mults)
+    ]
+
+
+def _classification(
+    geom_mult: int, fs: Sequence[MultiPoly], seed_list: tuple[int, ...]
+) -> Classification:
+    """Apply `classify`'s rules to one point's seeded char polys."""
     notes: list[str] = []
     polygons = []
     reports = []
-    seed_list = tuple(range(seed, seed + CLASSIFY_SEEDS))
-    for s in seed_list:
-        l1 = generic_perturbation(bound_matrix.vars, n, s)
-        polygon, report = assert_routes_agree(char_poly(bound_matrix, l1, shift=omega0))
+    for f in fs:
+        polygon, report = assert_routes_agree(f)
         polygons.append(polygon)
         reports.append(report)
     signature = {tuple((seg.slope, seg.hspan) for seg in p.segments) for p in polygons}
@@ -370,14 +404,24 @@ def scan_parameter(
     model parameter except `target` before the char poly det(L - omega I) is
     taken, so it is a polynomial in omega and the target only.  Candidates
     with exact verification are classified at each back-solved eigenvalue
-    omega0; candidates binding a dissipation rate (listed in rate_params) to a
-    negative or non-real value are flagged nonphysical but never dropped.
+    omega0, every such point of the scan through one `_classify_points` call
+    and so one batched kernel call; candidates binding a dissipation rate
+    (listed in rate_params) to a negative or non-real value are flagged
+    nonphysical but never dropped.
     """
     bound_generator = generator.substitute(dict(bindings))
     result = solve_candidates(char_poly(bound_generator), target, bindings)
     negative_binding = any(
         Fraction(bindings[name]) < 0 for name in rate_params if name in bindings
     )
+    # every exact candidate's (bound generator, omega0) points, in candidate
+    # order, classified through one kernel call
+    points = []
+    for cand in result.candidates:
+        if cand.exact:
+            bound = bound_generator.substitute({target: cand.value})
+            points.extend((bound, w0) for w0 in cand.omega0_values)
+    classified = iter(_classify_points(points, seed) if points else ())
     enriched: list[Candidate] = []
     for cand in result.candidates:
         flags = cand.flags
@@ -387,9 +431,6 @@ def scan_parameter(
             flags += ("nonphysical",)
         classifications = ()
         if cand.exact:
-            bound = bound_generator.substitute({target: cand.value})
-            classifications = tuple(
-                (w0, classify(bound, w0, seed=seed)) for w0 in cand.omega0_values
-            )
+            classifications = tuple((w0, next(classified)) for w0 in cand.omega0_values)
         enriched.append(replace(cand, flags=flags, classifications=classifications))
     return replace(result, candidates=tuple(enriched))

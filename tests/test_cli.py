@@ -2,6 +2,7 @@
 
 import errno
 import json
+import math
 import os
 import time
 import warnings
@@ -11,6 +12,8 @@ from xml.sax.saxutils import escape  # the reference escape; the package uses ht
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liouville_ep import cli, newton, poly
 from liouville_ep.models import builtin_model, char_poly, perturbation_matrix
@@ -382,6 +385,30 @@ class TestAmoeba:
         assert out.err == ""
         assert out.out.split("\n")[0].endswith("grid=3x2 skips=6")
         assert out.out.split("\n")[1:] == ["logeps,logmag", ""]
+
+
+# signed zeros, infinities, signed nans, subnormals and the edges of the
+# normal range, next to arbitrary doubles and small integers
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+                  1e-310, 2.2250738585072014e-308, 1.7976931348623157e308]
+
+
+class TestFloatReprs:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_repr_of_every_value(self, data):
+        pool = data.draw(st.lists(
+            st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(), st.integers(-3, 3).map(float)),
+            max_size=12,
+        ))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=40)) if pool else []
+        x = np.array(pool + [pool[i] for i in picks], dtype=np.float64)
+        assert cli._float_reprs(x) == [repr(v) for v in x.ravel().tolist()]
+        if len(x) % 2 == 0:
+            # strided views, as the encircle CSV passes its complex parts
+            z = x.view(np.complex128)
+            assert cli._float_reprs(z.imag) == [repr(v) for v in x[1::2].tolist()]
+            assert cli._float_reprs(x.reshape(-1, 2)) == [repr(v) for v in x.tolist()]
 
 
 class TestScale:

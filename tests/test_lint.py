@@ -2,12 +2,13 @@
 module-level name it defines, is used in it; every public module-level name
 is used somewhere in the package or exported; `__init__.py` exports exactly
 what it imports; no module but `poly.py` reads a determinant, resultant or
-gcd oracle or calls `.kron`, and `scan.py` does not read the char-poly
-kernel; only `cli._write` opens a file for writing; every function the
-benchmark's tracer wraps exists in the package; no module imports scipy
-anywhere, or a module that drags in the network stack at module level, and a
-fresh interpreter that imports the CLI and runs any subcommand loads none of
-them; the README's minimal session runs as printed.
+gcd oracle or calls `.kron`, and no module but `models.py` (`scan.py` in
+particular) reads the char-poly kernel; only `cli._write` opens a file for
+writing; every function the benchmark's tracer wraps exists in the package;
+no module imports scipy anywhere, or a module that drags in the network
+stack at module level, and a fresh interpreter that imports the CLI and runs
+any subcommand loads none of them; the README's minimal session runs as
+printed.
 
 No linter is a dependency, so this walks each module's AST.  `__init__.py`
 is exempt from the import check: it imports names only to re-export them.
@@ -150,6 +151,17 @@ def test_scan_takes_no_kernel_determinant():
     # the char-poly kernel on a Sylvester matrix
     tree = ast.parse((PACKAGE / "scan.py").read_text())
     assert "char_poly_berkowitz" not in _loaded_names(tree) | set(_imported_names(tree))
+
+
+def test_only_models_reads_the_kernel():
+    # one runtime determinant route with one caller: every char poly is a
+    # batch of `models.char_polys`
+    readers = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.name != "poly.py" and "char_poly_berkowitz" in _loaded_names(tree) | set(_imported_names(tree)):
+            readers.append(path.name)
+    assert readers == ["models.py"], f"modules that read the char-poly kernel: {readers}"
 
 
 def _write_opens(tree: ast.Module):

@@ -183,7 +183,7 @@ class TestGaussRationalAgainstFractionPairs:
             for q in polys:
                 p + q, p - q, p * q
             -p, p.scale(values[0]), p.derivative("x"), p.substitute({"x": values[1]})
-        char_poly_berkowitz(matrix.substitute({"y": values[2]}), "y")
+        char_poly_berkowitz([matrix.substitute({"y": values[2]})], "y")[0]
 
 
 # polynomials in V with small coefficients, so that sums cancel
@@ -515,12 +515,25 @@ def kernel_entries(free, numerators):
     return st.dictionaries(expo, coeff, max_size=3).map(lambda t: MultiPoly(KV, t))
 
 
-def kernel_matrices(free, numerators=st.integers(-9, 9), max_n=4):
-    return st.integers(1, max_n).flatmap(
-        lambda n: st.lists(
-            st.lists(kernel_entries(free, numerators), min_size=n, max_size=n), min_size=n, max_size=n
-        )
+def square_matrices(n, free, numerators=st.integers(-9, 9)):
+    return st.lists(
+        st.lists(kernel_entries(free, numerators), min_size=n, max_size=n), min_size=n, max_size=n
     ).map(PolyMatrix)
+
+
+def kernel_matrices(free, numerators=st.integers(-9, 9), max_n=4):
+    return st.integers(1, max_n).flatmap(lambda n: square_matrices(n, free, numerators))
+
+
+def batch_members(n):
+    """n x n kernel matrices with 0, 1 or 2 free variables, scaled by a
+    denominator of up to 2^40, or the zero matrix."""
+    scaled = st.builds(
+        lambda m, d: m.scale(gr(Fraction(1, d))),
+        st.integers(0, 2).flatmap(lambda free: square_matrices(n, free)),
+        st.integers(1, 2**40),
+    )
+    return st.one_of(scaled, st.just(PolyMatrix.identity(KV, n).scale(0)))
 
 
 class TestResidueKernel:
@@ -532,12 +545,12 @@ class TestResidueKernel:
     @given(data=st.data())
     def test_matches_bareiss(self, free, data):
         matrix = data.draw(kernel_matrices(free))
-        assert char_poly_berkowitz(matrix, "omega") == det_bareiss(minus_omega(matrix))
+        assert char_poly_berkowitz([matrix], "omega")[0] == det_bareiss(minus_omega(matrix))
 
     @settings(max_examples=15, deadline=None)
     @given(kernel_matrices(1, st.integers(-(10**25), 10**25), max_n=3))
     def test_matches_bareiss_with_large_numerators(self, matrix):
-        assert char_poly_berkowitz(matrix, "omega") == det_bareiss(minus_omega(matrix))
+        assert char_poly_berkowitz([matrix], "omega")[0] == det_bareiss(minus_omega(matrix))
 
     def test_grid_blocks_match_one_block(self, monkeypatch):
         # 3x3 in g and h: a 4x4 grid of points, then one point per block
@@ -546,17 +559,72 @@ class TestResidueKernel:
             [[MultiPoly(KV, {(rng.randint(0, 1), rng.randint(0, 1), 0): rand_gr(rng)}) for _ in range(3)]
              for _ in range(3)]
         )
-        whole = char_poly_berkowitz(matrix, "omega")
+        whole = char_poly_berkowitz([matrix], "omega")[0]
         monkeypatch.setattr(poly, "_KERNEL_BLOCK", 1)
-        assert char_poly_berkowitz(matrix, "omega") == whole == det_bareiss(minus_omega(matrix))
+        assert char_poly_berkowitz([matrix], "omega")[0] == whole == det_bareiss(minus_omega(matrix))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_batch_matches_lone_calls(self, data):
+        # mixed denominators and degree bounds, zero matrices and batches of
+        # one: each result equals its lone call term for term, in the same
+        # order, and the Bareiss determinant
+        n = data.draw(st.integers(1, 3))
+        batch = data.draw(st.lists(batch_members(n), min_size=1, max_size=4))
+        got = char_poly_berkowitz(batch, "omega")
+        assert len(got) == len(batch)
+        for matrix, p in zip(batch, got):
+            (lone,) = char_poly_berkowitz([matrix], "omega")
+            assert list(p.terms.items()) == list(lone.terms.items())
+            assert p == det_bareiss(minus_omega(matrix))
+
+    def test_batch_mismatch_rejected(self):
+        two, three = PolyMatrix.identity(KV, 2), PolyMatrix.identity(KV, 3)
+        wide = PolyMatrix([[MultiPoly.zero(KV)] * 3] * 2)
+        with pytest.raises(ValueError, match="at least one"):
+            char_poly_berkowitz([], "omega")
+        with pytest.raises(ValueError, match="one shape"):
+            char_poly_berkowitz([two, three], "omega")
+        with pytest.raises(ValueError, match="one shape"):
+            char_poly_berkowitz([wide], "omega")
+        with pytest.raises(ValueError, match="variable mismatch"):
+            char_poly_berkowitz([two, PolyMatrix.identity(("g", "omega"), 2)], "omega")
+
+    def test_blocks_split_a_grid_point_over_matrices(self, monkeypatch):
+        # five 2x2 matrices with +-g on the diagonal, so a grid of three
+        # points in g; with the block lowered below one point of the batch,
+        # every stack holds at most _KERNEL_BLOCK residues and every (point,
+        # matrix) pair goes through once
+        rng = random.Random(11)
+        g = MultiPoly.variable(KV, "g")
+
+        def c():
+            return MultiPoly.constant(KV, rng.randint(-1, 1))
+
+        batch = [
+            PolyMatrix([[g.scale(rng.choice((-1, 1))) + c(), c()], [c(), g.scale(rng.choice((-1, 1))) + c()]])
+            for _ in range(5)
+        ]
+        lone = [char_poly_berkowitz([m], "omega")[0] for m in batch]
+        stacks = []
+        berkowitz = poly._berkowitz_mod
+        monkeypatch.setattr(poly, "_berkowitz_mod", lambda a, mod: stacks.append(a.shape) or berkowitz(a, mod))
+        monkeypatch.setattr(poly, "_KERNEL_BLOCK", 24)
+        got = char_poly_berkowitz(batch, "omega")
+        count = stacks[0][0]
+        assert 2 * count * len(batch) * 4 > poly._KERNEL_BLOCK  # one point of the batch
+        assert all(math.prod(shape) <= poly._KERNEL_BLOCK for shape in stacks)
+        assert sum(shape[1] for shape in stacks) == 2 * 3 * len(batch)
+        assert [list(p.terms.items()) for p in got] == [list(p.terms.items()) for p in lone]
+        assert got == [det_bareiss(minus_omega(m)) for m in batch]
 
     def test_rows_that_could_overflow_rejected(self, monkeypatch):
         # n products of residues below 2^26 must sum below 2^63: n < 2^11,
         # lowered here so that a 3x3 matrix stands in for a 2048x2048 one
         monkeypatch.setattr(poly, "_TERMS_PER_SUM", 3)
         with pytest.raises(ValueError, match="fewer than 3 rows"):
-            char_poly_berkowitz(PolyMatrix.identity(KV, 3), "omega")
-        assert char_poly_berkowitz(PolyMatrix.identity(KV, 2), "omega") == det_bareiss(
+            char_poly_berkowitz([PolyMatrix.identity(KV, 3)], "omega")[0]
+        assert char_poly_berkowitz([PolyMatrix.identity(KV, 2)], "omega")[0] == det_bareiss(
             minus_omega(PolyMatrix.identity(KV, 2))
         )
 
@@ -564,9 +632,9 @@ class TestResidueKernel:
         entry = MultiPoly(KV, {(2, 0, 0): gr(Fraction(1, 3)), (0, 0, 0): gr(0, Fraction(-1, 2))})
         one = PolyMatrix([[entry]])
         omega = MultiPoly.variable(KV, "omega")
-        assert char_poly_berkowitz(one, "omega") == entry - omega
+        assert char_poly_berkowitz([one], "omega")[0] == entry - omega
         zero = PolyMatrix.identity(KV, 3).scale(0)
-        assert char_poly_berkowitz(zero, "omega") == -(omega**3)
+        assert char_poly_berkowitz([zero], "omega")[0] == -(omega**3)
 
     def test_entries_beyond_int64(self):
         # numerators past 2^64 over coprime denominators, one free variable
@@ -582,7 +650,7 @@ class TestResidueKernel:
                 [g, c(0, Fraction(2**90, 13)), c(-1)],
             ]
         )
-        assert char_poly_berkowitz(matrix, "omega") == det_bareiss(minus_omega(matrix))
+        assert char_poly_berkowitz([matrix], "omega")[0] == det_bareiss(minus_omega(matrix))
 
     def test_hadamard_bound_is_met(self):
         # the 8x8 Sylvester-Hadamard matrix H has |det H| = 8^4, Hadamard's
@@ -592,7 +660,7 @@ class TestResidueKernel:
             h = [row + row for row in h] + [row + [-x for x in row] for row in h]
         s = Fraction(2**70 + 3, 7)
         matrix = PolyMatrix([[MultiPoly.constant(KV, gr(s * x)) for x in row] for row in h])
-        got = char_poly_berkowitz(matrix, "omega")
+        got = char_poly_berkowitz([matrix], "omega")[0]
         assert abs(got.terms[(0, 0, 0)].re) == s**8 * 8**4
         assert got == det_bareiss(minus_omega(matrix))
 

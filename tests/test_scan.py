@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liouville_ep import newton, scan
+from liouville_ep import models, newton, scan
 from liouville_ep.expr import parse_expression
 from liouville_ep.models import OMEGA, builtin_model, char_poly, model_from_dict
 from liouville_ep.numerics import roots_aberth
@@ -64,6 +64,19 @@ def qubit_ep3_bound():
 
 def slice_char_poly(name, bindings):
     return char_poly(builtin_model(name).generator.substitute(bindings))
+
+
+def spy_kernel(monkeypatch):
+    """Record the batch size of every call of the char-poly kernel."""
+    calls = []
+    kernel = models.char_poly_berkowitz
+
+    def spy(matrices, var):
+        calls.append(len(matrices))
+        return kernel(matrices, var)
+
+    monkeypatch.setattr(models, "char_poly_berkowitz", spy)
+    return calls
 
 
 def from_dense(p, like, var, lead=None):
@@ -267,7 +280,7 @@ def test_discriminant_zero_iff_common_root(make):
     dq = q.derivative(OMEGA)
     disc = sylvester_resultant(dq, q, OMEGA)
     # det S as the omega^0 coefficient of the dense kernel
-    kernel = char_poly_berkowitz(sylvester_matrix(dq, q, OMEGA), OMEGA)
+    kernel = char_poly_berkowitz([sylvester_matrix(dq, q, OMEGA)], OMEGA)[0]
     assert kernel.coefficient_list(OMEGA)[0] == disc
     # the scan's route: the subresultant PRS at integer points, interpolated
     rows, denom = scan._cleared_rows(q, target)
@@ -341,19 +354,14 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(self.spin_half_bound(1), gr(17))
 
-    def test_one_char_poly_per_seed(self, monkeypatch):
+    def test_one_kernel_call_per_classify(self, monkeypatch):
         # omega0 is checked by exact rank and the algebraic multiplicity is
-        # read off the polygon, so no unperturbed determinant is taken
-        calls = []
-
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return char_poly(*args, **kwargs)
-
-        monkeypatch.setattr(scan, "char_poly", spy)
+        # read off the polygon, so no unperturbed determinant is taken, and
+        # every seed's pencil goes through one batched kernel call
+        calls = spy_kernel(monkeypatch)
         c = classify(qubit_ep3_bound(), gr(Fraction(-1, 2)))
         assert c.alg_mult == 4
-        assert len(calls) == scan.CLASSIFY_SEEDS
+        assert calls == [scan.CLASSIFY_SEEDS]
 
     def test_one_newton_polygon_per_seed(self, monkeypatch):
         # the polygon checked against the tropical route is the one classify
@@ -457,11 +465,28 @@ class TestScanParameter:
             return p
 
         monkeypatch.setattr(scan, "char_poly", spy)
-        monkeypatch.setattr(scan, "classify", lambda *args, **kwargs: None)
         scan_parameter(m.generator, "gamma_x", bindings, m.rate_params)
         assert returned
         for p in returned:
             assert p.uses_only(["gamma_x", OMEGA]), p.vars
+
+    def test_exact_candidates_share_one_kernel_call(self, monkeypatch):
+        # the scan's own char poly, then one call for the five exact points
+        # (-2, -1/8 twice, 1 and 3) with every classification seed each
+        m, bindings = spin_half_slice()
+        calls = spy_kernel(monkeypatch)
+        out = scan_parameter(m.generator, "gamma_x", bindings, m.rate_params)
+        points = sum(len(c.classifications) for c in out.candidates)
+        assert points == 5
+        assert calls == [1, points * scan.CLASSIFY_SEEDS] == [1, 15]
+
+    def test_no_exact_candidate_takes_no_classification_call(self, monkeypatch):
+        m = builtin_model("qubit")
+        bindings = {"gamma_f": Fraction(1), "J": Fraction(1, 4)}
+        calls = spy_kernel(monkeypatch)
+        out = scan_parameter(m.generator, "gamma_e", bindings, m.rate_params)
+        assert out.candidates and not any(c.exact for c in out.candidates)
+        assert calls == [1]
 
     def test_discriminant_matches_sympy(self, monkeypatch):
         sympy = pytest.importorskip("sympy")
