@@ -25,7 +25,6 @@ from .expr import ParseError, format_poly, parse_expression
 from .models import (
     EPSILON,
     OMEGA,
-    BuiltinModel,
     JumpChannel,
     ModelSpec,
     build_liouvillian,
@@ -80,7 +79,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmoebaCloud",
-    "BuiltinModel",
     "Candidate",
     "Classification",
     "EPReport",

@@ -88,9 +88,9 @@ def _bindings_map(bundle, pairs) -> dict[str, Fraction]:
     out: dict[str, Fraction] = {}
     for text in pairs or ():
         name, value = _parse_binding(text)
-        if name not in bundle.spec.params:
+        if name not in bundle.params:
             raise InputError(
-                f"unknown parameter {name!r}; model has {list(bundle.spec.params)}"
+                f"unknown parameter {name!r}; model has {list(bundle.params)}"
             )
         if name in out:
             raise InputError(f"parameter {name!r} bound twice")
@@ -99,7 +99,7 @@ def _bindings_map(bundle, pairs) -> dict[str, Fraction]:
 
 
 def _require_all_bound(bundle, bindings) -> None:
-    missing = [p for p in bundle.spec.params if p not in bindings]
+    missing = [p for p in bundle.params if p not in bindings]
     if missing:
         raise ValueError(f"unbound parameters: {missing}; bind them with --bind")
 
@@ -113,12 +113,12 @@ def _omega0(args) -> GaussRational:
 
 def _perturbation(bundle, bindings, args):
     choice = args.perturb or "generic"
-    size = bundle.spec.dim**2
+    size = bundle.dim**2
     if choice == "generic":
         return generic_perturbation(bundle.variables, size, args.seed), "generic"
-    if choice not in bundle.spec.params:
+    if choice not in bundle.params:
         raise InputError(
-            f"--perturb must be 'generic' or one of {list(bundle.spec.params)}"
+            f"--perturb must be 'generic' or one of {list(bundle.params)}"
         )
     l1 = perturbation_matrix(bundle.generator, choice).substitute(bindings)
     return l1, choice
@@ -194,8 +194,8 @@ def cmd_build(args) -> int:
     payload = {
         "schema": 1,
         "model": bundle.name,
-        "dim": bundle.spec.dim**2,
-        "params": list(bundle.spec.params),
+        "dim": bundle.dim**2,
+        "params": list(bundle.params),
         "bound": {k: str(v) for k, v in bindings.items()},
         "entries": [[format_poly(e) for e in row] for row in matrix.rows],
     }
@@ -252,7 +252,7 @@ def cmd_polygon(args) -> int:
 def cmd_scan(args) -> int:
     bundle = _load_model(args.model)
     bindings = _bindings_map(bundle, args.bind)
-    free = [p for p in bundle.spec.params if p not in bindings]
+    free = [p for p in bundle.params if p not in bindings]
     if len(free) != 1:
         raise ValueError(
             f"scan needs exactly one unbound parameter as the target; free: {free}"

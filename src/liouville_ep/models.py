@@ -1,8 +1,10 @@
 """Exact vectorized Liouvillians for open quantum systems.
 
-A model is a Hamiltonian plus a list of dissipation channels with polynomial
-rates, and it has one generator, built by `build_liouvillian` as a dim^2 x
-dim^2 PolyMatrix.  Density matrices are flattened row-major: index(row, col)
+A model is one `ModelSpec`: a Hamiltonian plus a list of dissipation
+channels with polynomial rates, and its one generator, built by
+`build_liouvillian` as a dim^2 x dim^2 PolyMatrix when the model is made and
+carried with it.  `builtin_model` and `model_from_dict` return the ModelSpec
+itself.  Density matrices are flattened row-major: index(row, col)
 = row*dim + col, so vec(A rho B) = (A kron B^T) vec(rho).  The generator is
 
     L = -i (H kron I - I kron H^T)
@@ -31,12 +33,12 @@ must be real.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .expr import format_poly, parse_expression
-from .poly import GR_ZERO, GaussRational, MultiPoly, PolyMatrix, ScalarLike, char_poly_berkowitz
+from .poly import GR_ZERO, GaussRational, MultiPoly, PolyMatrix, ScalarLike, _gr, char_poly_berkowitz
 
 OMEGA = "omega"
 EPSILON = "epsilon"
@@ -70,11 +72,19 @@ class JumpChannel:
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """The model: its description, its generator as built by
+    `build_liouvillian` (a dim^2 x dim^2 matrix acting on row-major
+    vectorized densities) and the parameters that enter the channel rates.
+    Both are derived in `__post_init__`, so `dataclasses.replace` rebuilds
+    them; they take no part in `==` or `repr`."""
+
     name: str
     dim: int
     params: tuple[str, ...]
     hamiltonian: PolyMatrix
     channels: tuple[JumpChannel, ...]
+    generator: PolyMatrix = field(init=False, repr=False, compare=False)
+    rate_params: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for p in self.params:
@@ -88,6 +98,8 @@ class ModelSpec:
         for ch in self.channels:
             if ch.operator.shape != (self.dim, self.dim):
                 raise ValueError("channel operator shape does not match dim")
+        object.__setattr__(self, "generator", build_liouvillian(self))
+        object.__setattr__(self, "rate_params", _rate_param_names(self))
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -253,34 +265,20 @@ def generic_perturbation(variables: Sequence[str], size: int, seed: int) -> Poly
     {-9, ..., 9}, row-major, real part first, from random.Random(seed).
     """
     rng = random.Random(seed)
+    variables = tuple(variables)
+    constant = (0,) * len(variables)
     rows = []
     for _ in range(size):
         row = []
         for _ in range(size):
             re = rng.randint(-9, 9)
             im = rng.randint(-9, 9)
-            row.append(MultiPoly.constant(variables, GaussRational.of(re, im)))
+            row.append(MultiPoly._trusted(variables, {constant: _gr(re, im, 1)}))
         rows.append(row)
     return PolyMatrix(rows)
 
 
 # -- built-in models ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BuiltinModel:
-    """Model bundle: the spec, its generator as built by `build_liouvillian`
-    (a dim^2 x dim^2 matrix acting on row-major vectorized densities) and the
-    parameters that enter the channel rates."""
-
-    name: str
-    spec: ModelSpec
-    generator: PolyMatrix
-    rate_params: tuple[str, ...]
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return self.spec.variables
 
 
 def _matrix_from_strings(
@@ -343,7 +341,7 @@ def _rate_param_names(spec: ModelSpec) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _spin_half() -> BuiltinModel:
+def _spin_half() -> ModelSpec:
     params = ("Omega", "gamma_minus", "gamma_x", "gamma_y")
     variables = ambient_variables(params)
     h = _matrix_from_strings([["Omega/2", "0"], ["0", "-Omega/2"]], variables)
@@ -355,11 +353,10 @@ def _spin_half() -> BuiltinModel:
         JumpChannel(parse_expression("gamma_x", variables), sx),
         JumpChannel(parse_expression("gamma_y", variables), sy),
     )
-    spec = ModelSpec("spin_half", 2, params, h, channels)
-    return BuiltinModel("spin_half", spec, build_liouvillian(spec), _rate_param_names(spec))
+    return ModelSpec("spin_half", 2, params, h, channels)
 
 
-def _qubit() -> BuiltinModel:
+def _qubit() -> ModelSpec:
     # two-level submanifold {e, f} of a three-level ladder; the e -> ground
     # decay leaves the subspace (loss-only channel), the f -> e decay stays
     # inside and refills e
@@ -372,15 +369,14 @@ def _qubit() -> BuiltinModel:
         JumpChannel(parse_expression("gamma_e", variables), loss_e, refill=False),
         JumpChannel(parse_expression("gamma_f", variables), decay_fe, refill=True),
     )
-    spec = ModelSpec("qubit", 2, params, h, channels)
-    return BuiltinModel("qubit", spec, build_liouvillian(spec), _rate_param_names(spec))
+    return ModelSpec("qubit", 2, params, h, channels)
 
 
 _BUILTINS = {"spin_half": _spin_half, "qubit": _qubit}
 
 
-def builtin_model(name: str) -> BuiltinModel:
-    """Construct a built-in model bundle ('spin_half' or 'qubit')."""
+def builtin_model(name: str) -> ModelSpec:
+    """Construct a built-in model ('spin_half' or 'qubit')."""
     try:
         factory = _BUILTINS[name]
     except KeyError:
@@ -388,8 +384,8 @@ def builtin_model(name: str) -> BuiltinModel:
     return factory()
 
 
-def model_from_dict(data: Mapping) -> BuiltinModel:
-    """Build a model bundle from a plain dict (the JSON model-file shape).
+def model_from_dict(data: Mapping) -> ModelSpec:
+    """Build a model from a plain dict (the JSON model-file shape).
 
     Expected keys: name (str), dim (int), params (list of str), hamiltonian
     (dim x dim nested list of expression strings), jumps (list of {rate:
@@ -449,5 +445,4 @@ def model_from_dict(data: Mapping) -> BuiltinModel:
             )
         op = _matrix_from_strings(op_rows, variables, f"jumps[{k}].operator", dim)
         channels.append(JumpChannel(rate, op))
-    spec = ModelSpec(name, dim, params, h, tuple(channels))
-    return BuiltinModel(name, spec, build_liouvillian(spec), _rate_param_names(spec))
+    return ModelSpec(name, dim, params, h, tuple(channels))

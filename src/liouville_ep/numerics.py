@@ -46,17 +46,9 @@ class NumericalError(RuntimeError):
 def as_complex_matrix(matrix) -> np.ndarray:
     """Coerce a constant PolyMatrix / nested list / ndarray to complex ndarray."""
     if isinstance(matrix, PolyMatrix):
-        rows = []
-        for row in matrix.rows:
-            out = []
-            for entry in row:
-                if not entry.is_constant():
-                    raise ValueError(
-                        "matrix entry is not constant; substitute parameters first"
-                    )
-                out.append(complex(entry.constant_value()))
-            rows.append(out)
-        return np.array(rows, dtype=complex)
+        return np.array(
+            [[complex(c) for c in row] for row in matrix.constant_rows()], dtype=complex
+        )
     return np.asarray(matrix, dtype=complex)
 
 
@@ -215,16 +207,15 @@ def scaling_sweep(
     l1,
     omega0: complex,
     eps_values: Sequence[float],
-    branch: str | int = "largest",
     cluster_tol: float = 1e-3,
 ) -> ScalingFit:
-    """Track one eigenvalue branch emerging from the degeneracy at omega0.
+    """Track the most fractional eigenvalue branch emerging from the
+    degeneracy at omega0.
 
     The unperturbed matrix must have an eigenvalue cluster at omega0 (within
-    cluster_tol); the tracked branch is seeded at the smallest epsilon among
-    the cluster's children and continued by nearest-neighbor matching.  The
-    default 'largest' selector picks the child farthest from omega0, i.e. the
-    most fractional branch.  cluster_tol defaults to 1e-3 because an m-fold
+    cluster_tol); the tracked branch is seeded at the smallest epsilon with
+    the cluster's child farthest from omega0 and continued by
+    nearest-neighbor matching.  cluster_tol defaults to 1e-3 because an m-fold
     defective eigenvalue is only locatable to roughly the m-th root of the
     coefficient noise (about 5e-4 for a quadruple point in double precision).
     """
@@ -248,15 +239,7 @@ def scaling_sweep(
     for eps, eig in zip(eps_values, spectra[1:]):
         if tracked is None:
             children = eig[np.argsort(np.abs(eig - omega0))][:cluster_size]
-            by_dist = children[np.argsort(-np.abs(children - omega0))]
-            if branch == "largest":
-                tracked = by_dist[0]
-            elif branch == "smallest":
-                tracked = by_dist[-1]
-            elif isinstance(branch, int):
-                tracked = by_dist[branch]
-            else:
-                raise ValueError(f"unknown branch selector {branch!r}")
+            tracked = children[np.argsort(-np.abs(children - omega0))][0]
         else:
             tracked = eig[np.argmin(np.abs(eig - tracked))]
         samples.append((eps, complex(tracked)))

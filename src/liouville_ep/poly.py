@@ -566,6 +566,21 @@ class PolyMatrix:
             return NotImplemented
         return self.vars == other.vars and self.rows == other.rows
 
+    def constant_rows(self) -> list[list[GaussRational]]:
+        """The entries of a matrix whose parameters are all bound, as fresh
+        rows of GaussRational values; a non-constant entry is a ValueError."""
+        constant = (0,) * len(self.vars)
+        out = []
+        for row in self.rows:
+            values = []
+            for entry in row:
+                terms = entry.terms
+                if len(terms) > (constant in terms):  # a term other than the constant
+                    raise ValueError("matrix entry is not constant; bind parameters first")
+                values.append(terms.get(constant, GR_ZERO))
+            out.append(values)
+        return out
+
     @staticmethod
     def identity(variables: Sequence[str], n: int) -> "PolyMatrix":
         one = MultiPoly.constant(variables, 1)

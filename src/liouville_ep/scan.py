@@ -48,21 +48,13 @@ from .poly import (
 # -- exact rank / geometric multiplicity ---------------------------------------
 
 
-def _constant_rows(matrix: PolyMatrix) -> list[list[GaussRational]]:
-    rows = []
-    for row in matrix.rows:
-        out = []
-        for entry in row:
-            if not entry.is_constant():
-                raise ValueError("matrix entry is not constant; bind parameters first")
-            out.append(entry.constant_value())
-        rows.append(out)
-    return rows
-
-
 def rank_exact(matrix: PolyMatrix) -> int:
     """Rank of a constant matrix by exact Gaussian elimination."""
-    work = _constant_rows(matrix)
+    return _rank(matrix.constant_rows())
+
+
+def _rank(work: list[list[GaussRational]]) -> int:
+    """Rank of fresh rows of constants, eliminated in place."""
     nrows = len(work)
     ncols = len(work[0])
     rank = 0
@@ -88,9 +80,11 @@ def geometric_multiplicity(matrix: PolyMatrix, eigenvalue: GaussRational) -> int
     n, m = matrix.shape
     if n != m:
         raise ValueError("square matrix required")
-    lam = MultiPoly.constant(matrix.vars, eigenvalue)
-    shifted = matrix - PolyMatrix.identity(matrix.vars, n).scale(lam)
-    return n - rank_exact(shifted)
+    lam = GaussRational.coerce(eigenvalue)
+    rows = matrix.constant_rows()
+    for i in range(n):
+        rows[i][i] = rows[i][i] - lam
+    return n - _rank(rows)
 
 
 # -- candidate solving -----------------------------------------------------------
@@ -331,9 +325,6 @@ def _classify_points(
     """
     geom_mults = []
     for bound_matrix, omega0 in points:
-        n, m = bound_matrix.shape
-        if n != m:
-            raise ValueError("square matrix required")
         geom_mult = geometric_multiplicity(bound_matrix, omega0)
         if geom_mult == 0:
             raise ValueError("omega0 is not an exact eigenvalue of the bound generator")

@@ -1,5 +1,7 @@
 """Generator assembly: vectorization, built-in models, frozen entries."""
 
+import copy
+import dataclasses
 import json
 import math
 import random
@@ -94,9 +96,9 @@ class TestSpinHalf:
 
     def test_metadata(self):
         m = builtin_model("spin_half")
-        assert m.spec.dim == 2
-        assert m.spec.params == ("Omega", "gamma_minus", "gamma_x", "gamma_y")
-        assert m.variables == m.spec.params + (OMEGA, EPSILON)
+        assert m.dim == 2
+        assert m.params == ("Omega", "gamma_minus", "gamma_x", "gamma_y")
+        assert m.variables == m.params + (OMEGA, EPSILON)
         assert m.rate_params == ("gamma_minus", "gamma_x", "gamma_y")
 
     def test_trace_preserved(self):
@@ -148,7 +150,7 @@ class TestQubit:
 
     def test_metadata(self):
         m = builtin_model("qubit")
-        assert m.spec.params == ("gamma_e", "gamma_f", "J")
+        assert m.params == ("gamma_e", "gamma_f", "J")
         assert m.rate_params == ("gamma_e", "gamma_f")
 
     def test_loss_channel_breaks_trace(self):
@@ -209,6 +211,23 @@ class TestPerturbations:
         assert p1 == p2
         assert p1 != p3
         assert p1.shape == (4, 4)
+
+    @pytest.mark.parametrize("size", [1, 4, 9, 16])
+    def test_generic_matches_validated_build(self, size):
+        v = ambient_variables(("a",))
+        for seed in range(60):
+            rng = random.Random(seed)
+
+            def draw():
+                # row-major, real part first
+                re, im = rng.randint(-9, 9), rng.randint(-9, 9)
+                return MultiPoly.constant(v, GaussRational.of(re, im))
+
+            expected = PolyMatrix([[draw() for _ in range(size)] for _ in range(size)])
+            got = generic_perturbation(v, size, seed)
+            assert got.vars == expected.vars
+            # GaussRational equality compares (a, b, d)
+            assert term_lists(got) == term_lists(expected)
 
     def test_generic_entry_bounds(self):
         p = generic_perturbation(("a",), 5, 7)
@@ -299,11 +318,48 @@ class TestEntrywiseAssembly:
         "model", ["qubit", "spin_half", "perfbench/models/lambda3.json", "tests/models/ladder4.json"]
     )
     def test_unsplit_models(self, model):
-        if model.endswith(".json"):
-            m = model_from_dict(json.loads((ROOT / model).read_text()))
-        else:
-            m = builtin_model(model)
-        assert term_lists(m.generator) == term_lists(kronecker_generator(m.spec))
+        m = load_model(model)
+        assert term_lists(m.generator) == term_lists(kronecker_generator(m))
+
+
+def load_model(model):
+    if model.endswith(".json"):
+        return model_from_dict(json.loads((ROOT / model).read_text()))
+    return builtin_model(model)
+
+
+class TestOneModelObject:
+    @pytest.mark.parametrize(
+        "model, rate_params",
+        [
+            ("spin_half", ("gamma_minus", "gamma_x", "gamma_y")),
+            ("qubit", ("gamma_e", "gamma_f")),
+            ("perfbench/models/lambda3.json", ("g1", "g2")),
+            ("tests/models/ladder4.json", ("g1", "g2", "g3")),
+        ],
+    )
+    def test_carries_its_generator_and_rate_params(self, model, rate_params):
+        m = load_model(model)
+        assert isinstance(m, ModelSpec)
+        assert term_lists(m.generator) == term_lists(build_liouvillian(m))
+        assert m.rate_params == rate_params
+
+    def test_replace_rebuilds_the_generator(self):
+        m = builtin_model("qubit")
+        h = m.hamiltonian.scale(2)
+        replaced = dataclasses.replace(m, hamiltonian=h)
+        assert replaced.hamiltonian == h
+        assert term_lists(replaced.generator) == term_lists(build_liouvillian(replaced))
+        assert replaced.generator != m.generator
+        assert replaced.rate_params == m.rate_params
+
+    def test_derived_fields_stay_out_of_eq_and_repr(self):
+        m = builtin_model("spin_half")
+        other = copy.copy(m)
+        object.__setattr__(other, "generator", m.generator.scale(0))
+        object.__setattr__(other, "rate_params", ())
+        assert other == m
+        assert "generator" not in repr(m) and "rate_params" not in repr(m)
 
 
 class TestCharPolyContract:
@@ -432,7 +488,7 @@ class TestModelFromDict:
 
     def test_round_trip_matches_hand_built(self):
         m = model_from_dict(self.DATA)
-        assert m.spec.params == ("g",)
+        assert m.params == ("g",)
         assert m.rate_params == ("g",)
         variables = m.variables
         h = PolyMatrix(
@@ -510,22 +566,22 @@ class TestModelFromDict:
         m = model_from_dict(
             dict(self.DATA, jumps=[{"rate": "i*g*i + 2*g", "operator": [["0", "1"], ["0", "0"]]}])
         )
-        assert m.spec.channels[0].rate == parse_expression("g", m.variables)
+        assert m.channels[0].rate == parse_expression("g", m.variables)
 
     def test_hermitian_complex_hamiltonian_is_accepted(self):
         m = model_from_dict(dict(self.DATA, hamiltonian=[["g", "1-i*g"], ["1+i*g", "-g"]]))
-        assert m.spec.hamiltonian == m.spec.hamiltonian.dagger()
+        assert m.hamiltonian == m.hamiltonian.dagger()
 
     @pytest.mark.parametrize("path", ["perfbench/models/lambda3.json", "tests/models/ladder4.json"])
     def test_shipped_models_are_hermitian(self, path):
-        h = model_from_dict(json.loads((ROOT / path).read_text())).spec.hamiltonian
+        h = model_from_dict(json.loads((ROOT / path).read_text())).hamiltonian
         assert h == h.dagger()
 
 
 class TestBuiltinLookup:
     @pytest.mark.parametrize("name", ["qubit", "spin_half"])
     def test_hamiltonians_are_hermitian(self, name):
-        h = builtin_model(name).spec.hamiltonian
+        h = builtin_model(name).hamiltonian
         assert h == h.dagger()
 
     def test_unknown_name(self):

@@ -260,7 +260,7 @@ class TestScalingSweep:
         assert fit.r_squared > 0.999999
         assert fit.npoints == 12
 
-    def test_branch_selectors(self):
+    def test_tracks_the_farthest_child(self):
         # J_2 block (sqrt branch) next to a decoupled linear branch
         l0 = np.zeros((3, 3))
         l0[0][1] = 1.0
@@ -268,17 +268,8 @@ class TestScalingSweep:
         l1[1][0] = 1.0
         l1[2][2] = 1.0
         eps = np.geomspace(1e-8, 1e-4, 10)
-        largest = scaling_sweep(l0, l1, 0.0, eps, branch="largest", cluster_tol=1e-3)
-        smallest = scaling_sweep(l0, l1, 0.0, eps, branch="smallest", cluster_tol=1e-3)
-        indexed = scaling_sweep(l0, l1, 0.0, eps, branch=2, cluster_tol=1e-3)
-        assert abs(largest.slope - 0.5) < 1e-3
-        assert abs(smallest.slope - 1.0) < 1e-3
-        assert abs(indexed.slope - smallest.slope) < 1e-6
-
-    def test_unknown_branch_selector(self):
-        l0, l1 = jordan_pair(2)
-        with pytest.raises(ValueError):
-            scaling_sweep(l0, l1, 0.0, [1e-4, 1e-3, 1e-2], branch="median")
+        fit = scaling_sweep(l0, l1, 0.0, eps, cluster_tol=1e-3)
+        assert abs(fit.slope - 0.5) < 1e-3
 
     def test_needs_three_points(self):
         l0, l1 = jordan_pair(2)
