@@ -212,7 +212,7 @@ def char_polys(
     from one batched call of the dense kernel `char_poly_berkowitz`: a
     division-free Berkowitz on residues modulo a fixed table of primes at
     integer points of the free variables, then interpolation and CRT, exact
-    by a Hadamard bound; there is no Python-integer fallback.  The pencils
+    by a Hadamard bound on the unit torus; there is no fallback.  The pencils
     must share one shape and one variable tuple.  An entry of L0 or L1 that
     involves omega is a ValueError.
     """

@@ -22,9 +22,9 @@ into two copies of F_p, and one batched division-free Berkowitz runs over
 every prime, embedding, integer grid point of the free variables and matrix
 of the batch, in blocks of (grid point, matrix) pairs that keep each stack
 near 2 MiB.  Interpolation is modulo p, and Garner's CRT recovers the
-integers; a Hadamard bound on the coefficients, the largest over the batch,
-fixes how many primes, so every result is exact by construction.  There is
-no Python-integer fallback.
+integers; a bound on the coefficients by Hadamard and Cauchy on the unit
+torus, the largest over the batch, fixes how many primes, so every result is
+exact by construction.  There is no Python-integer fallback.
 
 The dense univariate layer serves a scan once its parameters are bound: lists
 of Gaussian-integer pairs with a subresultant PRS (resultant and gcd), Yun's
@@ -860,20 +860,21 @@ def char_poly_berkowitz(matrices: Sequence[PolyMatrix], var: str) -> list[MultiP
     point, matrix) pairs: runs of points with the whole batch while a point
     fits in a block, else runs of matrices at one point, so every block stays
     near the limit whatever the batch size.  Each var-coefficient is
-    interpolated axis by axis modulo p (the scaled inverse Vandermonde
-    `_inverse_vandermonde`).  The real and imaginary parts are (x+ + x-)/2
-    and (x+ - x-)/(2 iota), and Garner's CRT with the symmetric lift gives
-    the integers, divided once at the end by prod(d!) * D_k^(n-j) for the
-    var^j coefficient of matrix k.  Each result lists its terms in
-    lexicographic (free exponents, n - var power) order, as a lone call does.
+    interpolated axis by axis modulo p (`_inverse_vandermonde` times
+    (b!)^-1).  The real and imaginary parts are (x+ + x-)/2 and
+    (x+ - x-)/(2 iota), and Garner's CRT with the symmetric lift gives the
+    integers, divided once at the end by (-1)^n * D_k^(n-j) for the var^j
+    coefficient of matrix k.  Each result lists its terms in lexicographic
+    (free exponents, n - var power) order, as a lone call does.
 
-    The prime count is a proof, not a probability.  With M the largest
-    |re| + |im| of an entry of any D_k*M_k on the grid, a coefficient of
-    det(x I - D_k*M_k) at a grid point is a sum of binomial(n, j) principal
-    j x j minors, each at most j^(j/2) M^j by Hadamard; interpolation
-    multiplies that by each axis's largest row L1-norm of the scaled inverse
-    Vandermonde.  Primes are taken until their product exceeds twice the
-    bound.  There is no Python-integer fallback: one path serves every size.
+    The prime count is a proof, not a probability.  On the unit torus of the
+    free variables an entry of D_k*M_k is at most nu, the sum of its
+    coefficients' |re| + |im|, so row i has norm at most
+    rho_i = ceil(sqrt(sum of nu^2)).  By Hadamard and then Cauchy's estimate,
+    every monomial coefficient of var^(n-j) in det(x I - D_k*M_k), real and
+    imaginary parts alike, is at most e_j(rho); primes are taken until their
+    product exceeds twice the largest e_j(rho) of the batch.  There is no
+    Python-integer fallback: one path serves every size.
     """
     if not matrices:
         raise ValueError("at least one matrix required")
@@ -915,14 +916,19 @@ def char_poly_berkowitz(matrices: Sequence[PolyMatrix], var: str) -> list[MultiP
         for denom in (denoms[at // nn],)
         for expo, c in e.terms.items()
     ]
-    # the grid's largest |re| + |im| of an entry sits at its far corner
-    largest = [0] * (batch * nn)
-    for at, expo, re, im in scaled:
-        largest[at] += (abs(re) + abs(im)) * math.prod(map(pow, bounds, expo))
-    big = max(largest)
-    bound = max(math.comb(n, k) * (math.isqrt(k**k - 1) + 1) * big**k for k in range(n + 1))
-    for b in bounds:
-        bound *= max(sum(map(abs, row)) for row in _inverse_vandermonde(b))
+    # on the unit torus an entry is at most nu, its coefficients' |re| + |im|
+    nu = [0] * (batch * nn)
+    for at, _, re, im in scaled:
+        nu[at] += abs(re) + abs(im)
+    bound = 1
+    for first in range(0, batch * nn, nn):
+        e = [1] + [0] * n  # e_j(rho) over the row norms rho seen so far
+        for r in range(first, first + nn, n):
+            sq = sum(v * v for v in nu[r:r + n])
+            rho = math.isqrt(sq - 1) + 1 if sq else 0
+            for j in range(n, 0, -1):
+                e[j] += e[j - 1] * rho
+        bound = max(bound, *e)
     primes = _primes_beyond(2 * bound)
     count = len(primes)
     mod = np.array([p for p, _ in primes], dtype=np.int64).reshape(count, 1, 1, 1)
@@ -968,7 +974,9 @@ def char_poly_berkowitz(matrices: Sequence[PolyMatrix], var: str) -> list[MultiP
             )
     residues = residues.reshape((count, 2) + shape + (batch * (n + 1),))
     for axis, b in enumerate(bounds, 2):
-        w = np.array([[[x % p for x in row] for row in _inverse_vandermonde(b)] for p, _ in primes])
+        # times (b!)^-1 mod p, the scaled inverse Vandermonde is the inverse itself
+        w = np.array([[[x * f % p for x in row] for row in _inverse_vandermonde(b)]
+                      for p, _ in primes for f in (pow(math.factorial(b), -1, p),)])
         lead = math.prod(residues.shape[1:axis])
         residues = _dot_mod(w[:, None], residues.reshape(count, lead, b + 1, -1), mod).reshape(residues.shape)
     # re and im from the two embeddings x+- = re +- iota im
@@ -996,8 +1004,8 @@ def char_poly_berkowitz(matrices: Sequence[PolyMatrix], var: str) -> list[MultiP
             x = x * p + d
         ints[at] = x - modulus if 2 * x > modulus else x
 
-    # det(M - var I) = (-1)^n det(var I - M); interpolation scaled by prod b!
-    scale = (-1) ** n * math.prod(math.factorial(b) for b in bounds)
+    # det(M - var I) = (-1)^n det(var I - M)
+    scale = (-1) ** n
     span = size * batch * (n + 1)  # the imaginary parts follow the real ones
     found = sorted({at % span for at in ints})
     # in (grid point, matrix, n - var power) order, so each matrix's terms

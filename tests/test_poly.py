@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from liouville_ep.poly import (
     gcd_univariate,
     horner,
     square_free,
+    sylvester_matrix,
     sylvester_resultant,
 )
 
@@ -496,6 +498,14 @@ ROOT = Path(__file__).resolve().parent.parent
 KV = ("g", "h", "omega")
 
 
+# the 8x8 Sylvester-Hadamard matrix, |det| = 8^4 (Hadamard's bound), and a
+# scalar that clears to a large numerator
+H8 = [[1]]
+for _ in range(3):
+    H8 = [row + row for row in H8] + [row + [-x for x in row] for row in H8]
+S_H8 = Fraction(2**70 + 3, 7)
+
+
 def minus_omega(matrix):
     """matrix - omega I, built in the test from ring operations."""
     w = MultiPoly.variable(matrix.vars, "omega")
@@ -534,6 +544,12 @@ def batch_members(n):
         st.integers(1, 2**40),
     )
     return st.one_of(scaled, st.just(PolyMatrix.identity(KV, n).scale(0)))
+
+
+def one_prime_fewer(monkeypatch):
+    """Make the kernel use every prime it chooses but the last."""
+    primes_beyond = poly._primes_beyond
+    monkeypatch.setattr(poly, "_primes_beyond", lambda bound: primes_beyond(bound)[:-1])
 
 
 class TestResidueKernel:
@@ -652,17 +668,80 @@ class TestResidueKernel:
         )
         assert char_poly_berkowitz([matrix], "omega")[0] == det_bareiss(minus_omega(matrix))
 
-    def test_hadamard_bound_is_met(self):
+    def test_hadamard_bound_is_met(self, monkeypatch):
         # the 8x8 Sylvester-Hadamard matrix H has |det H| = 8^4, Hadamard's
-        # bound, so the determinant of s*H needs every prime the bound asks for
-        h = [[1]]
-        for _ in range(3):
-            h = [row + row for row in h] + [row + [-x for x in row] for row in h]
-        s = Fraction(2**70 + 3, 7)
-        matrix = PolyMatrix([[MultiPoly.constant(KV, gr(s * x)) for x in row] for row in h])
+        # bound, so the determinant of s*H needs every prime the bound asks
+        # for: one prime fewer lifts the constant term wrong
+        matrix = PolyMatrix([[MultiPoly.constant(KV, gr(S_H8 * x)) for x in row] for row in H8])
         got = char_poly_berkowitz([matrix], "omega")[0]
-        assert abs(got.terms[(0, 0, 0)].re) == s**8 * 8**4
+        assert abs(got.terms[(0, 0, 0)].re) == S_H8**8 * 8**4
         assert got == det_bareiss(minus_omega(matrix))
+        one_prime_fewer(monkeypatch)
+        fewer = char_poly_berkowitz([matrix], "omega")[0]
+        assert abs(fewer.terms[(0, 0, 0)].re) != S_H8**8 * 8**4
+
+    def test_cauchy_bound_is_met(self, monkeypatch):
+        # s*(1 + g)*H: on the unit torus an entry is at most 2s, and the g^4
+        # coefficient of the constant term, s^8 * binomial(8, 4) * 8^4, is
+        # within a factor 2^8 / 70 of the budget; s is the least integer for
+        # which that coefficient needs more primes than cover 2^120, so the
+        # budget's last prime is needed there
+        covering = math.prod(p for p, _ in poly._primes_beyond(2**120))
+        unit = 2 * math.comb(8, 4) * 8**4
+        s = int((covering / unit) ** (1 / 8))
+        while unit * s**8 < covering:
+            s += 1
+        one_plus_g = MultiPoly(KV, {(0, 0, 0): gr(1), (1, 0, 0): gr(1)})
+        matrix = PolyMatrix([[one_plus_g.scale(s * x) for x in row] for row in H8])
+        expected = det_bareiss(minus_omega(matrix))
+        got = char_poly_berkowitz([matrix], "omega")[0]
+        assert got.terms[(4, 0, 0)] == gr(s**8 * math.comb(8, 4) * 8**4)
+        assert got == expected
+        one_prime_fewer(monkeypatch)
+        assert char_poly_berkowitz([matrix], "omega")[0] != expected
+
+    def test_prime_budget_is_pinned(self, monkeypatch):
+        # at most this many primes for each of these calls: a looser bound
+        # fails here, a tighter one passes
+        from liouville_ep.models import char_poly, model_from_dict, perturbation_matrix
+        from liouville_ep.scan import classify
+
+        counts = []
+        primes_beyond = poly._primes_beyond
+
+        def spy(bound):
+            primes = primes_beyond(bound)
+            counts.append(len(primes))
+            return primes
+
+        monkeypatch.setattr(poly, "_primes_beyond", spy)
+        half = GaussRational.of(Fraction(-1, 2))
+        lambda3 = model_from_dict(json.loads((ROOT / "perfbench" / "models" / "lambda3.json").read_text()))
+        point = {"g1": 1, "g2": 1, "O": 0}
+        bound = lambda3.generator.substitute(point)
+        classify(bound, half)  # the 4-fold point's batch of seeded pencils
+        char_poly(bound, perturbation_matrix(lambda3.generator, "O").substitute(point), shift=half)
+        ladder4 = model_from_dict(json.loads((ROOT / "tests" / "models" / "ladder4.json").read_text()))
+        char_poly(ladder4.generator.substitute({"g1": 1, "g2": 1, "O": Fraction(1, 3)}))  # the g3 scan's
+        classify(ladder4.generator.substitute({"g1": 1, "g2": 1, "g3": 1, "O": 0}), half)  # 6-fold point
+        assert len(counts) == 4
+        assert all(got <= most for got, most in zip(counts, [3, 1, 2, 4])), counts
+
+    def test_unbound_sylvester_tensor_grid(self):
+        # the unbound spin_half discriminant's 7x7 Sylvester matrix: four free
+        # parameters, a 25,344-point tensor grid; both sides have omega-degree
+        # 7, so agreeing with Bareiss at omega = 0..7 makes them equal
+        from liouville_ep.models import OMEGA, builtin_model, char_poly
+
+        q = char_poly(builtin_model("spin_half").generator)
+        matrix = sylvester_matrix(q.derivative(OMEGA), q, OMEGA)
+        start = time.perf_counter()
+        got = char_poly_berkowitz([matrix], OMEGA)[0]
+        assert time.perf_counter() - start < 10
+        assert got.degree(OMEGA) == 7
+        for c in range(8):
+            shifted = matrix - PolyMatrix.identity(matrix.vars, 7).scale(c)
+            assert got.substitute({OMEGA: c}) == det_bareiss(shifted)
 
     def test_unbound_multi_parameter_pencil(self):
         # unbound spin_half with a generic eps perturbation and a complex
