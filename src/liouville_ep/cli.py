@@ -111,17 +111,19 @@ def _omega0(args) -> GaussRational:
     return -w0 if args.shift_sign == "minus" else w0
 
 
-def _perturbation(bundle, bindings, args):
+def _perturbation_name(bundle, args) -> str:
     choice = args.perturb or "generic"
-    size = bundle.dim**2
-    if choice == "generic":
-        return generic_perturbation(bundle.variables, size, args.seed), "generic"
-    if choice not in bundle.params:
+    if choice != "generic" and choice not in bundle.params:
         raise InputError(
             f"--perturb must be 'generic' or one of {list(bundle.params)}"
         )
-    l1 = perturbation_matrix(bundle.generator, choice).substitute(bindings)
-    return l1, choice
+    return choice
+
+
+def _perturbation(bundle, bindings, pname, seed):
+    if pname == "generic":
+        return generic_perturbation(bundle.variables, bundle.dim**2, seed)
+    return perturbation_matrix(bundle.generator, pname).substitute(bindings)
 
 
 def _write(path: str, text: str) -> None:
@@ -205,15 +207,15 @@ def cmd_build(args) -> int:
 
 def _bound_point(args):
     """The preamble of polygon, amoeba, scale and encircle: the model, the
-    fully bound generator, the perturbation and omega0 (None for a subcommand
-    without --omega0), with input errors raised in that order."""
+    bindings, the fully bound generator, the perturbation's name and omega0
+    (None for a subcommand without --omega0), with input errors raised in
+    that order.  `_perturbation` builds the perturbation itself."""
     bundle = _load_model(args.model)
     bindings = _bindings_map(bundle, args.bind)
     _require_all_bound(bundle, bindings)
     w0 = _omega0(args) if hasattr(args, "omega0") else None
     bound = bundle.generator.substitute(bindings)
-    l1, pname = _perturbation(bundle, bindings, args)
-    return bundle, bound, l1, pname, w0
+    return bundle, bindings, bound, _perturbation_name(bundle, args), w0
 
 
 def _require_eigenvalue(bound, w0) -> None:
@@ -222,12 +224,13 @@ def _require_eigenvalue(bound, w0) -> None:
 
 
 def cmd_polygon(args) -> int:
-    bundle, bound, l1, pname, w0 = _bound_point(args)
+    bundle, bindings, bound, pname, w0 = _bound_point(args)
     classification = classify(bound, w0, seed=args.seed)  # also checks w0 exactly
     if pname == "generic":
         # classify's first seed is --seed: its polygon is this perturbation's
         polygon, report = classification.polygon, classification.report
     else:
+        l1 = _perturbation(bundle, bindings, pname, args.seed)
         polygon, report = assert_routes_agree(char_poly(bound, l1, shift=w0))
     payload = {
         "schema": 1,
@@ -287,9 +290,9 @@ def cmd_scan(args) -> int:
 
 
 def cmd_amoeba(args) -> int:
-    bundle, bound, l1, pname, w0 = _bound_point(args)
+    bundle, bindings, bound, pname, w0 = _bound_point(args)
     _require_eigenvalue(bound, w0)
-    f = char_poly(bound, l1, shift=w0)
+    f = char_poly(bound, _perturbation(bundle, bindings, pname, args.seed), shift=w0)
     cloud = amoeba_sample(
         f,
         modulus_range=(args.eps_min, args.eps_max),
@@ -314,7 +317,7 @@ def cmd_amoeba(args) -> int:
 
 
 def cmd_scale(args) -> int:
-    bundle, bound, l1, pname, w0 = _bound_point(args)
+    bundle, bindings, bound, pname, w0 = _bound_point(args)
     _require_eigenvalue(bound, w0)
     if not all(0 < e < math.inf for e in (args.eps_min, args.eps_max)):
         # checked before np.geomspace, which warns on inf/nan and rejects 0
@@ -322,6 +325,7 @@ def cmd_scale(args) -> int:
     # a negative count, which np.geomspace rejects, is an empty sweep:
     # scaling_sweep rejects it with the same message as any short sweep
     eps_values = np.geomspace(args.eps_min, args.eps_max, max(args.eps_points, 0))
+    l1 = _perturbation(bundle, bindings, pname, args.seed)
     fit = scaling_sweep(bound, l1, complex(w0), eps_values)
     lines = [
         f"# scale model={bundle.name} perturbation={pname} omega0={w0} "
@@ -360,7 +364,8 @@ def cmd_scale(args) -> int:
 
 
 def cmd_encircle(args) -> int:
-    bundle, bound, l1, pname, _ = _bound_point(args)
+    bundle, bindings, bound, pname, _ = _bound_point(args)
+    l1 = _perturbation(bundle, bindings, pname, args.seed)
     report = encircle(bound, l1, radius=args.radius, steps=args.steps)
     cyc = ",".join(str(c) for c in report.cycles)
     perm = ",".join(str(p) for p in report.permutation)

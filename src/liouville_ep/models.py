@@ -107,24 +107,17 @@ class ModelSpec:
 
 
 def _add_terms(acc: dict, terms: Mapping) -> None:
-    """acc += terms in place.  A sum that cancels leaves the map at once, as
-    MultiPoly addition drops it, so a later term with that exponent is
-    appended where a chain of MultiPoly sums would append it."""
+    """acc += terms in place; a sum that cancels stays as a zero
+    coefficient, which `MultiPoly._trusted` drops."""
     for e, c in terms.items():
-        if e in acc:
-            c = acc[e] + c
-            if not c.a and not c.b:
-                del acc[e]
-                continue
-        acc[e] = c
+        acc[e] = acc[e] + c if e in acc else c
 
 
 def _with_identity(n: int, left: Mapping, right: Mapping) -> dict[tuple[int, int], dict]:
     """Term maps of (A kron I) + (I kron B^T), entry by entry, for A and B
     given as {(row, col): terms} over their nonzero entries:
     (A kron I)[(i,j),(k,l)] = A[i,k] delta[j,l] and
-    (I kron B^T)[(i,j),(k,l)] = delta[i,k] B[l,j].  Each entry takes A's
-    terms before B's, as the dense sum adds them."""
+    (I kron B^T)[(i,j),(k,l)] = delta[i,k] B[l,j]."""
     out: dict[tuple[int, int], dict] = {}
     for (i, k), terms in left.items():
         for j in range(n):
@@ -142,10 +135,7 @@ def build_liouvillian(spec: ModelSpec) -> PolyMatrix:
     The commutator and every channel's anticommutator enter; a channel that
     refills adds its G kron conj(G) term, entry (G kron conj(G))[(i,j),(k,l)]
     = G[i,k] conj(G[j,l]).  Only the nonzero entries of H, G^H G and G are
-    visited.  Each entry takes its pieces in the order of the dense sum:
-    -i[H, .], then channel by channel the anticommutator and the refill, each
-    product formed as MultiPoly multiplies.  Its terms therefore equal the
-    dense sum's, in the same order.
+    visited, and every entry's terms equal the dense sum's, term for term.
     """
     variables = spec.variables
     n = spec.dim
@@ -164,7 +154,7 @@ def build_liouvillian(spec: ModelSpec) -> PolyMatrix:
         g = ch.operator.rows
         gbar = ch.operator.conjugate().rows
         nonzero_g = [(a, b) for a in range(n) for b in range(n) if g[a][b].terms]
-        # G^H G summed over the rows t of G, as the dense matmul adds them
+        # G^H G summed over the rows t of G
         ghg: dict[tuple[int, int], dict] = {}
         for t in range(n):
             row = [b for a, b in nonzero_g if a == t]

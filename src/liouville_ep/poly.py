@@ -27,8 +27,9 @@ torus, the largest over the batch, fixes how many primes, so every result is
 exact by construction.  There is no Python-integer fallback.
 
 The dense univariate layer serves a scan once its parameters are bound: lists
-of Gaussian-integer pairs with a subresultant PRS (resultant and gcd), Yun's
-square-free decomposition `square_free` and homogenised `horner` evaluation.
+of Gaussian-integer pairs with a subresultant PRS (resultant and gcd), the
+square-free part `square_free` (p over gcd(p, p'), one PRS) and homogenised
+`horner` evaluation.
 
 The Bareiss determinant, the Sylvester matrix and the multivariate resultant
 on it, cofactor expansion, `gcd_univariate` and `MultiPoly.exact_div` are
@@ -444,8 +445,7 @@ class MultiPoly:
                 {i: v if isinstance(v, MultiPoly) else MultiPoly.constant(self.vars, v)
                  for i, v in values.items()}
             )
-        # every value is a scalar: each term is one scalar product, and a sum
-        # that cancels leaves the map, as adding the terms one at a time would
+        # every value is a scalar: each term is one scalar product
         powers: dict[tuple[int, int], GaussRational] = {}
         out: dict[tuple[int, ...], GaussRational] = {}
         for e, c in self.terms.items():
@@ -455,15 +455,8 @@ class MultiPoly:
                     if (idx, k) not in powers:
                         powers[idx, k] = _scalar_power(v, k)
                     c = c * powers[idx, k]
-            if not c.a and not c.b:
-                continue
             kept = tuple(0 if i in values else k for i, k in enumerate(e))
-            if kept in out:
-                c = out[kept] + c
-                if not c.a and not c.b:
-                    del out[kept]
-                    continue
-            out[kept] = c
+            out[kept] = out[kept] + c if kept in out else c
         return MultiPoly._trusted(self.vars, out)
 
     def _substitute_polys(self, values: Mapping[int, "MultiPoly"]) -> "MultiPoly":
@@ -864,8 +857,7 @@ def char_poly_berkowitz(matrices: Sequence[PolyMatrix], var: str) -> list[MultiP
     (b!)^-1).  The real and imaginary parts are (x+ + x-)/2 and
     (x+ - x-)/(2 iota), and Garner's CRT with the symmetric lift gives the
     integers, divided once at the end by (-1)^n * D_k^(n-j) for the var^j
-    coefficient of matrix k.  Each result lists its terms in lexicographic
-    (free exponents, n - var power) order, as a lone call does.
+    coefficient of matrix k.
 
     The prime count is a proof, not a probability.  On the unit torus of the
     free variables an entry of D_k*M_k is at most nu, the sum of its
@@ -1007,9 +999,7 @@ def char_poly_berkowitz(matrices: Sequence[PolyMatrix], var: str) -> list[MultiP
     # det(M - var I) = (-1)^n det(var I - M)
     scale = (-1) ** n
     span = size * batch * (n + 1)  # the imaginary parts follow the real ones
-    found = sorted({at % span for at in ints})
-    # in (grid point, matrix, n - var power) order, so each matrix's terms
-    # come in (free exponents, n - var power) order
+    found = list({at % span for at in ints})
     terms = [{} for _ in range(batch)]
     for at, index in zip(found, zip(*np.unravel_index(found, shape + (batch, n + 1)))):
         re, im = ints.get(at, 0), ints.get(span + at, 0)
@@ -1161,34 +1151,10 @@ def _subresultant_prs(a: Dense, b: Dense) -> tuple[tuple[int, int], Dense]:
     return _gmul(scale, _gdiv(_gpow(b[0], len(a) - 1), _gpow(h, len(a) - 2))), b
 
 
-def square_free(p: Dense) -> tuple[Dense, list[Dense]]:
-    """Square-free part of a non-constant p, and its Yun decomposition (Yun
-    1976): primitive factors a_1, a_2, ..., square-free and pairwise coprime,
-    with p a scalar times a_1 a_2^2 a_3^3 ...; a multiplicity that does not
-    occur gives the factor [(1, 0)].  The part is a_1 a_2 a_3 ..., primitive.
-
-    With c = p/gcd(p, p') and d = p'/gcd(p, p') - c', each step takes
-    a = gcd(c, d), made primitive, and then c <- c/a, d <- d/a - c'.  Both
-    quotients of a step lose the same content, so c and d stay off the field
-    recurrence by one common scalar.
-    """
-
-    def step(c: Dense, d: Dense) -> tuple[Dense, Dense, Dense]:
-        a = _primitive(_subresultant_prs(c, d)[1])
-        c, e = _exact_quotient(c, a), _exact_quotient(d, a)
-        k = _content(c + e)
-        c = [_gdiv(x, k) for x in c]
-        e = [(0, 0)] * (len(c) - 1 - len(e)) + [_gdiv(x, k) for x in e]
-        d = [(xr - yr, xi - yi) for (xr, xi), (yr, yi) in zip(e, _derivative(c))]
-        return a, c, _trim(d)
-
-    _, c, d = step(p, _derivative(p))
-    part = _primitive(c)
-    factors = []
-    while len(c) > 1:
-        a, c, d = step(c, d)
-        factors.append(a)
-    return part, factors
+def square_free(p: Dense) -> Dense:
+    """Square-free part of a non-constant p, primitive: p over its gcd with
+    p', which has the same roots, each once."""
+    return _primitive(_exact_quotient(p, _primitive(_subresultant_prs(p, _derivative(p))[1])))
 
 
 def horner(p: Dense, num: tuple[int, int], den: int) -> tuple[int, int]:

@@ -9,11 +9,11 @@ double point.  From there on every object is univariate, and the scan works
 on the dense Gaussian-integer layer of `poly` with q's denominators cleared
 once: the discriminant is the subresultant-PRS resultant at integer points of
 the target, interpolated exactly.  One helper serves every root: it solves the
-Yun square-free part numerically (a linear part exactly), snaps the roots back
-to rationals and certifies each by exact Horner evaluation.  The scan applies
-it to the discriminant (a value is exact where the discriminant vanishes
-exactly) and then, for the double eigenvalues, to gcd(q, q') at each exact
-value, the last nonzero remainder of the same PRS.  It classifies every
+square-free part p/gcd(p, p') numerically (a linear part exactly), snaps the
+roots back to rationals and certifies each by exact Horner evaluation.  The
+scan applies it to the discriminant (a value is exact where the discriminant
+vanishes exactly) and then, for the double eigenvalues, to gcd(q, q') at each
+exact value, the last nonzero remainder of the same PRS.  It classifies every
 degeneracy through the Newton polygon of a seeded generic perturbation plus
 an exact geometric multiplicity computation; the char polys of every seed at
 every point of one classification batch come from one kernel call.
@@ -153,7 +153,7 @@ def _exact_roots(
     The root finder sees the part scaled to the leading coefficient
     lead/scale, so its input does not depend on how p was scaled.
     """
-    part = square_free(p)[0]
+    part = square_free(p)
     if len(part) == 2:
         return [(GR_ZERO - GaussRational.of(*part[1]) / GaussRational.of(*part[0]), True)]
     # part * lead / (scale * lc(part)), as integers over one integer divisor
@@ -228,8 +228,8 @@ def solve_candidates(q: MultiPoly, target: str, bindings: Mapping[str, Fraction]
     dense Gaussian-integer arithmetic.  The discriminant Res_omega(q', q)
     comes from a subresultant PRS at integer points of the target and exact
     interpolation; vanishing identically, it means a continuum of
-    degeneracies (flagged, not an error).  Each root of its Yun square-free
-    part is snapped to a nearby rational; since q leads with a constant in
+    degeneracies (flagged, not an error).  Each root of its square-free part
+    is snapped to a nearby rational; since q leads with a constant in
     omega, the discriminant at a value v is Res(q'(., v), q(., v)), so the
     value is exact when the part vanishes there, by Horner in integers.  The
     double eigenvalues of an exact value are back-solved by the same snap

@@ -215,12 +215,11 @@ class TestCanonicalForm:
     @settings(max_examples=150, deadline=None)
     @given(small_polys, small_coeffs, small_coeffs)
     def test_scalar_substitution_matches_the_polynomial_route(self, p, v, w):
-        # the scalar route keeps the term order of adding one term at a time
         as_polys = {"x": MultiPoly.constant(V, v), "y": MultiPoly.constant(V, w)}
         for names in (("x",), ("y",), ("x", "y"), ("y", "x")):
             got = p.substitute({n: {"x": v, "y": w}[n] for n in names})
             expected = p.substitute({n: as_polys[n] for n in names})
-            assert list(got.terms.items()) == list(expected.terms.items())
+            assert got.terms == expected.terms
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(small_polys, min_size=4, max_size=4), small_coeffs, small_polys)
@@ -231,18 +230,7 @@ class TestCanonicalForm:
             got = m.substitute(bindings)
             for got_row, row in zip(got.rows, m.rows):
                 for a, e in zip(got_row, row):
-                    assert list(a.terms.items()) == list(e.substitute(bindings).terms.items())
-
-    def test_cancelling_sum_moves_the_term_last(self):
-        # x - x*y + 1 + x*y^2 at y = 1 adds x, -x, 1 and x: x cancels, leaves
-        # the map and comes back after 1
-        x, y = MultiPoly.variable(V, "x"), MultiPoly.variable(V, "y")
-        p = MultiPoly(V, {(1, 0): gr(1), (1, 1): gr(-1), (0, 0): gr(1), (1, 2): gr(1)})
-        got = p.substitute({"y": gr(1)})
-        assert got == x + MultiPoly.constant(V, 1)
-        assert list(got.terms) == [(0, 0), (1, 0)]
-        assert list(got.terms) == list(p.substitute({"y": MultiPoly.constant(V, 1)}).terms)
-        assert (x + y).substitute({"y": gr(0)}) == x
+                    assert a.terms == e.substitute(bindings).terms
 
 
 class TestMultiPolyRing:
@@ -291,6 +279,12 @@ class TestMultiPolyRing:
             assert complex(bound.constant_value()) == pytest.approx(
                 p.evaluate({"x": complex(xv), "y": complex(yv)})
             )
+        # x - x*y + 1 + x*y^2 at y = 1 adds x, -x, 1 and x: x cancels on the
+        # way and comes back
+        x, y = MultiPoly.variable(V, "x"), MultiPoly.variable(V, "y")
+        p = MultiPoly(V, {(1, 0): gr(1), (1, 1): gr(-1), (0, 0): gr(1), (1, 2): gr(1)})
+        assert p.substitute({"y": gr(1)}) == x + MultiPoly.constant(V, 1)
+        assert (x + y).substitute({"y": gr(0)}) == x
 
     def test_substitute_polynomial_value(self):
         x = MultiPoly.variable(V, "x")
@@ -583,15 +577,15 @@ class TestResidueKernel:
     @given(data=st.data())
     def test_batch_matches_lone_calls(self, data):
         # mixed denominators and degree bounds, zero matrices and batches of
-        # one: each result equals its lone call term for term, in the same
-        # order, and the Bareiss determinant
+        # one: each result equals its lone call term for term, and the
+        # Bareiss determinant
         n = data.draw(st.integers(1, 3))
         batch = data.draw(st.lists(batch_members(n), min_size=1, max_size=4))
         got = char_poly_berkowitz(batch, "omega")
         assert len(got) == len(batch)
         for matrix, p in zip(batch, got):
             (lone,) = char_poly_berkowitz([matrix], "omega")
-            assert list(p.terms.items()) == list(lone.terms.items())
+            assert p.terms == lone.terms
             assert p == det_bareiss(minus_omega(matrix))
 
     def test_batch_mismatch_rejected(self):
@@ -631,7 +625,7 @@ class TestResidueKernel:
         assert 2 * count * len(batch) * 4 > poly._KERNEL_BLOCK  # one point of the batch
         assert all(math.prod(shape) <= poly._KERNEL_BLOCK for shape in stacks)
         assert sum(shape[1] for shape in stacks) == 2 * 3 * len(batch)
-        assert [list(p.terms.items()) for p in got] == [list(p.terms.items()) for p in lone]
+        assert [p.terms for p in got] == [p.terms for p in lone]
         assert got == [det_bareiss(minus_omega(m)) for m in batch]
 
     def test_rows_that_could_overflow_rejected(self, monkeypatch):
@@ -833,42 +827,37 @@ class TestDenseLayer:
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(dense_polys(False, min_degree=1, max_degree=3), min_size=1, max_size=3), st.integers(1, 6))
-    def test_yun_matches_sympy(self, factors, scalar):
+    def test_square_free_part_matches_sympy(self, factors, scalar):
         # p = scalar * f_1 f_2^2 f_3^3 ...; sympy is the oracle here only
         sympy = pytest.importorskip("sympy")
         p = [(scalar, 0)]
         for k, f in enumerate(factors):
             for _ in range(k + 1):
                 p = dense_mul(p, f)
-        part, yun = square_free(p)
+        part = square_free(p)
+        assert all(im == 0 for _, im in part)
         x = sympy.symbols("x")
         expr = sympy.Poly([re for re, _ in p], x)
-        _, expected = sympy.sqf_list(expr)
-        got = [(sympy.Poly([re for re, _ in f], x), k + 1) for k, f in enumerate(yun) if len(f) > 1]
-        assert got == expected
-        assert all(im == 0 for f in yun for _, im in f)
         assert sympy.Poly([re for re, _ in part], x) == sympy.Poly(sympy.sqf_part(expr), x).primitive()[1]
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(dense_polys(True, min_degree=0, max_degree=2), min_size=1, max_size=3))
-    def test_yun_rebuilds_gaussian_input(self, factors):
+    def test_square_free_part_of_gaussian_input(self, factors):
+        # the part is square-free, divides p, and p divides a power of it
         p = [(1, 0)]
         for k, f in enumerate(factors):
             for _ in range(k + 1):
                 p = dense_mul(p, f)
         if len(p) == 1:
             return
-        part, yun = square_free(p)
-        rebuilt, product = [(1, 0)], [(1, 0)]
-        for k, f in enumerate(yun):
-            product = dense_mul(product, f)
-            for _ in range(k + 1):
-                rebuilt = dense_mul(rebuilt, f)
-        assert monic(rebuilt) == monic(p)
-        assert monic(product) == monic(part)
-        for k, f in enumerate(yun):
-            if len(f) > 1:
-                assert len(square_free(f)[0]) == len(f)  # square-free
+        part = square_free(p)
+        x = as_poly(part)
+        assert gcd_univariate(x, x.derivative("x"), "x").degree("x") == 0
+        assert gcd_univariate(as_poly(p), x, "x") == monic(part)
+        power = [(1, 0)]
+        for _ in range(len(p) - 1):  # no root of p is more than deg p fold
+            power = dense_mul(power, part)
+        assert poly._prem(power, p) == []
 
     @settings(max_examples=60, deadline=None)
     @given(dense_polys(True), gauss_ints(True), st.integers(1, 9))

@@ -301,21 +301,38 @@ def test_discriminant_zero_iff_common_root(make):
 
 def test_lambda3_discriminant_square_free_matches_sympy():
     # the benchmark's 3-level slice (g1 = 1, O = 1/3, target g2): a degree-44
-    # discriminant with Yun factors of degrees 20, 10, 0 and 1 (g2^4), so a
-    # square-free part of degree 31; sympy is the oracle here only
+    # discriminant whose square-free part has degree 31; sympy is the oracle
+    # here only
     sympy = pytest.importorskip("sympy")
     spec = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "models" / "lambda3.json").read_text())
     m = model_from_dict(spec)
     q = char_poly(m.generator.substitute({"g1": Fraction(1), "O": Fraction(1, 3)}))
     disc, _ = scan._discriminant(*scan._cleared_rows(q, "g2"))
     assert len(disc) == 45 and all(im == 0 for _, im in disc)
-    part, factors = square_free(disc)
+    part = square_free(disc)
+    assert len(part) - 1 == 31 and all(im == 0 for _, im in part)
     g2 = sympy.symbols("g2")
-    _, expected = sympy.sqf_list(sympy.Poly([re for re, _ in disc], g2))
-    got = [(sympy.Poly([re for re, _ in f], g2), k + 1) for k, f in enumerate(factors) if len(f) > 1]
-    assert got == expected
-    assert [len(f) - 1 for f in factors] == [20, 10, 0, 1]
-    assert len(part) - 1 == 31
+    expected = sympy.Poly(sympy.Poly([re for re, _ in disc], g2).sqf_part(), g2).primitive()[1]
+    assert sympy.Poly([re for re, _ in part], g2) == expected
+
+
+def test_term_order_reaches_no_result():
+    # the lambda3 generator with every entry's terms stored in reverse order
+    spec = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "models" / "lambda3.json").read_text())
+    m = model_from_dict(spec)
+    flipped = PolyMatrix(
+        [[MultiPoly(e.vars, dict(reversed(e.terms.items()))) for e in row] for row in m.generator.rows]
+    )
+    assert [[list(e.terms) for e in row] for row in flipped.rows] != [
+        [list(e.terms) for e in row] for row in m.generator.rows
+    ]
+    g2_slice = {"g1": Fraction(1), "O": Fraction(1, 3)}
+    assert char_poly(flipped.substitute(g2_slice)) == char_poly(m.generator.substitute(g2_slice))
+    assert scan_parameter(flipped, "g2", g2_slice, m.rate_params) == scan_parameter(
+        m.generator, "g2", g2_slice, m.rate_params
+    )
+    point, w0 = {"g1": Fraction(1), "g2": Fraction(1), "O": Fraction(0)}, GaussRational.of(Fraction(-1, 2))
+    assert classify(flipped.substitute(point), w0) == classify(m.generator.substitute(point), w0)
 
 
 class TestClassify:
