@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .expr import format_poly, parse_expression
-from .poly import GR_ZERO, GaussRational, MultiPoly, PolyMatrix, ScalarLike, _gr, char_poly_berkowitz
+from .poly import GaussRational, MultiPoly, PolyMatrix, ScalarLike, _gr, char_poly_berkowitz
 
 OMEGA = "omega"
 EPSILON = "epsilon"
@@ -229,13 +229,16 @@ def _pencil(l0: PolyMatrix, perturbation: PolyMatrix | None, shift: ScalarLike) 
     for i, row in enumerate(l0.rows):
         out = []
         for j, entry in enumerate(row):
+            # coefficients are added only where two terms collide
             terms = dict(entry.terms)
             if i == j:
-                terms[constant] = terms.get(constant, GR_ZERO) + minus_shift
+                old = terms.get(constant)
+                terms[constant] = minus_shift if old is None else old + minus_shift
             if perturbation is not None:
                 for expo, c in perturbation.rows[i][j].terms.items():
                     raised = expo[:ie] + (expo[ie] + 1,) + expo[ie + 1:]
-                    terms[raised] = terms.get(raised, GR_ZERO) + c
+                    old = terms.get(raised)
+                    terms[raised] = c if old is None else old + c
             out.append(MultiPoly._trusted(variables, terms))
         rows.append(out)
     return PolyMatrix(rows)

@@ -44,11 +44,15 @@ class NumericalError(RuntimeError):
 
 
 def as_complex_matrix(matrix) -> np.ndarray:
-    """Coerce a constant PolyMatrix / nested list / ndarray to complex ndarray."""
+    """Coerce a constant PolyMatrix / nested list / ndarray to complex ndarray;
+    a PolyMatrix entry beyond the float range is a ValueError."""
     if isinstance(matrix, PolyMatrix):
-        return np.array(
-            [[complex(c) for c in row] for row in matrix.constant_rows()], dtype=complex
-        )
+        try:
+            return np.array(
+                [[complex(c) for c in row] for row in matrix.constant_rows()], dtype=complex
+            )
+        except OverflowError:
+            raise ValueError("a matrix entry overflows a complex float") from None
     return np.asarray(matrix, dtype=complex)
 
 

@@ -42,8 +42,8 @@ import math
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
-from operator import add
+from itertools import accumulate, chain, zip_longest
+from operator import add, attrgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -794,8 +794,8 @@ def _dot_mod(a: np.ndarray, b: np.ndarray, mod: np.ndarray) -> np.ndarray:
     """a @ b modulo `mod` for int64 stacks of residues, summed in slices of
     fewer than 2^11 terms so that no partial sum overflows."""
     step = _TERMS_PER_SUM - 1
-    out = a[..., :0] @ b[..., :0, :]
-    for s in range(0, a.shape[-1], step):
+    out = a[..., :step] @ b[..., :step, :] % mod
+    for s in range(step, a.shape[-1], step):
         out = (out + a[..., s:s + step] @ b[..., s:s + step, :]) % mod
     return out
 
@@ -859,6 +859,16 @@ def char_poly_berkowitz(matrices: Sequence[PolyMatrix], var: str) -> list[MultiP
     integers, divided once at the end by (-1)^n * D_k^(n-j) for the var^j
     coefficient of matrix k.
 
+    The bookkeeping around the residue Berkowitz is array work on one read
+    of the batch: a single pass over every entry's terms gives flat arrays of
+    entry index, exponent rows and each coefficient's (a, b, d), and the
+    degree table, the denominators, the bound, each monomial's mixed-radix
+    code on the grid's axes (one-to-one, as no exponent passes its axis
+    bound) and the coefficient residues all come from them.  Integers that
+    may pass int64 (the cleared coefficients, the CRT lift and the
+    denominators) stay Python ints, in object arrays, so there is no int64
+    shortcut and no size switch.
+
     The prime count is a proof, not a probability.  On the unit torus of the
     free variables an entry of D_k*M_k is at most nu, the sum of its
     coefficients' |re| + |im|, so row i has norm at most
@@ -882,68 +892,76 @@ def char_poly_berkowitz(matrices: Sequence[PolyMatrix], var: str) -> list[MultiP
         raise ValueError(f"the residue kernel takes fewer than {_TERMS_PER_SUM} rows")
     iv = vs.index(var)
     batch, nn = len(matrices), n * n
-    # entry `at` is row (at % nn) // n, column at % n of matrix at // nn
-    entries = [e for matrix in matrices for row in matrix.rows for e in row]
-    # each entry's degree in each variable
-    degs = [list(map(max, zip(*e.terms))) if e.terms else [0] * len(vs) for e in entries]
-    if any(d[iv] for d in degs):
+    # one pass over the batch's terms into flat arrays; entry `at` is row
+    # (at % nn) // n, column at % n of matrix at // nn, and its terms are
+    # contiguous
+    entries = [e.terms for matrix in matrices for row in matrix.rows for e in row]
+    counts = list(map(len, entries))
+    items = [item for terms in entries for item in terms.items()]
+    expos, coeffs = zip(*items) if items else ((), ())
+    size_t = len(items)
+    expo = np.fromiter(chain.from_iterable(expos), np.int64, size_t * len(vs)).reshape(size_t, len(vs))
+    # (a, b, d) of each coefficient (a + b i)/d, as rows
+    abd = np.fromiter(chain.from_iterable(map(attrgetter("a", "b", "d"), coeffs)), object, 3 * size_t)
+    abd = abd.reshape(size_t, 3).T
+    at = np.repeat(np.arange(batch * nn), counts)
+    # the (matrices, n, n, variables) table of entry degrees; a variable that
+    # occurs has a nonzero bound
+    degs = np.zeros((batch, n, n, len(vs)), dtype=np.int64)
+    np.maximum.at(degs.reshape(batch * nn, len(vs)), at, expo)
+    bounds = np.minimum(degs.max(axis=2).sum(axis=1), degs.max(axis=1).sum(axis=1)).max(axis=0).tolist()
+    if bounds[iv]:
         raise ValueError(f"matrix entries must not involve {var!r}")
-    free = [k for k in range(len(vs)) if any(d[k] for d in degs)]
-    bounds = []
-    for k in free:
-        # each matrix's n x n table of its entries' degrees in variable k
-        tables = [
-            [[d[k] for d in degs[r:r + n]] for r in range(first, first + nn, n)]
-            for first in range(0, batch * nn, nn)
-        ]
-        bounds.append(max(min(sum(map(max, t)), sum(map(max, zip(*t)))) for t in tables))
-    denoms = [
-        math.lcm(*(c.d for e in entries[first:first + nn] for c in e.terms.values()))
-        for first in range(0, batch * nn, nn)
-    ]
-    # every term of the D_k*M_k as (entry, exponents of the free variables, re, im)
-    scaled = [
-        (at, tuple(expo[k] for k in free), c.a * (denom // c.d), c.b * (denom // c.d))
-        for at, e in enumerate(entries)
-        for denom in (denoms[at // nn],)
-        for expo, c in e.terms.items()
-    ]
+    free = [k for k, b in enumerate(bounds) if b]
+    bounds = [bounds[k] for k in free]
+    ends = list(accumulate(sum(counts[first:first + nn]) for first in range(0, batch * nn, nn)))
+    denoms = [math.lcm(*set(abd[2, lo:hi])) for lo, hi in zip([0] + ends, ends)]
+    # re and im of every term of the D_k*M_k
+    scaled = abd[:2] * (np.array(denoms, dtype=object)[at // nn] // abd[2])
     # on the unit torus an entry is at most nu, its coefficients' |re| + |im|
-    nu = [0] * (batch * nn)
-    for at, _, re, im in scaled:
-        nu[at] += abs(re) + abs(im)
+    nu = np.zeros(batch * nn, dtype=object)
+    np.add.at(nu, at, abs(scaled).sum(axis=0))
+    rho = [math.isqrt(sq - 1) + 1 if sq else 0 for sq in (nu * nu).reshape(batch * n, n).sum(axis=1).tolist()]
     bound = 1
-    for first in range(0, batch * nn, nn):
+    for first in range(0, batch * n, n):
         e = [1] + [0] * n  # e_j(rho) over the row norms rho seen so far
-        for r in range(first, first + nn, n):
-            sq = sum(v * v for v in nu[r:r + n])
-            rho = math.isqrt(sq - 1) + 1 if sq else 0
+        for r in rho[first:first + n]:
             for j in range(n, 0, -1):
-                e[j] += e[j - 1] * rho
+                e[j] += e[j - 1] * r
         bound = max(bound, *e)
     primes = _primes_beyond(2 * bound)
     count = len(primes)
-    mod = np.array([p for p, _ in primes], dtype=np.int64).reshape(count, 1, 1, 1)
+    ps = np.array([p for p, _ in primes], dtype=object).reshape(count, 1, 1)
+    mod = ps.astype(np.int64)  # broadcasts against (primes, *, *)
+    mod4 = mod[..., None]
 
-    # coefficient residues (prime, embedding, monomial, entry)
-    monomials = {expo: i for i, expo in enumerate(dict.fromkeys(expo for _, expo, _, _ in scaled))}
-    coeff = np.zeros((count, 2, len(monomials), batch * nn), dtype=np.int64)
-    if scaled:
-        ats, expos, re, im = zip(*scaled)
-        coeff[:, :, [monomials[e] for e in expos], list(ats)] = np.array(
-            [[[(r + i * x) % p for r, x in zip(re, im)], [(r - i * x) % p for r, x in zip(re, im)]]
-             for p, i in primes],
-            dtype=np.int64,
-        )
-    # powers[axis][p, x, e] = x^e modulo the p-th prime, and each monomial's
-    # exponent on that axis
-    powers = [
-        np.array([[[pow(x, e, p) for e in range(top + 1)] for x in range(b + 1)] for p, _ in primes])
-        for b, top in zip(bounds, map(max, zip(*monomials)))
-    ]
-    exponents = [list(column) for column in zip(*monomials)]
+    # each monomial's mixed-radix code on the grid's axes: every exponent is
+    # at most its axis bound, so the code is one-to-one
     shape = tuple(b + 1 for b in bounds)
     size = math.prod(shape)
+    strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
+    stride_of = [0] * len(vs)
+    for k, stride in zip(free, strides):
+        stride_of[k] = stride
+    codes = expo @ np.array(stride_of, dtype=np.int64)
+    seen = np.zeros(size, dtype=bool)
+    seen[codes] = True
+    monomials = seen.nonzero()[0]
+    # coefficient residues (prime, embedding, monomial, entry) of the
+    # embeddings re +- iota im
+    residue = (scaled % ps).astype(np.int64)
+    iota = np.array([[[i], [p - i]] for p, i in primes], dtype=np.int64)
+    coeff = np.zeros((count, 2, len(monomials), batch * nn), dtype=np.int64)
+    coeff[:, :, np.searchsorted(monomials, codes), at] = (residue[:, :1] + residue[:, 1:] * iota) % mod
+    # powers[axis][p, x, e] = x^e modulo the p-th prime, and each monomial's
+    # exponent on that axis
+    exponents = [monomials // stride % extent for stride, extent in zip(strides, shape)]
+    powers = []
+    for b, e in zip(bounds, exponents):
+        power = np.ones((count, b + 1, int(e.max()) + 1), dtype=np.int64)
+        for k in range(1, power.shape[2]):
+            power[..., k] = power[..., k - 1] * np.arange(b + 1) % mod[..., 0]
+        powers.append(power)
     residues = np.empty((count, 2, size, batch, n + 1), dtype=np.int64)
     # a block is `rows` grid points times `width` matrices, and its
     # (primes, 2, points, matrices, n, n) stack stays near _KERNEL_BLOCK
@@ -952,63 +970,59 @@ def char_poly_berkowitz(matrices: Sequence[PolyMatrix], var: str) -> list[MultiP
     pairs = max(1, _KERNEL_BLOCK // (2 * count * nn))
     width = min(batch, pairs)
     rows = pairs // width
-    strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
     for start in range(0, size, rows):
         points = np.arange(start, min(start + rows, size))[:, None]
         values = np.ones((count, len(points), len(monomials)), dtype=np.int64)
         for power, stride, extent, e in zip(powers, strides, shape, exponents):
-            values = values * power[:, points // stride % extent, e] % mod[..., 0]
+            values = values * power[:, points // stride % extent, e] % mod
         for first in range(0, batch, width):
             block = coeff[..., first * nn:(first + width) * nn]
-            stack = _dot_mod(values[:, None], block, mod).reshape(count, -1, n, n)
-            residues[:, :, start:start + rows, first:first + width] = _berkowitz_mod(stack, mod).reshape(
+            stack = _dot_mod(values[:, None], block, mod4).reshape(count, -1, n, n)
+            residues[:, :, start:start + rows, first:first + width] = _berkowitz_mod(stack, mod4).reshape(
                 count, 2, len(points), -1, n + 1
             )
     residues = residues.reshape((count, 2) + shape + (batch * (n + 1),))
     for axis, b in enumerate(bounds, 2):
         # times (b!)^-1 mod p, the scaled inverse Vandermonde is the inverse itself
-        w = np.array([[[x * f % p for x in row] for row in _inverse_vandermonde(b)]
-                      for p, _ in primes for f in (pow(math.factorial(b), -1, p),)])
+        inverse = np.array([pow(math.factorial(b), -1, p) for p, _ in primes], dtype=np.int64)
+        w = (np.array(_inverse_vandermonde(b), dtype=object) % ps).astype(np.int64)
+        w = w * inverse[:, None, None] % mod
         lead = math.prod(residues.shape[1:axis])
-        residues = _dot_mod(w[:, None], residues.reshape(count, lead, b + 1, -1), mod).reshape(residues.shape)
-    # re and im from the two embeddings x+- = re +- iota im
-    p_col = mod.reshape(count, 1)
-    half = p_col - p_col // 2
-    inv_two_iota = half * (p_col - np.array([[i] for _, i in primes])) % p_col
-    plus, minus = residues[:, 0].reshape(count, -1), residues[:, 1].reshape(count, -1)
-    parts = np.concatenate(
-        [(plus + minus) * half % p_col, (plus - minus) % p_col * inv_two_iota % p_col], axis=1
+        residues = _dot_mod(w[:, None], residues.reshape(count, lead, b + 1, -1), mod4).reshape(residues.shape)
+    # re and im from the two embeddings x+- = re +- iota im: the rows of
+    # [[1/2, 1/2], [1/(2 iota), -1/(2 iota)]] modulo p, where 1/iota = -iota
+    to_parts = np.array(
+        [[[h, h], [h * (p - i) % p, h * i % p]] for p, i in primes for h in ((p + 1) // 2,)], dtype=np.int64
     )
-    # Garner: mixed-radix digits, then the integers with the symmetric lift
+    parts = to_parts @ residues.reshape(count, 2, -1) % mod
+    # Garner on the nonzero coefficients: mixed-radix digits, then the
+    # integers with the symmetric lift
+    found = parts.any(axis=(0, 1)).nonzero()[0]
+    parts = parts[..., found]
     digits = [parts[0]]
     for i in range(1, count):
         p, d = primes[i][0], parts[i]
         for j in range(i):
             d = (d - digits[j]) % p * pow(primes[j][0], -1, p) % p
         digits.append(d)
-    digits = np.array(digits)
-    nonzero = np.flatnonzero(digits.any(axis=0))
+    x = digits[-1].astype(object)
+    for (p, _), d in zip(primes[-2::-1], digits[-2::-1]):
+        x = x * p + d
     modulus = math.prod(p for p, _ in primes)
-    ints = {}
-    for at, column in zip(nonzero.tolist(), digits[::-1, nonzero].T.tolist()):
-        x = 0
-        for (p, _), d in zip(reversed(primes), column):
-            x = x * p + d
-        ints[at] = x - modulus if 2 * x > modulus else x
+    x = (x + modulus // 2) % modulus - modulus // 2
 
-    # det(M - var I) = (-1)^n det(var I - M)
+    # det(M - var I) = (-1)^n det(var I - M), and the var^(n-t) coefficient
+    # of matrix k is over D_k^t
+    *free_expo, k, t = np.unravel_index(found, shape + (batch, n + 1))
     scale = (-1) ** n
-    span = size * batch * (n + 1)  # the imaginary parts follow the real ones
-    found = list({at % span for at in ints})
+    dens = [[scale * d ** j for j in range(n + 1)] for d in denoms]
+    out = np.zeros((len(vs), len(found)), dtype=np.int64)
+    out[iv] = n - t
+    for v, column in zip(free, free_expo):
+        out[v] = column
     terms = [{} for _ in range(batch)]
-    for at, index in zip(found, zip(*np.unravel_index(found, shape + (batch, n + 1)))):
-        re, im = ints.get(at, 0), ints.get(span + at, 0)
-        *free_expo, k, t = map(int, index)
-        expo = [0] * len(vs)
-        expo[iv] = n - t
-        for v, x in zip(free, free_expo):
-            expo[v] = x
-        terms[k][tuple(expo)] = _reduced(re, im, scale * denoms[k] ** t)
+    for m, j, e, re, im in zip(k.tolist(), t.tolist(), zip(*out.tolist()), *x.tolist()):
+        terms[m][e] = _reduced(re, im, dens[m][j])
     return [MultiPoly._trusted(vs, t) for t in terms]
 
 

@@ -151,7 +151,9 @@ def _exact_roots(
     roots are the norm at diabolic points, and a floating-point root finder
     only locates an m-fold root to ~eps^(1/m), which would defeat the snap.
     The root finder sees the part scaled to the leading coefficient
-    lead/scale, so its input does not depend on how p was scaled.
+    lead/scale, so its input does not depend on how p was scaled; a part
+    whose scaled coefficients overflow a float, or whose nonzero ones vanish
+    as floats, is a ValueError.
     """
     part = square_free(p)
     if len(part) == 2:
@@ -160,9 +162,15 @@ def _exact_roots(
     (tr, ti), (lr, li) = part[0], lead
     mr, mi = lr * tr + li * ti, li * tr - lr * ti
     norm = scale * (tr * tr + ti * ti)
-    coeffs = [
-        complex((cr * mr - ci * mi) / norm, (cr * mi + ci * mr) / norm) for cr, ci in reversed(part)
-    ]
+    try:
+        coeffs = [
+            complex((cr * mr - ci * mi) / norm, (cr * mi + ci * mr) / norm) for cr, ci in reversed(part)
+        ]
+    except OverflowError:
+        raise ValueError("the square-free part's coefficients overflow a float") from None
+    # a nonzero coefficient times a nonzero lead/lc(part) is nonzero
+    if any(c == 0 for c, (cr, ci) in zip(coeffs, reversed(part)) if cr or ci):
+        raise ValueError("the square-free part's coefficients underflow a float")
     out: dict[GaussRational, bool] = {}
     for r in roots_aberth(coeffs):
         value = _rationalize(complex(r))

@@ -613,6 +613,35 @@ class TestExitCodes:
         assert out.out == ""
         assert out.err == "precondition violated: loop radius 1e+308 overflows the loop matrices\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["scan", "--model", "qubit", "--bind", "gamma_e=1", "--bind", "gamma_f=1e200"], "overflow"),
+            (["scan", "--model", "qubit", "--bind", "gamma_e=1", "--bind", "gamma_f=1e400"], "overflow"),
+            (["scan", "--model", "qubit", "--bind", "gamma_e=1e400", "--bind", "gamma_f=1"], "overflow"),
+            (["scan", "--model", "spin_half", "--bind", "Omega=1", "--bind", "gamma_minus=0",
+              "--bind", "gamma_y=1e400"], "overflow"),
+            (["scan", "--model", "qubit", "--bind", "gamma_e=1", "--bind", "gamma_f=1e-400"], "underflow"),
+        ],
+        ids=["gamma_f=1e200", "gamma_f=1e400", "gamma_e=1e400", "spin_half-gamma_y=1e400", "gamma_f=1e-400"],
+    )
+    def test_scan_coefficients_beyond_the_float_range(self, capsys, argv, message):
+        # exact bindings so large or small that the root finder's float
+        # coefficients overflow or vanish: named, not a traceback
+        code = cli.main(argv)
+        out = capsys.readouterr()
+        assert code == 3
+        assert out.out == ""
+        assert out.err == f"precondition violated: the square-free part's coefficients {message} a float\n"
+
+    def test_encircle_entry_that_overflows_a_float(self, capsys):
+        code = cli.main(["encircle", "--model", "qubit", "--bind", "gamma_e=1e400", "--bind", "gamma_f=0",
+                         "--bind", "J=1/4"])
+        out = capsys.readouterr()
+        assert code == 3
+        assert out.out == ""
+        assert out.err == "precondition violated: a matrix entry overflows a complex float\n"
+
     def test_non_hermitian_hamiltonian(self, tmp_path, capsys):
         model = tmp_path / "skew.json"
         model.write_text(json.dumps({**LAMBDA3, "hamiltonian": [["0", "O", "0"], ["0", "0", "O"],

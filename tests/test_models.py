@@ -450,6 +450,13 @@ class TestCharPolyKernel:
             _random_matrix(11, 4),
             GaussRational.of(Fraction(-2, 3), Fraction(5, 7)),
         ),
+        # L0's epsilon terms collide with every raised L1 term, one of them
+        # cancelling, and the shift cancels a diagonal constant exactly
+        "colliding-terms": (
+            _parsed([["2 + epsilon", "epsilon/3 - g"], ["h*epsilon", "-1/2 + 5*epsilon"]]),
+            _parsed([["-1", "2/3"], ["3*h", "4 - i"]]),
+            2,
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

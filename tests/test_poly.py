@@ -530,12 +530,17 @@ def kernel_matrices(free, numerators=st.integers(-9, 9), max_n=4):
 
 
 def batch_members(n):
-    """n x n kernel matrices with 0, 1 or 2 free variables, scaled by a
-    denominator of up to 2^40, or the zero matrix."""
+    """n x n kernel matrices with 0, 1 or 2 free variables, numerators of up
+    to 10^25 and each entry scaled by its own denominator of up to 2^40, or
+    the zero matrix.  Entries over coprime denominators make the cleared
+    numerators a*(D_k/d) pass 2^63, as the numerators alone do."""
+    numerators = st.one_of(st.integers(-9, 9), st.integers(-(10**25), 10**25))
     scaled = st.builds(
-        lambda m, d: m.scale(gr(Fraction(1, d))),
-        st.integers(0, 2).flatmap(lambda free: square_matrices(n, free)),
-        st.integers(1, 2**40),
+        lambda m, ds: PolyMatrix(
+            [[e.scale(gr(Fraction(1, d))) for e, d in zip(row, drow)] for row, drow in zip(m.rows, ds)]
+        ),
+        st.integers(0, 2).flatmap(lambda free: square_matrices(n, free, numerators)),
+        st.lists(st.lists(st.integers(1, 2**40), min_size=n, max_size=n), min_size=n, max_size=n),
     )
     return st.one_of(scaled, st.just(PolyMatrix.identity(KV, n).scale(0)))
 
@@ -576,9 +581,9 @@ class TestResidueKernel:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_batch_matches_lone_calls(self, data):
-        # mixed denominators and degree bounds, zero matrices and batches of
-        # one: each result equals its lone call term for term, and the
-        # Bareiss determinant
+        # mixed denominators and degree bounds, integers beyond int64, zero
+        # matrices and batches of one: each result equals its lone call term
+        # for term, and the Bareiss determinant
         n = data.draw(st.integers(1, 3))
         batch = data.draw(st.lists(batch_members(n), min_size=1, max_size=4))
         got = char_poly_berkowitz(batch, "omega")
