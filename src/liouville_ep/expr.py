@@ -4,12 +4,13 @@ Grammar (whitespace-insensitive, no implicit multiplication):
 
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
-    factor := base ('^' uint)?
-    base   := number | 'i' | identifier | '(' expr ')' | '-' base
+    factor := '-' factor | base ('^' uint)?
+    base   := number | 'i' | identifier | '(' expr ')'
 
 Numbers are unsigned integer or decimal literals; decimals are parsed as exact
-rationals (0.25 -> 1/4).  'i' is the imaginary unit and is reserved.  Division
-is only allowed by subexpressions that reduce to nonzero constants.
+rationals (0.25 -> 1/4).  A leading minus negates the whole power after it,
+so -x^2 is -(x^2) and -2^2 is -4.  'i' is the imaginary unit and is reserved.
+Division is only allowed by subexpressions that reduce to nonzero constants.
 
 Parsing is one pass with no syntax tree: each grammar rule returns the
 polynomial of the text it consumed.  The tokenizer runs first, so a bad
@@ -137,6 +138,9 @@ class _Parser:
         return poly
 
     def factor(self) -> MultiPoly:
+        if self.peek().kind == "-":
+            self.advance()
+            return -self.factor()
         poly = self.base()
         if self.peek().kind == "^":
             self.advance()
@@ -167,9 +171,6 @@ class _Parser:
                 raise ParseError("expected ')'", closing.offset)
             self.advance()
             return poly
-        if tok.kind == "-":
-            self.advance()
-            return -self.base()
         raise ParseError(f"unexpected token {tok.text!r}", tok.offset)
 
 
@@ -232,8 +233,8 @@ def format_poly(p: MultiPoly) -> str:
             body = "*".join([_coeff_prefix(coeff)] + factors)
         if position == 0:
             if negated:
-                # '-x^2' would parse as (-x)^2; give the leading negative an
-                # explicit coefficient whenever the first factor carries '^'
+                # '-x^2' parses as -(x^2) too; the explicit coefficient on a
+                # leading negative power keeps the canonical text unchanged
                 if coeff == GR_ONE and factors and "^" in factors[0]:
                     body = "*".join(["1"] + factors)
                 pieces.append("-" + body)

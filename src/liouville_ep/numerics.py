@@ -8,8 +8,10 @@ batched `_companion_roots` inside), epsilon scaling sweeps (one stacked
 eigenvalue call, then nearest-neighbour tracking), adiabatic encircling of a
 degeneracy (the loop built and diagonalised in blocks of steps, then one
 batched nearest-neighbour matching of the whole stack of spectra), amoeba
-point clouds (the whole epsilon grid through the batched root kernel), and
-tentacle slope fits, with numpy alone.
+point clouds (the whole epsilon grid through the batched root kernel; for a
+real polynomial only the phases up to pi, the rest copied from their
+conjugates; each grid point's moduli in ascending order), and tentacle slope
+fits, with numpy alone.
 
 Accuracy note on degenerate spectra: a defective eigenvalue of multiplicity m
 is only computable to about eps_machine^(1/m) per root by any backward-stable
@@ -451,7 +453,8 @@ class AmoebaCloud:
 
     points[:, 0] = log10|eps|, points[:, 1] = log10|omega| for every root with
     |omega| above the zero cutoff (identically zero roots are excluded from
-    the Log-map domain).  Deterministic for a fixed grid.
+    the Log-map domain), grid point by grid point and each grid point's in
+    ascending modulus.  Deterministic for a fixed grid.
     """
 
     points: np.ndarray
@@ -477,9 +480,17 @@ def amoeba_sample(
     points are grouped by their lowest and highest nonzero coefficient (exact
     zero roots and degree drops are decided on the evaluated coefficients,
     before any root finding), and each group goes through one batched
-    companion-matrix eigenvalue computation.  A grid point whose coefficients are all zero, whose polynomial is
-    constant, or whose roots miss the convergence contract counts as a skip.
-    Points come out grid point by grid point in (modulus, phase) order.
+    companion-matrix eigenvalue computation.  A grid point whose coefficients
+    are all zero, whose polynomial is constant, or whose roots miss the
+    convergence contract counts as a skip.
+    Points come out grid point by grid point in (modulus, phase) order, and
+    within a grid point in ascending modulus.
+
+    When every coefficient of f is real, f(omega, conj eps) = conj f(conj
+    omega, eps): the grid points at phases k and P - k have equal root moduli
+    and skip alike, so only the phases 0 .. P // 2 are evaluated and solved,
+    and each phase past P // 2 is a copy of its mirror's moduli and skip flag.
+    A non-real coefficient keeps the whole grid.
     """
     if not f.uses_only([OMEGA, EPSILON]):
         raise ValueError("polynomial has unsubstituted variables besides omega/epsilon")
@@ -489,7 +500,12 @@ def amoeba_sample(
     if moduli < 1 or phases < 1:
         raise ValueError("the epsilon grid needs at least one modulus and one phase")
     radii = np.geomspace(lo, hi, moduli)
-    angles = 2.0 * np.pi * np.arange(phases) / phases
+    # the solved phase that stands for each phase of the grid
+    mirror = np.arange(phases)
+    if not any(c.b for c in f.terms.values()):
+        mirror = np.minimum(mirror, phases - mirror)
+    solved = int(mirror.max()) + 1
+    angles = 2.0 * np.pi * np.arange(solved) / phases
     eps = (radii[:, None] * np.exp(1j * angles)).ravel()
     iw, ie = f.vars.index(OMEGA), f.vars.index(EPSILON)
     degree = max((e[iw] for e in f.terms), default=0)
@@ -508,15 +524,18 @@ def amoeba_sample(
     solvable = nonzero.any(axis=1) & (top > 0)
     # moduli of the nonzero roots; exact zero roots and skipped points stay 0
     mags = np.zeros((eps.size, degree))
-    failed = 0
+    skipped = ~solvable
     groups = np.unique(np.stack([low, top], axis=1)[solvable & (low < top)], axis=0)
     for a, b in groups:
         rows = np.flatnonzero(solvable & (low == a) & (top == b))
         roots, worst = _companion_roots(coeffs[rows, a : b + 1])
         ok = worst <= ROOT_RESIDUAL_TOL
-        failed += int(rows.size - ok.sum())
+        skipped[rows[~ok]] = True
         mags[rows[ok], a:b] = np.hypot(roots[ok].real, roots[ok].imag)
-    skips = int(eps.size - solvable.sum()) + failed
+    # ascending within a grid point: one order whatever LAPACK's
+    mags.sort(axis=1)
+    mags = mags.reshape(moduli, solved, degree)[:, mirror].reshape(moduli * phases, degree)
+    skips = int(skipped.reshape(moduli, solved)[:, mirror].sum())
 
     keep = mags > AMOEBA_ZERO_CUTOFF
     logeps = np.repeat([math.log10(r) for r in radii], phases)

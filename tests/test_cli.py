@@ -698,6 +698,17 @@ class TestExitCodes:
         assert out.err == "precondition violated: omega0 = 7 is not an exact eigenvalue\n"
         assert out.out == ""
 
+    def test_negated_power_omega0_keeps_its_sign(self, capsys):
+        # '-10^200' is -(10^200): the power binds inside the leading minus
+        argv = ["amoeba", "--model", "qubit", "--bind", "gamma_e=1e200", "--bind", "gamma_f=0",
+                "--bind", "J=1/4", "--omega0", "-10^200", "--perturb", "gamma_f"]
+        assert cli.main(argv) == 3
+        out = capsys.readouterr()
+        assert out.err == (
+            f"precondition violated: omega0 = {-(10**200)} is not an exact eigenvalue\n"
+        )
+        assert out.out == ""
+
     @pytest.mark.parametrize(
         "command, message",
         [

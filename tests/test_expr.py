@@ -51,9 +51,13 @@ class TestParsing:
         assert parse_expression("3 - -2", V) == const(5)
 
     def test_negated_power_binds_inside(self):
-        # '-x^2' is (-x)^2 by the factor grammar, not -(x^2)
-        assert parse_expression("-x^2", V) == X**2
+        # the power binds inside a leading minus: '-x^2' is -(x^2), not (-x)^2
+        assert parse_expression("-x^2", V) == (X**2).scale(gr(-1))
         assert parse_expression("-1*x^2", V) == (X**2).scale(gr(-1))
+        assert parse_expression("-2^2", V) == const(-4)
+        assert parse_expression("3*-2^2", V) == const(-12)
+        assert parse_expression("(-2)^2", V) == const(4)
+        assert parse_expression("--x^2", V) == X**2
 
     def test_no_implicit_multiplication(self):
         with pytest.raises(ParseError):

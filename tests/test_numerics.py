@@ -11,7 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from liouville_ep import numerics
 from liouville_ep.expr import parse_expression
-from liouville_ep.models import builtin_model, char_poly, perturbation_matrix
+from liouville_ep.models import (
+    builtin_model,
+    char_poly,
+    generic_perturbation,
+    perturbation_matrix,
+)
 from liouville_ep.numerics import (
     AMOEBA_ZERO_CUTOFF,
     AmoebaCloud,
@@ -484,6 +489,35 @@ def encircle_by_steps(l0, l1, radius, steps):
     )
 
 
+def assert_matches_per_point_oracle(f, window, moduli, phases):
+    """amoeba_sample against one `roots_aberth` call per grid point over the
+    whole grid, with each grid point's moduli in ascending order."""
+    coeff_polys = f.coefficient_list("omega")
+    rows, skips = [], 0
+    for r in np.geomspace(*window, moduli):
+        for th in 2.0 * np.pi * np.arange(phases) / phases:
+            eps = r * cmath.exp(1j * th)
+            coeffs = [cp.evaluate({"omega": 0, "epsilon": eps}) for cp in coeff_polys]
+            while len(coeffs) > 1 and coeffs[-1] == 0:
+                coeffs.pop()
+            if len(coeffs) <= 1:
+                skips += 1
+                continue
+            try:
+                roots = roots_aberth(coeffs)
+            except NumericalError:
+                skips += 1
+                continue
+            mags = sorted(abs(z) for z in roots if abs(z) > AMOEBA_ZERO_CUTOFF)
+            rows.extend((math.log10(r), math.log10(m)) for m in mags)
+    expected = np.array(rows).reshape(-1, 2)
+    cloud = amoeba_sample(f, window, moduli, phases)
+    assert cloud.skips == skips
+    assert cloud.points.shape == expected.shape
+    assert np.array_equal(cloud.points[:, 0], expected[:, 0])
+    assert np.allclose(cloud.points, expected, rtol=0, atol=1e-12)
+
+
 class TestAmoebaSample:
     def test_square_root_amoeba_line(self):
         cloud = amoeba_sample(biv("omega^2 - epsilon"), (1e-6, 1e-2), moduli=10, phases=8)
@@ -506,37 +540,23 @@ class TestAmoebaSample:
         # the leading omega-coefficient epsilon - 1/100 is exactly zero at
         # the top modulus for phase 0 (geomspace endpoints are exact), so that
         # grid point drops a degree; the omega factor gives every grid point
-        # an exact zero root to strip
+        # an exact zero root to strip.  f is real, so the phases past 8 are
+        # mirrored from their conjugates
         f = biv("omega * ((epsilon - 1/100) * omega^3 + omega^2 - epsilon)")
-        window, moduli, phases = (1e-4, 1e-2), 12, 16
-        coeff_polys = f.coefficient_list("omega")
-        assert coeff_polys[-1].evaluate({"omega": 0, "epsilon": 1e-2}) == 0
-        rows, skips = [], 0
-        for r in np.geomspace(*window, moduli):
-            for th in 2.0 * np.pi * np.arange(phases) / phases:
-                eps = r * cmath.exp(1j * th)
-                coeffs = [cp.evaluate({"omega": 0, "epsilon": eps}) for cp in coeff_polys]
-                while len(coeffs) > 1 and coeffs[-1] == 0:
-                    coeffs.pop()
-                if len(coeffs) <= 1:
-                    skips += 1
-                    continue
-                try:
-                    roots = roots_aberth(coeffs)
-                except NumericalError:
-                    skips += 1
-                    continue
-                rows.extend(
-                    (math.log10(r), math.log10(abs(z)))
-                    for z in roots
-                    if abs(z) > AMOEBA_ZERO_CUTOFF
-                )
-        expected = np.array(rows)
-        cloud = amoeba_sample(f, window, moduli, phases)
-        assert cloud.skips == skips
-        assert cloud.points.shape == expected.shape
-        assert np.array_equal(cloud.points[:, 0], expected[:, 0])
-        assert np.allclose(cloud.points, expected, rtol=0, atol=1e-12)
+        assert f.coefficient_list("omega")[-1].evaluate({"omega": 0, "epsilon": 1e-2}) == 0
+        assert_matches_per_point_oracle(f, (1e-4, 1e-2), 12, 16)
+
+    @pytest.mark.parametrize("phases", [1, 2, 7])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("omega * ((epsilon - 1/100) * omega^3 + omega^2 - epsilon)", id="real"),
+            pytest.param("omega * ((epsilon - 1/100) * omega^3 + omega^2 - i*epsilon)",
+                         id="non-real"),
+        ],
+    )
+    def test_phase_counts_match_per_point_oracle(self, text, phases):
+        assert_matches_per_point_oracle(biv(text), (1e-4, 1e-2), 12, phases)
 
     def test_term_order_does_not_move_the_cloud(self):
         # two equal polynomials whose terms were inserted in opposite orders
@@ -576,19 +596,56 @@ class TestNoPerPointLoops:
     """The batched routes make a bounded number of kernel calls, not one per
     grid point or loop step."""
 
+    @staticmethod
+    def qubit_f(perturbation):
+        point = {"gamma_e": Fraction(1), "gamma_f": Fraction(0), "J": Fraction(1, 4)}
+        model = builtin_model("qubit")
+        bound = model.generator.substitute(point)
+        if perturbation == "generic":
+            pert = generic_perturbation(model.variables, model.dim**2, 0)
+        else:
+            pert = perturbation_matrix(model.generator, perturbation).substitute(point)
+        return char_poly(bound, pert, shift=Fraction(-1, 2))
+
     def test_amoeba_does_not_call_roots_aberth(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("amoeba_sample called roots_aberth")
 
         monkeypatch.setattr(numerics, "roots_aberth", refuse)
-        point = {"gamma_e": Fraction(1), "gamma_f": Fraction(0), "J": Fraction(1, 4)}
-        model = builtin_model("qubit")
-        bound = model.generator.substitute(point)
-        pert = perturbation_matrix(model.generator, "gamma_f").substitute(point)
-        f = char_poly(bound, pert, shift=Fraction(-1, 2))
+        f = self.qubit_f("gamma_f")
         cloud = amoeba_sample(f, (1e-6, 1e-2), moduli=40, phases=64)  # acceptance 4 grid
         assert cloud.skips == 0
         assert cloud.points.shape[0] > 0
+
+    @pytest.fixture
+    def solved_rows(self, monkeypatch):
+        rows = []
+        companion_roots = numerics._companion_roots
+
+        def spy(c):
+            rows.append(len(c))
+            return companion_roots(c)
+
+        monkeypatch.setattr(numerics, "_companion_roots", spy)
+        return rows
+
+    def test_real_amoeba_solves_half_the_phases(self, solved_rows):
+        # acceptance 4 grid: phases 0 .. 32 are solved, 33 .. 63 mirrored
+        cloud = amoeba_sample(self.qubit_f("gamma_f"), (1e-6, 1e-2), moduli=40, phases=64)
+        assert sum(solved_rows) <= 40 * 33
+        assert cloud.skips == 0
+        # four nonzero roots per grid point, each grid point's in ascending order
+        mags = cloud.points[:, 1].reshape(40, 64, 4)
+        assert np.all(np.diff(mags, axis=2) >= 0)
+        for k in range(1, 64):
+            assert mags[:, k].tobytes() == mags[:, 64 - k].tobytes()
+
+    def test_non_real_amoeba_solves_every_grid_point(self, solved_rows):
+        f = self.qubit_f("generic")
+        assert any(c.b for c in f.terms.values())
+        cloud = amoeba_sample(f, (1e-6, 1e-2), moduli=40, phases=64)
+        assert sum(solved_rows) == 40 * 64
+        assert cloud.skips == 0
 
     @pytest.fixture
     def eigvals_calls(self, monkeypatch):
