@@ -12,11 +12,9 @@ Layers, bottom up:
 """
 
 from .poly import (
-    ExactDivisionError,
     GaussRational,
     MultiPoly,
     PolyMatrix,
-    det_bareiss,
     det_cofactor,
     gcd_univariate,
     sylvester_resultant,
@@ -30,7 +28,6 @@ from .models import (
     build_liouvillian,
     builtin_model,
     char_poly,
-    flatten_index,
     generic_perturbation,
     model_from_dict,
     perturbation_matrix,
@@ -70,7 +67,6 @@ from .scan import (
     ScanResult,
     classify,
     geometric_multiplicity,
-    rank_exact,
     scan_parameter,
     solve_candidates,
 )
@@ -83,7 +79,6 @@ __all__ = [
     "Classification",
     "EPReport",
     "EPSILON",
-    "ExactDivisionError",
     "GaussRational",
     "JumpChannel",
     "ModelSpec",
@@ -108,13 +103,11 @@ __all__ = [
     "char_poly",
     "classify",
     "collapse_clusters",
-    "det_bareiss",
     "det_cofactor",
     "eigenvalues",
     "encircle",
     "ep_orders",
     "fit_tentacles",
-    "flatten_index",
     "format_poly",
     "gcd_univariate",
     "generic_perturbation",
@@ -124,7 +117,6 @@ __all__ = [
     "newton_points",
     "parse_expression",
     "perturbation_matrix",
-    "rank_exact",
     "roots_aberth",
     "scaling_sweep",
     "scan_parameter",

@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: build, polygon, scan, amoeba, scale, encircle.  Data outputs are
-JSON (always carrying "schema": 1) or CSV with a documented header; SVG plots
-are optional.  Exit codes: 0 success, 2 input or parse error, 3 precondition
-violation (a request too large for memory included), 4 numerical failure.
-All invocations are deterministic under a fixed seed.
+JSON (always carrying "schema": 1) or CSV with a documented header, every CSV
+through one writer, `_csv`, that formats the floats numerics made (this
+module makes none); SVG plots are optional.  Exit codes: 0 success, 2 input
+or parse error, 3 precondition violation (a request too large for memory
+included), 4 numerical failure.  All invocations are deterministic under a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -165,6 +167,20 @@ def _float_reprs(values: np.ndarray) -> list[str]:
     return cells[inverse].tolist()
 
 
+def _csv(summary: str, header: str, *columns) -> str:
+    """A CSV table: the `# summary` line, the header row, then one row per
+    index of the equally long columns.  A float array's cells are its
+    `_float_reprs`, a list of strings is taken as it is."""
+    lines = [f"# {summary}", header]
+    for i in range(0, len(columns[0]), _CSV_ROWS):
+        cells = [
+            c[i : i + _CSV_ROWS] if isinstance(c, list) else _float_reprs(c[i : i + _CSV_ROWS])
+            for c in columns
+        ]
+        lines.append("\n".join(map(",".join, zip(*cells))))
+    return "\n".join(lines) + "\n"
+
+
 def _dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
@@ -299,14 +315,11 @@ def cmd_amoeba(args) -> int:
         moduli=args.eps_points,
         phases=args.phases,
     )
-    lines = [
-        f"# amoeba model={bundle.name} perturbation={pname} omega0={w0} "
-        f"grid={cloud.moduli}x{cloud.phases} skips={cloud.skips}",
-        "logeps,logmag",
-    ]
-    cells = _float_reprs(cloud.points)
-    lines.extend(map(",".join, zip(cells[0::2], cells[1::2])))
-    _emit("\n".join(lines) + "\n", args.out)
+    summary = (
+        f"amoeba model={bundle.name} perturbation={pname} omega0={w0} "
+        f"grid={cloud.moduli}x{cloud.phases} skips={cloud.skips}"
+    )
+    _emit(_csv(summary, "logeps,logmag", *cloud.points.T), args.out)
     if args.svg:
         fig = svgplot.Figure(
             f"Amoeba ({bundle.name}, {pname})", "log10 |omega - omega0|", "log10 |epsilon|"
@@ -326,25 +339,17 @@ def cmd_scale(args) -> int:
     # scaling_sweep rejects it with the same message as any short sweep
     eps_values = np.geomspace(args.eps_min, args.eps_max, max(args.eps_points, 0))
     l1 = _perturbation(bundle, bindings, pname, args.seed)
-    fit = scaling_sweep(bound, l1, complex(w0), eps_values)
-    lines = [
-        f"# scale model={bundle.name} perturbation={pname} omega0={w0} "
+    fit = scaling_sweep(bound, l1, w0, eps_values)
+    summary = (
+        f"scale model={bundle.name} perturbation={pname} omega0={w0} "
         f"slope={fit.slope!r} intercept={fit.intercept!r} r_squared={fit.r_squared!r} "
-        f"npoints={fit.npoints}",
-        "epsilon,re,im,logeps,logmag",
-    ]
-    w0c = complex(w0)
-    for eps, lam in fit.samples:
-        d = abs(lam - w0c)
-        logmag = repr(math.log10(d)) if d > 0 else "-inf"
-        lines.append(f"{eps!r},{lam.real!r},{lam.imag!r},{math.log10(eps)!r},{logmag}")
-    _emit("\n".join(lines) + "\n", args.out)
+        f"npoints={fit.npoints}"
+    )
+    eps, lam, logeps, logmag = map(np.array, zip(*fit.samples))
+    columns = (eps, lam.real, lam.imag, logeps, logmag)
+    _emit(_csv(summary, "epsilon,re,im,logeps,logmag", *columns), args.out)
     if args.svg:
-        pts = [
-            (math.log10(eps), math.log10(abs(lam - w0c)))
-            for eps, lam in fit.samples
-            if abs(lam - w0c) > 0
-        ]
+        pts = [(x, y) for _, _, x, y in fit.samples if y > -math.inf]
         fig = svgplot.Figure(
             f"Perturbation scaling ({bundle.name}, {pname})",
             "log10 epsilon",
@@ -369,32 +374,21 @@ def cmd_encircle(args) -> int:
     report = encircle(bound, l1, radius=args.radius, steps=args.steps)
     cyc = ",".join(str(c) for c in report.cycles)
     perm = ",".join(str(p) for p in report.permutation)
-    lines = [
-        f"# encircle model={bundle.name} perturbation={pname} radius={args.radius!r} "
+    summary = (
+        f"encircle model={bundle.name} perturbation={pname} radius={args.radius!r} "
         f"steps={args.steps} cycles=[{cyc}] permutation=[{perm}] "
-        f"residual={report.tracking_residual!r} min_gap={report.min_gap!r}",
-        "t,index,re,im",
-    ]
+        f"residual={report.tracking_residual!r} min_gap={report.min_gap!r}"
+    )
     trace = np.array(report.trace)
-    ts = _float_reprs(np.array(report.ts))
-    index = [str(idx) for idx in range(trace.shape[1])]
-    steps = max(1, _CSV_ROWS // len(index))
-    for i in range(0, len(ts), steps):
-        block = trace[i : i + steps]
-        cells = zip(
-            [t for t in ts[i : i + steps] for _ in index],
-            index * len(block),
-            _float_reprs(block.real),
-            _float_reprs(block.imag),
-        )
-        lines.append("\n".join(map(",".join, cells)))
-    _emit("\n".join(lines) + "\n", args.out)
+    steps, width = trace.shape
+    index = [str(k) for k in range(width)] * steps
+    t = np.repeat(report.ts, width)
+    _emit(_csv(summary, "t,index,re,im", t, index, trace.real.ravel(), trace.imag.ravel()), args.out)
     if args.svg:
         fig = svgplot.Figure(f"Eigenvalue loops ({bundle.name}, {pname})", "Re omega", "Im omega")
         palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
-        for k in range(len(report.trace[0])):
-            trace = [(row[k].real, row[k].imag) for row in report.trace]
-            fig.add_line(trace, palette[k % len(palette)])
+        for k, branch in enumerate(trace.T):
+            fig.add_line(list(zip(branch.real.tolist(), branch.imag.tolist())), palette[k % len(palette)])
         _write(_svg_path(args, "encircle.svg"), fig.render())
     return EXIT_OK
 

@@ -45,13 +45,6 @@ EPSILON = "epsilon"
 RESERVED_NAMES = ("i", OMEGA, EPSILON)
 
 
-def flatten_index(row: int, col: int, dim: int) -> int:
-    """Row-major position of a density-matrix entry in its vectorization."""
-    if not (0 <= row < dim and 0 <= col < dim):
-        raise ValueError(f"index ({row}, {col}) out of range for dim {dim}")
-    return row * dim + col
-
-
 def ambient_variables(params: Sequence[str]) -> tuple[str, ...]:
     """Canonical variable list for a model: parameters, then omega, epsilon."""
     return tuple(params) + (OMEGA, EPSILON)

@@ -11,7 +11,9 @@ batched nearest-neighbour matching of the whole stack of spectra), amoeba
 point clouds (the whole epsilon grid through the batched root kernel; for a
 real polynomial only the phases up to pi, the rest copied from their
 conjugates; each grid point's moduli in ascending order), and tentacle slope
-fits, with numpy alone.
+fits, with numpy alone.  The exact matrices, char-poly coefficients and
+shifts of the numeric subcommands become floats here only, all through
+`_complex_array`, which names a value beyond the float range in a ValueError.
 
 Accuracy note on degenerate spectra: a defective eigenvalue of multiplicity m
 is only computable to about eps_machine^(1/m) per root by any backward-stable
@@ -45,17 +47,23 @@ class NumericalError(RuntimeError):
         self.residual = residual
 
 
+def _complex_array(values, what: str) -> np.ndarray:
+    """Exact values (GaussRational, Fraction, int) or numbers, alone or in
+    nested lists or an ndarray, as a complex ndarray: this module's one
+    conversion of exact values.  A value beyond the float range is a
+    ValueError naming `what`."""
+    try:
+        return np.asarray(values, dtype=complex)
+    except OverflowError:
+        raise ValueError(f"{what} overflows a complex float") from None
+
+
 def as_complex_matrix(matrix) -> np.ndarray:
     """Coerce a constant PolyMatrix / nested list / ndarray to complex ndarray;
-    a PolyMatrix entry beyond the float range is a ValueError."""
+    an entry beyond the float range is a ValueError."""
     if isinstance(matrix, PolyMatrix):
-        try:
-            return np.array(
-                [[complex(c) for c in row] for row in matrix.constant_rows()], dtype=complex
-            )
-        except OverflowError:
-            raise ValueError("a matrix entry overflows a complex float") from None
-    return np.asarray(matrix, dtype=complex)
+        matrix = matrix.constant_rows()
+    return _complex_array(matrix, "a matrix entry")
 
 
 # -- polynomial roots ----------------------------------------------------------
@@ -196,12 +204,17 @@ def eigenvalues(matrix, collapse_tol: float | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScalingFit:
-    """Least-squares fit of log10|omega - omega0| against log10(eps)."""
+    """Least-squares fit of log10|omega - omega0| against log10(eps).
+
+    Each sample is (eps, tracked eigenvalue, log10 eps, log10|omega -
+    omega0|), the last -inf where the eigenvalue sits exactly on omega0; the
+    fit skips those samples.
+    """
 
     slope: float
     intercept: float
     r_squared: float
-    samples: tuple[tuple[float, complex], ...]  # (eps, tracked eigenvalue)
+    samples: tuple[tuple[float, complex, float, float], ...]
 
     @property
     def npoints(self) -> int:
@@ -211,12 +224,12 @@ class ScalingFit:
 def scaling_sweep(
     l0,
     l1,
-    omega0: complex,
+    omega0,
     eps_values: Sequence[float],
     cluster_tol: float = 1e-3,
 ) -> ScalingFit:
     """Track the most fractional eigenvalue branch emerging from the
-    degeneracy at omega0.
+    degeneracy at omega0, an exact value or a number.
 
     The unperturbed matrix must have an eigenvalue cluster at omega0 (within
     cluster_tol); the tracked branch is seeded at the smallest epsilon with
@@ -227,6 +240,7 @@ def scaling_sweep(
     """
     a0 = as_complex_matrix(l0)
     a1 = as_complex_matrix(l1)
+    omega0 = _complex_array(omega0, "omega0").item()
     eps_values = sorted(float(e) for e in eps_values)
     if len(set(eps_values)) < 3:
         raise ValueError("need at least 3 distinct epsilon values")
@@ -240,7 +254,7 @@ def scaling_sweep(
         raise ValueError(
             f"no eigenvalue cluster at omega0={omega0} within {cluster_tol}"
         )
-    samples: list[tuple[float, complex]] = []
+    samples: list[tuple[float, complex, float, float]] = []
     tracked = None
     for eps, eig in zip(eps_values, spectra[1:]):
         if tracked is None:
@@ -248,18 +262,14 @@ def scaling_sweep(
             tracked = children[np.argsort(-np.abs(children - omega0))][0]
         else:
             tracked = eig[np.argmin(np.abs(eig - tracked))]
-        samples.append((eps, complex(tracked)))
-    xs, ys = [], []
-    for eps, lam in samples:
+        lam = tracked.item()
         d = abs(lam - omega0)
-        if d == 0:
-            continue  # exactly invariant eigenvalue carries no scaling signal
-        xs.append(math.log10(eps))
-        ys.append(math.log10(d))
-    if len(xs) < 3:
+        samples.append((eps, lam, math.log10(eps), math.log10(d) if d > 0 else -math.inf))
+    # an exactly invariant eigenvalue carries no scaling signal
+    fitted = [(x, y) for _, _, x, y in samples if y > -math.inf]
+    if len(fitted) < 3:
         raise NumericalError("tracked branch shows no displacement from omega0")
-    x = np.array(xs)
-    y = np.array(ys)
+    x, y = np.array(fitted).T
     slope, intercept = np.polyfit(x, y, 1)
     pred = slope * x + intercept
     ss_res = float(np.sum((y - pred) ** 2))
@@ -284,7 +294,6 @@ class PermutationReport:
     cycles: tuple[int, ...]
     tracking_residual: float
     min_gap: float
-    start_eigenvalues: tuple[complex, ...]
     ts: tuple[float, ...] = ()
     trace: tuple[tuple[complex, ...], ...] = ()  # trace[step][slot]
 
@@ -438,7 +447,6 @@ def encircle(l0, l1, radius: float = 0.01, steps: int = 400) -> PermutationRepor
         tuple(cycles),
         tracking_residual,
         min_gap,
-        tuple(spectra[0].tolist()),
         tuple(ts.tolist()),
         tuple(map(tuple, np.repeat(tracked, start_mults, axis=1).tolist())),
     )
@@ -509,14 +517,16 @@ def amoeba_sample(
     eps = (radii[:, None] * np.exp(1j * angles)).ravel()
     iw, ie = f.vars.index(OMEGA), f.vars.index(EPSILON)
     degree = max((e[iw] for e in f.terms), default=0)
+    terms = sorted(f.terms)  # a fixed summation order: equal f, equal cloud
+    values = _complex_array([f.terms[e] for e in terms], "a char-poly coefficient")
     coeffs = np.zeros((eps.size, degree + 1), dtype=complex)
     # a grid point whose coefficients overflow is a skip, counted below
     with np.errstate(all="ignore"):
         eps_powers = [np.ones_like(eps)]
         for _ in range(max((e[ie] for e in f.terms), default=0)):
             eps_powers.append(eps_powers[-1] * eps)
-        for e, c in sorted(f.terms.items()):  # a fixed summation order: equal f, equal cloud
-            coeffs[:, e[iw]] += complex(c) * eps_powers[e[ie]]
+        for e, c in zip(terms, values):
+            coeffs[:, e[iw]] += c * eps_powers[e[ie]]
 
     nonzero = coeffs != 0
     low = np.argmax(nonzero, axis=1)

@@ -367,29 +367,17 @@ class MultiPoly:
         idx = self.vars.index(var)
         return max(e[idx] for e in self.terms)
 
-    def coefficients_in(self, var: str) -> dict[int, "MultiPoly"]:
-        """Group terms by the exponent of `var`.
-
-        Returns {exponent: coefficient polynomial}; coefficient polynomials
-        live in the same ambient variable list with `var`-exponent zero.
-        Only nonzero coefficients appear.
-        """
-        idx = self.vars.index(var)
-        groups: dict[int, dict[tuple[int, ...], GaussRational]] = {}
-        for e, c in self.terms.items():
-            k = e[idx]
-            rest = e[:idx] + (0,) + e[idx + 1:]
-            groups.setdefault(k, {})[rest] = c
-        return {k: MultiPoly._trusted(self.vars, t) for k, t in sorted(groups.items())}
-
     def coefficient_list(self, var: str) -> list["MultiPoly"]:
-        """Dense ascending coefficient list [c0, c1, ..., c_deg] in `var`."""
-        if self.is_zero():
-            return [MultiPoly.zero(self.vars)]
-        groups = self.coefficients_in(var)
-        deg = max(groups)
-        zero = MultiPoly.zero(self.vars)
-        return [groups.get(k, zero) for k in range(deg + 1)]
+        """Dense ascending coefficient list [c0, c1, ..., c_deg] in `var`; the
+        coefficients live in the same ambient variable list with `var`-exponent
+        zero, and the zero polynomial's list is [0]."""
+        idx = self.vars.index(var)
+        groups: list[dict[tuple[int, ...], GaussRational]] = [
+            {} for _ in range(max(self.degree(var), 0) + 1)
+        ]
+        for e, c in self.terms.items():
+            groups[e[idx]][e[:idx] + (0,) + e[idx + 1:]] = c
+        return [MultiPoly._trusted(self.vars, t) for t in groups]
 
     def derivative(self, var: str) -> "MultiPoly":
         idx = self.vars.index(var)

@@ -48,11 +48,6 @@ from .poly import (
 # -- exact rank / geometric multiplicity ---------------------------------------
 
 
-def rank_exact(matrix: PolyMatrix) -> int:
-    """Rank of a constant matrix by exact Gaussian elimination."""
-    return _rank(matrix.constant_rows())
-
-
 def _rank(work: list[list[GaussRational]]) -> int:
     """Rank of fresh rows of constants, eliminated in place."""
     nrows = len(work)
@@ -280,10 +275,14 @@ def solve_candidates(q: MultiPoly, target: str, bindings: Mapping[str, Fraction]
 
 
 def _near_common_roots(q_at: Dense, scale: int) -> list[complex]:
-    """Roots of q_at / scale within VERIFY_TOL of a root of its derivative."""
+    """Roots of q_at / scale within VERIFY_TOL of a root of its derivative;
+    coefficients that overflow a float are a ValueError, as in `_exact_roots`."""
 
     def coeffs(p: Dense) -> list[complex]:
-        return [complex(re / scale, im / scale) for re, im in reversed(p)]
+        try:
+            return [complex(re / scale, im / scale) for re, im in reversed(p)]
+        except OverflowError:
+            raise ValueError("the char poly's coefficients at a candidate overflow a float") from None
 
     try:
         roots_q = roots_aberth(coeffs(q_at))

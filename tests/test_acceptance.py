@@ -20,7 +20,6 @@ from liouville_ep.models import (
     build_liouvillian,
     builtin_model,
     char_poly,
-    flatten_index,
     generic_perturbation,
     perturbation_matrix,
 )
@@ -283,7 +282,7 @@ def test_criterion_8_property_suites():
         def trace_cols(generator):
             n2 = generator.shape[0]
             dim = math.isqrt(n2)
-            diag = [flatten_index(d, d, dim) for d in range(dim)]
+            diag = [d * dim + d for d in range(dim)]
             zero = MultiPoly.zero(generator.vars)
             cols = []
             for col in range(n2):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from liouville_ep import cli, newton, poly
 from liouville_ep.models import builtin_model, char_poly, perturbation_matrix
-from liouville_ep.numerics import amoeba_sample, encircle
+from liouville_ep.numerics import amoeba_sample, encircle, scaling_sweep
 
 QUBIT_EP = [
     "--model",
@@ -452,6 +452,34 @@ class TestScale:
         assert (tmp_path / "fit.svg").read_text().startswith("<svg")
         assert out.read_text().startswith("# scale")
 
+    def test_csv_round_trip(self, capsys):
+        # every cell parses back to the library's sample rows, bit for bit
+        assert cli.main(["scale", *QUBIT_EP, "--omega0", "-1/2", "--perturb", "gamma_f"]) == 0
+        cells = csv_columns(capsys.readouterr().out)
+        bound, l1 = qubit_ep_pencil("gamma_f")
+        w0 = poly.GaussRational.of(Fraction(-1, 2))
+        fit = scaling_sweep(bound, l1, w0, np.geomspace(1e-6, 1e-2, 25))
+        eps, lam, logeps, logmag = (np.array(c) for c in zip(*fit.samples))
+        assert len(cells) == 5
+        for column, values in zip(cells, [eps, lam.real, lam.imag, logeps, logmag]):
+            assert same_bits(column, values)
+
+    def test_sample_on_the_shift_prints_minus_inf(self, capsys, monkeypatch, tmp_path):
+        # the sweep's last sample sits exactly on omega0 (see
+        # test_numerics.TestScalingSweep): its distance cell reads -inf, and
+        # the plot leaves it out
+        l0 = np.array([[0.0, 1.0], [0.0, 0.0]])
+        l1 = np.array([[1.0, 0.0], [0.0, 0.0]])
+        fit = scaling_sweep(l0, l1, 0.0, [1e-4, 1.5e-4, 2e-4, 1e-2])
+        monkeypatch.setattr(cli, "scaling_sweep", lambda *args: fit)
+        out = tmp_path / "s.csv"
+        argv = ["scale", *QUBIT_EP, "--omega0", "-1/2", "--perturb", "gamma_f", "--svg", "--out", str(out)]
+        assert cli.main(argv) == 0
+        rows = out.read_text().split("\n")[2:]
+        assert rows[-2:] == ["0.01,0.0,0.0,-2.0,-inf", ""]
+        assert [r.split(",")[4] for r in rows[:-2]] == [repr(math.log10(e)) for e in (1e-4, 1.5e-4, 2e-4)]
+        assert (tmp_path / "s.svg").read_text().count("<circle") == 3
+
     def test_builds_no_exact_polynomial(self, capsys, monkeypatch):
         # omega0 is checked by exact rank; the sweep itself is numeric
         calls = []
@@ -504,6 +532,17 @@ class TestEncircle:
         assert list(index) == [str(k) for k in range(width)] * steps
         assert same_bits(re, trace.real)
         assert same_bits(im, trace.imag)
+
+    def test_long_loop_is_one_table(self, capsys, monkeypatch):
+        # 5001 steps of 4 slots are 20,004 rows, five blocks of _CSV_ROWS:
+        # the text of one block
+        argv = ["encircle", *QUBIT_EP, "--perturb", "gamma_f", "--steps", "5000"]
+        assert cli.main(argv) == 0
+        blocks = capsys.readouterr().out
+        monkeypatch.setattr(cli, "_CSV_ROWS", 1 << 30)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == blocks
+        assert blocks.count("\n") == 2 + 20004
 
     def test_cold_process(self, capsys, tmp_path, fresh_python):
         # the suite's process may have loaded anything by now, so only a fresh
@@ -633,6 +672,47 @@ class TestExitCodes:
         assert code == 3
         assert out.out == ""
         assert out.err == f"precondition violated: the square-free part's coefficients {message} a float\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["scale", "--model", "qubit", "--bind", "gamma_e=1e400", "--bind", "gamma_f=0",
+              "--bind", "J=1/4", "--omega0", "-1/2*10^400", "--perturb", "gamma_f"], "a matrix entry"),
+            (["amoeba", "--model", "qubit", "--bind", "gamma_e=1e200", "--bind", "gamma_f=0",
+              "--bind", "J=1/4", "--omega0", "-1/2*10^200", "--perturb", "gamma_f"],
+             "a char-poly coefficient"),
+        ],
+        ids=["scale", "amoeba"],
+    )
+    def test_numeric_input_beyond_the_float_range(self, capsys, argv, message):
+        # an exact value that no complex float holds: named, with no numpy
+        # warning and no traceback
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(argv)
+        out = capsys.readouterr()
+        assert code == 3
+        assert out.out == ""
+        assert out.err == f"precondition violated: {message} overflows a complex float\n"
+
+    def test_scan_candidate_beyond_the_float_range(self, capsys, tmp_path):
+        # H = diag(a t^2 - 2, 0) and a rate t^20: the coherences meet at the
+        # irrational t = sqrt(2/a), about 1.4e5 at a = 1e-10, which stays a
+        # non-exact candidate; the char poly there has coefficients near
+        # t^60, past the float range
+        model = tmp_path / "far.json"
+        model.write_text(json.dumps({
+            "name": "far",
+            "dim": 2,
+            "params": ["t", "a"],
+            "hamiltonian": [["a*t^2 - 2", "0"], ["0", "0"]],
+            "jumps": [{"rate": "t^20", "operator": [["0", "1"], ["0", "0"]]}],
+        }))
+        code = cli.main(["scan", "--model", str(model), "--bind", "a=1e-10"])
+        out = capsys.readouterr()
+        assert code == 3
+        assert out.out == ""
+        assert out.err == "precondition violated: the char poly's coefficients at a candidate overflow a float\n"
 
     def test_encircle_entry_that_overflows_a_float(self, capsys):
         code = cli.main(["encircle", "--model", "qubit", "--bind", "gamma_e=1e400", "--bind", "gamma_f=0",

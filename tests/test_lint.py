@@ -4,11 +4,11 @@ is used somewhere in the package or exported; `__init__.py` exports exactly
 what it imports; no module but `poly.py` reads a determinant, resultant or
 gcd oracle or calls `.kron`, and no module but `models.py` (`scan.py` in
 particular) reads the char-poly kernel; only `cli._write` opens a file for
-writing; every function the benchmark's tracer wraps exists in the package;
-no module imports scipy anywhere, or a module that drags in the network
-stack at module level, and a fresh interpreter that imports the CLI and runs
-any subcommand loads none of them; the README's minimal session runs as
-printed.
+writing; `cli.py` calls neither `complex` nor `float`; every function the
+benchmark's tracer wraps exists in the package; no module imports scipy
+anywhere, or a module that drags in the network stack at module level, and a
+fresh interpreter that imports the CLI and runs any subcommand loads none of
+them; the README's minimal session runs as printed.
 
 No linter is a dependency, so this walks each module's AST.  `__init__.py`
 is exempt from the import check: it imports names only to re-export them.
@@ -195,6 +195,20 @@ def test_files_are_written_only_by_cli_write():
         if (path.name, owner) != ("cli.py", "_write")
     )
     assert not stray, f"files opened for writing outside cli._write: {stray}"
+
+
+def test_cli_makes_no_floats():
+    # every float enters through numerics: the CLI formats floats but never
+    # makes one (argparse's `type=float` names the type without calling it)
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    calls = sorted(
+        f"{node.func.id} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("complex", "float")
+    )
+    assert not calls, f"cli.py converts values to floats itself: {calls}"
 
 
 def test_traced_names_resolve():

@@ -22,7 +22,6 @@ from liouville_ep.models import (
     build_liouvillian,
     builtin_model,
     char_poly,
-    flatten_index,
     generic_perturbation,
     model_from_dict,
     perturbation_matrix,
@@ -40,7 +39,7 @@ def trace_row(generator):
     """vec(I)^T L: one functional per column; all zero iff trace is conserved."""
     n2 = generator.shape[0]
     dim = math.isqrt(n2)
-    diag = [flatten_index(d, d, dim) for d in range(dim)]
+    diag = [d * dim + d for d in range(dim)]
     cols = []
     for c in range(n2):
         total = MultiPoly.zero(generator.vars)
@@ -50,19 +49,28 @@ def trace_row(generator):
     return cols
 
 
-class TestFlattenIndex:
+class TestVectorization:
     def test_row_major(self):
-        assert flatten_index(0, 0, 2) == 0
-        assert flatten_index(0, 1, 2) == 1
-        assert flatten_index(1, 0, 2) == 2
-        assert flatten_index(1, 1, 2) == 3
-        assert flatten_index(2, 1, 3) == 7
+        # density entry (row, col) sits at index row*dim + col: with a
+        # Hamiltonian alone, L vec(rho) == vec(-i [H, rho])
+        text = [["1", "2-i"], ["2+i", "-1"]]
+        m = model_from_dict({"name": "h", "dim": 2, "params": [], "hamiltonian": text, "jumps": []})
+        h = [[parse_expression(e, ()).constant_value() for e in row] for row in text]
+        rho = [[GaussRational.of(*e) for e in row] for row in [[(1, 0), (4, -2)], [(3, 1), (2, 0)]]]
+        minus_i = GaussRational.of(0, -1)
 
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            flatten_index(2, 0, 2)
-        with pytest.raises(ValueError):
-            flatten_index(0, -1, 2)
+        def product(a, b, r, c):
+            return a[r][0] * b[0][c] + a[r][1] * b[1][c]
+
+        expected = [
+            minus_i * (product(h, rho, r, c) - product(rho, h, r, c)) for r in range(2) for c in range(2)
+        ]
+        vec = [rho[r][c] for r in range(2) for c in range(2)]
+        got = [
+            sum((a * v for a, v in zip(row[1:], vec[1:])), row[0] * vec[0])
+            for row in m.generator.constant_rows()
+        ]
+        assert got == expected
 
     def test_vec_identity(self):
         # vec(A rho B) == (A kron B^T) vec(rho) in the row-major convention
@@ -132,7 +140,7 @@ class TestSpinHalf:
         perm_rows = [[MultiPoly.zero(v)] * 4 for _ in range(4)]
         for i in range(2):
             for j in range(2):
-                perm_rows[flatten_index(i, j, 2)][flatten_index(j, i, 2)] = one
+                perm_rows[i * 2 + j][j * 2 + i] = one
         perm = PolyMatrix(perm_rows)
         mat = m.generator
         assert perm @ mat @ perm == mat.conjugate()

@@ -300,6 +300,32 @@ class TestScalingSweep:
         with pytest.raises(NumericalError):
             scaling_sweep(l0, np.zeros((2, 2)), 0.0, [1e-4, 1e-3, 1e-2])
 
+    def test_exact_shift_gives_the_fit_of_its_float(self):
+        m = builtin_model("qubit")
+        point = {"gamma_e": Fraction(1), "gamma_f": Fraction(0), "J": Fraction(1, 4)}
+        l0 = m.generator.substitute(point)
+        l1 = perturbation_matrix(m.generator, "gamma_f").substitute(point)
+        w0 = GaussRational.of(Fraction(-1, 2))
+        eps = np.geomspace(1e-6, 1e-2, 25)
+        assert scaling_sweep(l0, l1, w0, eps) == scaling_sweep(l0, l1, complex(w0), eps)
+
+    def test_shift_beyond_the_float_range(self):
+        l0, l1 = jordan_pair(2)
+        with pytest.raises(ValueError, match="^omega0 overflows a complex float$"):
+            scaling_sweep(l0, l1, GaussRational.of(10**400), [1e-4, 1e-3, 1e-2])
+
+    def test_sample_on_the_shift_reads_minus_inf(self):
+        # eigenvalues eps and 0: the ratio-50 step jumps the tracked branch
+        # onto the invariant 0, a sample that the fit skips
+        l0 = np.array([[0.0, 1.0], [0.0, 0.0]])
+        l1 = np.array([[1.0, 0.0], [0.0, 0.0]])
+        fit = scaling_sweep(l0, l1, 0.0, [1e-4, 1.5e-4, 2e-4, 1e-2])
+        assert fit.samples[-1] == (1e-2, 0j, -2.0, -math.inf)
+        for eps, lam, logeps, logmag in fit.samples[:-1]:
+            assert (lam, logeps, logmag) == (complex(eps), math.log10(eps), math.log10(eps))
+        assert fit.npoints == 4
+        assert abs(fit.slope - 1.0) < 1e-9
+
 
 class TestEncircle:
     def test_square_root_branch_swaps(self):
@@ -308,7 +334,6 @@ class TestEncircle:
         assert report.cycles == (2,)
         assert report.permutation == (1, 0)
         assert report.tracking_residual < report.min_gap / 2
-        assert len(report.start_eigenvalues) == 2
         assert len(report.ts) == 65
         assert len(report.trace) == 65
         assert all(len(row) == 2 for row in report.trace)
@@ -485,7 +510,7 @@ def encircle_by_steps(l0, l1, radius, steps):
     cycles.sort(reverse=True)
     return numerics.PermutationReport(
         tuple(perm), tuple(cycles), residual, float(min_gap),
-        tuple(complex(v) for v in spectra[0]), tuple(float(t) for t in ts), tuple(trace),
+        tuple(float(t) for t in ts), tuple(trace),
     )
 
 
@@ -530,6 +555,11 @@ class TestAmoebaSample:
         # cubic with a double zero root: only the root at 1 enters the log map
         assert cloud.points.shape == (20, 2)
         assert np.allclose(cloud.points[:, 1], 0.0, atol=1e-12)
+
+    def test_coefficient_beyond_the_float_range(self):
+        f = biv("omega^2 - epsilon").scale(GaussRational.of(10**400))
+        with pytest.raises(ValueError, match="^a char-poly coefficient overflows a complex float$"):
+            amoeba_sample(f, (1e-4, 1e-2), moduli=3, phases=4)
 
     def test_degenerate_samples_counted_as_skips(self):
         cloud = amoeba_sample(biv("epsilon"), (1e-4, 1e-2), moduli=3, phases=4)
