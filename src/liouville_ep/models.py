@@ -37,6 +37,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .expr import format_poly, parse_expression
 from .poly import GaussRational, MultiPoly, PolyMatrix, ScalarLike, _gr, char_poly_berkowitz
 
@@ -185,56 +187,24 @@ def char_poly(
 
 
 def char_polys(
-    pencils: Sequence[tuple[PolyMatrix, PolyMatrix | None, ScalarLike]],
+    pencils: Sequence[tuple[PolyMatrix, PolyMatrix | np.ndarray | None, ScalarLike]],
 ) -> list[MultiPoly]:
     """`char_poly` of every (l0, perturbation, shift) pencil, in order.
 
-    Each pencil L0 - s I + eps*L1 is assembled in one pass over the entries'
-    terms (s subtracted from each diagonal constant term, L1's terms added
-    with their epsilon exponent raised by one), and every determinant comes
-    from one batched call of the dense kernel `char_poly_berkowitz`: a
-    division-free Berkowitz on residues modulo a fixed table of primes at
-    integer points of the free variables, then interpolation and CRT, exact
-    by a Hadamard bound on the unit torus; there is no fallback.  The pencils
-    must share one shape and one variable tuple.  An entry of L0 or L1 that
+    The perturbation is a PolyMatrix, None, or a seed's Gaussian-integer
+    draws as `perturbation_draws` returns them.  Every determinant comes from
+    one call of the dense kernel `char_poly_berkowitz`, which takes the
+    pencil parts themselves: each distinct L0 and L1 of the batch is read
+    once into flat term arrays, L1's epsilon exponents are raised and the
+    shift joins the diagonal constants by array operations, so no pencil is
+    assembled entry by entry.  The kernel is a division-free Berkowitz on
+    residues modulo a fixed table of primes at integer points of the free
+    variables, then interpolation and CRT, exact by a Hadamard bound on the
+    unit torus; there is no fallback.  The pencils must share one shape and
+    one variable tuple, which must include omega.  An entry of L0 or L1 that
     involves omega is a ValueError.
     """
-    return char_poly_berkowitz([_pencil(*pencil) for pencil in pencils], OMEGA)
-
-
-def _pencil(l0: PolyMatrix, perturbation: PolyMatrix | None, shift: ScalarLike) -> PolyMatrix:
-    """L0 - shift I + eps*L1, assembled in one pass over the entries' terms."""
-    variables = l0.vars
-    if OMEGA not in variables or EPSILON not in variables:
-        raise ValueError(f"ambient variables must include {OMEGA!r} and {EPSILON!r}")
-    n, m = l0.shape
-    if n != m:
-        raise ValueError("square matrix required")
-    if perturbation is not None:
-        if perturbation.shape != l0.shape:
-            raise ValueError("perturbation shape mismatch")
-        if perturbation.vars != variables:
-            raise ValueError(f"variable mismatch: {variables} vs {perturbation.vars}")
-    ie = variables.index(EPSILON)
-    constant = (0,) * len(variables)
-    minus_shift = -GaussRational.coerce(shift)
-    rows = []
-    for i, row in enumerate(l0.rows):
-        out = []
-        for j, entry in enumerate(row):
-            # coefficients are added only where two terms collide
-            terms = dict(entry.terms)
-            if i == j:
-                old = terms.get(constant)
-                terms[constant] = minus_shift if old is None else old + minus_shift
-            if perturbation is not None:
-                for expo, c in perturbation.rows[i][j].terms.items():
-                    raised = expo[:ie] + (expo[ie] + 1,) + expo[ie + 1:]
-                    old = terms.get(raised)
-                    terms[raised] = c if old is None else old + c
-            out.append(MultiPoly._trusted(variables, terms))
-        rows.append(out)
-    return PolyMatrix(rows)
+    return char_poly_berkowitz(pencils, OMEGA, EPSILON)
 
 
 def perturbation_matrix(superop: PolyMatrix, param: str) -> PolyMatrix:
@@ -244,24 +214,31 @@ def perturbation_matrix(superop: PolyMatrix, param: str) -> PolyMatrix:
     return PolyMatrix([[e.derivative(param) for e in row] for row in superop.rows])
 
 
-def generic_perturbation(variables: Sequence[str], size: int, seed: int) -> PolyMatrix:
-    """Deterministic dense perturbation with small Gaussian-integer entries.
+def perturbation_draws(size: int, seed: int) -> np.ndarray:
+    """The seeded generic perturbation as a (size, size, 2) integer array of
+    Gaussian integers (re, im).
 
     Real and imaginary parts are drawn independently and uniformly from
     {-9, ..., 9}, row-major, real part first, from random.Random(seed).
+    This is the package's one draw from `random`.
     """
-    rng = random.Random(seed)
+    randint = random.Random(seed).randint
+    draws = [randint(-9, 9) for _ in range(2 * size * size)]
+    return np.array(draws, dtype=np.int64).reshape(size, size, 2)
+
+
+def generic_perturbation(variables: Sequence[str], size: int, seed: int) -> PolyMatrix:
+    """Deterministic dense perturbation with small Gaussian-integer entries:
+    `perturbation_draws(size, seed)` as a PolyMatrix of constants over
+    `variables`, for the subcommands that need the matrix itself."""
     variables = tuple(variables)
     constant = (0,) * len(variables)
-    rows = []
-    for _ in range(size):
-        row = []
-        for _ in range(size):
-            re = rng.randint(-9, 9)
-            im = rng.randint(-9, 9)
-            row.append(MultiPoly._trusted(variables, {constant: _gr(re, im, 1)}))
-        rows.append(row)
-    return PolyMatrix(rows)
+    return PolyMatrix(
+        [
+            [MultiPoly._trusted(variables, {constant: _gr(re, im, 1)}) for re, im in row]
+            for row in perturbation_draws(size, seed).tolist()
+        ]
+    )
 
 
 # -- built-in models ----------------------------------------------------------

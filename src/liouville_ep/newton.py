@@ -168,15 +168,15 @@ def tentacle_directions(polygon: NewtonPolygon) -> list[Fraction | None]:
 class TropicalFunction:
     """Piecewise-linear min of affine forms val + i*w, one per omega-degree."""
 
-    pieces: tuple[tuple[int, Fraction], ...]  # (slope i, offset val(c_i))
+    pieces: tuple[tuple[int, int], ...]  # (slope i, offset val(c_i))
 
     def __call__(self, w: Fraction) -> Fraction:
-        return min(off + Fraction(i) * w for i, off in self.pieces)
+        return min(off + i * Fraction(w) for i, off in self.pieces)
 
 
 def tropicalize(f: MultiPoly) -> TropicalFunction:
     pts = newton_points(f)
-    return TropicalFunction(tuple((p.i, Fraction(p.j)) for p in pts))
+    return TropicalFunction(tuple((p.i, p.j) for p in pts))
 
 
 def tropical_roots(tf: TropicalFunction) -> list[tuple[Fraction, int]]:
@@ -186,7 +186,8 @@ def tropical_roots(tf: TropicalFunction) -> list[tuple[Fraction, int]]:
     w -> -infinity) and repeatedly find the earliest crossing with a shallower
     form.  Multiplicity at a breakpoint is the drop in active slope.  This is
     intentionally independent of the convex-hull code so the two agree only if
-    both are right.
+    both are right.  A crossing w = num/den (den > 0) is compared with others
+    by cross-multiplication, so only a kept breakpoint becomes a Fraction.
     """
     forms = {}
     for i, off in tf.pieces:
@@ -196,25 +197,28 @@ def tropical_roots(tf: TropicalFunction) -> list[tuple[Fraction, int]]:
         raise ValueError("empty tropical function")
     active = max(forms)  # steepest slope wins at very negative w
     roots: list[tuple[Fraction, int]] = []
-    current_w: Fraction | None = None
+    current: tuple[int, int] | None = None  # the last breakpoint, num/den
     while True:
-        candidates = []
+        best: tuple[int, int] | None = None
+        crossing: list[int] = []
         for i, off in forms.items():
             if i >= active:
                 continue
-            w = (off - forms[active]) / Fraction(active - i)
-            if current_w is None or w >= current_w:
-                candidates.append((w, i))
-        if not candidates:
+            num, den = off - forms[active], active - i
+            if current is not None and num * current[1] < current[0] * den:
+                continue
+            if best is None or num * best[1] < best[0] * den:
+                best, crossing = (num, den), [i]
+            elif num * best[1] == best[0] * den:
+                crossing.append(i)
+        if best is None:
             break
-        w_next = min(w for w, _ in candidates)
-        # among forms crossing at w_next, the envelope continues with the
-        # shallowest; the slope drop is the breakpoint multiplicity
-        crossing = [i for w, i in candidates if w == w_next]
+        # among forms crossing at the earliest w, the envelope continues with
+        # the shallowest; the slope drop is the breakpoint multiplicity
         new_active = min(crossing)
-        roots.append((w_next, active - new_active))
+        roots.append((Fraction(*best), active - new_active))
         active = new_active
-        current_w = w_next
+        current = best
     return roots
 
 

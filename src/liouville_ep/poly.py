@@ -15,13 +15,14 @@ one trusted internal constructor that only drops zero coefficients, and
 The matrix layer (`PolyMatrix`) provides the handful of exact linear-algebra
 routines the rest of the package needs: Kronecker products and the dense
 char-poly kernel `char_poly_berkowitz`, the one runtime determinant route.
-The kernel takes a batch of equally shaped matrices, clears each matrix's
-denominators once and works on residues in numpy int64: Z[i] modulo each
-prime p = 1 (mod 4) below 2^26 of a fixed table (found on first use) splits
-into two copies of F_p, and one batched division-free Berkowitz runs over
-every prime, embedding, integer grid point of the free variables and matrix
-of the batch, in blocks of (grid point, matrix) pairs that keep each stack
-near 2 MiB.  Interpolation is modulo p, and Garner's CRT recovers the
+The kernel takes a batch of equally shaped pencils L0 + eps*L1 - s I as
+their parts, reads each distinct part once into flat term arrays, clears
+each pencil's denominators once and works on residues in numpy int64: Z[i]
+modulo each prime p = 1 (mod 4) below 2^26 of a fixed table (found on first
+use) splits into two copies of F_p, and one batched division-free
+Berkowitz runs over every prime, embedding, integer grid point of the free
+variables and pencil of the batch, in blocks of (grid point, pencil) pairs
+that keep each stack near 2 MiB.  Interpolation is modulo p, and Garner's CRT recovers the
 integers; a bound on the coefficients by Hadamard and Cauchy on the unit
 torus, the largest over the batch, fixes how many primes, so every result is
 exact by construction.  There is no Python-integer fallback.
@@ -42,7 +43,7 @@ import math
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, zip_longest
+from itertools import chain, zip_longest
 from operator import add, attrgetter
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -815,17 +816,124 @@ def _berkowitz_mod(a: np.ndarray, mod: np.ndarray) -> np.ndarray:
     return poly[..., 0]
 
 
-def char_poly_berkowitz(matrices: Sequence[PolyMatrix], var: str) -> list[MultiPoly]:
-    """det(M - var*I) for each matrix M of a batch, in order; no entry may
-    involve var.
+def _ranges(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """lo[k], lo[k] + 1, ..., lo[k] + counts[k] - 1 for every k, concatenated."""
+    return np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
 
-    The dense exact kernel behind `models.char_polys`.  The batch is a
-    non-empty sequence of square matrices of one shape on one variable tuple
-    (anything else is a ValueError), and it is one residue computation; a
-    single matrix is a batch of one.  Each matrix's denominators are cleared
-    once: with D_k the lcm of the coefficient denominators of matrix k,
-    D_k*M_k takes Gaussian-integer values at integer points, so a batch-mate
-    never enlarges its entries.  For each other variable x that occurs in the
+
+def _pencil_terms(
+    pencils: Sequence[tuple[PolyMatrix, PolyMatrix | np.ndarray | None, ScalarLike]], eps: str
+) -> tuple[tuple[str, ...], int, np.ndarray, np.ndarray, np.ndarray]:
+    """The terms of every pencil L0 + eps*L1 - s I of a batch as flat arrays.
+
+    Returns the variables, n, and per term: the index `at` of its entry (row
+    (at % nn) // n, column at % n of pencil at // nn), ascending; its
+    exponent row; and its coefficient's (a, b, d) as object rows.  Each
+    distinct part (by identity) is read once: the PolyMatrix parts in one
+    pass over their terms, an integer array's nonzero (re, im) pairs as
+    constants over 1.  Each pencil takes its parts' terms by index, L1's with
+    eps's exponent raised by one, plus -s on the diagonal; terms that meet at
+    one entry and exponent are summed exactly and a zero sum is dropped, so
+    these are the terms of the assembled pencil.
+    """
+    if not pencils:
+        raise ValueError("at least one pencil required")
+    vs = pencils[0][0].vars
+    n = pencils[0][0].shape[0]
+    nn = n * n
+    parts = {id(part): part for pencil in pencils for part in pencil[:2] if part is not None}
+    matrices = [part for part in parts.values() if isinstance(part, PolyMatrix)]
+    arrays = [part for part in parts.values() if not isinstance(part, PolyMatrix)]
+    for matrix in matrices:
+        if matrix.shape != (n, n):
+            raise ValueError(f"square matrices of one shape required: {matrix.shape} vs {(n, n)}")
+        if matrix.vars != vs:
+            raise ValueError(f"variable mismatch: {vs} vs {matrix.vars}")
+    for array in arrays:
+        if array.shape != (n, n, 2):
+            raise ValueError(f"square matrices of one shape required: {array.shape} vs {(n, n, 2)}")
+    # one pass over the matrices' terms, part after part, then the arrays'
+    # nonzero pairs
+    entries = [e.terms for matrix in matrices for row in matrix.rows for e in row]
+    items = [item for terms in entries for item in terms.items()]
+    expos, coeffs = zip(*items) if items else ((), ())
+    pairs = np.concatenate(arrays).reshape(-1, 2) if arrays else np.zeros((0, 2), np.int64)
+    nonzero = pairs.any(axis=1).nonzero()[0]
+    size_t = len(items) + len(nonzero)
+    expo = np.zeros((size_t, len(vs)), dtype=np.int64)
+    expo[:len(items)] = np.fromiter(chain.from_iterable(expos), np.int64, len(items) * len(vs)).reshape(-1, len(vs))
+    abd = np.ones((3, size_t), dtype=object)
+    abd[:, :len(items)] = np.fromiter(
+        chain.from_iterable(map(attrgetter("a", "b", "d"), coeffs)), object, 3 * len(items)
+    ).reshape(-1, 3).T
+    abd[:2, len(items):] = pairs[nonzero].T.astype(object)
+    at = np.concatenate([np.repeat(np.arange(len(entries)), list(map(len, entries))), len(entries) + nonzero])
+    starts = np.searchsorted(at, np.arange(len(parts) + 1) * nn).tolist()
+    slot = {id(part): k for k, part in enumerate(matrices + arrays)}
+
+    # each pencil's terms, gathered from its parts', and its diagonal -s
+    spans, shifts = [], []
+    for k, (l0, l1, shift) in enumerate(pencils):
+        for part, lift in ((l0, False), (l1, True)):
+            if part is not None:
+                s = slot[id(part)]
+                spans.append((starts[s], starts[s + 1], k, lift))
+        minus = -GaussRational.coerce(shift)
+        if minus.a or minus.b:
+            shifts.append((k, minus))
+    lo, hi, owner, lift = (np.array(column, dtype=np.int64) for column in zip(*spans))
+    counts = hi - lo
+    take = _ranges(lo, counts)
+    owner, lift = np.repeat(owner, counts), np.repeat(lift, counts).astype(bool)
+    at = np.concatenate([at[take] % nn + owner * nn] + [np.arange(n) * (n + 1) + k * nn for k, _ in shifts])
+    expo = np.concatenate([expo[take], np.zeros((n * len(shifts), len(vs)), dtype=np.int64)])
+    if lift.any():
+        if eps not in vs:
+            raise ValueError(f"variables {vs} do not include {eps!r}")
+        expo[lift.nonzero()[0], vs.index(eps)] += 1
+    diagonal = np.array([(c.a, c.b, c.d) for _, c in shifts for _ in range(n)], dtype=object).reshape(-1, 3).T
+    abd = np.concatenate([abd[:, take], diagonal], axis=1)
+
+    # sort by entry and exponent; a run of equal keys sums over the lcm of
+    # its denominators, in lowest terms, into its first term
+    order = np.lexsort((*expo.T, at))
+    at, expo, abd = at[order], expo[order], abd[:, order]
+    repeat = (at[1:] == at[:-1]) & (expo[1:] == expo[:-1]).all(axis=1)
+    if repeat.any():
+        first = (~np.concatenate([[False], repeat])).nonzero()[0]
+        counts = np.append(first[1:], len(at)) - first
+        runs = (counts > 1).nonzero()[0]
+        lead, counts = first[runs], counts[runs]
+        a, b, d = abd[:, _ranges(lead, counts)]
+        offsets = np.cumsum(counts) - counts
+        lcm = np.lcm.reduceat(d, offsets)
+        scale = np.repeat(lcm, counts) // d
+        re, im = np.add.reduceat(a * scale, offsets), np.add.reduceat(b * scale, offsets)
+        g = np.gcd(np.gcd(re, im), lcm)
+        abd[:, lead] = re // g, im // g, lcm // g
+        first = np.delete(first, runs[(re == 0) & (im == 0)])
+        at, expo, abd = at[first], expo[first], abd[:, first]
+    return vs, n, at, expo, abd
+
+
+def char_poly_berkowitz(
+    pencils: Sequence[tuple[PolyMatrix, PolyMatrix | np.ndarray | None, ScalarLike]], var: str, eps: str
+) -> list[MultiPoly]:
+    """det(L0 + eps*L1 - (var + s) I) for each pencil (L0, L1, s) of a
+    batch, in order; no entry may involve var.
+
+    The dense exact kernel behind `models.char_polys`.  L0 is a PolyMatrix;
+    L1 is a PolyMatrix, an (n, n, 2) integer array of Gaussian-integer
+    constants (re, im), or None; s is a constant.  The batch is a non-empty
+    sequence of pencils whose parts are square matrices of one shape on one
+    variable tuple (anything else is a ValueError), and it is one residue
+    computation; a single pencil is a batch of one, and (M, None, 0) is the
+    plain det(M - var*I).  `_pencil_terms` reads each distinct part once and
+    assembles every pencil's terms from them as arrays, so no pencil is
+    built entry by entry.  Each pencil's denominators are cleared once: with
+    D_k the lcm of the coefficient denominators of pencil k, D_k*M_k takes
+    Gaussian-integer values at integer points, so a batch-mate never
+    enlarges its entries.  For each other variable x that occurs in the
     batch, a determinant's x-degree is at most min(sum of row-max, sum of
     column-max) of its entries' x-degrees; the maximum of that over the batch
     bounds the grid 0..bound_x, and every char poly is taken at every point
@@ -834,28 +942,27 @@ def char_poly_berkowitz(matrices: Sequence[PolyMatrix], var: str) -> list[MultiP
     The arithmetic is residues in numpy int64.  For each prime p of a fixed
     table (p = 1 mod 4 and p < 2^26, largest first, found on first use),
     Z[i]/p splits into two copies of F_p through i -> +-iota, iota^2 = -1, so
-    every prime, embedding, grid point and matrix gives one residue matrix of
-    the stack (primes, 2, points, matrices, n, n), and one batched
+    every prime, embedding, grid point and pencil gives one residue matrix of
+    the stack (primes, 2, points, pencils, n, n), and one batched
     division-free Berkowitz (`_berkowitz_mod`) runs on it.  A stack larger
     than `_KERNEL_BLOCK` residues (2 MiB) goes through in blocks of (grid
-    point, matrix) pairs: runs of points with the whole batch while a point
-    fits in a block, else runs of matrices at one point, so every block stays
+    point, pencil) pairs: runs of points with the whole batch while a point
+    fits in a block, else runs of pencils at one point, so every block stays
     near the limit whatever the batch size.  Each var-coefficient is
     interpolated axis by axis modulo p (`_inverse_vandermonde` times
     (b!)^-1).  The real and imaginary parts are (x+ + x-)/2 and
     (x+ - x-)/(2 iota), and Garner's CRT with the symmetric lift gives the
     integers, divided once at the end by (-1)^n * D_k^(n-j) for the var^j
-    coefficient of matrix k.
+    coefficient of pencil k.
 
-    The bookkeeping around the residue Berkowitz is array work on one read
-    of the batch: a single pass over every entry's terms gives flat arrays of
-    entry index, exponent rows and each coefficient's (a, b, d), and the
-    degree table, the denominators, the bound, each monomial's mixed-radix
-    code on the grid's axes (one-to-one, as no exponent passes its axis
-    bound) and the coefficient residues all come from them.  Integers that
-    may pass int64 (the cleared coefficients, the CRT lift and the
-    denominators) stay Python ints, in object arrays, so there is no int64
-    shortcut and no size switch.
+    The bookkeeping around the residue Berkowitz is array work on the flat
+    term arrays (entry index, exponent rows and each coefficient's (a, b,
+    d)): the degree table, the denominators, the bound, each monomial's
+    mixed-radix code on the grid's axes (one-to-one, as no exponent passes
+    its axis bound) and the coefficient residues all come from them.
+    Integers that may pass int64 (the cleared coefficients, the CRT lift and
+    the denominators) stay Python ints, in object arrays, so there is no
+    int64 shortcut and no size switch.
 
     The prime count is a proof, not a probability.  On the unit torus of the
     free variables an entry of D_k*M_k is at most nu, the sum of its
@@ -866,34 +973,15 @@ def char_poly_berkowitz(matrices: Sequence[PolyMatrix], var: str) -> list[MultiP
     product exceeds twice the largest e_j(rho) of the batch.  There is no
     Python-integer fallback: one path serves every size.
     """
-    if not matrices:
-        raise ValueError("at least one matrix required")
-    vs = matrices[0].vars
-    n = matrices[0].shape[0]
-    for matrix in matrices:
-        if matrix.shape != (n, n):
-            raise ValueError(f"square matrices of one shape required: {matrix.shape} vs {(n, n)}")
-        if matrix.vars != vs:
-            raise ValueError(f"variable mismatch: {vs} vs {matrix.vars}")
+    vs, n, at, expo, abd = _pencil_terms(pencils, eps)
+    if var not in vs:
+        raise ValueError(f"variables {vs} do not include {var!r}")
     if n >= _TERMS_PER_SUM:
         # a Berkowitz step sums up to n products of residues
         raise ValueError(f"the residue kernel takes fewer than {_TERMS_PER_SUM} rows")
     iv = vs.index(var)
-    batch, nn = len(matrices), n * n
-    # one pass over the batch's terms into flat arrays; entry `at` is row
-    # (at % nn) // n, column at % n of matrix at // nn, and its terms are
-    # contiguous
-    entries = [e.terms for matrix in matrices for row in matrix.rows for e in row]
-    counts = list(map(len, entries))
-    items = [item for terms in entries for item in terms.items()]
-    expos, coeffs = zip(*items) if items else ((), ())
-    size_t = len(items)
-    expo = np.fromiter(chain.from_iterable(expos), np.int64, size_t * len(vs)).reshape(size_t, len(vs))
-    # (a, b, d) of each coefficient (a + b i)/d, as rows
-    abd = np.fromiter(chain.from_iterable(map(attrgetter("a", "b", "d"), coeffs)), object, 3 * size_t)
-    abd = abd.reshape(size_t, 3).T
-    at = np.repeat(np.arange(batch * nn), counts)
-    # the (matrices, n, n, variables) table of entry degrees; a variable that
+    batch, nn = len(pencils), n * n
+    # the (pencils, n, n, variables) table of entry degrees; a variable that
     # occurs has a nonzero bound
     degs = np.zeros((batch, n, n, len(vs)), dtype=np.int64)
     np.maximum.at(degs.reshape(batch * nn, len(vs)), at, expo)
@@ -902,7 +990,7 @@ def char_poly_berkowitz(matrices: Sequence[PolyMatrix], var: str) -> list[MultiP
         raise ValueError(f"matrix entries must not involve {var!r}")
     free = [k for k, b in enumerate(bounds) if b]
     bounds = [bounds[k] for k in free]
-    ends = list(accumulate(sum(counts[first:first + nn]) for first in range(0, batch * nn, nn)))
+    ends = np.searchsorted(at, np.arange(1, batch + 1) * nn).tolist()
     denoms = [math.lcm(*set(abd[2, lo:hi])) for lo, hi in zip([0] + ends, ends)]
     # re and im of every term of the D_k*M_k
     scaled = abd[:2] * (np.array(denoms, dtype=object)[at // nn] // abd[2])
@@ -951,10 +1039,10 @@ def char_poly_berkowitz(matrices: Sequence[PolyMatrix], var: str) -> list[MultiP
             power[..., k] = power[..., k - 1] * np.arange(b + 1) % mod[..., 0]
         powers.append(power)
     residues = np.empty((count, 2, size, batch, n + 1), dtype=np.int64)
-    # a block is `rows` grid points times `width` matrices, and its
-    # (primes, 2, points, matrices, n, n) stack stays near _KERNEL_BLOCK
+    # a block is `rows` grid points times `width` pencils, and its
+    # (primes, 2, points, pencils, n, n) stack stays near _KERNEL_BLOCK
     # residues: whole points while one point of the batch fits, else one
-    # point and as many matrices as fit
+    # point and as many pencils as fit
     pairs = max(1, _KERNEL_BLOCK // (2 * count * nn))
     width = min(batch, pairs)
     rows = pairs // width
@@ -1000,7 +1088,7 @@ def char_poly_berkowitz(matrices: Sequence[PolyMatrix], var: str) -> list[MultiP
     x = (x + modulus // 2) % modulus - modulus // 2
 
     # det(M - var I) = (-1)^n det(var I - M), and the var^(n-t) coefficient
-    # of matrix k is over D_k^t
+    # of pencil k is over D_k^t
     *free_expo, k, t = np.unravel_index(found, shape + (batch, n + 1))
     scale = (-1) ** n
     dens = [[scale * d ** j for j in range(n + 1)] for d in denoms]

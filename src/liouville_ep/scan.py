@@ -27,7 +27,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Mapping, Sequence
 
-from .models import OMEGA, char_poly, char_polys, generic_perturbation
+from .models import OMEGA, char_poly, char_polys, perturbation_draws
 from .newton import EPReport, NewtonPolygon, assert_routes_agree
 from .numerics import NumericalError, roots_aberth
 from .poly import (
@@ -239,7 +239,8 @@ def solve_candidates(q: MultiPoly, target: str, bindings: Mapping[str, Fraction]
     from gcd(q, q'), the last nonzero remainder of the PRS of q and q' at v;
     one that is not rational flags the candidate 'approximate'.  A value
     that is not exact is kept with an 'approximate' flag when q and q' have
-    roots within VERIFY_TOL of each other, or 'unverified' when they do not.
+    roots within VERIFY_TOL of each other, or 'unverified' when they do not
+    or when that check overflows a float.
     """
     if not q.uses_only([target, OMEGA]):
         raise ValueError("bindings must fix every parameter except the target")
@@ -276,18 +277,16 @@ def solve_candidates(q: MultiPoly, target: str, bindings: Mapping[str, Fraction]
 
 def _near_common_roots(q_at: Dense, scale: int) -> list[complex]:
     """Roots of q_at / scale within VERIFY_TOL of a root of its derivative;
-    coefficients that overflow a float are a ValueError, as in `_exact_roots`."""
+    none when the coefficients overflow a float or the root finder fails, so
+    that only this candidate goes unverified."""
 
     def coeffs(p: Dense) -> list[complex]:
-        try:
-            return [complex(re / scale, im / scale) for re, im in reversed(p)]
-        except OverflowError:
-            raise ValueError("the char poly's coefficients at a candidate overflow a float") from None
+        return [complex(re / scale, im / scale) for re, im in reversed(p)]
 
     try:
         roots_q = roots_aberth(coeffs(q_at))
         roots_dq = roots_aberth(coeffs(_derivative(q_at)))
-    except NumericalError:
+    except (OverflowError, NumericalError):
         return []
     return [complex(r) for r in roots_q if any(abs(r - s) <= VERIFY_TOL for s in roots_dq)]
 
@@ -337,10 +336,8 @@ def _classify_points(
             raise ValueError("omega0 is not an exact eigenvalue of the bound generator")
         geom_mults.append(geom_mult)
     seed_list = tuple(range(seed, seed + CLASSIFY_SEEDS))
-    # one batch shares its shape and variables, so each seed's perturbation
-    # serves every point
-    first = points[0][0]
-    l1s = [generic_perturbation(first.vars, first.shape[0], s) for s in seed_list]
+    # one batch shares its shape, so each seed's draws serve every point
+    l1s = [perturbation_draws(points[0][0].shape[0], s) for s in seed_list]
     fs = char_polys([(bound_matrix, l1, omega0) for bound_matrix, omega0 in points for l1 in l1s])
     k = CLASSIFY_SEEDS
     return [

@@ -697,9 +697,10 @@ class TestExitCodes:
 
     def test_scan_candidate_beyond_the_float_range(self, capsys, tmp_path):
         # H = diag(a t^2 - 2, 0) and a rate t^20: the coherences meet at the
-        # irrational t = sqrt(2/a), about 1.4e5 at a = 1e-10, which stays a
-        # non-exact candidate; the char poly there has coefficients near
-        # t^60, past the float range
+        # irrational t = +-sqrt(2/a), about 1.4e5 at a = 1e-10, which stay
+        # non-exact candidates; the char poly there has coefficients near
+        # t^60, past the float range, so only those two go unverified, with
+        # no omega0, and the rest of the scan stands
         model = tmp_path / "far.json"
         model.write_text(json.dumps({
             "name": "far",
@@ -710,9 +711,15 @@ class TestExitCodes:
         }))
         code = cli.main(["scan", "--model", str(model), "--bind", "a=1e-10"])
         out = capsys.readouterr()
-        assert code == 3
-        assert out.out == ""
-        assert out.err == "precondition violated: the char poly's coefficients at a candidate overflow a float\n"
+        assert code == 0
+        assert out.err == ""
+        candidates = json.loads(out.out)["candidates"]
+        assert len(candidates) == 43
+        assert [c["value"] for c in candidates if c["exact"]] == ["0"]
+        real = [c for c in candidates if "i" not in c["value"]]
+        far = [c for c in real if abs(Fraction(c["value"])) > 10**5]
+        assert [round(abs(Fraction(c["value"]))) for c in far] == [141421, 141421]
+        assert all(c["flags"][0] == "unverified" and c["omega0"] == [] for c in far)
 
     def test_encircle_entry_that_overflows_a_float(self, capsys):
         code = cli.main(["encircle", "--model", "qubit", "--bind", "gamma_e=1e400", "--bind", "gamma_f=0",

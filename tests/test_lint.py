@@ -3,12 +3,13 @@ module-level name it defines, is used in it; every public module-level name
 is used somewhere in the package or exported; `__init__.py` exports exactly
 what it imports; no module but `poly.py` reads a determinant, resultant or
 gcd oracle or calls `.kron`, and no module but `models.py` (`scan.py` in
-particular) reads the char-poly kernel; only `cli._write` opens a file for
-writing; `cli.py` calls neither `complex` nor `float`; every function the
-benchmark's tracer wraps exists in the package; no module imports scipy
-anywhere, or a module that drags in the network stack at module level, and a
-fresh interpreter that imports the CLI and runs any subcommand loads none of
-them; the README's minimal session runs as printed.
+particular) reads the char-poly kernel; one function draws from `random`;
+only `cli._write` opens a file for writing; `cli.py` calls neither `complex`
+nor `float`; every function the benchmark's tracer wraps exists in the
+package; no module imports scipy anywhere, or a module that drags in the
+network stack at module level, and a fresh interpreter that imports the CLI
+and runs any subcommand loads none of them; the README's minimal session
+runs as printed.
 
 No linter is a dependency, so this walks each module's AST.  `__init__.py`
 is exempt from the import check: it imports names only to re-export them.
@@ -195,6 +196,32 @@ def test_files_are_written_only_by_cli_write():
         if (path.name, owner) != ("cli.py", "_write")
     )
     assert not stray, f"files opened for writing outside cli._write: {stray}"
+
+
+def _random_reads(tree: ast.Module):
+    """Enclosing function of every read of `random`, bare or as an attribute
+    (`random.Random`, `np.random`); None at module level."""
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if isinstance(child, (ast.Name, ast.Attribute)) and isinstance(child.ctx, ast.Load):
+                if getattr(child, "id", None) == "random" or getattr(child, "attr", None) == "random":
+                    yield owner
+            yield from visit(child, owner)
+
+    return visit(tree, None)
+
+
+def test_one_function_draws_from_random():
+    # the seeded generic perturbation has one draw routine: classify's seeds
+    # and `generic_perturbation` both come from it, so they cannot drift apart
+    readers = sorted(
+        {f"{path.name}:{owner}" for path in MODULES for owner in _random_reads(ast.parse(path.read_text()))}
+    )
+    assert readers == ["models.py:perturbation_draws"], f"functions that draw from random: {readers}"
 
 
 def test_cli_makes_no_floats():

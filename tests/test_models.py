@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liouville_ep import poly
 from liouville_ep.expr import format_poly, parse_expression
 from liouville_ep.models import (
     EPSILON,
@@ -475,6 +476,25 @@ class TestCharPolyKernel:
         assert got == det_bareiss(work)
         if matrix.shape[0] <= 4:
             assert got == det_cofactor(work)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_kernel_reads_the_assembled_pencil(self, case):
+        # the kernel's terms, gathered from the parts, are the terms of
+        # M + eps*L1 - shift I built by ring operations, each coefficient in
+        # lowest terms, so the degree table and the prime bound see that matrix
+        matrix, perturbation, shift = self.CASES[case]
+        v, n = matrix.vars, matrix.shape[0]
+        work = _shifted(matrix, perturbation, shift) + PolyMatrix.identity(v, n).scale(MultiPoly.variable(v, OMEGA))
+        expected = {
+            (i * n + j, e): (c.a, c.b, c.d)
+            for i, row in enumerate(work.rows)
+            for j, entry in enumerate(row)
+            for e, c in entry.terms.items()
+        }
+        _, _, at, expo, abd = poly._pencil_terms([(matrix, perturbation, shift)], EPSILON)
+        got = {(k, tuple(e)): tuple(c) for k, e, c in zip(at.tolist(), expo.tolist(), abd.T.tolist())}
+        assert got == expected
+        assert at.tolist() == sorted(at.tolist())
 
     def test_degree_bound_reaches_the_true_degree(self):
         # diag(g^3, g^2): the omega^0 coefficient g^5 sits exactly at the

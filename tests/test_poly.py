@@ -9,6 +9,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -185,7 +186,7 @@ class TestGaussRationalAgainstFractionPairs:
             for q in polys:
                 p + q, p - q, p * q
             -p, p.scale(values[0]), p.derivative("x"), p.substitute({"x": values[1]})
-        char_poly_berkowitz([matrix.substitute({"y": values[2]})], "y")[0]
+        plain_char_polys([matrix.substitute({"y": values[2]})], "y")[0]
 
 
 # polynomials in V with small coefficients, so that sums cancel
@@ -500,6 +501,12 @@ for _ in range(3):
 S_H8 = Fraction(2**70 + 3, 7)
 
 
+def plain_char_polys(matrices, var):
+    """`char_poly_berkowitz` on plain matrices: det(M - var I) for each M,
+    as pencils with no perturbation and no shift."""
+    return char_poly_berkowitz([(m, None, 0) for m in matrices], var, "epsilon")
+
+
 def minus_omega(matrix):
     """matrix - omega I, built in the test from ring operations."""
     w = MultiPoly.variable(matrix.vars, "omega")
@@ -560,12 +567,12 @@ class TestResidueKernel:
     @given(data=st.data())
     def test_matches_bareiss(self, free, data):
         matrix = data.draw(kernel_matrices(free))
-        assert char_poly_berkowitz([matrix], "omega")[0] == det_bareiss(minus_omega(matrix))
+        assert plain_char_polys([matrix], "omega")[0] == det_bareiss(minus_omega(matrix))
 
     @settings(max_examples=15, deadline=None)
     @given(kernel_matrices(1, st.integers(-(10**25), 10**25), max_n=3))
     def test_matches_bareiss_with_large_numerators(self, matrix):
-        assert char_poly_berkowitz([matrix], "omega")[0] == det_bareiss(minus_omega(matrix))
+        assert plain_char_polys([matrix], "omega")[0] == det_bareiss(minus_omega(matrix))
 
     def test_grid_blocks_match_one_block(self, monkeypatch):
         # 3x3 in g and h: a 4x4 grid of points, then one point per block
@@ -574,9 +581,9 @@ class TestResidueKernel:
             [[MultiPoly(KV, {(rng.randint(0, 1), rng.randint(0, 1), 0): rand_gr(rng)}) for _ in range(3)]
              for _ in range(3)]
         )
-        whole = char_poly_berkowitz([matrix], "omega")[0]
+        whole = plain_char_polys([matrix], "omega")[0]
         monkeypatch.setattr(poly, "_KERNEL_BLOCK", 1)
-        assert char_poly_berkowitz([matrix], "omega")[0] == whole == det_bareiss(minus_omega(matrix))
+        assert plain_char_polys([matrix], "omega")[0] == whole == det_bareiss(minus_omega(matrix))
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
@@ -586,10 +593,10 @@ class TestResidueKernel:
         # for term, and the Bareiss determinant
         n = data.draw(st.integers(1, 3))
         batch = data.draw(st.lists(batch_members(n), min_size=1, max_size=4))
-        got = char_poly_berkowitz(batch, "omega")
+        got = plain_char_polys(batch, "omega")
         assert len(got) == len(batch)
         for matrix, p in zip(batch, got):
-            (lone,) = char_poly_berkowitz([matrix], "omega")
+            (lone,) = plain_char_polys([matrix], "omega")
             assert p.terms == lone.terms
             assert p == det_bareiss(minus_omega(matrix))
 
@@ -597,13 +604,19 @@ class TestResidueKernel:
         two, three = PolyMatrix.identity(KV, 2), PolyMatrix.identity(KV, 3)
         wide = PolyMatrix([[MultiPoly.zero(KV)] * 3] * 2)
         with pytest.raises(ValueError, match="at least one"):
-            char_poly_berkowitz([], "omega")
+            plain_char_polys([], "omega")
         with pytest.raises(ValueError, match="one shape"):
-            char_poly_berkowitz([two, three], "omega")
+            plain_char_polys([two, three], "omega")
         with pytest.raises(ValueError, match="one shape"):
-            char_poly_berkowitz([wide], "omega")
+            plain_char_polys([wide], "omega")
         with pytest.raises(ValueError, match="variable mismatch"):
-            char_poly_berkowitz([two, PolyMatrix.identity(("g", "omega"), 2)], "omega")
+            plain_char_polys([two, PolyMatrix.identity(("g", "omega"), 2)], "omega")
+        # a perturbation given as draws must be (n, n, 2), and a perturbed
+        # pencil needs its epsilon variable
+        with pytest.raises(ValueError, match="one shape"):
+            char_poly_berkowitz([(two, np.ones((3, 3, 2), dtype=np.int64), 0)], "omega", "epsilon")
+        with pytest.raises(ValueError, match="'epsilon'"):
+            char_poly_berkowitz([(two, two, 0)], "omega", "epsilon")
 
     def test_blocks_split_a_grid_point_over_matrices(self, monkeypatch):
         # five 2x2 matrices with +-g on the diagonal, so a grid of three
@@ -620,12 +633,12 @@ class TestResidueKernel:
             PolyMatrix([[g.scale(rng.choice((-1, 1))) + c(), c()], [c(), g.scale(rng.choice((-1, 1))) + c()]])
             for _ in range(5)
         ]
-        lone = [char_poly_berkowitz([m], "omega")[0] for m in batch]
+        lone = [plain_char_polys([m], "omega")[0] for m in batch]
         stacks = []
         berkowitz = poly._berkowitz_mod
         monkeypatch.setattr(poly, "_berkowitz_mod", lambda a, mod: stacks.append(a.shape) or berkowitz(a, mod))
         monkeypatch.setattr(poly, "_KERNEL_BLOCK", 24)
-        got = char_poly_berkowitz(batch, "omega")
+        got = plain_char_polys(batch, "omega")
         count = stacks[0][0]
         assert 2 * count * len(batch) * 4 > poly._KERNEL_BLOCK  # one point of the batch
         assert all(math.prod(shape) <= poly._KERNEL_BLOCK for shape in stacks)
@@ -638,8 +651,8 @@ class TestResidueKernel:
         # lowered here so that a 3x3 matrix stands in for a 2048x2048 one
         monkeypatch.setattr(poly, "_TERMS_PER_SUM", 3)
         with pytest.raises(ValueError, match="fewer than 3 rows"):
-            char_poly_berkowitz([PolyMatrix.identity(KV, 3)], "omega")[0]
-        assert char_poly_berkowitz([PolyMatrix.identity(KV, 2)], "omega")[0] == det_bareiss(
+            plain_char_polys([PolyMatrix.identity(KV, 3)], "omega")[0]
+        assert plain_char_polys([PolyMatrix.identity(KV, 2)], "omega")[0] == det_bareiss(
             minus_omega(PolyMatrix.identity(KV, 2))
         )
 
@@ -647,9 +660,9 @@ class TestResidueKernel:
         entry = MultiPoly(KV, {(2, 0, 0): gr(Fraction(1, 3)), (0, 0, 0): gr(0, Fraction(-1, 2))})
         one = PolyMatrix([[entry]])
         omega = MultiPoly.variable(KV, "omega")
-        assert char_poly_berkowitz([one], "omega")[0] == entry - omega
+        assert plain_char_polys([one], "omega")[0] == entry - omega
         zero = PolyMatrix.identity(KV, 3).scale(0)
-        assert char_poly_berkowitz([zero], "omega")[0] == -(omega**3)
+        assert plain_char_polys([zero], "omega")[0] == -(omega**3)
 
     def test_entries_beyond_int64(self):
         # numerators past 2^64 over coprime denominators, one free variable
@@ -665,18 +678,18 @@ class TestResidueKernel:
                 [g, c(0, Fraction(2**90, 13)), c(-1)],
             ]
         )
-        assert char_poly_berkowitz([matrix], "omega")[0] == det_bareiss(minus_omega(matrix))
+        assert plain_char_polys([matrix], "omega")[0] == det_bareiss(minus_omega(matrix))
 
     def test_hadamard_bound_is_met(self, monkeypatch):
         # the 8x8 Sylvester-Hadamard matrix H has |det H| = 8^4, Hadamard's
         # bound, so the determinant of s*H needs every prime the bound asks
         # for: one prime fewer lifts the constant term wrong
         matrix = PolyMatrix([[MultiPoly.constant(KV, gr(S_H8 * x)) for x in row] for row in H8])
-        got = char_poly_berkowitz([matrix], "omega")[0]
+        got = plain_char_polys([matrix], "omega")[0]
         assert abs(got.terms[(0, 0, 0)].re) == S_H8**8 * 8**4
         assert got == det_bareiss(minus_omega(matrix))
         one_prime_fewer(monkeypatch)
-        fewer = char_poly_berkowitz([matrix], "omega")[0]
+        fewer = plain_char_polys([matrix], "omega")[0]
         assert abs(fewer.terms[(0, 0, 0)].re) != S_H8**8 * 8**4
 
     def test_cauchy_bound_is_met(self, monkeypatch):
@@ -693,11 +706,11 @@ class TestResidueKernel:
         one_plus_g = MultiPoly(KV, {(0, 0, 0): gr(1), (1, 0, 0): gr(1)})
         matrix = PolyMatrix([[one_plus_g.scale(s * x) for x in row] for row in H8])
         expected = det_bareiss(minus_omega(matrix))
-        got = char_poly_berkowitz([matrix], "omega")[0]
+        got = plain_char_polys([matrix], "omega")[0]
         assert got.terms[(4, 0, 0)] == gr(s**8 * math.comb(8, 4) * 8**4)
         assert got == expected
         one_prime_fewer(monkeypatch)
-        assert char_poly_berkowitz([matrix], "omega")[0] != expected
+        assert plain_char_polys([matrix], "omega")[0] != expected
 
     def test_prime_budget_is_pinned(self, monkeypatch):
         # at most this many primes for each of these calls: a looser bound
@@ -735,7 +748,7 @@ class TestResidueKernel:
         q = char_poly(builtin_model("spin_half").generator)
         matrix = sylvester_matrix(q.derivative(OMEGA), q, OMEGA)
         start = time.perf_counter()
-        got = char_poly_berkowitz([matrix], OMEGA)[0]
+        got = plain_char_polys([matrix], OMEGA)[0]
         assert time.perf_counter() - start < 10
         assert got.degree(OMEGA) == 7
         for c in range(8):

@@ -1,15 +1,23 @@
 """Degeneracy location: discriminant, snap-back, classification."""
 
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from liouville_ep import models, newton, scan
+from liouville_ep import models, newton, poly, scan
 from liouville_ep.expr import parse_expression
-from liouville_ep.models import OMEGA, builtin_model, char_poly, model_from_dict
+from liouville_ep.models import (
+    EPSILON,
+    OMEGA,
+    builtin_model,
+    char_poly,
+    generic_perturbation,
+    model_from_dict,
+)
 from liouville_ep.numerics import roots_aberth
 from liouville_ep.poly import (
     GaussRational,
@@ -66,13 +74,13 @@ def slice_char_poly(name, bindings):
 
 
 def spy_kernel(monkeypatch):
-    """Record the batch size of every call of the char-poly kernel."""
+    """Record the batch size (pencils) of every call of the char-poly kernel."""
     calls = []
     kernel = models.char_poly_berkowitz
 
-    def spy(matrices, var):
-        calls.append(len(matrices))
-        return kernel(matrices, var)
+    def spy(pencils, var, eps):
+        calls.append(len(pencils))
+        return kernel(pencils, var, eps)
 
     monkeypatch.setattr(models, "char_poly_berkowitz", spy)
     return calls
@@ -281,7 +289,7 @@ def test_discriminant_zero_iff_common_root(make):
     dq = q.derivative(OMEGA)
     disc = sylvester_resultant(dq, q, OMEGA)
     # det S as the omega^0 coefficient of the dense kernel
-    kernel = char_poly_berkowitz([sylvester_matrix(dq, q, OMEGA)], OMEGA)[0]
+    kernel = char_poly_berkowitz([(sylvester_matrix(dq, q, OMEGA), None, 0)], OMEGA, EPSILON)[0]
     assert kernel.coefficient_list(OMEGA)[0] == disc
     # the scan's route: the subresultant PRS at integer points, interpolated
     rows, denom = scan._cleared_rows(q, target)
@@ -397,6 +405,68 @@ class TestClassify:
         c = classify(qubit_ep3_bound(), gr(Fraction(-1, 2)))
         assert c.order == 3
         assert len(calls) == scan.CLASSIFY_SEEDS
+
+
+class TestSeededPencilFeed:
+    """classify's seeds reach the kernel as draws, and each pencil part is
+    shared across the batch."""
+
+    @pytest.mark.parametrize("size", [1, 4, 9, 16])
+    def test_classify_seeds_are_the_perturbation_draws(self, monkeypatch, size):
+        # one draw routine: the perturbations classify hands the kernel are
+        # generic_perturbation's entries, which are random.Random(seed)'s
+        # randint(-9, 9) draws, row-major, real part first
+        seen = []
+        kernel = models.char_poly_berkowitz
+        monkeypatch.setattr(models, "char_poly_berkowitz", lambda pencils, *names: (
+            seen.extend(l1 for _, l1, _ in pencils) or kernel(pencils, *names)
+        ))
+        zero = PolyMatrix.identity(TOY, size).scale(0)
+        for seed in (0, 7, 42):
+            seen.clear()
+            classify(zero, gr(0), seed)
+            assert len(seen) == scan.CLASSIFY_SEEDS
+            for k, draws in enumerate(seen):
+                rng = random.Random(seed + k)
+                expected = [[[rng.randint(-9, 9), rng.randint(-9, 9)] for _ in range(size)] for _ in range(size)]
+                assert draws.tolist() == expected
+                entries = generic_perturbation(TOY, size, seed + k).rows
+                assert [[e.constant_value() for e in row] for row in entries] == [
+                    [GaussRational.of(re, im) for re, im in row] for row in expected
+                ]
+
+    def test_shared_parts_match_lone_calls(self, monkeypatch):
+        # the spin_half slice's exact points: one bound generator serves both
+        # omega0 of its candidate and each seed's draws serve every point;
+        # the batch equals lone char_poly calls on generic_perturbation term
+        # for term, with as many primes as the largest lone call
+        m, bindings = spin_half_slice()
+        bound_generator = m.generator.substitute(bindings)
+        out = scan_parameter(m.generator, "gamma_x", bindings, m.rate_params)
+        points = []
+        for cand in out.candidates:
+            if cand.exact:
+                bound = bound_generator.substitute({"gamma_x": cand.value})
+                points.extend((bound, w0) for w0 in cand.omega0_values)
+        assert len({id(bound) for bound, _ in points}) < len(points)
+        seeds = range(42, 42 + scan.CLASSIFY_SEEDS)
+        draws = [models.perturbation_draws(4, s) for s in seeds]
+        counts = []
+        primes_beyond = poly._primes_beyond
+
+        def spy(bound):
+            primes = primes_beyond(bound)
+            counts.append(len(primes))
+            return primes
+
+        monkeypatch.setattr(poly, "_primes_beyond", spy)
+        got = models.char_polys([(bound, d, w0) for bound, w0 in points for d in draws])
+        (batch,) = counts
+        counts.clear()
+        lone = [char_poly(bound, generic_perturbation(bound.vars, 4, s), shift=w0) for bound, w0 in points
+                for s in seeds]
+        assert [p.terms for p in got] == [p.terms for p in lone]
+        assert batch == max(counts)
 
 
 class TestScanParameter:
