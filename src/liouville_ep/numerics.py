@@ -11,9 +11,9 @@ batched nearest-neighbour matching of the whole stack of spectra), amoeba
 point clouds (the whole epsilon grid through the batched root kernel; for a
 real polynomial only the phases up to pi, the rest copied from their
 conjugates; each grid point's moduli in ascending order), and tentacle slope
-fits, with numpy alone.  The exact matrices, char-poly coefficients and
-shifts of the numeric subcommands become floats here only, all through
-`_complex_array`, which names a value beyond the float range in a ValueError.
+fits, with numpy alone.  Every exact value of the package becomes a float
+here, through `_complex_array`, which names in a ValueError a value that
+overflows a float or a nonzero one that vanishes as one.
 
 Accuracy note on degenerate spectra: a defective eigenvalue of multiplicity m
 is only computable to about eps_machine^(1/m) per root by any backward-stable
@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .models import EPSILON, OMEGA
-from .poly import MultiPoly, PolyMatrix
+from .poly import GaussRational, MultiPoly, PolyMatrix
 
 
 class NumericalError(RuntimeError):
@@ -49,13 +49,21 @@ class NumericalError(RuntimeError):
 
 def _complex_array(values, what: str) -> np.ndarray:
     """Exact values (GaussRational, Fraction, int) or numbers, alone or in
-    nested lists or an ndarray, as a complex ndarray: this module's one
-    conversion of exact values.  A value beyond the float range is a
-    ValueError naming `what`."""
-    try:
+    nested lists or an ndarray, as a complex ndarray: the package's one
+    conversion of exact values.  A value beyond the float range, or a nonzero
+    one whose float is 0, is a ValueError naming `what`; a numeric ndarray
+    holds floats already and passes unchecked."""
+    if isinstance(values, np.ndarray) and values.dtype != object:
         return np.asarray(values, dtype=complex)
+    exact = np.asarray(values, dtype=object)
+    try:
+        out = exact.astype(complex)
     except OverflowError:
         raise ValueError(f"{what} overflows a complex float") from None
+    held = exact[out == 0].tolist()
+    if not all(v.is_zero() if isinstance(v, GaussRational) else v == 0 for v in held):
+        raise ValueError(f"{what} vanishes as a complex float")
+    return out
 
 
 def as_complex_matrix(matrix) -> np.ndarray:
@@ -124,13 +132,14 @@ def roots_aberth(coeffs: Sequence[complex]) -> np.ndarray:
     backward stable; Edelman & Murakami 1995).
 
     `coeffs` is ascending: coeffs[k] multiplies x^k; the leading coefficient
-    must be nonzero.  Exact zero low-order coefficients are stripped first and
-    contribute exact zero roots (they arise from polynomials with a monomial
-    factor and must stay exactly zero).  Convergence contract: every returned
-    root r satisfies |p(r)| <= ROOT_RESIDUAL_TOL * sum_k |c_k||r|^k; otherwise
-    a NumericalError carrying the computed roots is raised.
+    must be nonzero; exact ones are read through `_complex_array`.  Exact
+    zero low-order coefficients are stripped first and contribute exact zero
+    roots (they arise from polynomials with a monomial factor and must stay
+    exactly zero).  Convergence contract: every returned root r satisfies
+    |p(r)| <= ROOT_RESIDUAL_TOL * sum_k |c_k||r|^k; otherwise a
+    NumericalError carrying the computed roots is raised.
     """
-    c = np.asarray(list(coeffs), dtype=complex)
+    c = _complex_array(list(coeffs), "a polynomial coefficient")
     if c.size == 0 or c[-1] == 0:
         raise ValueError("leading coefficient must be nonzero")
     nz = 0

@@ -31,6 +31,7 @@ from .models import OMEGA, char_poly, char_polys, perturbation_draws
 from .newton import EPReport, NewtonPolygon, assert_routes_agree
 from .numerics import NumericalError, roots_aberth
 from .poly import (
+    GR_ONE,
     GR_ZERO,
     Dense,
     GaussRational,
@@ -38,6 +39,7 @@ from .poly import (
     PolyMatrix,
     _derivative,
     _inverse_vandermonde,
+    _reduced,
     _subresultant_prs,
     _trim,
     horner,
@@ -130,14 +132,7 @@ def _rationalize(z: complex) -> GaussRational:
     )
 
 
-def _homogenised(v: GaussRational) -> tuple[tuple[int, int], int]:
-    """v as num/den, num a Gaussian integer and den a positive integer."""
-    return (v.a, v.b), v.d
-
-
-def _exact_roots(
-    p: Dense, lead: tuple[int, int] = (1, 0), scale: int = 1
-) -> list[tuple[GaussRational, bool]]:
+def _exact_roots(p: Dense, factor: GaussRational = GR_ONE) -> list[tuple[GaussRational, bool]]:
     """Roots of a non-constant dense polynomial, each with its exactness.
 
     The roots of the square-free part are snapped to nearby rationals (a
@@ -145,32 +140,24 @@ def _exact_roots(
     vanishes there exactly.  Each snapped value is reported once.  Multiple
     roots are the norm at diabolic points, and a floating-point root finder
     only locates an m-fold root to ~eps^(1/m), which would defeat the snap.
-    The root finder sees the part scaled to the leading coefficient
-    lead/scale, so its input does not depend on how p was scaled; a part
-    whose scaled coefficients overflow a float, or whose nonzero ones vanish
-    as floats, is a ValueError.
+    The root finder sees the part scaled to the leading coefficient `factor`,
+    as exact Gaussian rationals, so its input does not depend on how p was
+    scaled; `roots_aberth` makes them floats, and a coefficient that
+    overflows or vanishes as a float is its ValueError.
     """
     part = square_free(p)
     if len(part) == 2:
         return [(GR_ZERO - GaussRational.of(*part[1]) / GaussRational.of(*part[0]), True)]
-    # part * lead / (scale * lc(part)), as integers over one integer divisor
-    (tr, ti), (lr, li) = part[0], lead
-    mr, mi = lr * tr + li * ti, li * tr - lr * ti
-    norm = scale * (tr * tr + ti * ti)
-    try:
-        coeffs = [
-            complex((cr * mr - ci * mi) / norm, (cr * mi + ci * mr) / norm) for cr, ci in reversed(part)
-        ]
-    except OverflowError:
-        raise ValueError("the square-free part's coefficients overflow a float") from None
-    # a nonzero coefficient times a nonzero lead/lc(part) is nonzero
-    if any(c == 0 for c, (cr, ci) in zip(coeffs, reversed(part)) if cr or ci):
-        raise ValueError("the square-free part's coefficients underflow a float")
+    # part * factor / lc(part), as Gaussian integers over one integer divisor
+    (tr, ti), fa, fb = part[0], factor.a, factor.b
+    mr, mi = fa * tr + fb * ti, fb * tr - fa * ti
+    norm = factor.d * (tr * tr + ti * ti)
+    coeffs = [_reduced(cr * mr - ci * mi, cr * mi + ci * mr, norm) for cr, ci in reversed(part)]
     out: dict[GaussRational, bool] = {}
     for r in roots_aberth(coeffs):
-        value = _rationalize(complex(r))
+        value = _rationalize(r)
         if value not in out:
-            out[value] = horner(part, *_homogenised(value)) == (0, 0)
+            out[value] = horner(part, (value.a, value.b), value.d) == (0, 0)
     return list(out.items())
 
 
@@ -240,7 +227,7 @@ def solve_candidates(q: MultiPoly, target: str, bindings: Mapping[str, Fraction]
     one that is not rational flags the candidate 'approximate'.  A value
     that is not exact is kept with an 'approximate' flag when q and q' have
     roots within VERIFY_TOL of each other, or 'unverified' when they do not
-    or when that check overflows a float.
+    or when that check's coefficients overflow or vanish as floats.
     """
     if not q.uses_only([target, OMEGA]):
         raise ValueError("bindings must fix every parameter except the target")
@@ -254,8 +241,8 @@ def solve_candidates(q: MultiPoly, target: str, bindings: Mapping[str, Fraction]
     if len(disc) < 2:
         return ScanResult(target, dict(bindings), not disc, ())
     candidates: list[Candidate] = []
-    for value, on_disc in _exact_roots(disc, disc[0], scale):
-        num, den = _homogenised(value)
+    for value, on_disc in _exact_roots(disc, _reduced(*disc[0], scale)):
+        num, den = (value.a, value.b), value.d
         # denom * den^deg_target(q) * q(omega, value)
         q_at = [horner(row, num, den) for row in rows]
         if on_disc:
@@ -276,19 +263,19 @@ def solve_candidates(q: MultiPoly, target: str, bindings: Mapping[str, Fraction]
 
 
 def _near_common_roots(q_at: Dense, scale: int) -> list[complex]:
-    """Roots of q_at / scale within VERIFY_TOL of a root of its derivative;
-    none when the coefficients overflow a float or the root finder fails, so
-    that only this candidate goes unverified."""
+    """Roots of q_at / scale, handed over exactly, within VERIFY_TOL of a root
+    of its derivative; none when a coefficient overflows or vanishes as a
+    float or the root finder fails, so that only this candidate goes unverified."""
 
-    def coeffs(p: Dense) -> list[complex]:
-        return [complex(re / scale, im / scale) for re, im in reversed(p)]
+    def coeffs(p: Dense) -> list[GaussRational]:
+        return [_reduced(re, im, scale) for re, im in reversed(p)]
 
     try:
         roots_q = roots_aberth(coeffs(q_at))
         roots_dq = roots_aberth(coeffs(_derivative(q_at)))
-    except (OverflowError, NumericalError):
+    except (ValueError, NumericalError):
         return []
-    return [complex(r) for r in roots_q if any(abs(r - s) <= VERIFY_TOL for s in roots_dq)]
+    return [r for r in roots_q if any(abs(r - s) <= VERIFY_TOL for s in roots_dq)]
 
 
 # -- classification -----------------------------------------------------------------

@@ -177,16 +177,20 @@ class TestPolygon:
 
     def test_rate_perturbation_is_cross_checked(self, capsys, monkeypatch):
         # the printed polygon goes through the tropical route, not only
-        # classify's generic seeds
-        seen = []
-        tropicalize = newton.tropicalize
-        monkeypatch.setattr(newton, "tropicalize", lambda f: seen.append(f) or tropicalize(f))
+        # classify's generic seeds: the cross-check reads this char poly's
+        # support and walks its tropical function
+        seen, walked = [], []
+        newton_points, tropical_roots = newton.newton_points, newton.tropical_roots
+        monkeypatch.setattr(newton, "newton_points", lambda f: seen.append(f) or newton_points(f))
+        monkeypatch.setattr(newton, "tropical_roots", lambda tf: walked.append(tf) or tropical_roots(tf))
         run_json(capsys, ["polygon"] + QUBIT_EP + ["--omega0", "-1/2", "--perturb", "gamma_f"])
         m = builtin_model("qubit")
         point = {"gamma_e": Fraction(1), "gamma_f": Fraction(0), "J": Fraction(1, 4)}
         bound = m.generator.substitute(point)
         pert = perturbation_matrix(m.generator, "gamma_f").substitute(point)
-        assert char_poly(bound, pert, shift=Fraction(-1, 2)) in seen
+        f = char_poly(bound, pert, shift=Fraction(-1, 2))
+        assert f in seen
+        assert newton.tropicalize(f) in walked
 
     def test_shift_sign_minus_is_equivalent(self, capsys):
         base = run_json(
@@ -254,8 +258,8 @@ class TestPolygon:
     def test_four_level_ladder(self, capsys, monkeypatch):
         # a 16x16 generator at a 6-fold diabolic point, tropical route included
         checked = []
-        tropicalize = newton.tropicalize
-        monkeypatch.setattr(newton, "tropicalize", lambda f: checked.append(f) or tropicalize(f))
+        tropical_roots = newton.tropical_roots
+        monkeypatch.setattr(newton, "tropical_roots", lambda tf: checked.append(tf) or tropical_roots(tf))
         start = time.perf_counter()
         payload = run_json(
             capsys,
@@ -655,23 +659,24 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["scan", "--model", "qubit", "--bind", "gamma_e=1", "--bind", "gamma_f=1e200"], "overflow"),
-            (["scan", "--model", "qubit", "--bind", "gamma_e=1", "--bind", "gamma_f=1e400"], "overflow"),
-            (["scan", "--model", "qubit", "--bind", "gamma_e=1e400", "--bind", "gamma_f=1"], "overflow"),
+            (["scan", "--model", "qubit", "--bind", "gamma_e=1", "--bind", "gamma_f=1e200"], "overflows"),
+            (["scan", "--model", "qubit", "--bind", "gamma_e=1", "--bind", "gamma_f=1e400"], "overflows"),
+            (["scan", "--model", "qubit", "--bind", "gamma_e=1e400", "--bind", "gamma_f=1"], "overflows"),
             (["scan", "--model", "spin_half", "--bind", "Omega=1", "--bind", "gamma_minus=0",
-              "--bind", "gamma_y=1e400"], "overflow"),
-            (["scan", "--model", "qubit", "--bind", "gamma_e=1", "--bind", "gamma_f=1e-400"], "underflow"),
+              "--bind", "gamma_y=1e400"], "overflows"),
+            (["scan", "--model", "qubit", "--bind", "gamma_e=1", "--bind", "gamma_f=1e-400"], "vanishes as"),
         ],
         ids=["gamma_f=1e200", "gamma_f=1e400", "gamma_e=1e400", "spin_half-gamma_y=1e400", "gamma_f=1e-400"],
     )
     def test_scan_coefficients_beyond_the_float_range(self, capsys, argv, message):
-        # exact bindings so large or small that the root finder's float
-        # coefficients overflow or vanish: named, not a traceback
+        # exact bindings so large or small that the root finder's
+        # coefficients overflow or vanish as floats: named by the package's
+        # one float conversion, not a traceback
         code = cli.main(argv)
         out = capsys.readouterr()
         assert code == 3
         assert out.out == ""
-        assert out.err == f"precondition violated: the square-free part's coefficients {message} a float\n"
+        assert out.err == f"precondition violated: a polynomial coefficient {message} a complex float\n"
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -694,6 +699,25 @@ class TestExitCodes:
         assert code == 3
         assert out.out == ""
         assert out.err == f"precondition violated: {message} overflows a complex float\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scale", "--model", "qubit", "--bind", "gamma_e=1", "--bind", "gamma_f=0",
+             "--bind", "J=1e-400", "--omega0", "-1/2", "--perturb", "gamma_f"],
+            ["encircle", "--model", "qubit", "--bind", "gamma_e=1", "--bind", "gamma_f=0",
+             "--bind", "J=1e-400", "--perturb", "gamma_f"],
+        ],
+        ids=["scale", "encircle"],
+    )
+    def test_numeric_input_that_vanishes_as_a_float(self, capsys, argv):
+        # J = 10^-400 is exact and nonzero, but the generator's +-iJ entries
+        # are 0 as floats: named, not a run on the decoupled matrix
+        code = cli.main(argv)
+        out = capsys.readouterr()
+        assert code == 3
+        assert out.out == ""
+        assert out.err == "precondition violated: a matrix entry vanishes as a complex float\n"
 
     def test_scan_candidate_beyond_the_float_range(self, capsys, tmp_path):
         # H = diag(a t^2 - 2, 0) and a rate t^20: the coherences meet at the

@@ -4,8 +4,9 @@ is used somewhere in the package or exported; `__init__.py` exports exactly
 what it imports; no module but `poly.py` reads a determinant, resultant or
 gcd oracle or calls `.kron`, and no module but `models.py` (`scan.py` in
 particular) reads the char-poly kernel; one function draws from `random`;
-only `cli._write` opens a file for writing; `cli.py` calls neither `complex`
-nor `float`; every function the benchmark's tracer wraps exists in the
+only `cli._write` opens a file for writing; no module but `numerics.py`
+(besides `svgplot.py`'s plotting and two named `poly.py` functions) calls
+`complex` or `float`; every function the benchmark's tracer wraps exists in the
 package; no module imports scipy anywhere, or a module that drags in the
 network stack at module level, and a fresh interpreter that imports the CLI
 and runs any subcommand loads none of them; the README's minimal session
@@ -224,18 +225,49 @@ def test_one_function_draws_from_random():
     assert readers == ["models.py:perturbation_draws"], f"functions that draw from random: {readers}"
 
 
-def test_cli_makes_no_floats():
-    # every float enters through numerics: the CLI formats floats but never
-    # makes one (argparse's `type=float` names the type without calling it)
-    tree = ast.parse((PACKAGE / "cli.py").read_text())
-    calls = sorted(
-        f"{node.func.id} (line {node.lineno})"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in ("complex", "float")
+# where a package module may call `complex` or `float`: numerics, the one
+# exact-to-float conversion; svgplot, which maps floats to floats for plotting;
+# and in poly the conversion numpy calls on a GaussRational and the float
+# evaluation that tests use as an oracle
+MAKES_FLOATS = {
+    ("numerics.py", None),
+    ("svgplot.py", None),
+    ("poly.py", "GaussRational.__complex__"),
+    ("poly.py", "MultiPoly.evaluate"),
+}
+
+
+def _float_calls(tree: ast.Module):
+    """(enclosing Class.function, line) of every `complex(...)` or `float(...)`
+    call; None at module level."""
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name if owner is None else f"{owner}.{child.name}")
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id in ("complex", "float")
+            ):
+                yield owner, child.lineno
+            yield from visit(child, owner)
+
+    return visit(tree, None)
+
+
+def test_only_numerics_makes_floats():
+    # every float enters through numerics: no other module converts an exact
+    # value itself (argparse's `type=float` in cli.py names the type without
+    # calling it)
+    stray = sorted(
+        f"{path.name}:{line} (in {owner})"
+        for path in SOURCES
+        for owner, line in _float_calls(ast.parse(path.read_text(), filename=str(path)))
+        if (path.name, None) not in MAKES_FLOATS and (path.name, owner) not in MAKES_FLOATS
     )
-    assert not calls, f"cli.py converts values to floats itself: {calls}"
+    assert not stray, f"complex or float calls outside numerics: {stray}"
 
 
 def test_traced_names_resolve():

@@ -104,6 +104,16 @@ class TestRootsAberth:
             roots_aberth([1.0, 0.0, 1e-320])
         assert len(exc.value.best) == 2
 
+    def test_exact_coefficients(self):
+        # exact zeros, whatever their type, are zeros: x^3 - x
+        coeffs = [GaussRational.of(0), GaussRational.of(-1), Fraction(0), 1]
+        roots = np.sort_complex(roots_aberth(coeffs))
+        assert np.allclose(roots, [-1.0, 0.0, 1.0], atol=1e-12)
+
+    def test_coefficient_that_vanishes_as_a_float(self):
+        with pytest.raises(ValueError, match="^a polynomial coefficient vanishes as a complex float$"):
+            roots_aberth([Fraction(1, 10**400), 0, 1])
+
     def test_wide_range_roots(self):
         # roots over five decades of modulus, on both axes and of both signs
         expected = np.array([10, 100j, -1000, 1e5, 1e6, -1e6, 1e6j])
@@ -184,6 +194,37 @@ class TestEigenvalues:
         m = PolyMatrix([[MultiPoly.variable(v, "x")]])
         with pytest.raises(ValueError):
             as_complex_matrix(m)
+
+
+class TestFloatBoundary:
+    # `_complex_array`, the package's one conversion of exact values
+
+    def test_exact_zeros_pass(self):
+        v = ("x",)
+        zero = MultiPoly.zero(v)
+        m = PolyMatrix([[MultiPoly.constant(v, GaussRational.of(3, -1)), zero], [zero, zero]])
+        assert np.array_equal(as_complex_matrix(m), [[3 - 1j, 0], [0, 0]])
+        values = [GaussRational.of(0), 0, Fraction(0), 0.0, Fraction(1, 2)]
+        assert np.array_equal(numerics._complex_array(values, "a value"), [0, 0, 0, 0, 0.5])
+
+    @pytest.mark.parametrize(
+        "value",
+        [Fraction(1, 10**400), GaussRational.of(Fraction(-1, 10**400)), GaussRational.of(0, Fraction(1, 10**400))],
+        ids=["fraction", "real", "imaginary"],
+    )
+    def test_nonzero_value_that_vanishes_is_named(self, value):
+        with pytest.raises(ValueError, match="^a matrix entry vanishes as a complex float$"):
+            as_complex_matrix([[1, value], [0, 1]])
+        with pytest.raises(ValueError, match="^omega0 vanishes as a complex float$"):
+            numerics._complex_array(value, "omega0")
+
+    def test_numeric_array_passes_through(self):
+        # floats already: nothing to check, and a complex array is not copied
+        stack = np.zeros((2, 3, 3), dtype=complex)
+        stack[1, 0, 1] = 1.0
+        assert numerics._complex_array(stack, "a matrix entry") is stack
+        floats = np.array([0.0, 5e-324, 0.0])
+        assert np.array_equal(numerics._complex_array(floats, "a value"), floats)
 
 
 class TestCollapseClusters:
@@ -559,6 +600,11 @@ class TestAmoebaSample:
     def test_coefficient_beyond_the_float_range(self):
         f = biv("omega^2 - epsilon").scale(GaussRational.of(10**400))
         with pytest.raises(ValueError, match="^a char-poly coefficient overflows a complex float$"):
+            amoeba_sample(f, (1e-4, 1e-2), moduli=3, phases=4)
+
+    def test_coefficient_that_vanishes_as_a_float(self):
+        f = biv("omega^2 - epsilon").scale(GaussRational.of(Fraction(1, 10**400)))
+        with pytest.raises(ValueError, match="^a char-poly coefficient vanishes as a complex float$"):
             amoeba_sample(f, (1e-4, 1e-2), moduli=3, phases=4)
 
     def test_degenerate_samples_counted_as_skips(self):

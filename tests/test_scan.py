@@ -206,6 +206,12 @@ class TestSolveCandidates:
             assert cand.flags == ("unverified",)
             assert cand.omega0_values == ()
 
+    def test_float_check_that_vanishes_is_unverified(self):
+        # q_at / s = omega^2 + 10^-400: the constant is exact and nonzero but
+        # 0 as a float, which would read as a double root at 0
+        s = 10**400
+        assert scan._near_common_roots([(s, 0), (0, 0), (1, 0)], s) == []
+
     def test_irrational_shift_root_flagged_approximate(self):
         # at x = 1 the double eigenvalues are +-sqrt(2); at x = 5 it is 0
         out = solve_candidates(toy("(omega^2 - 2)^2 - (x - 1)"), "x", {})
@@ -303,7 +309,7 @@ def test_discriminant_zero_iff_common_root(make):
         assert on_disc == (common.degree(OMEGA) >= 1), cand
         assert on_disc or not cand.exact
         # the scan's gcd: the last PRS remainder of q_at and q_at', made monic
-        q_at = [horner(row, *scan._homogenised(cand.value)) for row in rows]
+        q_at = [horner(row, (cand.value.a, cand.value.b), cand.value.d) for row in rows]
         prs = _subresultant_prs(q_at, _derivative(q_at))[1]
         assert from_dense(prs, q, OMEGA, GaussRational.of(1)) == common
 
