@@ -6,12 +6,13 @@ into numerical experiments: eigenvalues of constant matrices or stacks of them
 polynomial roots as companion-matrix eigenvalues (`roots_aberth`, and the
 batched `_companion_roots` inside), epsilon scaling sweeps (one stacked
 eigenvalue call, then nearest-neighbour tracking), adiabatic encircling of a
-degeneracy (the loop built and diagonalised in blocks of steps, then one
-batched nearest-neighbour matching of the whole stack of spectra), amoeba
-point clouds (the whole epsilon grid through the batched root kernel; for a
-real polynomial only the phases up to pi, the rest copied from their
-conjugates; each grid point's moduli in ascending order), and tentacle slope
-fits, with numpy alone.  Every exact value of the package becomes a float
+degeneracy (the loop built and diagonalised in blocks of steps, for a
+conjugate-symmetric pencil only up to t = pi, the rest copied from their
+conjugates; then one batched nearest-neighbour matching of the whole stack of
+spectra), amoeba point clouds (the whole epsilon grid through the batched root
+kernel; for a real polynomial only the phases up to pi, the rest copied from
+their conjugates; each grid point's moduli in ascending order), and tentacle
+slope fits, with numpy alone.  Every exact value of the package becomes a float
 here, through `_complex_array`, which names in a ValueError a value that
 overflows a float or a nonzero one that vanishes as one.
 
@@ -347,6 +348,16 @@ def encircle(l0, l1, radius: float = 0.01, steps: int = 400) -> PermutationRepor
     reported at the first step that fails, with the message step-by-step
     tracking gives there.  The distance tables are taken in blocks of steps
     too, so memory stays bounded however long the loop.
+
+    When conj(L0) = P L0 P and conj(L1) = P L1 P for one permutation P, the
+    identity (a real pencil) or, for n = d^2, the vec transpose (j, k) <->
+    (k, j) (a Hermiticity-preserving Liouvillian, L(rho^dag) = L(rho)^dag, with
+    any named perturbation), the pencil at 2pi - t is P conj(pencil at t) P.
+    Both checks are exact on the float matrices.  Then only the steps 0 ..
+    steps // 2 are diagonalised, and each later step k is the (re, im)-sorted
+    conjugate of step steps - k's collapsed spectrum: it differs from LAPACK's
+    own spectrum there at rounding level.  Any other pencil, such as one with
+    the generic perturbation, is diagonalised at every step.
     """
     a0 = as_complex_matrix(l0)
     a1 = as_complex_matrix(l1)
@@ -354,9 +365,16 @@ def encircle(l0, l1, radius: float = 0.01, steps: int = 400) -> PermutationRepor
         raise ValueError("need at least 8 steps")
     if not (0 < radius < math.inf):
         raise ValueError("loop radius must be finite and > 0")
-    ts = np.linspace(0.0, 2.0 * np.pi, steps + 1)
-    loop = radius * np.exp(1j * ts)
     n = a0.shape[-1]
+    # the candidate P of conj(A) = P A P: the identity, and the vec transpose
+    d = math.isqrt(n)
+    perms = [np.arange(n)]
+    if d * d == n:
+        perms.append(perms[0].reshape(d, d).T.ravel())
+    mirrored = any(all(np.array_equal(a.conj(), a[p][:, p]) for a in (a0, a1)) for p in perms)
+    solved = steps // 2 + 1 if mirrored else steps + 1
+    ts = np.linspace(0.0, 2.0 * np.pi, steps + 1)
+    loop = radius * np.exp(1j * ts[:solved])
     rows = max(1, _ROOT_BLOCK // max(1, n * n))
 
     def spectra_of(i: int) -> np.ndarray:
@@ -366,7 +384,12 @@ def encircle(l0, l1, radius: float = 0.01, steps: int = 400) -> PermutationRepor
             raise ValueError(f"loop radius {radius!r} overflows the loop matrices")
         return eigenvalues(pencils, ENCIRCLE_COLLAPSE_TOL)
 
-    spectra = np.concatenate([spectra_of(i) for i in range(0, steps + 1, rows)])
+    spectra = np.concatenate([spectra_of(i) for i in range(0, solved, rows)])
+    if mirrored:
+        # step k past steps/2 is step steps - k conjugated, sorted again
+        tail = spectra[steps - solved :: -1].conj()
+        order = np.lexsort((tail.imag, tail.real))
+        spectra = np.concatenate([spectra, np.take_along_axis(tail, order, -1)])
 
     # clusters: runs of equal values in each sorted, collapsed spectrum;
     # steps 0 .. last-1 share the cluster structure of t = 0

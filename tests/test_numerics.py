@@ -49,6 +49,26 @@ def jordan_pair(n):
     return l0, l1
 
 
+def bound_pencil(model, perturbation):
+    """A built-in model's generator at its README point (the qubit's 4-fold
+    EP, the spin_half slice) and a named perturbation or, for an int, the
+    generic one of that seed, as float matrices."""
+    m = builtin_model(model)
+    point = {
+        "qubit": {"gamma_e": 1, "gamma_f": 0, "J": Fraction(1, 4)},
+        "spin_half": {"Omega": 1, "gamma_minus": 0, "gamma_x": 1, "gamma_y": 2},
+    }[model]
+    point = {k: Fraction(v) for k, v in point.items()}
+    if isinstance(perturbation, int):
+        l1 = generic_perturbation(m.variables, m.dim**2, perturbation)
+    else:
+        l1 = perturbation_matrix(m.generator, perturbation).substitute(point)
+    return as_complex_matrix(m.generator.substitute(point)), as_complex_matrix(l1)
+
+
+NAMED_PENCILS = [("qubit", "gamma_f"), ("qubit", "J"), ("spin_half", "gamma_x")]
+
+
 class TestRootsAberth:
     def test_simple_roots(self):
         roots = np.sort_complex(roots_aberth([2, -3, 1]))
@@ -423,8 +443,23 @@ class TestEncircle:
             return stack[done : done + len(matrices)]
 
         monkeypatch.setattr(numerics, "eigenvalues", spectra)
+        # one non-real entry: no conjugate symmetry, so every step is served
+        l1 = np.zeros((3, 3), dtype=complex)
+        l1[0][1] = 1j
         with pytest.raises(NumericalError, match="loop closure mixes clusters"):
-            encircle(np.zeros((3, 3)), np.zeros((3, 3)), radius=1.0, steps=8)
+            encircle(np.zeros((3, 3)), l1, radius=1.0, steps=8)
+        assert sum(served) == 9
+
+    @pytest.mark.parametrize("pencil", NAMED_PENCILS, ids="-".join)
+    def test_mirrored_steps_match_lapack_spectra(self, pencil):
+        # a Hermiticity-preserving pencil: the steps past pi are conjugate
+        # copies, within rounding of the spectra LAPACK gives there
+        l0, l1 = bound_pencil(*pencil)
+        report = encircle(l0, l1, radius=0.01, steps=400)
+        full = encircle_by_steps(l0, l1, 0.01, 400, mirror=False)
+        assert (report.cycles, report.permutation) == (full.cycles, full.permutation)
+        assert report.trace[:201] == full.trace[:201]
+        assert np.abs(np.array(report.trace) - np.array(full.trace)).max() <= 1e-12
 
     def test_blocks_of_steps_change_nothing(self, monkeypatch):
         l0 = np.diag([0.0, 0.0, 1.0, 0.0])
@@ -484,13 +519,36 @@ def assert_tracks_like_steps(l0, l1, radius, steps):
         assert encircle(l0, l1, radius=radius, steps=steps) == expected
 
 
-def encircle_by_steps(l0, l1, radius, steps):
+def conjugate_symmetric(a0, a1):
+    """Whether conj(a)[j][k] == a[p(j)][p(k)] for a = a0 and a = a1, entry by
+    entry, with p the identity or, for n = d^2, the vec transpose
+    j*d + k <-> k*d + j."""
+    n = len(a0)
+    d = math.isqrt(n)
+    swaps = [lambda i: i]
+    if d * d == n:
+        swaps.append(lambda i: (i % d) * d + i // d)
+    return any(
+        all(a[j][k].conjugate() == a[p(j)][p(k)] for a in (a0, a1)
+            for j, k in itertools.product(range(n), repeat=2))
+        for p in swaps
+    )
+
+
+def encircle_by_steps(l0, l1, radius, steps, mirror=True):
     """The per-step tracking loop `encircle` once ran, kept as its oracle:
-    clusters of each step are matched to the tracked ones of the step before."""
+    clusters of each step are matched to the tracked ones of the step before.
+
+    With `mirror` and a conjugate-symmetric pencil, each step k past steps/2
+    takes the sorted conjugate of step steps - k's spectrum, as `encircle`
+    does; without it every step is LAPACK's own spectrum."""
     a0, a1 = np.asarray(l0, dtype=complex), np.asarray(l1, dtype=complex)
     ts = np.linspace(0.0, 2.0 * np.pi, steps + 1)
     loop = (radius * np.exp(1j * ts))[:, None, None]
     spectra = eigenvalues(a0 + loop * a1, numerics.ENCIRCLE_COLLAPSE_TOL)
+    if mirror and conjugate_symmetric(a0, a1):
+        for k in range(steps // 2 + 1, steps + 1):
+            spectra[k] = np.sort_complex(spectra[steps - k].conj())
 
     def clusters(values):
         reps, mults = [], []
@@ -739,6 +797,36 @@ class TestNoPerPointLoops:
         l0, l1 = jordan_pair(3)
         encircle(l0, l1, radius=0.001, steps=96)
         assert len(eigvals_calls) <= 2
+
+    @pytest.fixture
+    def loop_matrices(self, monkeypatch):
+        calls = []
+        spectra = numerics.eigenvalues
+
+        def spy(matrices, collapse_tol=None):
+            calls.append(len(matrices))
+            return spectra(matrices, collapse_tol)
+
+        monkeypatch.setattr(numerics, "eigenvalues", spy)
+        return calls
+
+    @pytest.mark.parametrize("steps", [400, 401])
+    @pytest.mark.parametrize("pencil", NAMED_PENCILS, ids="-".join)
+    def test_encircle_solves_half_a_conjugate_symmetric_loop(self, loop_matrices, pencil, steps):
+        encircle(*bound_pencil(*pencil), radius=0.01, steps=steps)
+        assert sum(loop_matrices) == steps // 2 + 1
+
+    @pytest.mark.parametrize("steps", [400, 401])
+    @pytest.mark.parametrize(
+        "pencil", [("spin_half", 42), ("qubit", 1), ("qubit", "gamma_f"), ("spin_half", "gamma_x")],
+        ids=["spin_half-generic", "qubit-generic", "qubit-gamma_f-shifted", "spin_half-gamma_x-shifted"],
+    )
+    def test_encircle_solves_every_step_of_other_loops(self, loop_matrices, pencil, steps):
+        l0, l1 = bound_pencil(*pencil)
+        if isinstance(pencil[1], str):
+            l1[0][1] += 1e-3j
+        encircle(l0, l1, radius=0.01, steps=steps)
+        assert sum(loop_matrices) == steps + 1
 
     def test_scaling_sweep_stacks_its_spectra(self, eigvals_calls):
         l0, l1 = jordan_pair(3)
