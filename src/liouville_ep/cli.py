@@ -37,7 +37,7 @@ from .newton import (
 )
 from .numerics import NumericalError, amoeba_sample, encircle, scaling_sweep
 from .poly import GaussRational
-from .scan import Classification, classify, geometric_multiplicity, scan_parameter
+from .scan import Classification, _classify_points, geometric_multiplicity, scan_parameter
 from . import svgplot
 
 EXIT_OK = 0
@@ -241,13 +241,17 @@ def _require_eigenvalue(bound, w0) -> None:
 
 def cmd_polygon(args) -> int:
     bundle, bindings, bound, pname, w0 = _bound_point(args)
-    classification = classify(bound, w0, seed=args.seed)  # also checks w0 exactly
-    if pname == "generic":
+    # one kernel call: a named perturbation's pencil joins classify's batch,
+    # which checks w0 exactly first
+    named = []
+    if pname != "generic":
+        named.append((bound, _perturbation(bundle, bindings, pname, args.seed), w0))
+    (classification,), fs = _classify_points([(bound, w0)], args.seed, named)
+    if named:
+        polygon, report = assert_routes_agree(fs[0])
+    else:
         # classify's first seed is --seed: its polygon is this perturbation's
         polygon, report = classification.polygon, classification.report
-    else:
-        l1 = _perturbation(bundle, bindings, pname, args.seed)
-        polygon, report = assert_routes_agree(char_poly(bound, l1, shift=w0))
     payload = {
         "schema": 1,
         "model": bundle.name,

@@ -219,12 +219,23 @@ def perturbation_draws(size: int, seed: int) -> np.ndarray:
     Gaussian integers (re, im).
 
     Real and imaginary parts are drawn independently and uniformly from
-    {-9, ..., 9}, row-major, real part first, from random.Random(seed).
-    This is the package's one draw from `random`.
+    {-9, ..., 9}, row-major, real part first: random.Random(seed)'s
+    randint(-9, 9) draws, taken as arrays.  randint(-9, 9) keeps the top
+    five bits of one 32-bit Mersenne Twister output, draws again while they
+    are 19 or more, and subtracts 9; getrandbits(32*m) returns m successive
+    outputs, least significant word first.  The generator is this call's
+    own, so words drawn past the last kept one are never seen.  This is the
+    package's one draw from `random`.
     """
-    randint = random.Random(seed).randint
-    draws = [randint(-9, 9) for _ in range(2 * size * size)]
-    return np.array(draws, dtype=np.int64).reshape(size, size, 2)
+    count = 2 * size * size
+    rng = random.Random(seed)
+    kept = np.zeros(0, dtype=np.int64)
+    while len(kept) < count:
+        # 19 of every 32 words are kept on average
+        words = 2 * (count - len(kept)) + 8
+        top = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"), dtype="<u4") >> 27
+        kept = np.concatenate([kept, top[top < 19]])
+    return (kept[:count] - 9).reshape(size, size, 2)
 
 
 def generic_perturbation(variables: Sequence[str], size: int, seed: int) -> PolyMatrix:
@@ -252,7 +263,9 @@ def _matrix_from_strings(
 ) -> PolyMatrix:
     """Parse a nested list of expression strings; errors name `field`.
 
-    With `dim` given the matrix must be dim x dim.
+    With `dim` given the matrix must be dim x dim.  Each distinct text is
+    parsed once, at its first entry in row-major order, so an error names
+    the first bad entry; the entries that share a text share its MultiPoly.
     """
     if not isinstance(rows, list) or not rows:
         raise ValueError(f"{field}: expected a non-empty list of rows")
@@ -274,10 +287,12 @@ def _matrix_from_strings(
         raise ValueError(
             f"{field}: expected a {dim}x{dim} matrix, got {len(rows)}x{len(rows[0])}"
         )
-    return PolyMatrix(
-        [[_parse_entry(s, variables, f"{field}[{i}][{j}]") for j, s in enumerate(row)]
-         for i, row in enumerate(rows)]
-    )
+    parsed: dict[str, MultiPoly] = {}
+    for i, row in enumerate(rows):
+        for j, s in enumerate(row):
+            if s not in parsed:
+                parsed[s] = _parse_entry(s, variables, f"{field}[{i}][{j}]")
+    return PolyMatrix([[parsed[s] for s in row] for row in rows])
 
 
 def _parse_entry(text: str, variables: Sequence[str], field: str) -> MultiPoly:

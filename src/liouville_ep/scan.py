@@ -303,18 +303,22 @@ def classify(bound_matrix: PolyMatrix, omega0: GaussRational, seed: int = 42) ->
 
     This is the one-point case of `_classify_points`.
     """
-    return _classify_points([(bound_matrix, omega0)], seed)[0]
+    return _classify_points([(bound_matrix, omega0)], seed)[0][0]
 
 
 def _classify_points(
-    points: Sequence[tuple[PolyMatrix, GaussRational]], seed: int
-) -> list[Classification]:
-    """`classify` at every (bound matrix, omega0) point, in order.
+    points: Sequence[tuple[PolyMatrix, GaussRational]],
+    seed: int,
+    pencils: Sequence[tuple[PolyMatrix, PolyMatrix, GaussRational]] = (),
+) -> tuple[list[Classification], list[MultiPoly]]:
+    """`classify` at every (bound matrix, omega0) point, in order, and the
+    char polys of `pencils`, (l0, perturbation, shift) as `char_polys`
+    takes them, in order.
 
     Every point's geometric multiplicity is checked first, in order, so the
     first point that is not an exact eigenvalue raises; then the pencils of
-    every point and seed go through one `char_polys` call.  The matrices
-    must share one shape and one variable tuple.
+    every point and seed, followed by `pencils`, go through one `char_polys`
+    call.  The matrices must share one shape and one variable tuple.
     """
     geom_mults = []
     for bound_matrix, omega0 in points:
@@ -325,12 +329,14 @@ def _classify_points(
     seed_list = tuple(range(seed, seed + CLASSIFY_SEEDS))
     # one batch shares its shape, so each seed's draws serve every point
     l1s = [perturbation_draws(points[0][0].shape[0], s) for s in seed_list]
-    fs = char_polys([(bound_matrix, l1, omega0) for bound_matrix, omega0 in points for l1 in l1s])
+    seeded = [(bound_matrix, l1, omega0) for bound_matrix, omega0 in points for l1 in l1s]
+    fs = char_polys(seeded + list(pencils))
     k = CLASSIFY_SEEDS
-    return [
+    classifications = [
         _classification(geom_mult, fs[i * k:(i + 1) * k], seed_list)
         for i, geom_mult in enumerate(geom_mults)
     ]
+    return classifications, fs[len(seeded):]
 
 
 def _classification(
@@ -403,7 +409,7 @@ def scan_parameter(
         if cand.exact:
             bound = bound_generator.substitute({target: cand.value})
             points.extend((bound, w0) for w0 in cand.omega0_values)
-    classified = iter(_classify_points(points, seed) if points else ())
+    classified = iter(_classify_points(points, seed)[0] if points else ())
     enriched: list[Candidate] = []
     for cand in result.candidates:
         flags = cand.flags

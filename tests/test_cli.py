@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liouville_ep import cli, newton, poly
+from liouville_ep import cli, models, newton, poly, scan
 from liouville_ep.models import builtin_model, char_poly, perturbation_matrix
 from liouville_ep.numerics import amoeba_sample, encircle, scaling_sweep
 
@@ -191,6 +191,26 @@ class TestPolygon:
         f = char_poly(bound, pert, shift=Fraction(-1, 2))
         assert f in seen
         assert newton.tropicalize(f) in walked
+
+    @pytest.mark.parametrize("point", [
+        QUBIT_EP + ["--omega0", "-1/2"],
+        ["--model", str(LAMBDA3_MODEL), "--bind", "g1=1", "--bind", "g2=1", "--bind", "O=0",
+         "--omega0", "-1/2"],
+    ], ids=["qubit", "lambda3"])
+    @pytest.mark.parametrize("perturb", ["generic", "named"])
+    def test_one_kernel_call(self, capsys, monkeypatch, point, perturb):
+        # a named perturbation's pencil joins classify's seeded pencils in one
+        # batch, so every polygon pays the kernel's fixed cost once
+        batches = []
+        kernel = poly.char_poly_berkowitz
+        monkeypatch.setattr(models, "char_poly_berkowitz", lambda pencils, *names: (
+            batches.append(len(pencils)) or kernel(pencils, *names)
+        ))
+        named = "gamma_f" if point[1] == "qubit" else "O"
+        argv = ["polygon", *point] + (["--perturb", named] if perturb == "named" else [])
+        payload = run_json(capsys, argv)
+        assert batches == [scan.CLASSIFY_SEEDS + (perturb == "named")]
+        assert payload["perturbation"] == (named if perturb == "named" else "generic")
 
     def test_shift_sign_minus_is_equivalent(self, capsys):
         base = run_json(

@@ -199,9 +199,9 @@ def test_files_are_written_only_by_cli_write():
     assert not stray, f"files opened for writing outside cli._write: {stray}"
 
 
-def _random_reads(tree: ast.Module):
-    """Enclosing function of every read of `random`, bare or as an attribute
-    (`random.Random`, `np.random`); None at module level."""
+def _reads(tree: ast.Module, names: set[str]):
+    """Enclosing function of every read of one of `names`, bare or as an
+    attribute (`random.Random`, `np.random`); None at module level."""
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
@@ -209,7 +209,7 @@ def _random_reads(tree: ast.Module):
                 yield from visit(child, child.name)
                 continue
             if isinstance(child, (ast.Name, ast.Attribute)) and isinstance(child.ctx, ast.Load):
-                if getattr(child, "id", None) == "random" or getattr(child, "attr", None) == "random":
+                if getattr(child, "id", None) in names or getattr(child, "attr", None) in names:
                     yield owner
             yield from visit(child, owner)
 
@@ -220,9 +220,18 @@ def test_one_function_draws_from_random():
     # the seeded generic perturbation has one draw routine: classify's seeds
     # and `generic_perturbation` both come from it, so they cannot drift apart
     readers = sorted(
-        {f"{path.name}:{owner}" for path in MODULES for owner in _random_reads(ast.parse(path.read_text()))}
+        {f"{path.name}:{owner}" for path in MODULES for owner in _reads(ast.parse(path.read_text()), {"random"})}
     )
     assert readers == ["models.py:perturbation_draws"], f"functions that draw from random: {readers}"
+
+
+def test_polygon_reaches_the_kernel_through_classify():
+    # `polygon` takes every char poly from classify's batch, a named
+    # perturbation's pencil included, so it makes one kernel call; only
+    # `amoeba`, which classifies nothing, asks for a char poly itself
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    readers = sorted(set(_reads(tree, {"char_poly", "char_polys"})))
+    assert readers == ["cmd_amoeba"], f"cli functions that call the char-poly functions: {readers}"
 
 
 # where a package module may call `complex` or `float`: numerics, the one

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liouville_ep import poly
+from liouville_ep import models, poly
 from liouville_ep.expr import format_poly, parse_expression
 from liouville_ep.models import (
     EPSILON,
@@ -578,6 +578,8 @@ class TestModelFromDict:
         [
             ({"hamiltonian": [["epsilon", "g"], ["g", "0"]]},
              "hamiltonian[0][0]: uses the reserved variable 'epsilon'"),
+            ({"hamiltonian": [["0", "g*epsilon"], ["g*epsilon", "0"]]},
+             "hamiltonian[0][1]: uses the reserved variable 'epsilon'"),
             ({"jumps": [{"rate": "g*omega", "operator": [["0", "1"], ["0", "0"]]}]},
              "jumps[0].rate: uses the reserved variable 'omega'"),
             ({"jumps": [{"rate": "g", "operator": [["0", "1"], ["omega^2", "0"]]}]},
@@ -588,13 +590,27 @@ class TestModelFromDict:
                         {"rate": "g + 1/2*i", "operator": [["0", "0"], ["1", "0"]]}]},
              "jumps[1].rate: g + 1/2*i has a non-real coefficient"),
         ],
-        ids=["epsilon-in-hamiltonian", "omega-in-rate", "omega-in-operator", "imaginary-rate",
+        ids=["epsilon-in-hamiltonian", "repeated-epsilon-text", "omega-in-rate", "omega-in-operator", "imaginary-rate",
              "complex-constant-in-rate"],
     )
     def test_reserved_variable_or_complex_rate_is_named(self, change, message):
         with pytest.raises(ValueError) as err:
             model_from_dict(dict(self.DATA, **change))
         assert str(err.value).startswith(message)
+
+    def test_each_distinct_entry_text_is_parsed_once(self, monkeypatch):
+        # lambda3's 27 matrix entries hold two distinct texts per matrix
+        texts = []
+        parse = models.parse_expression
+        monkeypatch.setattr(models, "parse_expression", lambda text, variables: (
+            texts.append(text) or parse(text, variables)
+        ))
+        data = json.loads((ROOT / "perfbench" / "models" / "lambda3.json").read_text())
+        model_from_dict(data)
+        matrices = [data["hamiltonian"]] + [jump["operator"] for jump in data["jumps"]]
+        distinct = [text for matrix in matrices for text in {e for row in matrix for e in row}]
+        assert sorted(texts) == sorted(distinct + [jump["rate"] for jump in data["jumps"]])
+        assert len(distinct) == 6
 
     def test_real_rate_with_imaginary_unit_is_accepted(self):
         m = model_from_dict(

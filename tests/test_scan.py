@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liouville_ep import models, newton, poly, scan
 from liouville_ep.expr import parse_expression
@@ -440,6 +442,32 @@ class TestSeededPencilFeed:
                 assert [[e.constant_value() for e in row] for row in entries] == [
                     [GaussRational.of(re, im) for re, im in row] for row in expected
                 ]
+
+    # the first fourteen Mersenne Twister words of this seed all have top five
+    # bits of 19 or more, so randint(-9, 9) opens with fourteen redraws
+    REDRAWING_SEED = 56008
+
+    def test_redrawing_seed_redraws(self):
+        rng = random.Random(self.REDRAWING_SEED)
+        assert all(rng.getrandbits(5) >= 19 for _ in range(14))
+
+    @pytest.mark.parametrize("seed", [0, 1, -1, 42, 2**31, 2**64 + 7, REDRAWING_SEED])
+    def test_draws_are_randint(self, seed):
+        # the array draw is random.Random(seed).randint(-9, 9), draw for draw
+        for size in range(17):
+            rng = random.Random(seed)
+            expected = [[[rng.randint(-9, 9), rng.randint(-9, 9)] for _ in range(size)] for _ in range(size)]
+            draws = models.perturbation_draws(size, seed)
+            assert draws.dtype == np.int64 and draws.shape == (size, size, 2)
+            assert draws.flags.writeable
+            assert draws.tolist() == expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(-(2**70), 2**70), st.integers(0, 16))
+    def test_draws_are_randint_for_any_seed(self, seed, size):
+        rng = random.Random(seed)
+        expected = [rng.randint(-9, 9) for _ in range(2 * size * size)]
+        assert models.perturbation_draws(size, seed).ravel().tolist() == expected
 
     def test_shared_parts_match_lone_calls(self, monkeypatch):
         # the spin_half slice's exact points: one bound generator serves both
