@@ -195,12 +195,12 @@ def char_polys(
     draws as `perturbation_draws` returns them.  Every determinant comes from
     one call of the dense kernel `char_poly_berkowitz`, which takes the
     pencil parts themselves: each distinct L0 and L1 of the batch is read
-    once into flat term arrays, L1's epsilon exponents are raised and the
-    shift joins the diagonal constants by array operations, so no pencil is
-    assembled entry by entry.  The kernel is a division-free Berkowitz on
-    residues modulo a fixed table of primes at integer points of the free
-    variables, then interpolation and CRT, exact by a Hadamard bound on the
-    unit torus; there is no fallback.  The pencils must share one shape and
+    once into flat term arrays with L1's epsilon exponents raised, and each
+    shift is added to its pencil's diagonal constants in residues, so no
+    pencil is assembled entry by entry.  The kernel is a division-free
+    Berkowitz on residues modulo a fixed table of primes at integer points
+    of the free variables, then interpolation and CRT, exact by a Hadamard
+    bound on the unit torus; there is no fallback.  The pencils must share one shape and
     one variable tuple, which must include omega.  An entry of L0 or L1 that
     involves omega is a ValueError.
     """

@@ -16,16 +16,18 @@ The matrix layer (`PolyMatrix`) provides the handful of exact linear-algebra
 routines the rest of the package needs: Kronecker products and the dense
 char-poly kernel `char_poly_berkowitz`, the one runtime determinant route.
 The kernel takes a batch of equally shaped pencils L0 + eps*L1 - s I as
-their parts, reads each distinct part once into flat term arrays, clears
-each pencil's denominators once and works on residues in numpy int64: Z[i]
-modulo each prime p = 1 (mod 4) below 2^26 of a fixed table (found on first
-use) splits into two copies of F_p, and one batched division-free
-Berkowitz runs over every prime, embedding, integer grid point of the free
-variables and pencil of the batch, in blocks of (grid point, pencil) pairs
-that keep each stack near 2 MiB.  Interpolation is modulo p, and Garner's CRT recovers the
-integers; a bound on the coefficients by Hadamard and Cauchy on the unit
-torus, the largest over the batch, fixes how many primes, so every result is
-exact by construction.  There is no Python-integer fallback.
+their parts and reads each distinct part once into flat term arrays; it
+adds each shift to its pencil's diagonal constants and sums terms that meet
+in residues.  It clears each pencil's denominators once and works on
+residues in numpy int64: Z[i] modulo each prime p = 1 (mod 4) below 2^26 of
+a fixed table (found on first use) splits into two copies of F_p, and one
+batched division-free Berkowitz runs over every prime, embedding, integer
+grid point of the free variables and pencil of the batch, in blocks of
+(grid point, pencil) pairs that keep each stack near 2 MiB.  Interpolation
+is modulo p, and Garner's CRT recovers the integers; a bound on the
+coefficients by Hadamard and Cauchy on the unit torus, the largest over the
+batch, fixes how many primes, so every result is exact by construction.
+There is no Python-integer fallback.
 
 The dense univariate layer serves a scan once its parameters are bound: lists
 of Gaussian-integer pairs with a subresultant PRS (resultant and gcd), the
@@ -824,17 +826,17 @@ def _ranges(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _pencil_terms(
     pencils: Sequence[tuple[PolyMatrix, PolyMatrix | np.ndarray | None, ScalarLike]], eps: str
 ) -> tuple[tuple[str, ...], int, np.ndarray, np.ndarray, np.ndarray]:
-    """The terms of every pencil L0 + eps*L1 - s I of a batch as flat arrays.
+    """The terms of the parts L0 and eps*L1 of every pencil of a batch as
+    flat arrays; the shift is left to the kernel.
 
     Returns the variables, n, and per term: the index `at` of its entry (row
-    (at % nn) // n, column at % n of pencil at // nn), ascending; its
-    exponent row; and its coefficient's (a, b, d) as object rows.  Each
-    distinct part (by identity) is read once: the PolyMatrix parts in one
-    pass over their terms, an integer array's nonzero (re, im) pairs as
-    constants over 1.  Each pencil takes its parts' terms by index, L1's with
-    eps's exponent raised by one, plus -s on the diagonal; terms that meet at
-    one entry and exponent are summed exactly and a zero sum is dropped, so
-    these are the terms of the assembled pencil.
+    (at % nn) // n, column at % n of pencil at // nn), pencil by pencil, L0's
+    terms before L1's; its exponent row; and its coefficient's (a, b, d) as
+    object rows.  Each distinct part (by identity) is read once: the
+    PolyMatrix parts in one pass over their terms, an integer array's nonzero
+    (re, im) pairs as constants over 1.  Each pencil takes its parts' terms
+    by index, L1's with eps's exponent raised by one.  Terms of L0 and eps*L1
+    that meet at one entry and exponent stay apart.
     """
     if not pencils:
         raise ValueError("at least one pencil required")
@@ -871,49 +873,23 @@ def _pencil_terms(
     starts = np.searchsorted(at, np.arange(len(parts) + 1) * nn).tolist()
     slot = {id(part): k for k, part in enumerate(matrices + arrays)}
 
-    # each pencil's terms, gathered from its parts', and its diagonal -s
-    spans, shifts = [], []
-    for k, (l0, l1, shift) in enumerate(pencils):
-        for part, lift in ((l0, False), (l1, True)):
-            if part is not None:
-                s = slot[id(part)]
-                spans.append((starts[s], starts[s + 1], k, lift))
-        minus = -GaussRational.coerce(shift)
-        if minus.a or minus.b:
-            shifts.append((k, minus))
+    # each pencil's terms, gathered from its parts'
+    spans = [
+        (starts[slot[id(part)]], starts[slot[id(part)] + 1], k, lift)
+        for k, (l0, l1, _) in enumerate(pencils)
+        for part, lift in ((l0, False), (l1, True))
+        if part is not None
+    ]
     lo, hi, owner, lift = (np.array(column, dtype=np.int64) for column in zip(*spans))
     counts = hi - lo
     take = _ranges(lo, counts)
     owner, lift = np.repeat(owner, counts), np.repeat(lift, counts).astype(bool)
-    at = np.concatenate([at[take] % nn + owner * nn] + [np.arange(n) * (n + 1) + k * nn for k, _ in shifts])
-    expo = np.concatenate([expo[take], np.zeros((n * len(shifts), len(vs)), dtype=np.int64)])
+    expo = expo[take]
     if lift.any():
         if eps not in vs:
             raise ValueError(f"variables {vs} do not include {eps!r}")
         expo[lift.nonzero()[0], vs.index(eps)] += 1
-    diagonal = np.array([(c.a, c.b, c.d) for _, c in shifts for _ in range(n)], dtype=object).reshape(-1, 3).T
-    abd = np.concatenate([abd[:, take], diagonal], axis=1)
-
-    # sort by entry and exponent; a run of equal keys sums over the lcm of
-    # its denominators, in lowest terms, into its first term
-    order = np.lexsort((*expo.T, at))
-    at, expo, abd = at[order], expo[order], abd[:, order]
-    repeat = (at[1:] == at[:-1]) & (expo[1:] == expo[:-1]).all(axis=1)
-    if repeat.any():
-        first = (~np.concatenate([[False], repeat])).nonzero()[0]
-        counts = np.append(first[1:], len(at)) - first
-        runs = (counts > 1).nonzero()[0]
-        lead, counts = first[runs], counts[runs]
-        a, b, d = abd[:, _ranges(lead, counts)]
-        offsets = np.cumsum(counts) - counts
-        lcm = np.lcm.reduceat(d, offsets)
-        scale = np.repeat(lcm, counts) // d
-        re, im = np.add.reduceat(a * scale, offsets), np.add.reduceat(b * scale, offsets)
-        g = np.gcd(np.gcd(re, im), lcm)
-        abd[:, lead] = re // g, im // g, lcm // g
-        first = np.delete(first, runs[(re == 0) & (im == 0)])
-        at, expo, abd = at[first], expo[first], abd[:, first]
-    return vs, n, at, expo, abd
+    return vs, n, at[take] % nn + owner * nn, expo, abd[:, take]
 
 
 def char_poly_berkowitz(
@@ -929,9 +905,12 @@ def char_poly_berkowitz(
     variable tuple (anything else is a ValueError), and it is one residue
     computation; a single pencil is a batch of one, and (M, None, 0) is the
     plain det(M - var*I).  `_pencil_terms` reads each distinct part once and
-    assembles every pencil's terms from them as arrays, so no pencil is
-    built entry by entry.  Each pencil's denominators are cleared once: with
-    D_k the lcm of the coefficient denominators of pencil k, D_k*M_k takes
+    gathers each pencil's terms of L0 and eps*L1 as arrays, and -s_k joins
+    them as a constant term on each diagonal entry of pencil k.  Terms that
+    meet are summed in residues; the degree table and the bound count them
+    apart, which by the triangle inequality keeps both upper bounds.  Each
+    pencil's denominators are cleared once: with D_k the lcm of the
+    denominators of pencil k's terms (s_k's included), D_k*M_k takes
     Gaussian-integer values at integer points, so a batch-mate never
     enlarges its entries.  For each other variable x that occurs in the
     batch, a determinant's x-degree is at most min(sum of row-max, sum of
@@ -981,6 +960,11 @@ def char_poly_berkowitz(
         raise ValueError(f"the residue kernel takes fewer than {_TERMS_PER_SUM} rows")
     iv = vs.index(var)
     batch, nn = len(pencils), n * n
+    # pencil k's shift is the constant -s_k on each of its diagonal entries
+    minus = np.array([attrgetter("a", "b", "d")(-GaussRational.coerce(s)) for *_, s in pencils], dtype=object)
+    at = np.concatenate([at, (np.arange(batch)[:, None] * nn + np.arange(n) * (n + 1)).ravel()])
+    expo = np.concatenate([expo, np.zeros((batch * n, len(vs)), dtype=np.int64)])
+    abd = np.concatenate([abd, np.repeat(minus.T, n, axis=1)], axis=1)
     # the (pencils, n, n, variables) table of entry degrees; a variable that
     # occurs has a nonzero bound
     degs = np.zeros((batch, n, n, len(vs)), dtype=np.int64)
@@ -990,10 +974,10 @@ def char_poly_berkowitz(
         raise ValueError(f"matrix entries must not involve {var!r}")
     free = [k for k, b in enumerate(bounds) if b]
     bounds = [bounds[k] for k in free]
-    ends = np.searchsorted(at, np.arange(1, batch + 1) * nn).tolist()
-    denoms = [math.lcm(*set(abd[2, lo:hi])) for lo, hi in zip([0] + ends, ends)]
+    denoms = np.ones(batch, dtype=object)
+    np.lcm.at(denoms, at // nn, abd[2])
     # re and im of every term of the D_k*M_k
-    scaled = abd[:2] * (np.array(denoms, dtype=object)[at // nn] // abd[2])
+    scaled = abd[:2] * (denoms[at // nn] // abd[2])
     # on the unit torus an entry is at most nu, its coefficients' |re| + |im|
     nu = np.zeros(batch * nn, dtype=object)
     np.add.at(nu, at, abs(scaled).sum(axis=0))
@@ -1028,7 +1012,11 @@ def char_poly_berkowitz(
     residue = (scaled % ps).astype(np.int64)
     iota = np.array([[[i], [p - i]] for p, i in primes], dtype=np.int64)
     coeff = np.zeros((count, 2, len(monomials), batch * nn), dtype=np.int64)
-    coeff[:, :, np.searchsorted(monomials, codes), at] = (residue[:, :1] + residue[:, 1:] * iota) % mod
+    # an entry's monomial takes at most an L0, an L1 and a shift term, each
+    # below 2^52, so their sum fits in int64
+    place = (slice(None), slice(None), np.searchsorted(monomials, codes), at)
+    np.add.at(coeff, place, residue[:, :1] + residue[:, 1:] * iota)
+    coeff %= mod4
     # powers[axis][p, x, e] = x^e modulo the p-th prime, and each monomial's
     # exponent on that axis
     exponents = [monomials // stride % extent for stride, extent in zip(strides, shape)]

@@ -479,22 +479,29 @@ class TestCharPolyKernel:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_kernel_reads_the_assembled_pencil(self, case):
-        # the kernel's terms, gathered from the parts, are the terms of
-        # M + eps*L1 - shift I built by ring operations, each coefficient in
-        # lowest terms, so the degree table and the prime bound see that matrix
+        # the reader returns the parts' terms: those of M and of eps*L1 built
+        # by ring operations, terms that meet kept apart, pencil by pencil;
+        # it never reads the shift, which the kernel puts on the diagonal, so
+        # a pencil with shift 0 reads the same terms one pencil further on
         matrix, perturbation, shift = self.CASES[case]
         v, n = matrix.vars, matrix.shape[0]
-        work = _shifted(matrix, perturbation, shift) + PolyMatrix.identity(v, n).scale(MultiPoly.variable(v, OMEGA))
-        expected = {
-            (i * n + j, e): (c.a, c.b, c.d)
-            for i, row in enumerate(work.rows)
+        parts = [matrix]
+        if perturbation is not None:
+            parts.append(perturbation.scale(MultiPoly.variable(v, EPSILON)))
+        expected = sorted(
+            (i * n + j, e, (c.a, c.b, c.d))
+            for part in parts
+            for i, row in enumerate(part.rows)
             for j, entry in enumerate(row)
             for e, c in entry.terms.items()
-        }
-        _, _, at, expo, abd = poly._pencil_terms([(matrix, perturbation, shift)], EPSILON)
-        got = {(k, tuple(e)): tuple(c) for k, e, c in zip(at.tolist(), expo.tolist(), abd.T.tolist())}
-        assert got == expected
-        assert at.tolist() == sorted(at.tolist())
+        )
+        pencils = [(matrix, perturbation, shift), (matrix, perturbation, 0)]
+        _, _, at, expo, abd = poly._pencil_terms(pencils, EPSILON)
+        got = [(k, tuple(e), tuple(c)) for k, e, c in zip(at.tolist(), expo.tolist(), abd.T.tolist())]
+        first = got[:len(expected)]
+        assert sorted(first) == expected
+        assert got[len(expected):] == [(k + n * n, e, c) for k, e, c in first]
+        assert (at[:len(expected)] < n * n).all()
 
     def test_degree_bound_reaches_the_true_degree(self):
         # diag(g^3, g^2): the omega^0 coefficient g^5 sits exactly at the

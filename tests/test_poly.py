@@ -552,6 +552,35 @@ def batch_members(n):
     return st.one_of(scaled, st.just(PolyMatrix.identity(KV, n).scale(0)))
 
 
+KVE = KV + ("epsilon",)
+
+
+def with_epsilon(matrix):
+    """A matrix over KV as the same matrix over KVE, of degree 0 in epsilon."""
+    return PolyMatrix(
+        [[MultiPoly(KVE, {e + (0,): c for e, c in entry.terms.items()}) for entry in row] for row in matrix.rows]
+    )
+
+
+def assembled(l0, l1, shift):
+    """l0 + epsilon*l1 - (omega + shift) I over KVE, built in the test from
+    ring operations (l1 a PolyMatrix or None)."""
+    work = l0 if l1 is None else l0 + l1.scale(MultiPoly.variable(KVE, "epsilon"))
+    omega = MultiPoly.variable(KVE, "omega") + MultiPoly.constant(KVE, shift)
+    return work - PolyMatrix.identity(KVE, l0.shape[0]).scale(omega)
+
+
+def shifts(l0):
+    """Real and complex shifts over denominators of up to 2^40, numerators
+    past int64 among them, and each constant on l0's diagonal, which the
+    shift cancels exactly."""
+    numerators = st.one_of(st.integers(-9, 9), st.integers(-(10**25), 10**25))
+    ratio = st.builds(Fraction, numerators, st.integers(1, 2**40))
+    constant = (0,) * len(KVE)
+    diagonal = [row[i].terms.get(constant, gr(0)) for i, row in enumerate(l0.rows)]
+    return st.one_of(st.just(0), ratio.map(gr), st.builds(gr, ratio, ratio), st.sampled_from(diagonal))
+
+
 def one_prime_fewer(monkeypatch):
     """Make the kernel use every prime it chooses but the last."""
     primes_beyond = poly._primes_beyond
@@ -588,17 +617,33 @@ class TestResidueKernel:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_batch_matches_lone_calls(self, data):
-        # mixed denominators and degree bounds, integers beyond int64, zero
+        # pencils that share their L0 and L1 objects, L1 a matrix, a seed's
+        # draws or None; real, complex and cancelling shifts; an L0 whose
+        # epsilon terms meet the lifted L1 (c = -1 cancels them); mixed
+        # denominators and degree bounds, integers beyond int64, zero
         # matrices and batches of one: each result equals its lone call term
-        # for term, and the Bareiss determinant
+        # for term, and the Bareiss determinant of the assembled pencil
+        from liouville_ep.models import generic_perturbation, perturbation_draws
+
         n = data.draw(st.integers(1, 3))
-        batch = data.draw(st.lists(batch_members(n), min_size=1, max_size=4))
-        got = plain_char_polys(batch, "omega")
-        assert len(got) == len(batch)
-        for matrix, p in zip(batch, got):
-            (lone,) = plain_char_polys([matrix], "omega")
+        seed = data.draw(st.integers(0, 99))
+        matrix = with_epsilon(data.draw(batch_members(n)))
+        # each L1 as the kernel takes it and as the PolyMatrix it stands for
+        l1s = [(None, None), (matrix, matrix), (perturbation_draws(n, seed), generic_perturbation(KVE, n, seed))]
+        l0s = [with_epsilon(m) for m in data.draw(st.lists(batch_members(n), min_size=1, max_size=2))]
+        l0s.append(matrix)
+        meet = data.draw(st.integers(1, 2))
+        c = data.draw(st.sampled_from([gr(-1), gr(Fraction(1, 3)), gr(2, -1)]))
+        l0s.append(l0s[0] + l1s[meet][1].scale(MultiPoly.variable(KVE, "epsilon").scale(c)))
+        picks = st.tuples(st.integers(0, len(l0s) - 1), st.integers(0, len(l1s) - 1))
+        members = data.draw(st.permutations([(len(l0s) - 1, meet)] + data.draw(st.lists(picks, max_size=3))))
+        pencils = [(l0s[i], l1s[j][0], data.draw(shifts(l0s[i]))) for i, j in members]
+        got = char_poly_berkowitz(pencils, "omega", "epsilon")
+        assert len(got) == len(pencils)
+        for (i, j), pencil, p in zip(members, pencils, got):
+            (lone,) = char_poly_berkowitz([pencil], "omega", "epsilon")
             assert p.terms == lone.terms
-            assert p == det_bareiss(minus_omega(matrix))
+            assert p == det_bareiss(assembled(l0s[i], l1s[j][1], pencil[2]))
 
     def test_batch_mismatch_rejected(self):
         two, three = PolyMatrix.identity(KV, 2), PolyMatrix.identity(KV, 3)
@@ -738,6 +783,26 @@ class TestResidueKernel:
         classify(ladder4.generator.substitute({"g1": 1, "g2": 1, "g3": 1, "O": 0}), half)  # 6-fold point
         assert len(counts) == 4
         assert all(got <= most for got, most in zip(counts, [3, 1, 2, 4])), counts
+        # every kernel call of the benchmark's exact-2level and amoeba
+        # traffic at the default seed: a scan's char poly, then its
+        # candidates' classification batch where it has one
+        from liouville_ep import cli
+
+        qubit = ["--model", "qubit", "--bind", "gamma_e=1", "--bind", "gamma_f=0", "--bind", "J=1/4"]
+        spin_half = ["--model", "spin_half", "--bind", "Omega=1", "--bind", "gamma_minus=0", "--bind", "gamma_y=2"]
+        traffic = [
+            (["polygon", *qubit, "--omega0", "-1/2", "--perturb", "gamma_f"], [2]),
+            (["polygon", *spin_half, "--bind", "gamma_x=1", "--omega0", "-3"], [1]),
+            (["amoeba", *qubit, "--omega0", "-1/2", "--perturb", "gamma_f"], [1]),
+            (["scan", "--model", "qubit", "--bind", "gamma_e=1", "--bind", "J=1/4"], [1, 2]),
+            (["scan", *spin_half], [1, 2]),
+            (["scan", "--model", "qubit", "--bind", "gamma_e=1", "--bind", "gamma_f=0"], [1]),
+        ]
+        for argv, most in traffic:
+            counts.clear()
+            assert cli.main(argv) == 0
+            assert len(counts) == len(most)
+            assert all(got <= m for got, m in zip(counts, most)), (argv, counts)
 
     def test_unbound_sylvester_tensor_grid(self):
         # the unbound spin_half discriminant's 7x7 Sylvester matrix: four free
