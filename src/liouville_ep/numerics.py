@@ -5,7 +5,7 @@ into numerical experiments: eigenvalues of constant matrices or stacks of them
 (LAPACK via numpy.linalg.eigvals, one call per stack), which also gives
 polynomial roots as companion-matrix eigenvalues (`roots_aberth`, and the
 batched `_companion_roots` inside), epsilon scaling sweeps (one stacked
-eigenvalue call, then nearest-neighbour tracking), adiabatic encircling of a
+eigenvalue call, then each epsilon's farthest child), adiabatic encircling of a
 degeneracy (the loop built and diagonalised in blocks of steps, for a
 conjugate-symmetric pencil only up to t = pi, the rest copied from their
 conjugates; then one batched nearest-neighbour matching of the whole stack of
@@ -211,12 +211,15 @@ def eigenvalues(matrix, collapse_tol: float | None = None) -> np.ndarray:
 
 # -- scaling sweep ---------------------------------------------------------------
 
+# scaling_sweep's relative distance tie, as of a conjugate pair up to rounding
+_TIE_RTOL = 1e-8
+
 
 @dataclass(frozen=True)
 class ScalingFit:
     """Least-squares fit of log10|omega - omega0| against log10(eps).
 
-    Each sample is (eps, tracked eigenvalue, log10 eps, log10|omega -
+    Each sample is (eps, picked eigenvalue, log10 eps, log10|omega -
     omega0|), the last -inf where the eigenvalue sits exactly on omega0; the
     fit skips those samples.
     """
@@ -238,15 +241,16 @@ def scaling_sweep(
     eps_values: Sequence[float],
     cluster_tol: float = 1e-3,
 ) -> ScalingFit:
-    """Track the most fractional eigenvalue branch emerging from the
-    degeneracy at omega0, an exact value or a number.
+    """Fit the most fractional eigenvalue branch emerging from the degeneracy
+    at omega0, an exact value or a number.
 
-    The unperturbed matrix must have an eigenvalue cluster at omega0 (within
-    cluster_tol); the tracked branch is seeded at the smallest epsilon with
-    the cluster's child farthest from omega0 and continued by
-    nearest-neighbor matching.  cluster_tol defaults to 1e-3 because an m-fold
-    defective eigenvalue is only locatable to roughly the m-th root of the
-    coefficient noise (about 5e-4 for a quadruple point in double precision).
+    The unperturbed matrix must have a cluster of m eigenvalues at omega0
+    (within cluster_tol).  Each epsilon's sample is, on its own spectrum, the
+    farthest from omega0 of its m nearest eigenvalues; ties within _TIE_RTOL
+    go to the largest imaginary part, then the smallest real part.
+    cluster_tol defaults to 1e-3 because an m-fold defective eigenvalue is
+    only locatable to roughly the m-th root of the coefficient noise (about
+    5e-4 for a quadruple point in double precision).
     """
     a0 = as_complex_matrix(l0)
     a1 = as_complex_matrix(l1)
@@ -258,27 +262,22 @@ def scaling_sweep(
         raise ValueError("epsilon values must be finite and positive")
     eps_column = np.array(eps_values)[:, None, None]
     spectra = eigenvalues(np.concatenate([a0[None], a0 + eps_column * a1]))
-    base = spectra[0]
-    cluster_size = int(np.sum(np.abs(base - omega0) <= cluster_tol))
+    cluster_size = int(np.sum(np.abs(spectra[0] - omega0) <= cluster_tol))
     if cluster_size < 2:
-        raise ValueError(
-            f"no eigenvalue cluster at omega0={omega0} within {cluster_tol}"
-        )
+        raise ValueError(f"no eigenvalue cluster at omega0={omega0} within {cluster_tol}")
+    dist = np.abs(spectra[1:] - omega0)
+    reach = np.sort(dist, axis=1)[:, cluster_size - 1, None]
+    farthest = (dist <= reach) & (dist >= (1 - _TIE_RTOL) * reach)
+    pick = np.where(farthest, spectra[1:].imag, -np.inf).argmax(axis=1)
+    picked = spectra[np.arange(1, len(spectra)), pick]
     samples: list[tuple[float, complex, float, float]] = []
-    tracked = None
-    for eps, eig in zip(eps_values, spectra[1:]):
-        if tracked is None:
-            children = eig[np.argsort(np.abs(eig - omega0))][:cluster_size]
-            tracked = children[np.argsort(-np.abs(children - omega0))][0]
-        else:
-            tracked = eig[np.argmin(np.abs(eig - tracked))]
-        lam = tracked.item()
+    for eps, lam in zip(eps_values, picked.tolist()):
         d = abs(lam - omega0)
         samples.append((eps, lam, math.log10(eps), math.log10(d) if d > 0 else -math.inf))
     # an exactly invariant eigenvalue carries no scaling signal
     fitted = [(x, y) for _, _, x, y in samples if y > -math.inf]
     if len(fitted) < 3:
-        raise NumericalError("tracked branch shows no displacement from omega0")
+        raise NumericalError("picked branch shows no displacement from omega0")
     x, y = np.array(fitted).T
     slope, intercept = np.polyfit(x, y, 1)
     pred = slope * x + intercept

@@ -349,6 +349,18 @@ class TestScan:
         assert code == 0
         assert out == LAMBDA3_G2_SCAN.read_text()
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="open defect (CHANGES.md FOUND line on the lambda3 O slice): the companion roots of "
+        "the discriminant's square-free part miss the residual contract (worst 2.156e-10 at g1 = 1, "
+        "2.400e-09 at g1 = 1/2) and the scan exits 4",
+    )
+    @pytest.mark.parametrize("g1", ["1", "1/2"])
+    def test_lambda3_O_slice_is_scanned(self, capsys, g1):
+        code = cli.main(["scan", "--model", str(LAMBDA3_MODEL), "--bind", f"g1={g1}", "--bind", "g2=1"])
+        assert code == 0, capsys.readouterr().err
+
 
 class TestAmoeba:
     ARGS = (
@@ -493,16 +505,26 @@ class TestScale:
         # test_numerics.TestScalingSweep): its distance cell reads -inf, and
         # the plot leaves it out
         l0 = np.array([[0.0, 1.0], [0.0, 0.0]])
-        l1 = np.array([[1.0, 0.0], [0.0, 0.0]])
-        fit = scaling_sweep(l0, l1, 0.0, [1e-4, 1.5e-4, 2e-4, 1e-2])
+        l1 = np.array([[0.0, -1.0], [1.0, 0.0]])
+        fit = scaling_sweep(l0, l1, 0.0, [1e-6, 1e-5, 1e-4, 1.0])
         monkeypatch.setattr(cli, "scaling_sweep", lambda *args: fit)
         out = tmp_path / "s.csv"
         argv = ["scale", *QUBIT_EP, "--omega0", "-1/2", "--perturb", "gamma_f", "--svg", "--out", str(out)]
         assert cli.main(argv) == 0
         rows = out.read_text().split("\n")[2:]
-        assert rows[-2:] == ["0.01,0.0,0.0,-2.0,-inf", ""]
-        assert [r.split(",")[4] for r in rows[:-2]] == [repr(math.log10(e)) for e in (1e-4, 1.5e-4, 2e-4)]
+        assert rows[-2:] == ["1.0,0.0,0.0,0.0,-inf", ""]
+        assert [r.split(",")[4] for r in rows[:-2]] == [repr(s[3]) for s in fit.samples[:-1]]
         assert (tmp_path / "s.svg").read_text().count("<circle") == 3
+
+    @pytest.mark.parametrize("points", ["4", "6"])
+    def test_sparse_sweep_keeps_the_square_root_branch(self, capsys, points):
+        # each epsilon picks its own farthest child, so a sparse sweep of the
+        # qubit's J perturbation fits the square-root branch as 25 points do
+        argv = ["scale", *QUBIT_EP, "--omega0", "-1/2", "--perturb", "J", "--eps-points", points]
+        assert cli.main(argv) == 0
+        fields = dict(f.split("=", 1) for f in capsys.readouterr().out.split("\n")[0].split()[2:])
+        assert abs(float(fields["slope"]) - 0.5) < 0.05
+        assert fields["npoints"] == points
 
     def test_builds_no_exact_polynomial(self, capsys, monkeypatch):
         # omega0 is checked by exact rank; the sweep itself is numeric

@@ -376,28 +376,55 @@ class TestScalingSweep:
             scaling_sweep(l0, l1, GaussRational.of(10**400), [1e-4, 1e-3, 1e-2])
 
     def test_sample_on_the_shift_reads_minus_inf(self):
-        # eigenvalues eps and 0: the ratio-50 step jumps the tracked branch
-        # onto the invariant 0, a sample that the fit skips
+        # eigenvalues +-sqrt(eps (1 - eps)): at eps = 1 the matrix is
+        # triangular, so the picked branch sits exactly on omega0, a sample
+        # that the fit skips
         l0 = np.array([[0.0, 1.0], [0.0, 0.0]])
-        l1 = np.array([[1.0, 0.0], [0.0, 0.0]])
-        fit = scaling_sweep(l0, l1, 0.0, [1e-4, 1.5e-4, 2e-4, 1e-2])
-        assert fit.samples[-1] == (1e-2, 0j, -2.0, -math.inf)
+        l1 = np.array([[0.0, -1.0], [1.0, 0.0]])
+        fit = scaling_sweep(l0, l1, 0.0, [1e-6, 1e-5, 1e-4, 1.0])
+        assert fit.samples[-1] == (1.0, 0j, 0.0, -math.inf)
         for eps, lam, logeps, logmag in fit.samples[:-1]:
-            assert (lam, logeps, logmag) == (complex(eps), math.log10(eps), math.log10(eps))
+            assert abs(lam) == pytest.approx(math.sqrt(eps * (1 - eps)), rel=1e-12)
+            assert (logeps, logmag) == (math.log10(eps), math.log10(abs(lam)))
         assert fit.npoints == 4
-        assert abs(fit.slope - 1.0) < 1e-9
+        assert abs(fit.slope - 0.5) < 1e-4
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="open defect (CHANGES.md FOUND line on numerics.scaling_sweep): on a sparse sweep "
-        "nearest-neighbour tracking jumps onto the eigenvalue that stays at omega0 and fits slope -2.94",
-    )
+    @pytest.mark.parametrize("perturbation", ["gamma_f", "J"])
+    def test_a_conjugate_pair_gives_its_upper_child(self, perturbation):
+        # the qubit's farthest children are conjugate pairs, equidistant up to
+        # rounding (2.7e-9 relative at eps = 2.2e-6 on J): the tie goes to the
+        # larger imaginary part at every epsilon
+        l0, l1 = bound_pencil("qubit", perturbation)
+        fit = scaling_sweep(l0, l1, -0.5, np.geomspace(1e-6, 1e-2, 25))
+        assert [lam.imag > 0 for _, lam, _, _ in fit.samples] == [True] * 25
+
     def test_sparse_sweep_keeps_the_square_root_branch(self):
         # `scale` on the qubit's J perturbation with 4 epsilon points: the
         # default 25 points give 0.5006
         l0, l1 = bound_pencil("qubit", "J")
         fit = scaling_sweep(l0, l1, -0.5, np.geomspace(1e-6, 1e-2, 4))
         assert abs(fit.slope - 0.5) < 0.05
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.integers(2, 4),
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any), max_size=3),
+        st.lists(st.integers(-3, 3), min_size=25, max_size=25),
+        st.lists(st.integers(0, 11), min_size=3, max_size=12, unique=True),
+    )
+    def test_a_sample_does_not_depend_on_the_rest_of_the_sweep(self, n, others, pert, picks):
+        # a Jordan block at omega0 = 0 next to decoupled eigenvalues: each
+        # sample of a sweep is the one any sub-sweep holding its epsilon gives
+        l0, l1 = jordan_pair(n)
+        a0 = np.diag(np.array([0j] * n + [complex(*c) for c in others]))
+        a0[:n, :n] += l0
+        a1 = np.diag(np.array([0j] * n + pert[n * n : n * n + len(others)]))
+        a1[:n, :n] += l1 + np.reshape(pert[: n * n], (n, n)) / 4
+        eps = np.geomspace(1e-6, 1e-1, 12)
+        whole = {s[0]: s for s in scaling_sweep(a0, a1, 0.0, eps, cluster_tol=1e-2).samples}
+        sub = scaling_sweep(a0, a1, 0.0, eps[sorted(picks)], cluster_tol=1e-2)
+        for sample in sub.samples:
+            assert sample == whole[sample[0]]
 
 
 class TestEncircle:
