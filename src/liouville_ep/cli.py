@@ -82,7 +82,7 @@ def _load_model(ref: str):
         raise InputError(f"model file {ref!r} is not valid JSON: {exc}") from None
     try:
         return model_from_dict(data)
-    except (ValueError, TypeError) as exc:  # covers ParseError with offsets
+    except (ValueError, TypeError) as exc:  # the message names the field at fault
         raise InputError(f"model file {ref!r}: {exc}") from None
 
 

@@ -7,16 +7,20 @@ Grammar (whitespace-insensitive, no implicit multiplication):
     factor := '-' factor | base ('^' uint)?
     base   := number | 'i' | identifier | '(' expr ')'
 
-Numbers are unsigned integer or decimal literals; decimals are parsed as exact
-rationals (0.25 -> 1/4).  A leading minus negates the whole power after it,
-so -x^2 is -(x^2) and -2^2 is -4.  'i' is the imaginary unit and is reserved.
-Division is only allowed by subexpressions that reduce to nonzero constants.
+Numbers are unsigned integer or decimal literals of ASCII digits; decimals are
+parsed as exact rationals (0.25 -> 1/4), and a digit outside ASCII, such as
+'\u0663' or '\u00b2', is an unexpected character.  An identifier is a letter
+or '_' followed by letters, digits and '_'.  A leading minus negates the
+whole power after it, so -x^2 is -(x^2) and -2^2 is -4.  'i' is the
+imaginary unit and is reserved.  Division is only allowed by subexpressions
+that reduce to nonzero constants.
 
 Parsing is one pass with no syntax tree: each grammar rule returns the
-polynomial of the text it consumed.  The tokenizer runs first, so a bad
-character is reported before anything else; after that, syntax errors,
-unknown variables and invalid divisions are reported left to right.  Every
-error carries the byte offset of the offending token.
+polynomial of the text it consumed.  The tokenizer runs first, one walk of a
+single pattern of the grammar's tokens, so a bad character is reported before
+anything else; after that, syntax errors, unknown variables and invalid
+divisions are reported left to right.  Every error carries the character
+offset (not the byte offset) of the offending token.
 
 The printer emits a canonical form (graded-lexicographic term order, highest
 first) that parses back to the identical polynomial.
@@ -24,9 +28,9 @@ first) that parses back to the identical polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .poly import GR_ONE, GaussRational, MultiPoly
 
@@ -41,11 +45,14 @@ class ParseError(ValueError):
 
 # -- tokenizer ---------------------------------------------------------------
 
-_PUNCT = set("+-*/^()")
+# the grammar's tokens, one alternative each; a word's first character must
+# be a letter or '_', which the tokenizer checks
+_TOKENS = re.compile(
+    r"(?P<num>[0-9]+(?:\.[0-9]*)?)|(?P<ident>\w+)|(?P<punct>[-+*/^()])|(?P<space>\s+)|(?P<bad>.)"
+)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'num' | 'ident' | one of + - * / ^ ( ) | 'end'
     text: str
     offset: int
@@ -53,37 +60,16 @@ class _Token:
 
 def _tokenize(src: str) -> list[_Token]:
     tokens: list[_Token] = []
-    pos = 0
-    n = len(src)
-    while pos < n:
-        ch = src[pos]
-        if ch.isspace():
-            pos += 1
+    for m in _TOKENS.finditer(src):
+        kind, text, offset = m.lastgroup, m.group(), m.start()
+        if kind == "space":
             continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, pos))
-            pos += 1
-            continue
-        if ch.isdigit():
-            start = pos
-            while pos < n and src[pos].isdigit():
-                pos += 1
-            if pos < n and src[pos] == ".":
-                pos += 1
-                if pos >= n or not src[pos].isdigit():
-                    raise ParseError("digit expected after decimal point", pos)
-                while pos < n and src[pos].isdigit():
-                    pos += 1
-            tokens.append(_Token("num", src[start:pos], start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = pos
-            while pos < n and (src[pos].isalnum() or src[pos] == "_"):
-                pos += 1
-            tokens.append(_Token("ident", src[start:pos], start))
-            continue
-        raise ParseError(f"unexpected character {ch!r}", pos)
-    tokens.append(_Token("end", "", n))
+        if kind == "num" and text.endswith("."):
+            raise ParseError("digit expected after decimal point", m.end())
+        if kind == "bad" or kind == "ident" and not (text[0].isalpha() or text[0] == "_"):
+            raise ParseError(f"unexpected character {text[0]!r}", offset)
+        tokens.append(_Token(text if kind == "punct" else kind, text, offset))
+    tokens.append(_Token("end", "", len(src)))
     return tokens
 
 

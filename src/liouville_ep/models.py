@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import format_poly, parse_expression
+from .expr import ParseError, format_poly, parse_expression
 from .poly import GaussRational, MultiPoly, PolyMatrix, ScalarLike, _gr, char_poly_berkowitz
 
 OMEGA = "omega"
@@ -296,9 +296,13 @@ def _matrix_from_strings(
 
 
 def _parse_entry(text: str, variables: Sequence[str], field: str) -> MultiPoly:
-    """Parse one model expression over the ambient variables; an expression
-    that uses omega or epsilon is a ValueError naming `field`."""
-    p = parse_expression(text, variables)
+    """Parse one model expression over the ambient variables; a syntax error,
+    or an expression that uses omega or epsilon, is a ValueError naming
+    `field`."""
+    try:
+        p = parse_expression(text, variables)
+    except ParseError as exc:
+        raise ValueError(f"{field}: {exc}") from exc
     for name in (OMEGA, EPSILON):
         k = variables.index(name)
         if any(e[k] for e in p.terms):

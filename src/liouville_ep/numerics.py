@@ -209,6 +209,15 @@ def eigenvalues(matrix, collapse_tol: float | None = None) -> np.ndarray:
     return np.take_along_axis(values, order, axis=-1)
 
 
+def _pencil_bound(a0: np.ndarray, a1: np.ndarray, eps: float) -> float:
+    """||a0||_F + eps ||a1||_F, inf if it overflows: a bound on every entry
+    and eigenvalue modulus of a0 + e a1 for |e| <= eps.  The norms are taken
+    by hypot, so no square overflows on the way."""
+    with np.errstate(over="ignore"):
+        f0, f1 = (float(np.hypot.reduce(np.abs(a), axis=None)) for a in (a0, a1))
+    return f0 + eps * f1
+
+
 # -- scaling sweep ---------------------------------------------------------------
 
 # scaling_sweep's relative distance tie, as of a conjugate pair up to rounding
@@ -250,7 +259,10 @@ def scaling_sweep(
     go to the largest imaginary part, then the smallest real part.
     cluster_tol defaults to 1e-3 because an m-fold defective eigenvalue is
     only locatable to roughly the m-th root of the coefficient noise (about
-    5e-4 for a quadruple point in double precision).
+    5e-4 for a quadruple point in double precision).  A sweep whose largest
+    epsilon could overflow a matrix or an eigenvalue's distance to omega0
+    (checked on the Frobenius norms, before any eigenvalue call) raises
+    ValueError naming that epsilon.
     """
     a0 = as_complex_matrix(l0)
     a1 = as_complex_matrix(l1)
@@ -260,6 +272,9 @@ def scaling_sweep(
         raise ValueError("need at least 3 distinct epsilon values")
     if not all(0 < e < math.inf for e in eps_values):
         raise ValueError("epsilon values must be finite and positive")
+    bound = _pencil_bound(a0, a1, eps_values[-1]) + abs(omega0.real) + abs(omega0.imag)
+    if not math.isfinite(bound):
+        raise ValueError(f"epsilon {eps_values[-1]!r} overflows the sweep matrices")
     eps_column = np.array(eps_values)[:, None, None]
     spectra = eigenvalues(np.concatenate([a0[None], a0 + eps_column * a1]))
     cluster_size = int(np.sum(np.abs(spectra[0] - omega0) <= cluster_tol))
@@ -336,8 +351,9 @@ def encircle(l0, l1, radius: float = 0.01, steps: int = 400) -> PermutationRepor
     gap along the path), when the cluster structure changes, or when clusters
     of different multiplicity trade places; all are cured by more steps or a
     smaller radius.  A radius that is not finite and positive encircles
-    nothing and raises ValueError, as does one so large that a loop matrix
-    overflows to inf or nan.
+    nothing and raises ValueError, as does one so large that a loop matrix or
+    the differences of its eigenvalues could overflow (checked on the Frobenius
+    norms, before any matrix is built).
 
     The loop's matrices are built and diagonalised in blocks of steps, and the
     whole stack of spectra is matched at once: a nearest neighbour does not
@@ -365,6 +381,9 @@ def encircle(l0, l1, radius: float = 0.01, steps: int = 400) -> PermutationRepor
     if not (0 < radius < math.inf):
         raise ValueError("loop radius must be finite and > 0")
     n = a0.shape[-1]
+    # eigenvalues differ by up to twice the bound, and a cluster sums to n times it
+    if not math.isfinite(2 * n * _pencil_bound(a0, a1, radius)):
+        raise ValueError(f"loop radius {radius!r} overflows the loop matrices")
     # the candidate P of conj(A) = P A P: the identity, and the vec transpose
     d = math.isqrt(n)
     perms = [np.arange(n)]
@@ -376,14 +395,12 @@ def encircle(l0, l1, radius: float = 0.01, steps: int = 400) -> PermutationRepor
     loop = radius * np.exp(1j * ts[:solved])
     rows = max(1, _ROOT_BLOCK // max(1, n * n))
 
-    def spectra_of(i: int) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            pencils = a0 + loop[i : i + rows, None, None] * a1
-        if not np.isfinite(pencils).all():
-            raise ValueError(f"loop radius {radius!r} overflows the loop matrices")
-        return eigenvalues(pencils, ENCIRCLE_COLLAPSE_TOL)
-
-    spectra = np.concatenate([spectra_of(i) for i in range(0, solved, rows)])
+    spectra = np.concatenate(
+        [
+            eigenvalues(a0 + loop[i : i + rows, None, None] * a1, ENCIRCLE_COLLAPSE_TOL)
+            for i in range(0, solved, rows)
+        ]
+    )
     if mirrored:
         # step k past steps/2 is step steps - k conjugated, sorted again
         tail = spectra[steps - solved :: -1].conj()

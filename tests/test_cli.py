@@ -687,6 +687,17 @@ class TestExitCodes:
         assert "radius" in out.err
         assert out.out == ""
 
+    def test_encircle_radius_whose_spectra_overflow(self, capsys):
+        # the loop matrices are finite, but the differences of their
+        # eigenvalues are not: rejected by name before numpy warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["encircle", *QUBIT_EP, "--radius", "1e307"])
+        out = capsys.readouterr()
+        assert code == 3
+        assert out.out == ""
+        assert out.err == "precondition violated: loop radius 1e+307 overflows the loop matrices\n"
+
     def test_encircle_radius_that_overflows_the_loop(self, capsys):
         # radius * e^(it) * L1 overflows float64: rejected by name before
         # numpy warns or LAPACK sees an inf
@@ -831,6 +842,13 @@ class TestExitCodes:
     def test_bad_omega0_expression(self):
         assert cli.main(["polygon"] + QUBIT_EP + ["--omega0", "1/"]) == 2
 
+    def test_non_ascii_digit_omega0_is_a_parse_error(self, capsys):
+        # numbers are ASCII digit literals: '²' is no number, not even a bad one
+        assert cli.main(["polygon"] + QUBIT_EP + ["--omega0", "²"]) == 2
+        out = capsys.readouterr()
+        assert out.err == "parse error: unexpected character '²' (offset 0)\n"
+        assert out.out == ""
+
     def test_missing_omega0(self):
         assert cli.main(["polygon"] + QUBIT_EP) == 2
 
@@ -886,8 +904,17 @@ class TestExitCodes:
             (["--eps-min", "0"], WINDOW),
             (["--eps-min", "1e-3", "--eps-max", "1e-3"], SHORT_SWEEP),
             (["--eps-points", "-5"], SHORT_SWEEP),
+            # a sweep whose largest epsilon overflows the matrices or the
+            # eigenvalues, once an inf row, a traceback or LAPACK's own message
+            (["--perturb", "J", "--eps-min", "1e-6", "--eps-max", "1e308"],
+             "epsilon 1e+308 overflows the sweep matrices"),
+            (["--perturb", "generic", "--eps-min", "1e-6", "--eps-max", "1e307", "--eps-points", "5"],
+             "epsilon 1e+307 overflows the sweep matrices"),
+            (["--perturb", "generic", "--eps-min", "1e-6", "--eps-max", "1e308"],
+             "epsilon 1e+308 overflows the sweep matrices"),
         ],
-        ids=["inf", "nan", "0", "one-point", "negative-count"],
+        ids=["inf", "nan", "0", "one-point", "negative-count",
+             "J-1e308", "generic-1e307", "generic-1e308"],
     )
     def test_scale_window_checked_before_numpy(self, capsys, window, message):
         with warnings.catch_warnings(record=True) as caught:
@@ -977,6 +1004,31 @@ class TestExitCodes:
         bad.write_text(json.dumps(data))
         assert cli.main(["build", "--model", str(bad)]) == 2
         assert f"malformed model description: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ({**DECAY, "hamiltonian": [["g $ 2", "0"], ["0", "0"]]}, "hamiltonian[0][0]"),
+            (
+                {**DECAY, "jumps": [{"rate": "g $ 2", "operator": [["0", "1"], ["0", "0"]]}]},
+                "jumps[0].rate",
+            ),
+            (
+                {**DECAY, "jumps": [{"rate": "g", "operator": [["0", "1"], ["g $ 2", "0"]]}]},
+                "jumps[0].operator[1][0]",
+            ),
+        ],
+        ids=["hamiltonian", "rate", "jump-operator"],
+    )
+    def test_expression_syntax_error_names_its_entry(self, tmp_path, capsys, data, field):
+        bad = tmp_path / "syntax.json"
+        bad.write_text(json.dumps(data))
+        assert cli.main(["build", "--model", str(bad)]) == 2
+        out = capsys.readouterr()
+        assert out.err == (
+            f"error: model file {str(bad)!r}: {field}: unexpected character '$' (offset 2)\n"
+        )
+        assert out.out == ""
 
     @pytest.mark.parametrize(
         "data, message",

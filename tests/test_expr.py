@@ -1,6 +1,7 @@
 """Expression grammar: parsing, error offsets, canonical formatting."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -124,6 +125,35 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_expression("i", ("i",))
 
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("1.", ("digit expected after decimal point", 2)),
+            ("1.5.3", ("unexpected character '.'", 3)),
+            ("x.5", ("unexpected character '.'", 1)),
+            ("2xy", ("unexpected token 'xy'", 1)),
+            ("\u2177", ("unexpected character '\u2177'", 0)),
+            ("\u00b2", ("unexpected character '\u00b2'", 0)),
+            ("\u0663", ("unexpected character '\u0663'", 0)),
+            ("7\u0663", ("unexpected character '\u0663'", 1)),
+            ("x\u00b2", ("unknown variable 'x\u00b2'", 0)),
+            ("\u00a0x", X),
+        ],
+        ids=["trailing-point", "two-points", "point-after-name", "digit-then-name",
+             "roman-numeral", "superscript-two", "arabic-indic-three", "seven-arabic-indic-three",
+             "name-with-superscript", "no-break-space"],
+    )
+    def test_token_edge_cases(self, source, expected):
+        # numbers are ASCII digit literals; a non-ASCII digit is no digit
+        if isinstance(expected, MultiPoly):
+            assert parse_expression(source, V) == expected
+            return
+        message, offset = expected
+        with pytest.raises(ParseError) as exc:
+            parse_expression(source, V)
+        assert str(exc.value) == f"{message} (offset {offset})"
+        assert exc.value.offset == offset
+
     def test_whitespace_insensitive(self):
         a = parse_expression("x^2+2*x*y  +y^2", V)
         b = parse_expression(" x^2 + 2*x*y + y^2 ", V)
@@ -190,3 +220,24 @@ def test_roundtrip_property(term_list):
             terms[e] = terms.get(e, GaussRational.of(0)) + c
     p = MultiPoly(V, {e: c for e, c in terms.items() if not c.is_zero()})
     assert parse_expression(format_poly(p), V) == p
+
+
+# the grammar's ASCII characters, with letters and digits outside ASCII and
+# whitespace outside ASCII: no-break, em and ideographic spaces, line separator
+GRAMMAR_TEXT = st.text(
+    st.sampled_from(list("0123456789.+-*/^() xyi_") + list("\u03b3\u00e9\u00b2\u0663\u2460\u2177")
+                    + ["\u00a0", "\u2003", "\u3000", "\u2028"]),
+    max_size=16,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+# a power beyond 99 is valid, only slow to expand
+@given(GRAMMAR_TEXT.filter(lambda text: not re.search(r"\^\s*[0-9]{3}", text)))
+def test_any_text_parses_or_raises_parse_error(text):
+    try:
+        p = parse_expression(text, V)
+    except ParseError as exc:
+        assert 0 <= exc.offset <= len(text)
+    else:
+        assert isinstance(p, MultiPoly)
