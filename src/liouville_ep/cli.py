@@ -53,19 +53,22 @@ class InputError(Exception):
 # -- argument handling -------------------------------------------------------
 
 
+def _parse_scalar(text: str) -> GaussRational:
+    return parse_expression(text, ()).constant_value()
+
+
 def _parse_binding(text: str) -> tuple[str, Fraction]:
+    """name=value, the value an exact real expression of the grammar."""
     name, sep, value = text.partition("=")
     if not sep or not name:
         raise InputError(f"binding {text!r} is not of the form name=value")
     try:
-        return name.strip(), Fraction(value.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        number = _parse_scalar(value)
+    except ParseError as exc:
         raise InputError(f"binding {text!r}: {exc}") from None
-
-
-def _parse_scalar(text: str) -> GaussRational:
-    p = parse_expression(text, ())
-    return p.constant_value()
+    if number.im:
+        raise InputError(f"binding {text!r}: the value {number} is not real")
+    return name.strip(), number.re
 
 
 def _load_model(ref: str):

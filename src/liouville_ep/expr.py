@@ -7,13 +7,17 @@ Grammar (whitespace-insensitive, no implicit multiplication):
     factor := '-' factor | base ('^' uint)?
     base   := number | 'i' | identifier | '(' expr ')'
 
-Numbers are unsigned integer or decimal literals of ASCII digits; decimals are
-parsed as exact rationals (0.25 -> 1/4), and a digit outside ASCII, such as
-'\u0663' or '\u00b2', is an unexpected character.  An identifier is a letter
-or '_' followed by letters, digits and '_'.  A leading minus negates the
-whole power after it, so -x^2 is -(x^2) and -2^2 is -4.  'i' is the
-imaginary unit and is reserved.  Division is only allowed by subexpressions
-that reduce to nonzero constants.
+Numbers are unsigned integer or decimal literals of ASCII digits with an
+optional exponent ('e' or 'E', an optional sign, at most four digits: 1e-400,
+2.5E3); they are parsed as exact rationals (0.25 -> 1/4, 1e-3 -> 1/1000), a
+longer exponent is an error at the literal, as is a literal with more digits
+than the interpreter reads as an int (4300 by default), and a digit outside
+ASCII, such as '\u0663' or '\u00b2', is an unexpected character.  A power's exponent is
+an unsigned integer literal with no point or exponent ('x^1e3' is an
+error).  An identifier is a letter or '_' followed by letters, digits and
+'_'.  A leading minus negates the whole power after it, so -x^2 is -(x^2)
+and -2^2 is -4.  'i' is the imaginary unit and is reserved.  Division is
+only allowed by subexpressions that reduce to nonzero constants.
 
 Parsing is one pass with no syntax tree: each grammar rule returns the
 polynomial of the text it consumed.  The tokenizer runs first, one walk of a
@@ -29,6 +33,7 @@ first) that parses back to the identical polynomial.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -48,8 +53,11 @@ class ParseError(ValueError):
 # the grammar's tokens, one alternative each; a word's first character must
 # be a letter or '_', which the tokenizer checks
 _TOKENS = re.compile(
-    r"(?P<num>[0-9]+(?:\.[0-9]*)?)|(?P<ident>\w+)|(?P<punct>[-+*/^()])|(?P<space>\s+)|(?P<bad>.)"
+    r"(?P<num>[0-9]+(?P<point>\.[0-9]*)?(?:[eE][-+]?(?P<exp>[0-9]+))?)"
+    r"|(?P<ident>\w+)|(?P<punct>[-+*/^()])|(?P<space>\s+)|(?P<bad>.)"
 )
+# digits an exponent literal may have: 10^9999 is still quick to build
+_EXPONENT_DIGITS = 4
 
 
 class _Token(NamedTuple):
@@ -64,8 +72,10 @@ def _tokenize(src: str) -> list[_Token]:
         kind, text, offset = m.lastgroup, m.group(), m.start()
         if kind == "space":
             continue
-        if kind == "num" and text.endswith("."):
-            raise ParseError("digit expected after decimal point", m.end())
+        if kind == "num" and m["point"] == ".":
+            raise ParseError("digit expected after decimal point", m.end("point"))
+        if kind == "num" and m["exp"] and len(m["exp"]) > _EXPONENT_DIGITS:
+            raise ParseError(f"exponent of more than {_EXPONENT_DIGITS} digits", offset)
         if kind == "bad" or kind == "ident" and not (text[0].isalpha() or text[0] == "_"):
             raise ParseError(f"unexpected character {text[0]!r}", offset)
         tokens.append(_Token(text if kind == "punct" else kind, text, offset))
@@ -131,7 +141,7 @@ class _Parser:
         if self.peek().kind == "^":
             self.advance()
             tok = self.peek()
-            if tok.kind != "num" or "." in tok.text:
+            if tok.kind != "num" or not tok.text.isdigit():
                 raise ParseError("exponent must be an unsigned integer", tok.offset)
             self.advance()
             poly = poly ** int(tok.text)
@@ -141,7 +151,13 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            return MultiPoly.constant(self.variables, Fraction(tok.text))
+            try:
+                # an integer literal, the usual case, skips Fraction's string parse
+                value = int(tok.text) if tok.text.isdigit() else Fraction(tok.text)
+            except ValueError:  # past the interpreter's limit on digits read as an int
+                limit = sys.get_int_max_str_digits()
+                raise ParseError(f"number of more than {limit} digits", tok.offset) from None
+            return MultiPoly.constant(self.variables, value)
         if tok.kind == "ident":
             self.advance()
             if tok.text == "i":

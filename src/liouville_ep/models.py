@@ -3,16 +3,19 @@
 A model is one `ModelSpec`: a Hamiltonian plus a list of dissipation
 channels with polynomial rates, and its one generator, built by
 `build_liouvillian` as a dim^2 x dim^2 PolyMatrix when the model is made and
-carried with it.  `builtin_model` and `model_from_dict` return the ModelSpec
-itself.  Density matrices are flattened row-major: index(row, col)
-= row*dim + col, so vec(A rho B) = (A kron B^T) vec(rho).  The generator is
+carried with it.  Every model is read from a description, the JSON
+model-file shape, by `model_from_dict`, which checks it; the two built-in
+models are such descriptions, and `builtin_model` reads them the same way.
+Density matrices are flattened row-major: index(row, col) = row*dim + col,
+so vec(A rho B) = (A kron B^T) vec(rho).  The generator is
 
     L = -i (H kron I - I kron H^T)
         + sum_k rate_k (G kron conj(G) - 1/2 (G^H G) kron I - 1/2 I kron (G^H G)^T)
 
 with G the channel operator.  Loss-only channels (population leaving the
-modeled subspace) contribute only the anticommutator part; for those the
-stored operator stands in for the leaving operator and only G^H G enters.
+modeled subspace; `"refill": false` in a description) contribute only the
+anticommutator part; for those the stored operator stands in for the
+leaving operator and only G^H G enters.
 
 No Kronecker product is formed.  With r = (i, j) and c = (k, l) the
 generator's entry is
@@ -26,8 +29,8 @@ flat entries it reaches, and each generator entry is built once.
 
 Reserved variable names: 'omega' (the eigenvalue variable), 'epsilon' (the
 perturbation strength), and 'i'.  Model parameters may not collide with them,
-and a model file's entries and rates may not use them.  A model file's rates
-must be real.
+and a description's entries and rates may not use them.  A description's
+rates must be real, built-in or not.
 """
 
 from __future__ import annotations
@@ -252,20 +255,17 @@ def generic_perturbation(variables: Sequence[str], size: int, seed: int) -> Poly
     )
 
 
-# -- built-in models ----------------------------------------------------------
+# -- model descriptions -------------------------------------------------------
 
 
 def _matrix_from_strings(
-    rows: Sequence[Sequence[str]],
-    variables: Sequence[str],
-    field: str = "matrix",
-    dim: int | None = None,
+    rows: Sequence[Sequence[str]], variables: Sequence[str], field: str, dim: int
 ) -> PolyMatrix:
-    """Parse a nested list of expression strings; errors name `field`.
+    """Parse a dim x dim nested list of expression strings; errors name `field`.
 
-    With `dim` given the matrix must be dim x dim.  Each distinct text is
-    parsed once, at its first entry in row-major order, so an error names
-    the first bad entry; the entries that share a text share its MultiPoly.
+    Each distinct text is parsed once, at its first entry in row-major order,
+    so an error names the first bad entry; the entries that share a text
+    share its MultiPoly.
     """
     if not isinstance(rows, list) or not rows:
         raise ValueError(f"{field}: expected a non-empty list of rows")
@@ -283,7 +283,7 @@ def _matrix_from_strings(
                 raise ValueError(
                     f"{field}[{i}][{j}]: expected an expression string, got {type(s).__name__}"
                 )
-    if dim is not None and (len(rows), len(rows[0])) != (dim, dim):
+    if (len(rows), len(rows[0])) != (dim, dim):
         raise ValueError(
             f"{field}: expected a {dim}x{dim} matrix, got {len(rows)}x{len(rows[0])}"
         )
@@ -323,47 +323,40 @@ def _rate_param_names(spec: ModelSpec) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _spin_half() -> ModelSpec:
-    params = ("Omega", "gamma_minus", "gamma_x", "gamma_y")
-    variables = ambient_variables(params)
-    h = _matrix_from_strings([["Omega/2", "0"], ["0", "-Omega/2"]], variables)
-    lower = _matrix_from_strings([["0", "0"], ["1", "0"]], variables)
-    sx = _matrix_from_strings([["0", "1"], ["1", "0"]], variables)
-    sy = _matrix_from_strings([["0", "-i"], ["i", "0"]], variables)
-    channels = (
-        JumpChannel(parse_expression("gamma_minus", variables), lower),
-        JumpChannel(parse_expression("gamma_x", variables), sx),
-        JumpChannel(parse_expression("gamma_y", variables), sy),
-    )
-    return ModelSpec("spin_half", 2, params, h, channels)
-
-
-def _qubit() -> ModelSpec:
-    # two-level submanifold {e, f} of a three-level ladder; the e -> ground
-    # decay leaves the subspace (loss-only channel), the f -> e decay stays
-    # inside and refills e
-    params = ("gamma_e", "gamma_f", "J")
-    variables = ambient_variables(params)
-    h = _matrix_from_strings([["0", "J"], ["J", "0"]], variables)
-    loss_e = _matrix_from_strings([["1", "0"], ["0", "0"]], variables)
-    decay_fe = _matrix_from_strings([["0", "1"], ["0", "0"]], variables)
-    channels = (
-        JumpChannel(parse_expression("gamma_e", variables), loss_e, refill=False),
-        JumpChannel(parse_expression("gamma_f", variables), decay_fe, refill=True),
-    )
-    return ModelSpec("qubit", 2, params, h, channels)
-
-
-_BUILTINS = {"spin_half": _spin_half, "qubit": _qubit}
+# the paper's two models as model descriptions; the qubit is the two-level
+# submanifold {e, f} of a three-level ladder: the e -> ground decay leaves the
+# subspace (a loss-only channel), the f -> e decay stays inside and refills e
+_BUILTINS = {
+    "spin_half": {
+        "name": "spin_half",
+        "dim": 2,
+        "params": ["Omega", "gamma_minus", "gamma_x", "gamma_y"],
+        "hamiltonian": [["Omega/2", "0"], ["0", "-Omega/2"]],
+        "jumps": [
+            {"rate": "gamma_minus", "operator": [["0", "0"], ["1", "0"]]},
+            {"rate": "gamma_x", "operator": [["0", "1"], ["1", "0"]]},
+            {"rate": "gamma_y", "operator": [["0", "-i"], ["i", "0"]]},
+        ],
+    },
+    "qubit": {
+        "name": "qubit",
+        "dim": 2,
+        "params": ["gamma_e", "gamma_f", "J"],
+        "hamiltonian": [["0", "J"], ["J", "0"]],
+        "jumps": [
+            {"rate": "gamma_e", "operator": [["1", "0"], ["0", "0"]], "refill": False},
+            {"rate": "gamma_f", "operator": [["0", "1"], ["0", "0"]]},
+        ],
+    },
+}
 
 
 def builtin_model(name: str) -> ModelSpec:
-    """Construct a built-in model ('spin_half' or 'qubit')."""
-    try:
-        factory = _BUILTINS[name]
-    except KeyError:
-        raise ValueError(f"unknown builtin model {name!r}; have {sorted(_BUILTINS)}") from None
-    return factory()
+    """A built-in model ('spin_half' or 'qubit'), read from its description
+    by `model_from_dict` like any model file."""
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown builtin model {name!r}; have {sorted(_BUILTINS)}")
+    return model_from_dict(_BUILTINS[name])
 
 
 def model_from_dict(data: Mapping) -> ModelSpec:
@@ -371,11 +364,13 @@ def model_from_dict(data: Mapping) -> ModelSpec:
 
     Expected keys: name (str), dim (int), params (list of str), hamiltonian
     (dim x dim nested list of expression strings), jumps (list of {rate:
-    expression string, operator: nested list}).  The Hamiltonian must equal
-    its conjugate transpose exactly, with the parameters taken as real; the
-    first entry that does not is named.  No entry or rate may use omega or
-    epsilon, and every rate's coefficients must be real; the offending field
-    is named.  All channels are standard Lindblad channels.
+    expression string, operator: nested list, and optionally refill: a
+    boolean, true by default}).  A channel with refill false is loss-only:
+    its population leaves the modeled subspace, so only its anticommutator
+    enters.  The Hamiltonian must equal its conjugate transpose exactly, with
+    the parameters taken as real; the first entry that does not is named.  No
+    entry or rate may use omega or epsilon, and every rate's coefficients must
+    be real; the offending field is named.
     """
     try:
         if not isinstance(data, Mapping):
@@ -398,15 +393,18 @@ def model_from_dict(data: Mapping) -> ModelSpec:
         for k, j in enumerate(jumps):
             if not isinstance(j, Mapping) or not {"rate", "operator"} <= j.keys():
                 raise TypeError(f"jumps[{k}] must be an object with rate and operator, got {j!r}")
-        jumps = [(j["rate"], j["operator"]) for j in jumps]
+            if not isinstance(j.get("refill", True), bool):
+                raise TypeError(f"jumps[{k}].refill must be true or false, got {j['refill']!r}")
+        jumps = [(j["rate"], j["operator"], j.get("refill", True)) for j in jumps]
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed model description: {exc}") from exc
     variables = ambient_variables(params)
     h = _matrix_from_strings(ham_rows, variables, "hamiltonian", dim)
-    conjugate = h.dagger()
+    # row-major over the upper triangle: a pair that fails fails first there
     for i in range(dim):
-        for j in range(dim):
-            entry, conj = h.rows[i][j], conjugate.rows[i][j]
+        for j in range(i, dim):
+            entry, mirror = h.rows[i][j], h.rows[j][i].terms
+            conj = MultiPoly._trusted(variables, {e: c.conjugate() for e, c in mirror.items()})
             if entry != conj:
                 raise ValueError(
                     f"hamiltonian[{i}][{j}]: expected {format_poly(conj)}, the conjugate of "
@@ -414,7 +412,7 @@ def model_from_dict(data: Mapping) -> ModelSpec:
                     "be Hermitian, with real parameters"
                 )
     channels = []
-    for k, (rate_text, op_rows) in enumerate(jumps):
+    for k, (rate_text, op_rows, refill) in enumerate(jumps):
         if not isinstance(rate_text, str):
             raise ValueError(
                 f"jumps[{k}].rate: expected an expression string, got {type(rate_text).__name__}"
@@ -426,5 +424,5 @@ def model_from_dict(data: Mapping) -> ModelSpec:
                 "must be real, with real parameters"
             )
         op = _matrix_from_strings(op_rows, variables, f"jumps[{k}].operator", dim)
-        channels.append(JumpChannel(rate, op))
+        channels.append(JumpChannel(rate, op, refill))
     return ModelSpec(name, dim, params, h, tuple(channels))

@@ -747,21 +747,8 @@ _PRIMES: list[tuple[int, int]] = []
 
 
 def _is_prime(c: int) -> bool:
-    """Miller-Rabin with the bases 2, 3, 5, 7: exact for odd c < 3.2e9."""
-    d, s = c - 1, 0
-    while not d & 1:
-        d, s = d >> 1, s + 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, c)
-        if x in (1, c - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % c
-            if x == c - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division of the odd c > 1 by the odd d <= isqrt(c)."""
+    return all(c % d for d in range(3, math.isqrt(c) + 1, 2))
 
 
 def _primes_beyond(bound: int) -> list[tuple[int, int]]:

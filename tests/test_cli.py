@@ -4,6 +4,7 @@ import errno
 import json
 import math
 import os
+import re
 import time
 import warnings
 from fractions import Fraction
@@ -47,6 +48,30 @@ DECAY = {
     "params": ["g"],
     "hamiltonian": [["0", "0"], ["0", "0"]],
     "jumps": [{"rate": "g", "operator": [["0", "1"], ["0", "0"]]}],
+}
+
+
+# the built-in models written as model files
+SPIN_HALF = {
+    "name": "spin_half",
+    "dim": 2,
+    "params": ["Omega", "gamma_minus", "gamma_x", "gamma_y"],
+    "hamiltonian": [["Omega/2", "0"], ["0", "-Omega/2"]],
+    "jumps": [
+        {"rate": "gamma_minus", "operator": [["0", "0"], ["1", "0"]]},
+        {"rate": "gamma_x", "operator": [["0", "1"], ["1", "0"]]},
+        {"rate": "gamma_y", "operator": [["0", "-i"], ["i", "0"]]},
+    ],
+}
+QUBIT = {
+    "name": "qubit",
+    "dim": 2,
+    "params": ["gamma_e", "gamma_f", "J"],
+    "hamiltonian": [["0", "J"], ["J", "0"]],
+    "jumps": [
+        {"rate": "gamma_e", "operator": [["1", "0"], ["0", "0"]], "refill": False},
+        {"rate": "gamma_f", "operator": [["0", "1"], ["0", "0"]]},
+    ],
 }
 
 
@@ -982,6 +1007,10 @@ class TestExitCodes:
             ("x", "expected a JSON object, got str"),
             ({"dim": 2}, "missing key 'name'"),
             ({k: v for k, v in DECAY.items() if k != "hamiltonian"}, "missing key 'hamiltonian'"),
+            (
+                {**DECAY, "jumps": [{**DECAY["jumps"][0], "refill": 1}]},
+                "jumps[0].refill must be true or false, got 1",
+            ),
         ],
         ids=[
             "no-dim",
@@ -997,6 +1026,7 @@ class TestExitCodes:
             "top-level-string",
             "no-name",
             "no-hamiltonian",
+            "refill-not-boolean",
         ],
     )
     def test_malformed_model_dict(self, tmp_path, capsys, data, message):
@@ -1141,7 +1171,124 @@ class TestExitCodes:
         assert code == 4
 
 
+def run_bytes(capsys, argv):
+    code = cli.main(argv)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+class TestBindingValues:
+    # a --bind value is read by the expression grammar, as --omega0 and model
+    # entries are, and must be real
+
+    def test_non_ascii_digit_is_a_parse_error(self, capsys):
+        argv = ["polygon", "--model", "qubit", "--bind", "gamma_e=\u0661", "--bind", "gamma_f=0",
+                "--bind", "J=1/4", "--omega0=-1/2"]
+        code, out, err = run_bytes(capsys, argv)
+        assert code == 2
+        assert err == "error: binding 'gamma_e=\u0661': unexpected character '\u0661' (offset 0)\n"
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "gamma_e, j, omega0",
+        [("1.0e0", "1/4", "-1/2"), ("1", "1/4", "-5e-1"), ("1", "2.5E-1", "-1/2"), ("1", "1/2^2", "-1/2")],
+        ids=["bind-exponent", "omega0-exponent", "bind-capital-exponent", "bind-expression"],
+    )
+    def test_spellings_of_one_value_print_the_same(self, capsys, gamma_e, j, omega0):
+        def run(gamma_e, j, omega0):
+            return run_bytes(capsys, ["polygon", "--model", "qubit", "--bind", f"gamma_e={gamma_e}",
+                                      "--bind", "gamma_f=0", "--bind", f"J={j}", "--omega0", omega0])
+
+        plain = run("1", "1/4", "-1/2")
+        assert plain[0] == 0
+        assert run(gamma_e, j, omega0) == plain
+
+    def test_non_real_value_is_an_input_error(self, capsys):
+        code, out, err = run_bytes(capsys, ["build", "--model", "qubit", "--bind", "J=i"])
+        assert code == 2
+        assert err == "error: binding 'J=i': the value i is not real\n"
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("1e10000", "exponent of more than 4 digits"), ("1" * 5000, "number of more than 4300 digits")],
+        ids=["long-exponent", "long-integer"],
+    )
+    def test_long_literal_is_refused_at_once(self, capsys, value, message):
+        start = time.perf_counter()
+        code, out, err = run_bytes(capsys, ["build", "--model", "qubit", "--bind", f"gamma_e={value}"])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert err == f"error: binding 'gamma_e={value}': {message} (offset 0)\n"
+        assert out == ""
+
+
+# the characters of the differential between Fraction and the grammar
+BINDING_TEXT = st.text(st.sampled_from(list("0123456789+-./eE_()^i* ")), max_size=7)
+
+
+def fraction_only(text):
+    """One of the spellings that Fraction reads and the grammar does not: a
+    leading '+', a point without a digit before or after it, a '_'
+    separator or an exponent of more than four digits."""
+    stripped = text.strip()
+    return (
+        stripped.startswith("+")
+        or re.search(r"(^|[^0-9])\.|\.([^0-9]|$)", stripped) is not None
+        or "_" in stripped
+        or re.search(r"[eE][-+]?[0-9]{5}", stripped) is not None
+    )
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(BINDING_TEXT)
+def test_binding_value_agrees_with_fraction(text):
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return
+    if fraction_only(text):
+        with pytest.raises(cli.InputError):
+            cli._parse_binding(f"g={text}")
+    else:
+        assert cli._parse_binding(f"g={text}") == ("g", expected)
+
+
 class TestCustomModelFlow:
+    @pytest.mark.parametrize(
+        "data, argvs",
+        [
+            (
+                SPIN_HALF,
+                [
+                    ["build"],
+                    ["build", "--bind", "Omega=1", "--bind", "gamma_y=2"],
+                    ["polygon", "--bind", "Omega=1", "--bind", "gamma_minus=0", "--bind", "gamma_x=1",
+                     "--bind", "gamma_y=2", "--omega0", "-3"],
+                    ["scan", "--bind", "Omega=1", "--bind", "gamma_minus=0", "--bind", "gamma_y=2"],
+                ],
+            ),
+            (
+                QUBIT,
+                [
+                    ["build"],
+                    ["build", "--bind", "gamma_e=1", "--bind", "gamma_f=0", "--bind", "J=1/4"],
+                    ["polygon", *QUBIT_EP[2:], "--omega0", "-1/2", "--perturb", "gamma_f"],
+                    ["scan", "--bind", "gamma_e=1", "--bind", "J=1/4"],
+                    ["scan", "--bind", "gamma_e=1", "--bind", "gamma_f=0"],
+                ],
+            ),
+        ],
+        ids=["spin_half", "qubit"],
+    )
+    def test_builtin_written_as_a_file_prints_the_same(self, tmp_path, capsys, data, argvs):
+        model = tmp_path / f"{data['name']}.json"
+        model.write_text(json.dumps(data))
+        for argv in argvs:
+            builtin = run_bytes(capsys, [argv[0], "--model", data["name"], *argv[1:]])
+            assert builtin[0] == 0
+            assert run_bytes(capsys, [argv[0], "--model", str(model), *argv[1:]]) == builtin
+
     def test_json_model_end_to_end(self, tmp_path, capsys):
         model = tmp_path / "decay.json"
         model.write_text(json.dumps(DECAY))

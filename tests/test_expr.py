@@ -121,6 +121,49 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_expression("x^(2)", V)
 
+    @pytest.mark.parametrize(
+        "source, value",
+        [
+            ("1e3", 1000),
+            ("2.5E3", 2500),
+            ("1e-3", Fraction(1, 1000)),
+            ("1.25e+2", 125),
+            ("07e0", 7),
+            ("1e-400", Fraction(1, 10**400)),
+            ("3e9999", 3 * 10**9999),
+            ("2e1*x", X.scale(gr(20))),
+        ],
+        ids=["1e3", "2.5E3", "1e-3", "1.25e+2", "07e0", "1e-400", "3e9999", "2e1*x"],
+    )
+    def test_exponent_literals(self, source, value):
+        expected = value if isinstance(value, MultiPoly) else const(value)
+        assert parse_expression(source, V) == expected
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("1e10000", ("exponent of more than 4 digits", 0)),
+            ("x + 2.5E-00001", ("exponent of more than 4 digits", 4)),
+            ("x^1e3", ("exponent must be an unsigned integer", 2)),
+            ("x^2.0", ("exponent must be an unsigned integer", 2)),
+            ("1.e5", ("digit expected after decimal point", 2)),
+            ("2e", ("unexpected token 'e'", 1)),
+            ("2e+", ("unexpected token 'e'", 1)),
+            ("1e5e5", ("unexpected token 'e5'", 3)),
+        ],
+        ids=["five-digit-exponent", "five-digit-exponent-with-zeros", "power-with-exponent",
+             "power-with-point", "point-before-exponent", "no-exponent-digit",
+             "sign-without-digit", "two-exponents"],
+    )
+    def test_exponent_literal_errors(self, source, expected):
+        # an exponent has at most four digits, so 10^9999 is the largest
+        # power of ten a literal builds; the bound is checked before any
+        # number is made
+        message, offset = expected
+        with pytest.raises(ParseError) as exc:
+            parse_expression(source, V)
+        assert str(exc.value) == f"{message} (offset {offset})"
+
     def test_reserved_imaginary_name(self):
         with pytest.raises(ValueError):
             parse_expression("i", ("i",))
@@ -138,10 +181,12 @@ class TestParsing:
             ("7\u0663", ("unexpected character '\u0663'", 1)),
             ("x\u00b2", ("unknown variable 'x\u00b2'", 0)),
             ("\u00a0x", X),
+            ("x + " + "1" * 5000, ("number of more than 4300 digits", 4)),
+            ("0." + "5" * 5000, ("number of more than 4300 digits", 0)),
         ],
         ids=["trailing-point", "two-points", "point-after-name", "digit-then-name",
              "roman-numeral", "superscript-two", "arabic-indic-three", "seven-arabic-indic-three",
-             "name-with-superscript", "no-break-space"],
+             "name-with-superscript", "no-break-space", "long-integer", "long-decimal"],
     )
     def test_token_edge_cases(self, source, expected):
         # numbers are ASCII digit literals; a non-ASCII digit is no digit
@@ -225,15 +270,16 @@ def test_roundtrip_property(term_list):
 # the grammar's ASCII characters, with letters and digits outside ASCII and
 # whitespace outside ASCII: no-break, em and ideographic spaces, line separator
 GRAMMAR_TEXT = st.text(
-    st.sampled_from(list("0123456789.+-*/^() xyi_") + list("\u03b3\u00e9\u00b2\u0663\u2460\u2177")
+    st.sampled_from(list("0123456789.+-*/^() xyieE_") + list("\u03b3\u00e9\u00b2\u0663\u2460\u2177")
                     + ["\u00a0", "\u2003", "\u3000", "\u2028"]),
     max_size=16,
 )
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-# a power beyond 99 is valid, only slow to expand
-@given(GRAMMAR_TEXT.filter(lambda text: not re.search(r"\^\s*[0-9]{3}", text)))
+# a power beyond 99, or beyond 9 of a number with an exponent, is valid, only
+# slow to expand
+@given(GRAMMAR_TEXT.filter(lambda text: not re.search(r"\^\s*[0-9]{3}|[eE].*\^\s*[0-9]{2}", text)))
 def test_any_text_parses_or_raises_parse_error(text):
     try:
         p = parse_expression(text, V)

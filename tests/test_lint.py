@@ -6,7 +6,8 @@ gcd oracle or calls `.kron`, and no module but `models.py` (`scan.py` in
 particular) reads the char-poly kernel; one function draws from `random`;
 only `cli._write` opens a file for writing; no module but `numerics.py`
 (besides `svgplot.py`'s plotting and two named `poly.py` functions) calls
-`complex` or `float`; every function the benchmark's tracer wraps exists in the
+`complex` or `float`; only `model_from_dict` calls `ModelSpec`, and `cli.py`
+calls no `Fraction`; every function the benchmark's tracer wraps exists in the
 package; no module imports scipy anywhere, or a module that drags in the
 network stack at module level, and a fresh interpreter that imports the CLI
 and runs any subcommand loads none of them; the README's minimal session
@@ -246,9 +247,9 @@ MAKES_FLOATS = {
 }
 
 
-def _float_calls(tree: ast.Module):
-    """(enclosing Class.function, line) of every `complex(...)` or `float(...)`
-    call; None at module level."""
+def _calls(tree: ast.Module, names: set[str]):
+    """(enclosing Class.function, line) of every call of a bare name in
+    `names`, such as `float(...)`; None at module level."""
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
@@ -258,7 +259,7 @@ def _float_calls(tree: ast.Module):
             if (
                 isinstance(child, ast.Call)
                 and isinstance(child.func, ast.Name)
-                and child.func.id in ("complex", "float")
+                and child.func.id in names
             ):
                 yield owner, child.lineno
             yield from visit(child, owner)
@@ -273,10 +274,29 @@ def test_only_numerics_makes_floats():
     stray = sorted(
         f"{path.name}:{line} (in {owner})"
         for path in SOURCES
-        for owner, line in _float_calls(ast.parse(path.read_text(), filename=str(path)))
+        for owner, line in _calls(ast.parse(path.read_text(), filename=str(path)), {"complex", "float"})
         if (path.name, None) not in MAKES_FLOATS and (path.name, owner) not in MAKES_FLOATS
     )
     assert not stray, f"complex or float calls outside numerics: {stray}"
+
+
+def test_models_are_made_only_from_descriptions():
+    # one way in: every model, built-in or from a file, is a description read
+    # by `model_from_dict`, so none skips its checks
+    makers = sorted(
+        f"{path.name}:{owner}"
+        for path in SOURCES
+        for owner, _ in _calls(ast.parse(path.read_text(), filename=str(path)), {"ModelSpec"})
+    )
+    assert makers == ["models.py:model_from_dict"], f"functions that call ModelSpec: {makers}"
+
+
+def test_cli_reads_numbers_only_by_the_grammar():
+    # --bind and --omega0 values are expressions of the grammar; Fraction's own
+    # number syntax (any Unicode digit, '_' separators) stays out of the CLI
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    calls = sorted(line for _, line in _calls(tree, {"Fraction"}))
+    assert not calls, f"cli.py calls Fraction on lines {calls}"
 
 
 def test_traced_names_resolve():

@@ -544,6 +544,24 @@ class TestModelFromDict:
         spec = ModelSpec("toy", 2, ("g",), h, (JumpChannel(parse_expression("g", variables), op),))
         assert m.generator == build_liouvillian(spec)
 
+    def test_refill_false_is_a_loss_only_channel(self):
+        loss_only = dict(self.DATA, jumps=[dict(self.DATA["jumps"][0], refill=False)])
+        m, standard = model_from_dict(loss_only), model_from_dict(self.DATA)
+        assert [ch.refill for ch in m.channels] == [False]
+        assert model_from_dict(dict(self.DATA, jumps=[dict(self.DATA["jumps"][0], refill=True)])) == standard
+        # the refill term G kron conj(G) is gone: here only entry (0, 3)
+        refill = [(r, c) for r in range(4) for c in range(4)
+                  if m.generator.rows[r][c] != standard.generator.rows[r][c]]
+        assert refill == [(0, 3)]
+        assert m.generator.rows[0][3].is_zero()
+
+    @pytest.mark.parametrize("refill", [1, 0, "true", None, [True]])
+    def test_refill_must_be_a_boolean(self, refill):
+        data = dict(self.DATA, jumps=[dict(self.DATA["jumps"][0], refill=refill)])
+        with pytest.raises(ValueError) as err:
+            model_from_dict(data)
+        assert f"jumps[0].refill must be true or false, got {refill!r}" in str(err.value)
+
     def test_dict_model_preserves_trace(self):
         m = model_from_dict(self.DATA)
         zero = MultiPoly.zero(m.variables)
@@ -644,4 +662,17 @@ class TestBuiltinLookup:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             builtin_model("nope")
+
+    @pytest.mark.parametrize("name", ["qubit", "spin_half"])
+    def test_builtins_are_model_descriptions(self, name, monkeypatch):
+        # a built-in is its description read by model_from_dict, which a
+        # model file round-trips through JSON unchanged
+        reads = []
+        read = models.model_from_dict
+        monkeypatch.setattr(models, "model_from_dict", lambda data: reads.append(data) or read(data))
+        m = builtin_model(name)
+        (data,) = reads
+        assert json.loads(json.dumps(data)) == data
+        assert model_from_dict(data) == m
+        assert entries(model_from_dict(data).generator) == entries(m.generator)
 

@@ -581,6 +581,21 @@ def shifts(l0):
     return st.one_of(st.just(0), ratio.map(gr), st.builds(gr, ratio, ratio), st.sampled_from(diagonal))
 
 
+def test_prime_table_holds_the_largest_primes_one_mod_four():
+    # trial division fills the table: its first 8 entries are the 8 largest
+    # primes p = 1 (mod 4) below 2^26, each with a square root of -1
+    sympy = pytest.importorskip("sympy")
+
+    table = poly._primes_beyond(2 ** (26 * 8 - 1))[:8]
+    expected, c = [], 2**26 - 3
+    while len(expected) < 8:
+        if sympy.isprime(c):
+            expected.append(c)
+        c -= 4
+    assert [p for p, _ in table] == expected
+    assert all(iota * iota % p == p - 1 for p, iota in table)
+
+
 def one_prime_fewer(monkeypatch):
     """Make the kernel use every prime it chooses but the last."""
     primes_beyond = poly._primes_beyond
