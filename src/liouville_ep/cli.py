@@ -66,7 +66,7 @@ def _parse_binding(text: str) -> tuple[str, Fraction]:
         number = _parse_scalar(value)
     except ParseError as exc:
         raise InputError(f"binding {text!r}: {exc}") from None
-    if number.im:
+    if number.b:
         raise InputError(f"binding {text!r}: the value {number} is not real")
     return name.strip(), number.re
 

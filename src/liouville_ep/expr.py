@@ -9,12 +9,12 @@ Grammar (whitespace-insensitive, no implicit multiplication):
 
 Numbers are unsigned integer or decimal literals of ASCII digits with an
 optional exponent ('e' or 'E', an optional sign, at most four digits: 1e-400,
-2.5E3); they are parsed as exact rationals (0.25 -> 1/4, 1e-3 -> 1/1000), a
-longer exponent is an error at the literal, as is a literal with more digits
-than the interpreter reads as an int (4300 by default), and a digit outside
-ASCII, such as '\u0663' or '\u00b2', is an unexpected character.  A power's exponent is
-an unsigned integer literal with no point or exponent ('x^1e3' is an
-error).  An identifier is a letter or '_' followed by letters, digits and
+2.5E3); they are parsed as exact rationals (0.25 -> 1/4, 1e-3 -> 1/1000).  A
+longer exponent is an error at the literal, as is a literal of more than 4300
+characters, so no literal's value has more than about 14,300 digits; a digit
+outside ASCII, such as '\u0663' or '\u00b2', is an unexpected character.  A
+power's exponent is an unsigned integer literal with no point or exponent
+('x^1e3' is an error).  An identifier is a letter or '_' followed by letters, digits and
 '_'.  A leading minus negates the whole power after it, so -x^2 is -(x^2)
 and -2^2 is -4.  'i' is the imaginary unit and is reserved.  Division is
 only allowed by subexpressions that reduce to nonzero constants.
@@ -33,7 +33,6 @@ first) that parses back to the identical polynomial.
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -58,6 +57,9 @@ _TOKENS = re.compile(
 )
 # digits an exponent literal may have: 10^9999 is still quick to build
 _EXPONENT_DIGITS = 4
+# characters a number literal may have, Python's default limit on the digits
+# of an int read from text, held here so it does not depend on the interpreter
+_LITERAL_CHARS = 4300
 
 
 class _Token(NamedTuple):
@@ -69,14 +71,18 @@ class _Token(NamedTuple):
 def _tokenize(src: str) -> list[_Token]:
     tokens: list[_Token] = []
     for m in _TOKENS.finditer(src):
-        kind, text, offset = m.lastgroup, m.group(), m.start()
+        kind = m.lastgroup
         if kind == "space":
             continue
-        if kind == "num" and m["point"] == ".":
-            raise ParseError("digit expected after decimal point", m.end("point"))
-        if kind == "num" and m["exp"] and len(m["exp"]) > _EXPONENT_DIGITS:
-            raise ParseError(f"exponent of more than {_EXPONENT_DIGITS} digits", offset)
-        if kind == "bad" or kind == "ident" and not (text[0].isalpha() or text[0] == "_"):
+        text, offset = m.group(), m.start()
+        if kind == "num":
+            if m["point"] == ".":
+                raise ParseError("digit expected after decimal point", m.end("point"))
+            if m["exp"] and len(m["exp"]) > _EXPONENT_DIGITS:
+                raise ParseError(f"exponent of more than {_EXPONENT_DIGITS} digits", offset)
+            if len(text) > _LITERAL_CHARS:
+                raise ParseError(f"number of more than {_LITERAL_CHARS} characters", offset)
+        elif kind == "bad" or kind == "ident" and not (text[0].isalpha() or text[0] == "_"):
             raise ParseError(f"unexpected character {text[0]!r}", offset)
         tokens.append(_Token(text if kind == "punct" else kind, text, offset))
     tokens.append(_Token("end", "", len(src)))
@@ -151,13 +157,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            try:
-                # an integer literal, the usual case, skips Fraction's string parse
-                value = int(tok.text) if tok.text.isdigit() else Fraction(tok.text)
-            except ValueError:  # past the interpreter's limit on digits read as an int
-                limit = sys.get_int_max_str_digits()
-                raise ParseError(f"number of more than {limit} digits", tok.offset) from None
-            return MultiPoly.constant(self.variables, value)
+            return MultiPoly.constant(self.variables, Fraction(tok.text))
         if tok.kind == "ident":
             self.advance()
             if tok.text == "i":

@@ -1211,7 +1211,7 @@ class TestBindingValues:
 
     @pytest.mark.parametrize(
         "value, message",
-        [("1e10000", "exponent of more than 4 digits"), ("1" * 5000, "number of more than 4300 digits")],
+        [("1e10000", "exponent of more than 4 digits"), ("1" * 5000, "number of more than 4300 characters")],
         ids=["long-exponent", "long-integer"],
     )
     def test_long_literal_is_refused_at_once(self, capsys, value, message):

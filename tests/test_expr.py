@@ -181,12 +181,14 @@ class TestParsing:
             ("7\u0663", ("unexpected character '\u0663'", 1)),
             ("x\u00b2", ("unknown variable 'x\u00b2'", 0)),
             ("\u00a0x", X),
-            ("x + " + "1" * 5000, ("number of more than 4300 digits", 4)),
-            ("0." + "5" * 5000, ("number of more than 4300 digits", 0)),
+            ("x + " + "1" * 5000, ("number of more than 4300 characters", 4)),
+            ("0." + "5" * 5000, ("number of more than 4300 characters", 0)),
+            ("1" * 4300, MultiPoly.constant(V, int("1" * 4300))),
         ],
         ids=["trailing-point", "two-points", "point-after-name", "digit-then-name",
              "roman-numeral", "superscript-two", "arabic-indic-three", "seven-arabic-indic-three",
-             "name-with-superscript", "no-break-space", "long-integer", "long-decimal"],
+             "name-with-superscript", "no-break-space", "long-integer", "long-decimal",
+             "longest-integer"],
     )
     def test_token_edge_cases(self, source, expected):
         # numbers are ASCII digit literals; a non-ASCII digit is no digit
