@@ -57,6 +57,17 @@ def _parse_scalar(text: str) -> GaussRational:
     return parse_expression(text, ()).constant_value()
 
 
+def _check_printable(value: GaussRational, what: str) -> None:
+    """An InputError naming `what` when a part of value (a + b*i)/d has more
+    digits than the interpreter prints of an int (PYTHONINTMAXSTRDIGITS),
+    told from bit lengths: 2^(3k) < 10^k, so 3k bits take at most k digits,
+    and only a longer number is compared with 10^k."""
+    # Python before 3.10.7 has no such limit, which reads as 0
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and any(n.bit_length() > 3 * limit and abs(n) >= 10**limit for n in (value.a, value.b, value.d)):
+        raise InputError(f"{what}: the value has more than {limit} digits, more than this interpreter prints")
+
+
 def _parse_binding(text: str) -> tuple[str, Fraction]:
     """name=value, the value an exact real expression of the grammar."""
     name, sep, value = text.partition("=")
@@ -66,6 +77,7 @@ def _parse_binding(text: str) -> tuple[str, Fraction]:
         number = _parse_scalar(value)
     except ParseError as exc:
         raise InputError(f"binding {text!r}: {exc}") from None
+    _check_printable(number, f"binding {text!r}")
     if number.b:
         raise InputError(f"binding {text!r}: the value {number} is not real")
     return name.strip(), number.re
@@ -113,6 +125,7 @@ def _omega0(args) -> GaussRational:
     if args.omega0 is None:
         raise InputError("--omega0 is required for this subcommand")
     w0 = _parse_scalar(args.omega0)
+    _check_printable(w0, f"--omega0 {args.omega0!r}")
     return -w0 if args.shift_sign == "minus" else w0
 
 
@@ -196,6 +209,7 @@ def _classification_dict(c: Classification) -> dict:
         "order": c.order,
         "alg_mult": c.alg_mult,
         "geom_mult": c.geom_mult,
+        "jordan_blocks": list(c.jordan_blocks),
         "valuations": report_to_dict(c.report)["valuations"],
         "polygon": polygon_to_dict(c.polygon),
         "seeds": list(c.seeds),
@@ -253,7 +267,8 @@ def cmd_polygon(args) -> int:
     if named:
         polygon, report = assert_routes_agree(fs[0])
     else:
-        # classify's first seed is --seed: its polygon is this perturbation's
+        # classify's certified seed, --seed unless it was non-generic: its
+        # polygon is the generic perturbation's
         polygon, report = classification.polygon, classification.report
     payload = {
         "schema": 1,

@@ -14,7 +14,8 @@ longer exponent is an error at the literal, as is a literal of more than 4300
 characters, so no literal's value has more than about 14,300 digits; a digit
 outside ASCII, such as '\u0663' or '\u00b2', is an unexpected character.  A
 power's exponent is an unsigned integer literal with no point or exponent
-('x^1e3' is an error).  An identifier is a letter or '_' followed by letters, digits and
+('x^1e3' is an error), and a power past a bound on its degree, terms or bits
+is an error at its exponent, found before it is expanded.  An identifier is a letter or '_' followed by letters, digits and
 '_'.  A leading minus negates the whole power after it, so -x^2 is -(x^2)
 and -2^2 is -4.  'i' is the imaginary unit and is reserved.  Division is
 only allowed by subexpressions that reduce to nonzero constants.
@@ -32,6 +33,7 @@ first) that parses back to the identical polynomial.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -60,6 +62,11 @@ _EXPONENT_DIGITS = 4
 # characters a number literal may have, Python's default limit on the digits
 # of an int read from text, held here so it does not depend on the interpreter
 _LITERAL_CHARS = 4300
+# bounds on a power, checked before it is expanded: its total degree, its
+# terms, and its terms times the bits of a coefficient
+_POWER_DEGREE = 1 << 8
+_POWER_TERMS = 1 << 11
+_POWER_BITS = 1 << 18
 
 
 class _Token(NamedTuple):
@@ -150,14 +157,16 @@ class _Parser:
             if tok.kind != "num" or not tok.text.isdigit():
                 raise ParseError("exponent must be an unsigned integer", tok.offset)
             self.advance()
-            poly = poly ** int(tok.text)
+            k = _number(tok).numerator
+            _check_power(poly, k, tok.offset)
+            poly = poly**k
         return poly
 
     def base(self) -> MultiPoly:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            return MultiPoly.constant(self.variables, Fraction(tok.text))
+            return MultiPoly.constant(self.variables, _number(tok))
         if tok.kind == "ident":
             self.advance()
             if tok.text == "i":
@@ -174,6 +183,47 @@ class _Parser:
             self.advance()
             return poly
         raise ParseError(f"unexpected token {tok.text!r}", tok.offset)
+
+
+def _number(tok: _Token) -> Fraction:
+    """The exact value of a number token; past the interpreter's own limit on
+    the digits of an int read from text (PYTHONINTMAXSTRDIGITS), which may
+    be lower than _LITERAL_CHARS, an error at the literal."""
+    try:
+        return Fraction(tok.text)
+    except ValueError:
+        raise ParseError("number of more digits than this interpreter reads", tok.offset) from None
+
+
+def _check_power(poly: MultiPoly, k: int, offset: int) -> None:
+    """Refuse poly^k, with a ParseError at the exponent's `offset`, before it
+    is expanded: when its total degree would pass _POWER_DEGREE, its terms
+    _POWER_TERMS, or its terms times the bits of a coefficient _POWER_BITS.
+
+    The terms are at most the monomials of the power's degree in the
+    variables poly uses, and at most the multisets of k of poly's terms.
+    Over its common denominator D, poly is P/D with Gaussian-integer
+    coefficients whose real and imaginary parts sum to S in absolute value,
+    so a coefficient of P^k is at most S^k and D^k is the power's
+    denominator: a coefficient takes about k*log2(max(S, D)) bits, counted
+    as k times the floor of that logarithm, so 1, -1 and i have every power.
+    """
+    coefficients = poly.terms.values()
+    denom = math.lcm(*(c.d for c in coefficients))
+    size = sum((abs(c.a) + abs(c.b)) * (denom // c.d) for c in coefficients)
+    bits = k * (max(size, denom).bit_length() - 1)
+    degree = poly.degree()
+    terms = 1
+    if degree > 0:
+        if k * degree > _POWER_DEGREE:
+            raise ParseError(f"power of total degree above {_POWER_DEGREE}", offset)
+        used = sum(any(e[i] for e in poly.terms) for i in range(len(poly.vars)))
+        count = len(poly.terms)
+        terms = min(math.comb(k * degree + used, used), math.comb(k + count - 1, count - 1))
+        if terms > _POWER_TERMS:
+            raise ParseError(f"power of more than {_POWER_TERMS} terms", offset)
+    if terms * bits > _POWER_BITS:
+        raise ParseError(f"power of more than {_POWER_BITS} bits", offset)
 
 
 def parse_expression(source: str, variables: Sequence[str]) -> MultiPoly:

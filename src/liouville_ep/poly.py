@@ -204,8 +204,9 @@ def _scalar_power(x: GaussRational, k: int) -> GaussRational:
     while k:
         if k & 1:
             out = out * x
-        x = x * x
         k >>= 1
+        if k:  # the last square would go unused
+            x = x * x
     return out
 
 
@@ -338,8 +339,9 @@ class MultiPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # the last square would go unused
+                base = base * base
         return result
 
     def scale(self, value: ScalarLike) -> "MultiPoly":

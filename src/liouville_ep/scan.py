@@ -14,9 +14,10 @@ roots back to rationals and certifies each by exact Horner evaluation.  The
 scan applies it to the discriminant (a value is exact where the discriminant
 vanishes exactly) and then, for the double eigenvalues, to gcd(q, q') at each
 exact value, the last nonzero remainder of the same PRS.  It classifies every
-degeneracy through the Newton polygon of a seeded generic perturbation plus
-an exact geometric multiplicity computation; the char polys of every seed at
-every point of one classification batch come from one kernel call.
+degeneracy through the Newton polygon of a seeded generic perturbation,
+certified by the point's exact Jordan blocks, which predict that polygon; the
+char polys of every point of one classification batch come from one kernel
+call, and a seed that fails the certificate is retried with the next one.
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ def _rank(work: list[list[GaussRational]]) -> int:
     return rank
 
 
-def geometric_multiplicity(matrix: PolyMatrix, eigenvalue: GaussRational) -> int:
-    """dim ker(M - lambda I) over the exact constant field."""
+def _shifted_rows(matrix: PolyMatrix, eigenvalue: GaussRational) -> list[list[GaussRational]]:
+    """M - lambda I of a square matrix of constants, as fresh rows."""
     n, m = matrix.shape
     if n != m:
         raise ValueError("square matrix required")
@@ -81,7 +82,49 @@ def geometric_multiplicity(matrix: PolyMatrix, eigenvalue: GaussRational) -> int
     rows = matrix.constant_rows()
     for i in range(n):
         rows[i][i] = rows[i][i] - lam
-    return n - _rank(rows)
+    return rows
+
+
+def geometric_multiplicity(matrix: PolyMatrix, eigenvalue: GaussRational) -> int:
+    """dim ker(M - lambda I) over the exact constant field."""
+    rows = _shifted_rows(matrix, eigenvalue)
+    return len(rows) - _rank(rows)
+
+
+def _jordan_blocks(matrix: PolyMatrix, eigenvalue: GaussRational) -> tuple[int, ...]:
+    """Sizes of the Jordan blocks of lambda in M, descending, by exact rank;
+    () when lambda is not an eigenvalue.
+
+    The Weyr characteristic: with r_k the rank of A^k, A = M - lambda I and
+    r_0 = n, exactly r_(k-1) - r_k blocks have size k or more, and r_k falls
+    until k reaches the largest block.  The row space of A^k is the row space
+    of A^(k-1) times A, so each step multiplies the basis rows that `_rank`
+    leaves on top by A and ranks those; r_1 is the geometric multiplicity's
+    rank, so geometric_multiplicity = len(blocks).
+    """
+    a = _shifted_rows(matrix, eigenvalue)
+    work = [row[:] for row in a]
+    ranks = [len(a)]
+    while (rank := _rank(work)) < ranks[-1]:
+        ranks.append(rank)
+        if not rank:
+            break
+        work = [_row_times(row, a) for row in work[:rank]]
+    # steps[k - 1] blocks have size k or more: the sizes are its conjugate
+    steps = [r - s for r, s in zip(ranks, ranks[1:])]
+    return tuple(sum(step > j for step in steps) for j in range(steps[0] if steps else 0))
+
+
+def _row_times(row: list[GaussRational], a: list[list[GaussRational]]) -> list[GaussRational]:
+    """The row vector times the matrix of rows `a`, skipping zero products."""
+    out = [GR_ZERO] * len(a[0])
+    for x, a_row in zip(row, a):
+        if x.is_zero():
+            continue
+        for c, y in enumerate(a_row):
+            if not y.is_zero():
+                out[c] = out[c] + x * y
+    return out
 
 
 # -- candidate solving -----------------------------------------------------------
@@ -89,12 +132,18 @@ def geometric_multiplicity(matrix: PolyMatrix, eigenvalue: GaussRational) -> int
 
 @dataclass(frozen=True)
 class Classification:
-    """Outcome of the polygon + multiplicity analysis at one exact point."""
+    """Outcome of the polygon + Jordan-structure analysis at one exact point.
+
+    `jordan_blocks` are the sizes of omega0's Jordan blocks, descending;
+    `seeds` are the seeds tried, in order, and `polygon` and `report` belong
+    to the last of them, the certified one unless no seed was.
+    """
 
     kind: str  # 'ep' | 'diabolic' | 'inconclusive'
     order: int | None
     alg_mult: int
     geom_mult: int
+    jordan_blocks: tuple[int, ...]
     report: EPReport
     polygon: NewtonPolygon
     seeds: tuple[int, ...]
@@ -281,19 +330,25 @@ def _near_common_roots(q_at: Dense, scale: int) -> list[complex]:
 # -- classification -----------------------------------------------------------------
 
 
+# the most seeds `classify` tries at one point
 CLASSIFY_SEEDS = 3
 
 
 def classify(bound_matrix: PolyMatrix, omega0: GaussRational, seed: int = 42) -> Classification:
     """Classify an exact degeneracy of a fully bound generator.
 
-    Requires omega0 to be an exact eigenvalue, that is M - omega0 I singular
-    (a geometric multiplicity of at least one by exact rank).  The Newton
-    polygon of a seeded generic perturbation is recomputed for CLASSIFY_SEEDS
-    consecutive seeds from `seed`, all of whose char polys come from one
-    batched kernel call; disagreement marks the point inconclusive.  The
-    algebraic multiplicity is the lowest omega-degree of the polygon's points
-    on epsilon = 0, the order of omega = 0 as a root of f(omega, 0).  Rules:
+    Requires omega0 to be an exact eigenvalue, that is M - omega0 I singular.
+    Its Jordan blocks come exactly from the ranks of (M - omega0 I)^k, and
+    they predict the Newton polygon of a generic perturbation (Lidskii; Moro,
+    Burke & Overton 1997): r blocks of size n give the root valuation 1/n
+    with multiplicity n*r, and nothing else vanishes.  The polygon of the
+    seeded generic perturbation `seed` is certified when its positive finite
+    valuations are that prediction; a seed whose polygon is not, a
+    non-generic one, is noted `non-generic-seed` and the next seed is tried,
+    up to CLASSIFY_SEEDS seeds, after which the point is inconclusive with
+    the note `no-generic-seed`.  The algebraic multiplicity is the sum of
+    the blocks and the geometric one their count.  Rules, on the certified
+    polygon:
 
       * EP(n): some root valuation equals 1/n with n >= 2 and the geometric
         multiplicity is below the algebraic one (defective);
@@ -315,67 +370,81 @@ def _classify_points(
     char polys of `pencils`, (l0, perturbation, shift) as `char_polys`
     takes them, in order.
 
-    Every point's geometric multiplicity is checked first, in order, so the
-    first point that is not an exact eigenvalue raises; then the pencils of
-    every point and seed, followed by `pencils`, go through one `char_polys`
-    call.  The matrices must share one shape and one variable tuple.
+    Every point's Jordan blocks are computed first, in order, so the first
+    point that is not an exact eigenvalue raises; then one `char_polys` call
+    takes every point's pencil of `seed`, followed by `pencils`, and each
+    later seed one call for the points still uncertified.  The matrices must
+    share one shape and one variable tuple.
     """
-    geom_mults = []
+    blocks = []
     for bound_matrix, omega0 in points:
-        geom_mult = geometric_multiplicity(bound_matrix, omega0)
-        if geom_mult == 0:
+        point_blocks = _jordan_blocks(bound_matrix, omega0)
+        if not point_blocks:
             raise ValueError("omega0 is not an exact eigenvalue of the bound generator")
-        geom_mults.append(geom_mult)
-    seed_list = tuple(range(seed, seed + CLASSIFY_SEEDS))
-    # one batch shares its shape, so each seed's draws serve every point
-    l1s = [perturbation_draws(points[0][0].shape[0], s) for s in seed_list]
-    seeded = [(bound_matrix, l1, omega0) for bound_matrix, omega0 in points for l1 in l1s]
-    fs = char_polys(seeded + list(pencils))
-    k = CLASSIFY_SEEDS
+        blocks.append(point_blocks)
+    size = points[0][0].shape[0]
+    seeds: list[list[int]] = [[] for _ in points]
+    notes: list[list[str]] = [[] for _ in points]
+    last: list[tuple[NewtonPolygon, EPReport, bool] | None] = [None] * len(points)
+    pending = list(range(len(points)))
+    named, named_fs = list(pencils), None
+    for s in range(seed, seed + CLASSIFY_SEEDS):
+        # one batch shares its shape, so the seed's draws serve every point
+        draws = perturbation_draws(size, s)
+        fs = char_polys([(points[i][0], draws, points[i][1]) for i in pending] + named)
+        if named_fs is None:
+            named_fs, named = fs[len(pending):], []
+        failed = []
+        for i, f in zip(pending, fs):
+            polygon, report = assert_routes_agree(f)
+            certified = [(v, m) for v, m in report.finite() if v > 0] == _lidskii(blocks[i])
+            seeds[i].append(s)
+            last[i] = (polygon, report, certified)
+            if not certified:
+                notes[i].append("non-generic-seed")
+                failed.append(i)
+        pending = failed
+        if not pending:
+            break
+    for i in pending:
+        notes[i].append("no-generic-seed")
     classifications = [
-        _classification(geom_mult, fs[i * k:(i + 1) * k], seed_list)
-        for i, geom_mult in enumerate(geom_mults)
+        _classification(blocks[i], *last[i], seeds[i], notes[i]) for i in range(len(points))
     ]
-    return classifications, fs[len(seeded):]
+    return classifications, named_fs
+
+
+def _lidskii(blocks: tuple[int, ...]) -> list[tuple[Fraction, int]]:
+    """The positive root valuations, ascending with multiplicities, of a
+    generic perturbation of an eigenvalue with these Jordan blocks: the r
+    blocks of size n give 1/n with multiplicity n*r."""
+    sizes = sorted(set(blocks), reverse=True)
+    return [(Fraction(1, n), n * blocks.count(n)) for n in sizes]
 
 
 def _classification(
-    geom_mult: int, fs: Sequence[MultiPoly], seed_list: tuple[int, ...]
+    blocks: tuple[int, ...],
+    polygon: NewtonPolygon,
+    report: EPReport,
+    certified: bool,
+    seeds: list[int],
+    notes: list[str],
 ) -> Classification:
-    """Apply `classify`'s rules to one point's seeded char polys."""
-    notes: list[str] = []
-    polygons = []
-    reports = []
-    for f in fs:
-        polygon, report = assert_routes_agree(f)
-        polygons.append(polygon)
-        reports.append(report)
-    signature = {tuple((seg.slope, seg.hspan) for seg in p.segments) for p in polygons}
-    agree = len(signature) == 1
-    if not agree:
-        notes.append("seed-disagreement")
-    report = reports[0]
-    polygon = polygons[0]
-    alg_mult = min(p.i for p in polygon.points if p.j == 0)
-    positive = [(v, mult) for v, mult in report.finite() if v > 0]
-    vanishing = sum(mult for _, mult in positive)
-    inf_mult = sum(mult for v, mult in report.entries if math.isinf(v))
-    if vanishing + inf_mult != alg_mult:
-        notes.append("perturbation-multiplicity-mismatch")
+    """Apply `classify`'s rules to one point's polygon, inconclusive unless
+    it is certified."""
+    alg_mult, geom_mult = sum(blocks), len(blocks)
+    positive = [v for v, _ in report.finite() if v > 0]
     order = report.max_order()
-    if not agree:
-        kind = "inconclusive"
-        order = None
+    if not certified:
+        kind, order = "inconclusive", None
     elif order is not None and geom_mult < alg_mult:
         kind = "ep"
-    elif positive and all(v == 1 for v, _ in positive) and geom_mult == alg_mult:
-        kind = "diabolic"
-        order = None
+    elif positive and all(v == 1 for v in positive) and geom_mult == alg_mult:
+        kind, order = "diabolic", None
     else:
-        kind = "inconclusive"
-        order = None
+        kind, order = "inconclusive", None
     return Classification(
-        kind, order, alg_mult, geom_mult, report, polygon, seed_list, tuple(notes)
+        kind, order, alg_mult, geom_mult, blocks, report, polygon, tuple(seeds), tuple(notes)
     )
 
 

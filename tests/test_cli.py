@@ -5,6 +5,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -224,8 +226,9 @@ class TestPolygon:
     ], ids=["qubit", "lambda3"])
     @pytest.mark.parametrize("perturb", ["generic", "named"])
     def test_one_kernel_call(self, capsys, monkeypatch, point, perturb):
-        # a named perturbation's pencil joins classify's seeded pencils in one
-        # batch, so every polygon pays the kernel's fixed cost once
+        # a named perturbation's pencil joins classify's seeded pencil in one
+        # batch, so every polygon pays the kernel's fixed cost once, and the
+        # certified seed is --seed
         batches = []
         kernel = poly.char_poly_berkowitz
         monkeypatch.setattr(models, "char_poly_berkowitz", lambda pencils, *names: (
@@ -234,8 +237,45 @@ class TestPolygon:
         named = "gamma_f" if point[1] == "qubit" else "O"
         argv = ["polygon", *point] + (["--perturb", named] if perturb == "named" else [])
         payload = run_json(capsys, argv)
-        assert batches == [scan.CLASSIFY_SEEDS + (perturb == "named")]
+        assert batches == [1 + (perturb == "named")]
         assert payload["perturbation"] == (named if perturb == "named" else "generic")
+        assert payload["classification"]["seeds"] == [42]
+
+    def test_classification_reports_the_jordan_blocks(self, capsys):
+        c = run_json(capsys, ["polygon"] + QUBIT_EP + ["--omega0", "-1/2"])["classification"]
+        assert (c["label"], c["jordan_blocks"], c["alg_mult"], c["geom_mult"]) == ("EP(3)", [3, 1], 4, 2)
+        assert (c["seeds"], c["notes"]) == ([42], [])
+        payload = run_json(capsys, ["scan"] + SPIN_SLICE)
+        assert {
+            c["value"]: [(k["omega0"], k["jordan_blocks"], k["seeds"]) for k in c["classifications"]]
+            for c in payload["candidates"]
+        } == {
+            "-2": [("0", [1, 1], [42])],
+            "-1/8": [("0", [1, 1], [42]), ("-15/4", [1, 1], [42])],
+            "1": [("-3", [2], [42])],
+            "3": [("-5", [2], [42])],
+        }
+
+    def test_non_generic_seed_is_retried(self, capsys, monkeypatch):
+        # a zero perturbation at --seed moves no eigenvalue, so classify goes
+        # on to the next seed; the generic polygon printed is the certified
+        # seed's, and after CLASSIFY_SEEDS zero seeds the point is inconclusive
+        argv = ["polygon"] + SPIN_SLICE + ["--bind", "gamma_x=1", "--omega0", "-3"]
+        draws = scan.perturbation_draws
+        zero = {42}
+        monkeypatch.setattr(scan, "perturbation_draws", lambda size, seed: (
+            np.zeros((size, size, 2), dtype=np.int64) if seed in zero else draws(size, seed)
+        ))
+        payload = run_json(capsys, argv)
+        c = payload["classification"]
+        assert (c["label"], c["seeds"], c["notes"]) == ("EP(2)", [42, 43], ["non-generic-seed"])
+        assert payload["seed"] == 42
+        assert (payload["polygon"], payload["valuations"]) == (c["polygon"], c["valuations"])
+        zero.update((43, 44))
+        c = run_json(capsys, argv)["classification"]
+        assert (c["kind"], c["label"], c["order"], c["jordan_blocks"]) == ("inconclusive", "inconclusive", None, [2])
+        assert c["seeds"] == [42, 43, 44]
+        assert c["notes"] == ["non-generic-seed"] * 3 + ["no-generic-seed"]
 
     def test_shift_sign_minus_is_equivalent(self, capsys):
         base = run_json(
@@ -1221,6 +1261,68 @@ class TestBindingValues:
         assert code == 2
         assert err == f"error: binding 'gamma_e={value}': {message} (offset 0)\n"
         assert out == ""
+
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["build", "--model", "qubit", "--bind", "g=3^999999999"],
+             "error: binding 'g=3^999999999': power of more than 262144 bits (offset 2)\n"),
+            (["polygon", *QUBIT_EP, "--omega0", "(1+i)^99999999"],
+             "parse error: power of more than 262144 bits (offset 6)\n"),
+        ],
+        ids=["bind", "omega0"],
+    )
+    def test_huge_power_is_refused_at_once(self, capsys, argv, err):
+        start = time.perf_counter()
+        assert run_bytes(capsys, argv) == (2, "", err)
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["build", "--model", "qubit", "--bind", "J=1e9999"], "binding 'J=1e9999'"),
+            (["scan", "--model", "qubit", "--bind", "gamma_e=1", "--bind", "J=1e-9999"], "binding 'J=1e-9999'"),
+            (["polygon", *QUBIT_EP, "--omega0", "-2^20000"], "--omega0 '-2^20000'"),
+        ],
+        ids=["build", "scan-denominator", "omega0"],
+    )
+    def test_unprintable_value_is_an_input_error(self, capsys, argv, what):
+        # a value with more digits than the interpreter prints of an int is
+        # refused by name, before anything would print it
+        limit = sys.get_int_max_str_digits()
+        if not limit or limit > 6000:
+            pytest.skip("the interpreter prints these values")
+        err = f"error: {what}: the value has more than {limit} digits, more than this interpreter prints\n"
+        assert run_bytes(capsys, argv) == (2, "", err)
+
+    def test_largest_printable_value_is_printed(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        if not limit or limit > 4300:
+            pytest.skip("the tokenizer refuses a literal with so many digits")
+        code, out, err = run_bytes(capsys, ["build", "--model", "qubit", "--bind", f"J=1e{limit - 1}"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["bound"] == {"J": "1" + "0" * (limit - 1)}
+
+    def test_lowered_digit_limit(self):
+        # under PYTHONINTMAXSTRDIGITS=640 a literal shorter than the
+        # tokenizer's bound is a parse error at its offset, and a value of
+        # 641 digits an input error naming its binding: both exit 2
+        import liouville_ep
+
+        src = str(Path(liouville_ep.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640",
+               "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        long = "7" * 700
+        for value, err in (
+            (long, f"error: binding 'J={long}': number of more digits than this interpreter reads (offset 0)\n"),
+            ("1e640", "error: binding 'J=1e640': the value has more than 640 digits, more than this interpreter prints\n"),
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "liouville_ep.cli", "build", "--model", "qubit", "--bind", f"J={value}"],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
 
 
 # the characters of the differential between Fraction and the grammar

@@ -1,7 +1,8 @@
 """Expression grammar: parsing, error offsets, canonical formatting."""
 
 import random
-import re
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,69 @@ class TestParsing:
             parse_expression(source, V)
         assert str(exc.value) == f"{message} (offset {offset})"
 
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("3^999999999", ("power of more than 262144 bits", 2)),
+            ("(1+i)^99999999", ("power of more than 262144 bits", 6)),
+            ("2^262145", ("power of more than 262144 bits", 2)),
+            ("(1/2)^262145", ("power of more than 262144 bits", 6)),
+            ("x + 1e9999^8", ("power of more than 262144 bits", 11)),
+            ("(1e300*(1+x+y))^60", ("power of more than 262144 bits", 16)),
+            ("x^257", ("power of total degree above 256", 2)),
+            ("(x*y)^129", ("power of total degree above 256", 6)),
+            ("x^" + "9" * 4000, ("power of total degree above 256", 2)),
+            ("(1+x+y)^63", ("power of more than 2048 terms", 8)),
+        ],
+        ids=["three", "one-plus-i", "two-past-the-bits", "half-past-the-bits", "huge-literal-base",
+             "bits-of-a-polynomial", "monomial", "product", "long-exponent", "terms"],
+    )
+    def test_power_bounds(self, source, expected):
+        # a power is refused at its exponent before it is expanded; a
+        # polynomial's bits count once per term of the power
+        message, offset = expected
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as exc:
+            parse_expression(source, V)
+        assert time.perf_counter() - start < 1
+        assert str(exc.value) == f"{message} (offset {offset})"
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("1^99999999999", const(1)),
+            ("i^123456789123", const(gr(0, -1))),
+            ("(-1)^99999999", const(-1)),
+            ("0^99999999", const(0)),
+            ("2^262144", const(2**262144)),
+            ("(1/2)^262144", const(Fraction(1, 2**262144))),
+            ("x^256", X**256),
+            ("(x*y)^128", (X * Y) ** 128),
+            ("(x+y)^256", (X + Y) ** 256),
+        ],
+        ids=["one", "i", "minus-one", "zero", "two", "half", "monomial", "product", "binomial"],
+    )
+    def test_powers_within_the_bounds(self, source, expected):
+        # a unit has every power; a binomial's terms are bounded by the
+        # multisets of its two terms, not by the monomials of its degree
+        assert parse_expression(source, V) == expected
+
+    def test_literal_past_the_interpreter_digit_limit(self, monkeypatch):
+        # under a lowered PYTHONINTMAXSTRDIGITS a literal shorter than the
+        # tokenizer's bound is an error at its offset, in a power too
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)
+            for source, offset in (("x + " + "7" * 700, 4), ("x^" + "1" * 700, 2), ("1" * 640, None)):
+                if offset is None:
+                    assert parse_expression(source, V) == const(int(source))
+                    continue
+                with pytest.raises(ParseError) as exc:
+                    parse_expression(source, V)
+                assert str(exc.value) == f"number of more digits than this interpreter reads (offset {offset})"
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_reserved_imaginary_name(self):
         with pytest.raises(ValueError):
             parse_expression("i", ("i",))
@@ -279,9 +343,8 @@ GRAMMAR_TEXT = st.text(
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-# a power beyond 99, or beyond 9 of a number with an exponent, is valid, only
-# slow to expand
-@given(GRAMMAR_TEXT.filter(lambda text: not re.search(r"\^\s*[0-9]{3}|[eE].*\^\s*[0-9]{2}", text)))
+# every power is bounded before it is expanded, so no text is slow to parse
+@given(GRAMMAR_TEXT)
 def test_any_text_parses_or_raises_parse_error(text):
     try:
         p = parse_expression(text, V)

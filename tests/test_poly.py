@@ -1,6 +1,7 @@
 """Exact arithmetic layer: scalars, polynomials, matrices, determinants."""
 
 import copy
+import functools
 import json
 import math
 import pickle
@@ -255,6 +256,22 @@ class TestMultiPolyRing:
         p = x + MultiPoly.constant(V, 1)
         assert p**3 == p * p * p
         assert p**0 == MultiPoly.constant(V, 1)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 16, 17, 255])
+    def test_power_squares_no_more_than_it_uses(self, monkeypatch, k):
+        # square and multiply: one product per set bit of k and one square
+        # per bit after the first, never a last square that goes unused
+        expected = bin(k).count("1") + k.bit_length() - 1
+        p = MultiPoly.variable(V, "x") + MultiPoly.constant(V, 1)
+        z = gr(1, 1)
+        for cls, base, power in ((MultiPoly, p, lambda: p**k), (GaussRational, z, lambda: poly._scalar_power(z, k))):
+            products = []
+            with monkeypatch.context() as patch:
+                mul = cls.__mul__
+                patch.setattr(cls, "__mul__", lambda a, b: products.append(b) or mul(a, b))
+                result = power()
+            assert len(products) == expected
+            assert result == functools.reduce(cls.__mul__, [base] * k)
 
     def test_degree_and_coefficients(self):
         x = MultiPoly.variable(V, "x")

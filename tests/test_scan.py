@@ -363,7 +363,8 @@ class TestClassify:
         assert c.order == 2
         assert c.alg_mult == 2
         assert c.geom_mult == 1
-        assert c.seeds == (42, 43, 44)
+        assert c.jordan_blocks == (2,)
+        assert c.seeds == (42,)
         assert c.notes == ()
 
     def test_other_ep_on_slice(self):
@@ -389,19 +390,21 @@ class TestClassify:
             classify(self.spin_half_bound(1), gr(17))
 
     def test_one_kernel_call_per_classify(self, monkeypatch):
-        # omega0 is checked by exact rank and the algebraic multiplicity is
-        # read off the polygon, so no unperturbed determinant is taken, and
-        # every seed's pencil goes through one batched kernel call
+        # omega0 is checked and its multiplicities taken by exact rank, so no
+        # unperturbed determinant is taken, and the seed certified by the
+        # Jordan blocks is the only pencil of the one kernel call
         calls = spy_kernel(monkeypatch)
         c = classify(qubit_ep3_bound(), gr(Fraction(-1, 2)))
         assert c.alg_mult == 4
-        assert calls == [scan.CLASSIFY_SEEDS]
+        assert c.seeds == (42,)
+        assert calls == [1]
 
     def test_one_newton_polygon_per_seed(self, monkeypatch):
         # the polygon checked against the tropical route is the one classify
-        # keeps: no module builds a second hull of the same char poly
-        calls = []
-        hull = newton.lower_hull
+        # keeps: no module builds a second hull of the same char poly, and a
+        # point certified by its first seed builds one hull and one walk
+        calls, walks = [], []
+        hull, walk = newton.lower_hull, newton.tropical_roots
 
         def spy(points):
             calls.append(points)
@@ -410,9 +413,197 @@ class TestClassify:
         for module in (newton, scan):
             if getattr(module, "lower_hull", None) is hull:
                 monkeypatch.setattr(module, "lower_hull", spy)
+        monkeypatch.setattr(newton, "tropical_roots", lambda tf: walks.append(tf) or walk(tf))
         c = classify(qubit_ep3_bound(), gr(Fraction(-1, 2)))
         assert c.order == 3
-        assert len(calls) == scan.CLASSIFY_SEEDS
+        assert c.seeds == (42,)
+        assert len(calls) == len(walks) == 1
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def file_model_bound(path, point):
+    m = model_from_dict(json.loads((ROOT / path).read_text()))
+    return m.generator.substitute({k: Fraction(v) for k, v in point.items()})
+
+
+def spin_half_point(gamma_x):
+    m, bindings = spin_half_slice()
+    return m.generator.substitute({**bindings, "gamma_x": Fraction(gamma_x)})
+
+
+# every (name, bound generator, omega0) that tier-1 classifies: the spin_half
+# scan's points, the qubit EP3, the lambda3 4-fold and the ladder4 6-fold point
+CLASSIFIED_POINTS = [
+    ("spin_half-ep2-1", lambda: spin_half_point(1), gr(-3)),
+    ("spin_half-ep2-3", lambda: spin_half_point(3), gr(-5)),
+    ("spin_half-diabolic-minus2", lambda: spin_half_point(-2), gr(0)),
+    ("spin_half-minus1/8-at-0", lambda: spin_half_point(Fraction(-1, 8)), gr(0)),
+    ("spin_half-minus1/8-at-minus15/4", lambda: spin_half_point(Fraction(-1, 8)), gr(Fraction(-15, 4))),
+    ("qubit-ep3", qubit_ep3_bound, gr(Fraction(-1, 2))),
+    ("lambda3-4fold", lambda: file_model_bound(
+        "perfbench/models/lambda3.json", {"g1": 1, "g2": 1, "O": 0}), gr(Fraction(-1, 2))),
+    ("ladder4-6fold", lambda: file_model_bound(
+        "tests/models/ladder4.json", {"g1": 1, "g2": 1, "g3": 1, "O": 0}), gr(Fraction(-1, 2))),
+]
+
+
+def constant_matrix(rows):
+    return PolyMatrix([[MultiPoly.constant(TOY, e) for e in row] for row in rows])
+
+
+def draws_for(monkeypatch, replaced):
+    """Let `replaced` (seed -> draws, or None to keep them) override the
+    seeded perturbation classify hands the kernel."""
+    draws = scan.perturbation_draws
+
+    def patched(size, seed):
+        out = replaced(size, seed)
+        return draws(size, seed) if out is None else out
+
+    monkeypatch.setattr(scan, "perturbation_draws", patched)
+
+
+def zero_draws(size, seed):
+    return np.zeros((size, size, 2), dtype=np.int64)
+
+
+def identity_draws(size, seed):
+    out = np.zeros((size, size, 2), dtype=np.int64)
+    out[range(size), range(size), 0] = 1
+    return out
+
+
+class TestJordanCertificate:
+    """classify's certificate: the exact Jordan blocks of omega0 and the
+    polygon Lidskii's theory predicts from them."""
+
+    @pytest.mark.parametrize("name, bound, w0", CLASSIFIED_POINTS, ids=[p[0] for p in CLASSIFIED_POINTS])
+    def test_blocks_equal_sympy_jordan_form(self, name, bound, w0):
+        sympy = pytest.importorskip("sympy")
+        matrix = bound()
+        exact = sympy.Matrix([
+            [sympy.Rational(c.a, c.d) + sympy.I * sympy.Rational(c.b, c.d) for c in row]
+            for row in matrix.constant_rows()
+        ])
+        _, jordan = exact.jordan_form()
+        lam = sympy.Rational(w0.a, w0.d) + sympy.I * sympy.Rational(w0.b, w0.d)
+        expected, start = [], 0
+        for k in range(jordan.shape[0]):
+            if k + 1 == jordan.shape[0] or jordan[k, k + 1] == 0:
+                if sympy.simplify(jordan[k, k] - lam) == 0:
+                    expected.append(k + 1 - start)
+                start = k + 1
+        assert scan._jordan_blocks(matrix, w0) == tuple(sorted(expected, reverse=True))
+        assert classify(matrix, w0).jordan_blocks == tuple(sorted(expected, reverse=True))
+
+    @pytest.mark.parametrize("name, bound, w0", CLASSIFIED_POINTS, ids=[p[0] for p in CLASSIFIED_POINTS])
+    def test_blocks_agree_with_the_label(self, name, bound, w0):
+        c = classify(bound(), w0)
+        blocks = c.jordan_blocks
+        assert (c.alg_mult, c.geom_mult) == (sum(blocks), len(blocks))
+        assert (c.kind == "ep") == (blocks[0] >= 2)
+        if c.kind == "ep":
+            assert c.order == blocks[0]
+        assert (c.kind == "diabolic") == (blocks[0] == 1 and c.alg_mult >= 2)
+        # Lidskii: r blocks of size n give valuation 1/n with multiplicity n*r
+        predicted = sorted(
+            ((Fraction(1, n), n * blocks.count(n)) for n in set(blocks)), key=lambda e: e[0]
+        )
+        assert [(v, m) for v, m in c.report.finite() if v > 0] == predicted
+        assert (c.seeds, c.notes) == ((42,), ())
+
+    def test_known_partitions(self):
+        # the qubit EP3: ranks 4, 2, 1, 0 of A^k give blocks 3 and 1; the
+        # lambda3 4-fold point: ranks 9, 5, 5 give four blocks of size 1
+        assert scan._jordan_blocks(qubit_ep3_bound(), gr(Fraction(-1, 2))) == (3, 1)
+        _, lambda3, w0 = CLASSIFIED_POINTS[6]
+        assert scan._jordan_blocks(lambda3(), w0) == (1, 1, 1, 1)
+
+    def test_non_eigenvalue_has_no_blocks(self):
+        assert scan._jordan_blocks(spin_half_point(1), gr(17)) == ()
+        assert scan._jordan_blocks(constant_matrix([[gr(0)]]), gr(1)) == ()
+        with pytest.raises(ValueError, match="not an exact eigenvalue"):
+            classify(spin_half_point(1), gr(17))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        st.lists(st.tuples(st.integers(1, 3), st.sampled_from([gr(1), gr(-2), gr(0, 1)])), max_size=2),
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(-2, 2)), max_size=12),
+    )
+    def test_planted_jordan_matrix(self, blocks, others, lam, moves):
+        # U J U^-1 with J a Jordan matrix whose blocks at lambda are planted
+        # and U a product of integer row operations, so det U = 1 and U^-1
+        # is the reversed product of the inverse operations
+        lam = gr(*lam)
+        diagonal = [(lam, n) for n in blocks] + [(lam + mu, n) for n, mu in others]
+        size = sum(n for _, n in diagonal)
+        j = [[gr(0)] * size for _ in range(size)]
+        at = 0
+        for value, n in diagonal:
+            for k in range(n):
+                j[at + k][at + k] = value
+                if k + 1 < n:
+                    j[at + k][at + k + 1] = gr(1)
+            at += n
+        ops = [(r % size, c % size, gr(f)) for r, c, f in moves if r % size != c % size and f]
+
+        def apply(rows, r, c, f):
+            # row r += f * row c
+            rows[r] = [a + f * b for a, b in zip(rows[r], rows[c])]
+
+        def column(rows, r, c, f):
+            # column c -= f * column r, the inverse operation from the right
+            for row in rows:
+                row[c] = row[c] - f * row[r]
+
+        m = [row[:] for row in j]
+        for r, c, f in ops:
+            apply(m, r, c, f)
+            column(m, r, c, f)
+        assert scan._jordan_blocks(constant_matrix(m), lam) == tuple(sorted(blocks, reverse=True))
+
+    def test_non_generic_seed_is_retried(self, monkeypatch):
+        # a zero perturbation moves no eigenvalue, so the first seed's
+        # polygon is not Lidskii's; the second seed certifies the same label
+        # at the cost of one more kernel call
+        reference = classify(spin_half_point(1), gr(-3))
+        draws_for(monkeypatch, lambda size, seed: zero_draws(size, seed) if seed == 42 else None)
+        calls = spy_kernel(monkeypatch)
+        c = classify(spin_half_point(1), gr(-3))
+        assert c.seeds == (42, 43)
+        assert c.notes == ("non-generic-seed",)
+        assert (c.kind, c.order, c.jordan_blocks) == (reference.kind, reference.order, (2,))
+        assert calls == [1, 1]
+
+    def test_no_generic_seed_is_inconclusive(self, monkeypatch):
+        draws_for(monkeypatch, zero_draws)
+        calls = spy_kernel(monkeypatch)
+        c = classify(spin_half_point(1), gr(-3))
+        assert (c.kind, c.order) == ("inconclusive", None)
+        assert c.seeds == tuple(range(42, 42 + scan.CLASSIFY_SEEDS))
+        assert c.notes == ("non-generic-seed",) * scan.CLASSIFY_SEEDS + ("no-generic-seed",)
+        assert (c.alg_mult, c.geom_mult, c.jordan_blocks) == (2, 1, (2,))
+        assert calls == [1] * scan.CLASSIFY_SEEDS
+
+    def test_failing_points_share_one_retry_call(self, monkeypatch):
+        # the identity perturbation shifts every eigenvalue by epsilon: that
+        # is Lidskii's splitting at the scan's three diabolic points but not
+        # at its two EP2 points, which alone go on to the next seed
+        m, bindings = spin_half_slice()
+        reference = scan_parameter(m.generator, "gamma_x", bindings, m.rate_params)
+        draws_for(monkeypatch, lambda size, seed: identity_draws(size, seed) if seed == 42 else None)
+        calls = spy_kernel(monkeypatch)
+        out = scan_parameter(m.generator, "gamma_x", bindings, m.rate_params)
+        assert calls == [1, 5, 2]
+        for cand, ref in zip(out.candidates, reference.candidates):
+            for (w0, c), (_, r) in zip(cand.classifications, ref.classifications):
+                assert (c.kind, c.order, c.jordan_blocks) == (r.kind, r.order, r.jordan_blocks)
+                assert c.seeds == ((42, 43) if c.kind == "ep" else (42,))
+                assert c.notes == (("non-generic-seed",) if c.kind == "ep" else ())
 
 
 class TestSeededPencilFeed:
@@ -432,8 +623,9 @@ class TestSeededPencilFeed:
         zero = PolyMatrix.identity(TOY, size).scale(0)
         for seed in (0, 7, 42):
             seen.clear()
-            classify(zero, gr(0), seed)
-            assert len(seen) == scan.CLASSIFY_SEEDS
+            c = classify(zero, gr(0), seed)
+            assert c.seeds == (seed,) and c.jordan_blocks == (1,) * size
+            assert len(seen) == 1
             for k, draws in enumerate(seen):
                 rng = random.Random(seed + k)
                 expected = [[[rng.randint(-9, 9), rng.randint(-9, 9)] for _ in range(size)] for _ in range(size)]
@@ -594,13 +786,13 @@ class TestScanParameter:
 
     def test_exact_candidates_share_one_kernel_call(self, monkeypatch):
         # the scan's own char poly, then one call for the five exact points
-        # (-2, -1/8 twice, 1 and 3) with every classification seed each
+        # (-2, -1/8 twice, 1 and 3) with the one certified seed each
         m, bindings = spin_half_slice()
         calls = spy_kernel(monkeypatch)
         out = scan_parameter(m.generator, "gamma_x", bindings, m.rate_params)
         points = sum(len(c.classifications) for c in out.candidates)
         assert points == 5
-        assert calls == [1, points * scan.CLASSIFY_SEEDS] == [1, 15]
+        assert calls == [1, points] == [1, 5]
 
     def test_no_exact_candidate_takes_no_classification_call(self, monkeypatch):
         m = builtin_model("qubit")
