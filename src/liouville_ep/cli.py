@@ -38,7 +38,6 @@ from .newton import (
 from .numerics import NumericalError, amoeba_sample, encircle, scaling_sweep
 from .poly import GaussRational
 from .scan import Classification, _classify_points, geometric_multiplicity, scan_parameter
-from . import svgplot
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -58,14 +57,17 @@ def _parse_scalar(text: str) -> GaussRational:
 
 
 def _check_printable(value: GaussRational, what: str) -> None:
-    """An InputError naming `what` when a part of value (a + b*i)/d has more
-    digits than the interpreter prints of an int (PYTHONINTMAXSTRDIGITS),
-    told from bit lengths: 2^(3k) < 10^k, so 3k bits take at most k digits,
-    and only a longer number is compared with 10^k."""
+    """An InputError naming `what` when a number that `str(value)` prints,
+    the numerator or denominator of its real or imaginary part, has more
+    digits than the interpreter prints of an int (PYTHONINTMAXSTRDIGITS).
+    Those numbers are at most a, b and d of (a + b*i)/d in size, and 2^(3k)
+    < 10^k, so 3k bits take at most k digits: only past that are the parts
+    compared with 10^k."""
     # Python before 3.10.7 has no such limit, which reads as 0
     limit = getattr(sys, "get_int_max_str_digits", int)()
-    if limit and any(n.bit_length() > 3 * limit and abs(n) >= 10**limit for n in (value.a, value.b, value.d)):
-        raise InputError(f"{what}: the value has more than {limit} digits, more than this interpreter prints")
+    if limit and max(value.a, value.b, value.d, key=abs).bit_length() > 3 * limit:
+        if any(abs(n) >= 10**limit for part in (value.re, value.im) for n in (part.numerator, part.denominator)):
+            raise InputError(f"{what}: the value has more than {limit} digits, more than this interpreter prints")
 
 
 def _parse_binding(text: str) -> tuple[str, Fraction]:
@@ -166,6 +168,14 @@ def _svg_path(args, default: str) -> str:
     return default
 
 
+def _figure(title: str, xlabel: str, ylabel: str):
+    """A new `svgplot.Figure`; svgplot, and `html` with it, is imported only
+    by a command that writes an SVG."""
+    from . import svgplot
+
+    return svgplot.Figure(title, xlabel, ylabel)
+
+
 # rows of a long CSV table formatted at a time, which bounds its cell lists
 _CSV_ROWS = 1 << 12
 
@@ -226,6 +236,10 @@ def cmd_build(args) -> int:
     matrix = bundle.generator
     if bindings:
         matrix = matrix.substitute(bindings)
+    for r, row in enumerate(matrix.rows):
+        for c, entry in enumerate(row):
+            for coeff in entry.terms.values():
+                _check_printable(coeff, f"entries[{r}][{c}]")
     payload = {
         "schema": 1,
         "model": bundle.name,
@@ -283,7 +297,7 @@ def cmd_polygon(args) -> int:
     }
     _emit(_dumps(payload), args.out)
     if args.svg:
-        fig = svgplot.Figure(f"Newton polygon ({bundle.name})", "omega degree", "epsilon order")
+        fig = _figure(f"Newton polygon ({bundle.name})", "omega degree", "epsilon order")
         fig.add_points([(p.i, p.j) for p in polygon.points], r=3.0)
         fig.add_line([(p.i, p.j) for p in polygon.vertices])
         _write(_svg_path(args, "polygon.svg"), fig.render())
@@ -343,7 +357,7 @@ def cmd_amoeba(args) -> int:
     )
     _emit(_csv(summary, "logeps,logmag", *cloud.points.T), args.out)
     if args.svg:
-        fig = svgplot.Figure(
+        fig = _figure(
             f"Amoeba ({bundle.name}, {pname})", "log10 |omega - omega0|", "log10 |epsilon|"
         )
         fig.add_points([(lm, le) for le, lm in cloud.points])
@@ -372,7 +386,7 @@ def cmd_scale(args) -> int:
     _emit(_csv(summary, "epsilon,re,im,logeps,logmag", *columns), args.out)
     if args.svg:
         pts = [(x, y) for _, _, x, y in fit.samples if y > -math.inf]
-        fig = svgplot.Figure(
+        fig = _figure(
             f"Perturbation scaling ({bundle.name}, {pname})",
             "log10 epsilon",
             "log10 |omega - omega0|",
@@ -407,7 +421,7 @@ def cmd_encircle(args) -> int:
     t = np.repeat(report.ts, width)
     _emit(_csv(summary, "t,index,re,im", t, index, trace.real.ravel(), trace.imag.ravel()), args.out)
     if args.svg:
-        fig = svgplot.Figure(f"Eigenvalue loops ({bundle.name}, {pname})", "Re omega", "Im omega")
+        fig = _figure(f"Eigenvalue loops ({bundle.name}, {pname})", "Re omega", "Im omega")
         palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
         for k, branch in enumerate(trace.T):
             fig.add_line(list(zip(branch.real.tolist(), branch.imag.tolist())), palette[k % len(palette)])

@@ -19,11 +19,13 @@ The kernel takes a batch of equally shaped pencils L0 + eps*L1 - s I as
 their parts and reads each distinct part once into flat term arrays; it
 adds each shift to its pencil's diagonal constants and sums terms that meet
 in residues.  It clears each pencil's denominators once and works on
-residues in numpy int64: Z[i] modulo each prime p = 1 (mod 4) below 2^26 of
+residues in numpy int64: Z[i] modulo each prime p = 1 (mod 4) below 2^28 of
 a fixed table (found on first use) splits into two copies of F_p, and one
 batched division-free Berkowitz runs over every prime, embedding, integer
 grid point of the free variables and pencil of the batch, in blocks of
-(grid point, pencil) pairs that keep each stack near 2 MiB.  Interpolation
+(grid point, pencil) pairs that keep each stack near 2 MiB.  A product of
+two residues is below 2^56, so a sum of at most 127 of them fits in int64:
+the kernel takes matrices of up to 127 rows.  Interpolation
 is modulo p, and Garner's CRT recovers the integers; a bound on the
 coefficients by Hadamard and Cauchy on the unit torus, the largest over the
 batch, fixes how many primes, so every result is exact by construction.
@@ -735,15 +737,17 @@ def _inverse_vandermonde(d: int) -> tuple[tuple[int, ...], ...]:
 # -- residue char-poly kernel -------------------------------------------------
 #
 # Z[i]/p is F_p x F_p for a prime p = 1 (mod 4), through i -> +iota and
-# i -> -iota with iota^2 = -1 (mod p).  Residues stay below p < 2^26, so a
-# product is below 2^52 and a sum of fewer than 2^11 products fits in int64.
+# i -> -iota with iota^2 = -1 (mod p).  Residues stay below p < 2^28, so a
+# product is below 2^56 and a sum of fewer than 2^7 products fits in int64:
+# room for a Berkowitz step of up to 127 rows, and for the at most 3 terms
+# (L0, L1 and the shift) that meet at one entry's monomial.
 
-_PRIME_CEILING = 1 << 26
-_TERMS_PER_SUM = 1 << 11
+_PRIME_CEILING = 1 << 28
+_TERMS_PER_SUM = 1 << 7
 # residues per block of (grid point, matrix) pairs: 2 MiB of int64 matrices
 _KERNEL_BLOCK = 1 << 18
 
-# (p, iota) for the primes p = 1 (mod 4) below 2^26, largest first; filled on
+# (p, iota) for the primes p = 1 (mod 4) below 2^28, largest first; filled on
 # first use, as far as a call needs.
 _PRIMES: list[tuple[int, int]] = []
 
@@ -772,7 +776,7 @@ def _primes_beyond(bound: int) -> list[tuple[int, int]]:
 
 def _dot_mod(a: np.ndarray, b: np.ndarray, mod: np.ndarray) -> np.ndarray:
     """a @ b modulo `mod` for int64 stacks of residues, summed in slices of
-    fewer than 2^11 terms so that no partial sum overflows."""
+    fewer than 2^7 terms so that no partial sum overflows."""
     step = _TERMS_PER_SUM - 1
     out = a[..., :step] @ b[..., :step, :] % mod
     for s in range(step, a.shape[-1], step):
@@ -908,7 +912,7 @@ def char_poly_berkowitz(
     of the tensor grid.
 
     The arithmetic is residues in numpy int64.  For each prime p of a fixed
-    table (p = 1 mod 4 and p < 2^26, largest first, found on first use),
+    table (p = 1 mod 4 and p < 2^28, largest first, found on first use),
     Z[i]/p splits into two copies of F_p through i -> +-iota, iota^2 = -1, so
     every prime, embedding, grid point and pencil gives one residue matrix of
     the stack (primes, 2, points, pencils, n, n), and one batched
@@ -939,7 +943,9 @@ def char_poly_berkowitz(
     every monomial coefficient of var^(n-j) in det(x I - D_k*M_k), real and
     imaginary parts alike, is at most e_j(rho); primes are taken until their
     product exceeds twice the largest e_j(rho) of the batch.  There is no
-    Python-integer fallback: one path serves every size.
+    Python-integer fallback: one path serves every size up to 127 rows,
+    since a Berkowitz step sums up to n products of residues below 2^56 in
+    int64; a larger matrix is a ValueError.
     """
     vs, n, at, expo, abd = _pencil_terms(pencils, eps)
     if var not in vs:
@@ -1002,7 +1008,7 @@ def char_poly_berkowitz(
     iota = np.array([[[i], [p - i]] for p, i in primes], dtype=np.int64)
     coeff = np.zeros((count, 2, len(monomials), batch * nn), dtype=np.int64)
     # an entry's monomial takes at most an L0, an L1 and a shift term, each
-    # below 2^52, so their sum fits in int64
+    # below 2^56 + 2^28, so their sum fits in int64
     place = (slice(None), slice(None), np.searchsorted(monomials, codes), at)
     np.add.at(coeff, place, residue[:, :1] + residue[:, 1:] * iota)
     coeff %= mod4

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liouville_ep import cli, models, newton, poly, scan
+from liouville_ep.expr import parse_expression
 from liouville_ep.models import builtin_model, char_poly, perturbation_matrix
 from liouville_ep.numerics import amoeba_sample, encircle, scaling_sweep
 
@@ -1323,6 +1324,67 @@ class TestBindingValues:
                 env=env, capture_output=True, text=True, timeout=120,
             )
             assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
+
+    @pytest.fixture
+    def squared(self, tmp_path):
+        # H = diag(J^2, 0): an entry of the generator is -i J^2, twice the
+        # digits of J
+        model = tmp_path / "squared.json"
+        model.write_text(json.dumps({
+            "name": "squared", "dim": 2, "params": ["J"],
+            "hamiltonian": [["J^2", "0"], ["0", "0"]], "jumps": [],
+        }))
+        return str(model)
+
+    def test_unprintable_entry_is_an_input_error(self, capsys, squared):
+        # J = 10^3000 prints, its entry -10^6000*i does not: the first such
+        # entry is named, before anything is printed; J = 10^2000 prints
+        limit = sys.get_int_max_str_digits()
+        if not 4000 < limit <= 6000:
+            pytest.skip("the interpreter prints the 6001-digit entry, or not the 4001-digit one")
+        start = time.perf_counter()
+        got = run_bytes(capsys, ["build", "--model", squared, "--bind", "J=1e3000"])
+        assert time.perf_counter() - start < 1
+        err = f"error: entries[1][1]: the value has more than {limit} digits, more than this interpreter prints\n"
+        assert got == (2, "", err)
+        code, out, err = run_bytes(capsys, ["build", "--model", squared, "--bind", "J=1e2000"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["entries"][1][1] == "-1" + "0" * 4000 + "*i"
+
+    def test_entry_parts_print_over_a_longer_common_denominator(self, capsys, tmp_path):
+        # 1/2^14000 + i/3^8000 prints 4215- and 3818-digit denominators, while
+        # its one denominator (a + b*i)/d has d = 2^14000 * 3^8000, of 8033
+        # digits: the check reads the printed parts, not a, b and d
+        if 0 < sys.get_int_max_str_digits() < 4215:
+            pytest.skip("the interpreter does not print the parts")
+        z = "1/2^14000+i/3^8000"
+        model = tmp_path / "hermitian.json"
+        model.write_text(json.dumps({
+            "name": "hermitian", "dim": 2, "params": [],
+            "hamiltonian": [["0", z], ["1/2^14000-i/3^8000", "0"]], "jumps": [],
+        }))
+        code, out, err = run_bytes(capsys, ["build", "--model", str(model)])
+        assert (code, err) == (0, "")
+        assert parse_expression(json.loads(out)["entries"][0][2], ()) == parse_expression(f"-i*({z})", ())
+
+    def test_unprintable_entry_under_a_lowered_digit_limit(self, squared):
+        import liouville_ep
+
+        src = str(Path(liouville_ep.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640",
+               "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        for value, code in (("1e400", 2), ("1e300", 0)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "liouville_ep.cli", "build", "--model", squared, "--bind", f"J={value}"],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == code, proc.stderr
+            if code:
+                assert proc.stderr == (
+                    "error: entries[1][1]: the value has more than 640 digits, more than this interpreter prints\n"
+                )
+            else:
+                assert json.loads(proc.stdout)["entries"][1][1] == "-1" + "0" * 600 + "*i"
 
 
 # the characters of the differential between Fraction and the grammar

@@ -404,6 +404,8 @@ def test_exact_runs_load_no_heavy_module(fresh_python):
     assert "liouville_ep.cli" in loaded and "numpy" in loaded
     heavy = [m for m in loaded if _is_heavy(m)]
     assert not heavy, f"importing the CLI and running the exact layer loaded {heavy}"
+    # a polygon without --svg draws nothing, so it loads no plotting code
+    assert "liouville_ep.svgplot" not in loaded and "html" not in loaded
 
 
 # the subcommands that leave the exact layer, each writing its SVG too
@@ -420,6 +422,7 @@ def test_numeric_runs_load_no_heavy_module(fresh_python, tmp_path):
     loaded = json.loads(fresh_python(LOADED_BY_RUNS, json.dumps(runs)))
     svgs = sorted(p.name for p in tmp_path.glob("*.svg"))
     assert svgs == ["amoeba.svg", "encircle.svg", "scale.svg"]
+    assert "liouville_ep.svgplot" in loaded
     heavy = [m for m in loaded if _is_heavy(m)]
     assert not heavy, f"importing the CLI and running amoeba, scale and encircle loaded {heavy}"
 

@@ -600,11 +600,13 @@ def shifts(l0):
 
 def test_prime_table_holds_the_largest_primes_one_mod_four():
     # trial division fills the table: its first 8 entries are the 8 largest
-    # primes p = 1 (mod 4) below 2^26, each with a square root of -1
+    # primes p = 1 (mod 4) below the table's ceiling, each with a square
+    # root of -1
     sympy = pytest.importorskip("sympy")
 
-    table = poly._primes_beyond(2 ** (26 * 8 - 1))[:8]
-    expected, c = [], 2**26 - 3
+    bits = poly._PRIME_CEILING.bit_length() - 1
+    table = poly._primes_beyond(2 ** (bits * 8 - 1))[:8]
+    expected, c = [], poly._PRIME_CEILING - 3
     while len(expected) < 8:
         if sympy.isprime(c):
             expected.append(c)
@@ -724,14 +726,70 @@ class TestResidueKernel:
         assert got == [det_bareiss(minus_omega(m)) for m in batch]
 
     def test_rows_that_could_overflow_rejected(self, monkeypatch):
-        # n products of residues below 2^26 must sum below 2^63: n < 2^11,
-        # lowered here so that a 3x3 matrix stands in for a 2048x2048 one
+        # n products of residues below 2^28 must sum below 2^63: n < 2^7,
+        # lowered here so that a 3x3 matrix stands in for a 128x128 one
         monkeypatch.setattr(poly, "_TERMS_PER_SUM", 3)
         with pytest.raises(ValueError, match="fewer than 3 rows"):
             plain_char_polys([PolyMatrix.identity(KV, 3)], "omega")[0]
         assert plain_char_polys([PolyMatrix.identity(KV, 2)], "omega")[0] == det_bareiss(
             minus_omega(PolyMatrix.identity(KV, 2))
         )
+
+    def test_128_rows_rejected_before_residue_work(self, monkeypatch):
+        def no_primes(bound):
+            raise AssertionError("the kernel chose primes for a matrix it must refuse")
+
+        monkeypatch.setattr(poly, "_primes_beyond", no_primes)
+        with pytest.raises(ValueError, match="fewer than 128 rows"):
+            plain_char_polys([PolyMatrix.identity(KV, 128)], "omega")
+
+    def test_int64_headroom(self):
+        # a sum of _TERMS_PER_SUM - 1 products of residues, and the at most
+        # 3 terms (L0, L1, shift) that meet at one entry, each re + iota*im,
+        # stay below 2^63
+        top = poly._PRIME_CEILING - 1
+        assert top * top * (poly._TERMS_PER_SUM - 1) < 2**63
+        assert 3 * poly._PRIME_CEILING**2 < 2**63
+
+    def test_largest_matrix_at_the_largest_prime(self):
+        # n = 127 rows of residues within 2^10 of the largest table prime:
+        # every Berkowitz sum is as long and its terms as large as the
+        # kernel allows
+        (p, _), = poly._primes_beyond(1)
+        n = poly._TERMS_PER_SUM - 1
+        mod = np.full((1, 1, 1), p, dtype=np.int64)
+        # all entries p - 1 = -1 (mod p): det(x I + J) = x^127 + 127 x^126
+        got = poly._berkowitz_mod(np.full((1, n, n), p - 1, dtype=np.int64), mod)[0]
+        assert got.tolist() == [1, n] + [0] * (n - 1)
+        rng = np.random.default_rng(127)
+        a = rng.integers(p - 2**10, p, size=(n, n))
+        got = poly._berkowitz_mod(a[None], mod)[0].tolist()
+        # the x^126 coefficient is -trace, the constant (-1)^n det, both mod p
+        rows = a.tolist()
+        assert got[1] == -sum(rows[i][i] for i in range(n)) % p
+        det = 1
+        for c in range(n):
+            r = next(r for r in range(c, n) if rows[r][c] % p)
+            if r != c:
+                rows[c], rows[r] = rows[r], rows[c]
+                det = -det
+            det = det * rows[c][c] % p
+            inverse = pow(rows[c][c], -1, p)
+            for r in range(c + 1, n):
+                f = rows[r][c] * inverse % p
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[c])]
+        assert got[-1] == (-1) ** n * det % p
+
+    def test_dot_mod_sums_past_one_slice(self):
+        # 300 terms take three slices; in one sum they would pass 2^63
+        (p, _), = poly._primes_beyond(1)
+        rng = np.random.default_rng(300)
+        a = rng.integers(p - 2**10, p, size=(2, 300))
+        b = rng.integers(p - 2**10, p, size=(300, 3))
+        assert 300 * (p - 2**10) ** 2 >= 2**63
+        got = poly._dot_mod(a, b, np.int64(p))
+        rows, cols = a.tolist(), b.T.tolist()
+        assert got.tolist() == [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in rows]
 
     def test_one_by_one_and_zero(self):
         entry = MultiPoly(KV, {(2, 0, 0): gr(Fraction(1, 3)), (0, 0, 0): gr(0, Fraction(-1, 2))})
@@ -814,7 +872,7 @@ class TestResidueKernel:
         char_poly(ladder4.generator.substitute({"g1": 1, "g2": 1, "O": Fraction(1, 3)}))  # the g3 scan's
         classify(ladder4.generator.substitute({"g1": 1, "g2": 1, "g3": 1, "O": 0}), half)  # 6-fold point
         assert len(counts) == 4
-        assert all(got <= most for got, most in zip(counts, [3, 1, 2, 4])), counts
+        assert all(got <= most for got, most in zip(counts, [2, 1, 2, 4])), counts
         # every kernel call of the benchmark's exact-2level and amoeba
         # traffic at the default seed: a scan's char poly, then its
         # candidates' classification batch where it has one
@@ -823,10 +881,10 @@ class TestResidueKernel:
         qubit = ["--model", "qubit", "--bind", "gamma_e=1", "--bind", "gamma_f=0", "--bind", "J=1/4"]
         spin_half = ["--model", "spin_half", "--bind", "Omega=1", "--bind", "gamma_minus=0", "--bind", "gamma_y=2"]
         traffic = [
-            (["polygon", *qubit, "--omega0", "-1/2", "--perturb", "gamma_f"], [2]),
+            (["polygon", *qubit, "--omega0", "-1/2", "--perturb", "gamma_f"], [1]),
             (["polygon", *spin_half, "--bind", "gamma_x=1", "--omega0", "-3"], [1]),
             (["amoeba", *qubit, "--omega0", "-1/2", "--perturb", "gamma_f"], [1]),
-            (["scan", "--model", "qubit", "--bind", "gamma_e=1", "--bind", "J=1/4"], [1, 2]),
+            (["scan", "--model", "qubit", "--bind", "gamma_e=1", "--bind", "J=1/4"], [1, 1]),
             (["scan", *spin_half], [1, 2]),
             (["scan", "--model", "qubit", "--bind", "gamma_e=1", "--bind", "gamma_f=0"], [1]),
         ]

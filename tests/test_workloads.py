@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import liouville_ep
-from liouville_ep import cli
+from liouville_ep import cli, poly
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -49,3 +49,23 @@ def test_invocation_passes_the_benchmark_check(capsys, reference, name, inv, arg
 def test_every_invocation_is_run_once():
     keys = [inv.key for _, inv, _ in RUNS]
     assert len(keys) == len(set(keys)) == sum(map(len, workloads.WORKLOADS.values()))
+
+
+def test_classify_batches_take_two_primes(capsys, monkeypatch):
+    # each classify-3level polygon makes one kernel call, whose 55-56-bit
+    # bound two primes below 2^28 cover, at every seed the benchmark draws
+    counts = []
+    primes_beyond = poly._primes_beyond
+
+    def spy(bound):
+        primes = primes_beyond(bound)
+        counts.append(len(primes))
+        return primes
+
+    monkeypatch.setattr(poly, "_primes_beyond", spy)
+    for seed in workloads.GENERIC_SEEDS:
+        for inv in workloads.WORKLOADS["classify-3level"]:
+            counts.clear()
+            assert cli.main([*inv.argv, "--seed", str(seed)]) == 0, capsys.readouterr().err
+            assert counts == [2], (inv.key, seed, counts)
+    capsys.readouterr()
