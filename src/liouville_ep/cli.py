@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .expr import ParseError, format_poly, parse_expression
+from .expr import ParseError, check_printable, format_poly, parse_expression
 from .models import (
     builtin_model,
     char_poly,
@@ -57,17 +57,11 @@ def _parse_scalar(text: str) -> GaussRational:
 
 
 def _check_printable(value: GaussRational, what: str) -> None:
-    """An InputError naming `what` when a number that `str(value)` prints,
-    the numerator or denominator of its real or imaginary part, has more
-    digits than the interpreter prints of an int (PYTHONINTMAXSTRDIGITS).
-    Those numbers are at most a, b and d of (a + b*i)/d in size, and 2^(3k)
-    < 10^k, so 3k bits take at most k digits: only past that are the parts
-    compared with 10^k."""
-    # Python before 3.10.7 has no such limit, which reads as 0
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    if limit and max(value.a, value.b, value.d, key=abs).bit_length() > 3 * limit:
-        if any(abs(n) >= 10**limit for part in (value.re, value.im) for n in (part.numerator, part.denominator)):
-            raise InputError(f"{what}: the value has more than {limit} digits, more than this interpreter prints")
+    """`check_printable`, as an input error."""
+    try:
+        check_printable(value, what)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 def _parse_binding(text: str) -> tuple[str, Fraction]:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -256,6 +257,20 @@ def _monomial_factors(expo: tuple[int, ...], variables: tuple[str, ...]) -> list
         elif k > 1:
             out.append(f"{name}^{k}")
     return out
+
+
+def check_printable(value: GaussRational, what: str) -> None:
+    """A ValueError naming `what` when a number that `str(value)` prints,
+    the numerator or denominator of its real or imaginary part, has more
+    digits than the interpreter prints of an int (PYTHONINTMAXSTRDIGITS).
+    Those numbers are at most a, b and d of (a + b*i)/d in size, and 2^(3k)
+    < 10^k, so 3k bits take at most k digits: only past that are the parts
+    compared with 10^k."""
+    # Python before 3.10.7 has no such limit, which reads as 0
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and max(value.a, value.b, value.d, key=abs).bit_length() > 3 * limit:
+        if any(abs(n) >= 10**limit for part in (value.re, value.im) for n in (part.numerator, part.denominator)):
+            raise ValueError(f"{what}: the value has more than {limit} digits, more than this interpreter prints")
 
 
 def format_poly(p: MultiPoly) -> str:

@@ -42,7 +42,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import ParseError, format_poly, parse_expression
+from .expr import ParseError, check_printable, format_poly, parse_expression
 from .poly import GaussRational, MultiPoly, PolyMatrix, ScalarLike, _gr, char_poly_berkowitz
 
 OMEGA = "omega"
@@ -406,6 +406,10 @@ def model_from_dict(data: Mapping) -> ModelSpec:
             entry, mirror = h.rows[i][j], h.rows[j][i].terms
             conj = MultiPoly._trusted(variables, {e: c.conjugate() for e, c in mirror.items()})
             if entry != conj:
+                # the message prints both entries: each must be printable
+                for a, b in ((i, j), (j, i)):
+                    for c in h.rows[a][b].terms.values():
+                        check_printable(c, f"hamiltonian[{a}][{b}] (not the conjugate of hamiltonian[{b}][{a}])")
                 raise ValueError(
                     f"hamiltonian[{i}][{j}]: expected {format_poly(conj)}, the conjugate of "
                     f"hamiltonian[{j}][{i}], got {format_poly(entry)}; the Hamiltonian must "
@@ -419,6 +423,8 @@ def model_from_dict(data: Mapping) -> ModelSpec:
             )
         rate = _parse_entry(rate_text, variables, f"jumps[{k}].rate")
         if any(c.b for c in rate.terms.values()):
+            for c in rate.terms.values():
+                check_printable(c, f"jumps[{k}].rate (not real)")
             raise ValueError(
                 f"jumps[{k}].rate: {format_poly(rate)} has a non-real coefficient; a rate "
                 "must be real, with real parameters"

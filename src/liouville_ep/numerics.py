@@ -2,19 +2,21 @@
 
 Everything exact lives in poly/newton; this module turns exact predictions
 into numerical experiments: eigenvalues of constant matrices or stacks of them
-(LAPACK via numpy.linalg.eigvals, one call per stack), which also gives
-polynomial roots as companion-matrix eigenvalues (`roots_aberth`, and the
-batched `_companion_roots` inside), epsilon scaling sweeps (one stacked
-eigenvalue call, then each epsilon's farthest child), adiabatic encircling of a
-degeneracy (the loop built and diagonalised in blocks of steps, for a
-conjugate-symmetric pencil only up to t = pi, the rest copied from their
-conjugates; then one batched nearest-neighbour matching of the whole stack of
-spectra), amoeba point clouds (the whole epsilon grid through the batched root
-kernel; for a real polynomial only the phases up to pi, the rest copied from
-their conjugates; each grid point's moduli in ascending order), and tentacle
-slope fits, with numpy alone.  Every exact value of the package becomes a float
-here, through `_complex_array`, which names in a ValueError a value that
-overflows a float or a nonzero one that vanishes as one.
+(LAPACK via numpy.linalg.eigvals, one call per stack), which also gives the
+scan's polynomial roots as companion-matrix eigenvalues (`roots_aberth`),
+epsilon scaling sweeps (one stacked eigenvalue call, then each epsilon's
+farthest child), adiabatic encircling of a degeneracy (the loop built and
+diagonalised in blocks of steps, for a conjugate-symmetric pencil only up to
+t = pi, the rest copied from their conjugates; then one batched
+nearest-neighbour matching of the whole stack of spectra), amoeba point clouds
+(the whole epsilon grid through one batched root routine, `_aberth_roots`:
+Aberth-Ehrlich sweeps from tropical starts, the Newton polygon of each grid
+point's polynomial in omega; for a real polynomial only the phases up to pi,
+the rest copied from their conjugates; each grid point's moduli in ascending
+order), and tentacle slope fits, with numpy alone.  Every exact value of the
+package becomes a float here, through `_complex_array`, which names in a
+ValueError a value that overflows a float or a nonzero one that vanishes as
+one.
 
 Accuracy note on degenerate spectra: a defective eigenvalue of multiplicity m
 is only computable to about eps_machine^(1/m) per root by any backward-stable
@@ -86,46 +88,127 @@ def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return p
 
 
-# Convergence contract of the root finder (see `roots_aberth`).
+# Convergence contract of the root finders (see `roots_aberth`).
 ROOT_RESIDUAL_TOL = 1e-10
 
-# Rows per block times n^2: bounds each block's (rows, n, n) stack (companion
-# matrices, or the pairwise distances of `collapse_clusters`) to about 1 MiB
-# whatever the batch size.
+# Rows per block times n^2: bounds each block's (rows, n, n) stack (the
+# pairwise differences of `_aberth_roots` or `collapse_clusters`) to about
+# 1 MiB whatever the batch size.
 _ROOT_BLOCK = 1 << 16
 
+# Bini's angle offset for the tropical starts: no multiple of pi / n, so the
+# starts of a real polynomial are not symmetric about the real axis
+_START_OFFSET = 0.7
 
-def _companion_roots(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+# Aberth-Ehrlich sweeps per row at most; a row still moving then is judged by
+# the residual contract as it stands
+_MAX_SWEEPS = 60
+
+# 4 ulps: a root is settled once its correction is within this share of |z|,
+# or its residual within this share of sum_k |c_k||z|^k
+_SETTLED_ULPS = 4 * np.finfo(float).eps
+
+
+def _worst_residual(c: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Each row's worst residual max |p(r)| / sum_k |c_k||r|^k, the backward
+    error the contract bounds; NaN where a root is not finite."""
+    with np.errstate(all="ignore"):
+        # hypot gives libm's rounding, as abs() of one complex does
+        resid = np.abs(_horner(c, roots)) / _horner(np.hypot(c.real, c.imag), np.abs(roots))
+    return resid.max(axis=1)
+
+
+def _tropical_starts(size: np.ndarray) -> np.ndarray:
+    """Starting points for the roots of each row of coefficient moduli `size`
+    (batch, n+1), ascending, with nonzero first and last entries (Bini, Numer.
+    Algorithms 13, 179, 1996).
+
+    The upper convex hull of the points (k, log size_k), an exact zero at
+    -inf, is the row's Newton polygon in one variable: an edge from vertex i
+    to vertex j puts j - i starts on the circle of radius (size_i /
+    size_j)^(1/(j - i)), evenly spaced and turned by 2 pi j / n plus
+    `_START_OFFSET`.  The caller silences numpy's warnings on log 0 and on
+    the rows of points off the hull."""
+    batch, n = size.shape[0], size.shape[1] - 1
+    k = np.arange(n + 1)
+    # slope from every point i to every later point j, the columns taking j
+    # from n down: only rows i on the hull are read, and those are finite
+    span = k[::-1] - k[:, None]
+    height = np.log(size)
+    slope = height[:, None, ::-1] - height[:, :, None]
+    slope[:, span <= 0] = -np.inf
+    slope /= np.where(span > 0, span, 1)
+    # from a vertex the next one is the steepest later point, the farthest on a tie
+    after = n - np.argmax(slope, axis=2)
+    rows = np.arange(batch)
+    vertex = np.zeros((batch, n + 1), dtype=bool)
+    at = np.zeros(batch, dtype=np.intp)
+    while True:
+        vertex[rows, at] = True
+        if (at == n).all():
+            break
+        at = after[rows, at]
+    # slot k lies on the edge from the last vertex at or before k
+    first = np.maximum.accumulate(np.where(vertex, k, 0), axis=1)[:, :n]
+    last = np.take_along_axis(after, first, axis=1)
+    angle = 2 * np.pi * ((k[:n] - first) / (last - first) + last / n) + _START_OFFSET
+    return np.exp(1j * angle - slope[rows[:, None], first, n - last])
+
+
+def _aberth_roots(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Roots of a batch of polynomials of one degree n >= 1.
 
-    `c` has shape (batch, n+1), ascending, with nonzero leading coefficients.
-    The roots are the eigenvalues of each row's companion matrix, one LAPACK
-    call per block of rows; each matrix is factored on its own, so a row's
-    roots do not depend on the other rows of the batch.  Returns the (batch, n)
-    roots and each row's worst residual max |p(r)| / sum_k |c_k||r|^k (NaN
-    where the companion matrix overflows).
+    `c` has shape (batch, n+1), ascending, with nonzero constant and leading
+    coefficients.  Each row starts from its tropical starts and takes
+    Aberth-Ehrlich sweeps (Aberth, Math. Comp. 27, 339, 1973),
+    z_k <- z_k - p / (p' - p sum_{j != k} 1 / (z_k - z_j)), with p and p'
+    from one Horner pass, until each root is settled (its correction within
+    `_SETTLED_ULPS` of |z_k|, or its residual at the rounding level of its
+    evaluation) or `_MAX_SWEEPS` have run.  A settled row is frozen, so a
+    row's roots do not depend on the other rows of the batch.  The rows go
+    through in blocks whose (rows, n, n) pairwise tables hold at most
+    `_ROOT_BLOCK` entries.  Returns the (batch, n) roots and each row's worst
+    residual (`_worst_residual`; NaN where a coefficient or an iterate is not
+    finite).
     """
     c = np.asarray(c, dtype=complex)
     batch, n = c.shape[0], c.shape[1] - 1
     rows = max(1, _ROOT_BLOCK // (n * n))
-    roots = np.empty((batch, n), dtype=complex)
-    # an overflowing row is caught by the finite mask or the residual
-    # contract, so numpy's floating-point warnings are only noise here
+    roots = np.full((batch, n), np.nan, dtype=complex)
+    # a row that overflows ends non-finite or misses the residual contract,
+    # so numpy's floating-point warnings are only noise here
     with np.errstate(all="ignore"):
         for i in range(0, batch, rows):
-            # first row -c_{n-1}/c_n, ..., -c_0/c_n (the numpy.roots form): with
-            # the coefficients in the last column instead, roots spread over many
-            # decades miss the residual contract
-            top = -c[i : i + rows, -2::-1] / c[i : i + rows, -1:]
-            finite = np.isfinite(top).all(axis=1)
-            comp = np.zeros((top.shape[0], n, n), dtype=complex)
-            comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-            comp[:, 0, :] = np.where(finite[:, None], top, 0.0)
-            roots[i : i + rows] = np.where(finite[:, None], np.linalg.eigvals(comp), np.nan)
-        # the backward-error scale sum_k |c_k||r|^k; hypot gives libm's rounding,
-        # as abs() of one complex does
-        resid = np.abs(_horner(c, roots)) / _horner(np.hypot(c.real, c.imag), np.abs(roots))
-    return roots, resid.max(axis=1)
+            live = i + np.flatnonzero(np.isfinite(c[i : i + rows]).all(axis=1))
+            block = c[live]
+            size = np.hypot(block.real, block.imag)
+            z = _tropical_starts(size)
+            size *= _SETTLED_ULPS
+            for _ in range(_MAX_SWEEPS):
+                if not live.size:
+                    break
+                # p, p' and a few ulps of sum_k |c_k||z|^k by one Horner pass
+                r = np.abs(z)
+                dp = block[:, -1:]
+                p = dp * z + block[:, -2:-1]
+                noise = size[:, -1:] * r + size[:, -2:-1]
+                for k in range(n - 2, -1, -1):
+                    dp = dp * z + p
+                    p = p * z + block[:, k : k + 1]
+                    noise = noise * r + size[:, k : k + 1]
+                gap = z[:, :, None] - z[:, None, :]
+                gap.reshape(-1, n * n)[:, :: n + 1] = np.inf
+                # einsum sums each row in one order, whatever the batch
+                pull = np.einsum("rkj->rk", np.reciprocal(gap, out=gap))
+                step = p / (dp - p * pull)
+                z = z - step
+                settled = (np.abs(step) <= _SETTLED_ULPS * r) | (np.abs(p) <= noise)
+                done = settled.all(axis=1)
+                if done.any():
+                    roots[live[done]] = z[done]
+                    live, block, size, z = live[~done], block[~done], size[~done], z[~done]
+            roots[live] = z
+    return roots, _worst_residual(c, roots)
 
 
 def roots_aberth(coeffs: Sequence[complex]) -> np.ndarray:
@@ -138,7 +221,8 @@ def roots_aberth(coeffs: Sequence[complex]) -> np.ndarray:
     roots (they arise from polynomials with a monomial factor and must stay
     exactly zero).  Convergence contract: every returned root r satisfies
     |p(r)| <= ROOT_RESIDUAL_TOL * sum_k |c_k||r|^k; otherwise a
-    NumericalError carrying the computed roots is raised.
+    NumericalError carrying the computed roots is raised (NaN roots where the
+    companion matrix overflows).
     """
     c = _complex_array(list(coeffs), "a polynomial coefficient")
     if c.size == 0 or c[-1] == 0:
@@ -149,13 +233,23 @@ def roots_aberth(coeffs: Sequence[complex]) -> np.ndarray:
     zero_roots = np.zeros(nz, dtype=complex)
     if nz == c.size - 1:
         return zero_roots
-    roots, worst = _companion_roots(c[None, nz:])
-    roots = np.concatenate([zero_roots, roots[0]])
-    if not worst[0] <= ROOT_RESIDUAL_TOL:
+    c = c[nz:]
+    n = c.size - 1
+    comp = np.eye(n, k=-1, dtype=complex)
+    with np.errstate(all="ignore"):
+        # first row -c_{n-1}/c_n, ..., -c_0/c_n (the numpy.roots form): with
+        # the coefficients in the last column instead, roots spread over many
+        # decades miss the residual contract
+        comp[0] = -c[-2::-1] / c[-1]
+        finite = np.isfinite(comp[0]).all()
+        roots = np.linalg.eigvals(comp) if finite else np.full(n, np.nan, dtype=complex)
+    worst = _worst_residual(c[None], roots[None])[0]
+    roots = np.concatenate([zero_roots, roots])
+    if not worst <= ROOT_RESIDUAL_TOL:
         raise NumericalError(
-            f"root computation missed the residual contract (worst residual {worst[0]:.3e})",
+            f"root computation missed the residual contract (worst residual {worst:.3e})",
             best=roots,
-            residual=float(worst[0]),
+            residual=float(worst),
         )
     return roots
 
@@ -170,7 +264,7 @@ def collapse_clusters(values: np.ndarray, tol: float) -> np.ndarray:
     computed copies of an m-fold root is far more accurate than any one copy.
 
     Spectra are independent, so the stack is taken in blocks of rows whose
-    (rows, n, n) temporaries stay near 1 MiB, as `_companion_roots` does.
+    (rows, n, n) temporaries stay near 1 MiB, as `_aberth_roots` does.
     """
     vals = np.asarray(values, dtype=complex)
     n = vals.shape[-1]
@@ -535,8 +629,8 @@ def amoeba_sample(
     The omega-coefficients are evaluated over the whole grid at once, grid
     points are grouped by their lowest and highest nonzero coefficient (exact
     zero roots and degree drops are decided on the evaluated coefficients,
-    before any root finding), and each group goes through one batched
-    companion-matrix eigenvalue computation.  A grid point whose coefficients
+    before any root finding), and each group goes through one call of the
+    batched root routine `_aberth_roots`.  A grid point whose coefficients
     are all zero, whose polynomial is constant, or whose roots miss the
     convergence contract counts as a skip.
     Points come out grid point by grid point in (modulus, phase) order, and
@@ -586,11 +680,11 @@ def amoeba_sample(
     groups = np.unique(np.stack([low, top], axis=1)[solvable & (low < top)], axis=0)
     for a, b in groups:
         rows = np.flatnonzero(solvable & (low == a) & (top == b))
-        roots, worst = _companion_roots(coeffs[rows, a : b + 1])
+        roots, worst = _aberth_roots(coeffs[rows, a : b + 1])
         ok = worst <= ROOT_RESIDUAL_TOL
         skipped[rows[~ok]] = True
         mags[rows[ok], a:b] = np.hypot(roots[ok].real, roots[ok].imag)
-    # ascending within a grid point: one order whatever LAPACK's
+    # ascending within a grid point: one order whatever the sweeps'
     mags.sort(axis=1)
     mags = mags.reshape(moduli, solved, degree)[:, mirror].reshape(moduli * phases, degree)
     skips = int(skipped.reshape(moduli, solved)[:, mirror].sum())

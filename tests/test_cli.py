@@ -1386,6 +1386,31 @@ class TestBindingValues:
             else:
                 assert json.loads(proc.stdout)["entries"][1][1] == "-1" + "0" * 600 + "*i"
 
+    @pytest.mark.parametrize(
+        "hamiltonian, jumps, what",
+        [
+            ([["0", "10^5000"], ["0", "0"]], [],
+             "hamiltonian[0][1] (not the conjugate of hamiltonian[1][0])"),
+            ([["0", "0"], ["10^5000", "0"]], [],
+             "hamiltonian[1][0] (not the conjugate of hamiltonian[0][1])"),
+            ([["0", "0"], ["0", "0"]], [{"rate": "g + i*10^5000", "operator": [["0", "1"], ["0", "0"]]}],
+             "jumps[0].rate (not real)"),
+        ],
+        ids=["hermiticity", "hermiticity-mirror", "non-real-rate"],
+    )
+    def test_unprintable_entry_of_a_faulty_model_is_named(self, capsys, tmp_path, hamiltonian, jumps, what):
+        # the fault's message would print the entry: its field is named instead
+        limit = sys.get_int_max_str_digits()
+        if not 0 < limit <= 5000:
+            pytest.skip("the interpreter prints the 5001-digit entry")
+        model = tmp_path / "faulty.json"
+        model.write_text(json.dumps(
+            {"name": "faulty", "dim": 2, "params": ["g"], "hamiltonian": hamiltonian, "jumps": jumps}
+        ))
+        err = (f"error: model file {str(model)!r}: {what}: the value has more than {limit} digits, "
+               "more than this interpreter prints\n")
+        assert run_bytes(capsys, ["build", "--model", str(model)]) == (2, "", err)
+
 
 # the characters of the differential between Fraction and the grammar
 BINDING_TEXT = st.text(st.sampled_from(list("0123456789+-./eE_()^i* ")), max_size=7)

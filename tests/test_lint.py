@@ -6,7 +6,8 @@ gcd oracle or calls `.kron`, and no module but `models.py` (`scan.py` in
 particular) reads the char-poly kernel; one function draws from `random`;
 only `cli._write` opens a file for writing; no module but `numerics.py`
 (besides `svgplot.py`'s plotting and two named `poly.py` functions) calls
-`complex` or `float`; only `model_from_dict` calls `ModelSpec`, and `cli.py`
+`complex` or `float`; `np.linalg` is read only in `numerics.eigenvalues` and
+`numerics.roots_aberth`; only `model_from_dict` calls `ModelSpec`, and `cli.py`
 calls no `Fraction`; every function the benchmark's tracer wraps exists in the
 package; no module imports scipy anywhere, or a module that drags in the
 network stack at module level, and a fresh interpreter that imports the CLI
@@ -224,6 +225,24 @@ def test_one_function_draws_from_random():
         {f"{path.name}:{owner}" for path in MODULES for owner in _reads(ast.parse(path.read_text()), {"random"})}
     )
     assert readers == ["models.py:perturbation_draws"], f"functions that draw from random: {readers}"
+
+
+def test_lapack_stays_behind_two_names():
+    # LAPACK serves the spectra (`eigenvalues`) and the scan's roots
+    # (`roots_aberth`) only: the amoeba's roots come from Aberth sweeps, and
+    # no module imports numpy.linalg or a name from it to get round this rule
+    readers = sorted(
+        {f"{path.name}:{owner}" for path in SOURCES for owner in _reads(ast.parse(path.read_text()), {"linalg"})}
+    )
+    assert readers == ["numerics.py:eigenvalues", "numerics.py:roots_aberth"], f"functions that read np.linalg: {readers}"
+    imports = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and "linalg" in (node.module or "")
+        or isinstance(node, ast.Import) and any("linalg" in a.name for a in node.names)
+    )
+    assert not imports, f"imports of numpy.linalg: {imports}"
 
 
 def test_polygon_reaches_the_kernel_through_classify():

@@ -2,8 +2,10 @@
 
 import cmath
 import itertools
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from liouville_ep.models import (
     builtin_model,
     char_poly,
     generic_perturbation,
+    model_from_dict,
     perturbation_matrix,
 )
 from liouville_ep.numerics import (
@@ -27,7 +30,7 @@ from liouville_ep.numerics import (
     eigenvalues,
     encircle,
     fit_tentacles,
-    _companion_roots,
+    _aberth_roots,
     _nearest,
     roots_aberth,
     scaling_sweep,
@@ -143,10 +146,11 @@ class TestRootsAberth:
             assert np.min(np.abs(roots - r)) <= 1e-12 * abs(r)
 
 
-class TestCompanionKernel:
+class TestAberthKernel:
     @pytest.mark.parametrize("block", [numerics._ROOT_BLOCK, 32], ids=["one-block", "blocks"])
     def test_rows_are_independent(self, monkeypatch, block):
-        # a block of 32 entries splits the five quartics into blocks of two rows
+        # a block of 32 entries splits the five quartics into blocks of two
+        # rows; rows settle after different numbers of sweeps
         monkeypatch.setattr(numerics, "_ROOT_BLOCK", block)
         batch = np.array(
             [
@@ -158,12 +162,115 @@ class TestCompanionKernel:
             ],
             dtype=complex,
         )
-        roots, worst = _companion_roots(batch)
+        roots, worst = _aberth_roots(batch)
         for i in range(batch.shape[0]):
-            alone, alone_worst = _companion_roots(batch[i : i + 1])
+            alone, alone_worst = _aberth_roots(batch[i : i + 1])
             assert worst[i] <= 1e-10
             assert np.array_equal(roots[i], alone[0])
             assert worst[i] == alone_worst[0]
+
+
+def newton_radii(c, z):
+    """Ten times Newton's step |p(z)| / |p'(z)| at each approximation z of a
+    root of c (ascending), with |p(z)| raised by a bound on Horner's
+    rounding: how far z may sit from the root it approximates (infinitely
+    far where p'(z) = 0, as it can at a double root)."""
+    n = len(c) - 1
+    p = np.polyval(c[::-1], z)
+    dp = np.polyval(np.polynomial.polynomial.polyder(c)[::-1], z)
+    scale = np.polyval(np.abs(c[::-1]), np.abs(z))
+    with np.errstate(divide="ignore"):
+        return 10 * (np.abs(p) + 4 * n * np.finfo(float).eps * scale) / np.abs(dp)
+
+
+def assert_same_multiset(c, ours, theirs):
+    """Our roots pair off with theirs, each pair within the sum of its Newton
+    radii: a perfect matching by augmenting paths (Kuhn)."""
+    near = np.abs(ours[:, None] - theirs[None, :]) <= newton_radii(c, ours)[:, None] + newton_radii(c, theirs)
+    partner = [-1] * len(theirs)
+
+    def augment(k, seen):
+        for m in np.flatnonzero(near[k]):
+            if m not in seen:
+                seen.add(m)
+                if partner[m] < 0 or augment(partner[m], seen):
+                    partner[m] = k
+                    return True
+        return False
+
+    assert all(augment(k, set()) for k in range(len(ours))), (ours, theirs)
+
+
+def log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+PHASES = st.floats(0, 2 * math.pi)
+# monic polynomials by their roots: moduli over sixteen decades, or distinct
+# reals (a start that kept conjugate symmetry would trap on them)
+SPREAD_ROOTS = st.lists(st.tuples(log_uniform(-8, 8), PHASES), min_size=1, max_size=10).map(
+    lambda rs: [m * cmath.exp(1j * t) for m, t in rs]
+)
+REAL_ROOTS = st.lists(st.integers(-30, 30).filter(bool), min_size=1, max_size=10, unique=True).map(
+    lambda rs: [r / 4 for r in rs]
+)
+
+
+@st.composite
+def cluster_coefficients(draw):
+    # (w - a)^3 + delta, an EP-like cluster of three roots, times up to 7
+    # further roots
+    a = draw(log_uniform(-2, 2)) * cmath.exp(1j * draw(PHASES))
+    delta = draw(log_uniform(-12, -3)) * cmath.exp(1j * draw(PHASES))
+    cluster = np.polynomial.polynomial.polyfromroots([a, a, a]) + [delta, 0, 0, 0]
+    rest = draw(st.lists(st.tuples(log_uniform(-2, 2), PHASES), max_size=7))
+    others = np.polynomial.polynomial.polyfromroots([m * cmath.exp(1j * t) for m, t in rest])
+    return np.polynomial.polynomial.polymul(cluster, others)
+
+
+@st.composite
+def sparse_coefficients(draw):
+    # degree 1-10, random moduli over six decades, interior coefficients
+    # exactly zero at random
+    n = draw(st.integers(1, 10))
+    mods = draw(st.lists(log_uniform(-3, 3), min_size=n + 1, max_size=n + 1))
+    args = draw(st.lists(PHASES, min_size=n + 1, max_size=n + 1))
+    zero = draw(st.lists(st.booleans(), min_size=n + 1, max_size=n + 1))
+    zero[0] = zero[-1] = False
+    return np.array([0 if z else m * cmath.exp(1j * t) for m, t, z in zip(mods, args, zero)])
+
+
+POLYNOMIALS = st.one_of(
+    sparse_coefficients(),
+    SPREAD_ROOTS.map(np.polynomial.polynomial.polyfromroots),
+    cluster_coefficients(),
+    REAL_ROOTS.map(np.polynomial.polynomial.polyfromroots),
+)
+
+
+class TestAberthAgainstCompanion:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(POLYNOMIALS)
+    def test_roots_match_the_companion_roots(self, c):
+        c = np.asarray(c, dtype=complex)
+        roots, worst = _aberth_roots(c[None])
+        assert worst[0] <= numerics.ROOT_RESIDUAL_TOL
+        try:
+            oracle = roots_aberth(c)
+        except NumericalError as exc:
+            oracle = exc.best
+        assert_same_multiset(c, roots[0], oracle)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(POLYNOMIALS, st.data())
+    def test_non_finite_coefficient_is_a_skip(self, c, data):
+        c = np.array(c, dtype=complex)
+        k = data.draw(st.integers(0, c.size - 1))
+        c[k] = data.draw(st.sampled_from([np.inf, -np.inf, complex(0, np.inf), np.nan]))
+        batch = np.stack([np.polynomial.polynomial.polyfromroots(np.arange(1, c.size)), c])
+        roots, worst = _aberth_roots(batch)
+        assert worst[0] <= numerics.ROOT_RESIDUAL_TOL
+        assert not worst[1] <= numerics.ROOT_RESIDUAL_TOL
 
 
 class TestEigenvalues:
@@ -654,13 +761,16 @@ def encircle_by_steps(l0, l1, radius, steps, mirror=True):
 
 def assert_matches_per_point_oracle(f, window, moduli, phases):
     """amoeba_sample against one `roots_aberth` call per grid point over the
-    whole grid, with each grid point's moduli in ascending order."""
+    whole grid, with each grid point's moduli in ascending order.  f may carry
+    variables besides omega and epsilon that none of its terms uses."""
     coeff_polys = f.coefficient_list("omega")
+    point = dict.fromkeys(f.vars, 0)
     rows, skips = [], 0
     for r in np.geomspace(*window, moduli):
         for th in 2.0 * np.pi * np.arange(phases) / phases:
             eps = r * cmath.exp(1j * th)
-            coeffs = [cp.evaluate({"omega": 0, "epsilon": eps}) for cp in coeff_polys]
+            point["epsilon"] = eps
+            coeffs = [cp.evaluate(point) for cp in coeff_polys]
             while len(coeffs) > 1 and coeffs[-1] == 0:
                 coeffs.pop()
             if len(coeffs) <= 1:
@@ -731,6 +841,27 @@ class TestAmoebaSample:
     def test_phase_counts_match_per_point_oracle(self, text, phases):
         assert_matches_per_point_oracle(biv(text), (1e-4, 1e-2), 12, phases)
 
+    def test_degree_nine_amoeba_matches_per_point_oracle(self, monkeypatch):
+        # lambda3 at g1 = g2 = O = 1, its steady state omega0 = 0 and the
+        # generic perturbation: degree 9, non-real, so every grid point is
+        # solved; 7 * 81 entries make blocks of seven 9x9 pairwise tables
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "models" / "lambda3.json"
+        model = model_from_dict(json.loads(path.read_text()))
+        bound = model.generator.substitute({"g1": Fraction(1), "g2": Fraction(1), "O": Fraction(1)})
+        f = char_poly(bound, generic_perturbation(model.variables, model.dim**2, 7))
+        assert f.degree("omega") == 9 and any(c.b for c in f.terms.values())
+        tables = []
+        einsum = np.einsum
+
+        def spy(subscripts, *operands, **kwargs):
+            tables.append(operands[0].size)
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", spy)
+        monkeypatch.setattr(numerics, "_ROOT_BLOCK", 7 * 81)
+        assert_matches_per_point_oracle(f, (1e-4, 1e-2), 6, 8)
+        assert len(tables) > 6 and max(tables) <= 7 * 81
+
     def test_term_order_does_not_move_the_cloud(self):
         # two equal polynomials whose terms were inserted in opposite orders
         # (qubit 4-fold point, gamma_f perturbation) give the same cloud bit
@@ -793,13 +924,13 @@ class TestNoPerPointLoops:
     @pytest.fixture
     def solved_rows(self, monkeypatch):
         rows = []
-        companion_roots = numerics._companion_roots
+        aberth_roots = numerics._aberth_roots
 
         def spy(c):
             rows.append(len(c))
-            return companion_roots(c)
+            return aberth_roots(c)
 
-        monkeypatch.setattr(numerics, "_companion_roots", spy)
+        monkeypatch.setattr(numerics, "_aberth_roots", spy)
         return rows
 
     def test_real_amoeba_solves_half_the_phases(self, solved_rows):
